@@ -16,12 +16,14 @@ from .ebm import (
     thermal_response,
 )
 from .inference import (
+    Conditioned,
     EmulatorModel,
     FitSettings,
     GPPrior,
     PosteriorDistribution,
     build_prior,
     build_prior_from_model,
+    condition,
     fit_hyperparameters,
     marginal_log_likelihood,
     posterior_forcing,
@@ -30,16 +32,7 @@ from .inference import (
     sample_posterior,
     with_variability,
 )
-from .kernels import (
-    GramMatrix,
-    KernelConfig,
-    forcing_gram,
-    forcing_temperature_cross_gram,
-    internal_variability_gram,
-    matern,
-    temperature_gram,
-    thermal_cross_gram,
-)
+from .kernels import KernelConfig, forcing_gram, internal_variability_gram
 from .metrics import ScoreReport, deterministic_scores, probabilistic_scores, spatial_scores
 from .model_io import load_model, parse_model, save_model, serialize_model
 from .scenario import (

@@ -37,7 +37,15 @@ from .metrics import (
     spatial_scores,
 )
 from .model_io import load_model, save_model
-from .scenario import assemble_training_set, load_scenario, spatial_companion_path
+from .scenario import (
+    SpatialGrid,
+    _parse_float,
+    _parse_year,
+    assemble_training_set,
+    load_scenario,
+    read_spatial_rows,
+    spatial_companion_path,
+)
 from .spatial import fit_pattern_scaling, spatial_posterior
 
 # Used whenever --seed is omitted, so unseeded runs are still reproducible.
@@ -47,6 +55,8 @@ EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_OPTIMIZATION = 3
 EXIT_COMPAT = 4
+
+INTERVAL_HEADER = ["year", "prior_mean", "posterior_mean", "posterior_std", "lower95", "upper95"]
 
 
 class CompatibilityError(EmulatorError):
@@ -86,19 +96,13 @@ def _load_scenarios(paths, model):
     return scenarios
 
 
-def _require_holdout(scenarios, name):
-    names = [s.name for s in scenarios]
-    if name not in names:
-        raise SchemaError(f"holdout '{name}' is not among the given scenarios {names}")
-
-
-def _prepare(model, scenarios, holdout):
-    """Training set and prior over all scenarios, holding one out."""
-    train, _ = assemble_training_set(scenarios, holdout=(holdout,), agents=model.agent_names)
-    if model.kernel.standardize_inputs and model.standardization is None:
+def _standardized(model, train, refit=False):
+    """The model with input standardization fitted on the training rows when
+    its kernel standardizes inputs.  Queries keep a stored standardization;
+    fitting (``refit``) always replaces it."""
+    if model.kernel.standardize_inputs and (refit or model.standardization is None):
         model = dataclasses.replace(model, standardization=train.standardization)
-    prior = build_prior_from_model(scenarios, model)
-    return model, train, prior
+    return model
 
 
 def _write_csv(path, header, rows):
@@ -113,16 +117,12 @@ def cmd_fit(args) -> int:
     scenarios = _load_scenarios(args.scenario, model)
     holdout = tuple(args.holdout)
     train, _ = assemble_training_set(scenarios, holdout=holdout, agents=model.agent_names)
+    train_scenarios = [s for s in scenarios if s.name not in holdout]
 
     if not model.fit.free:
         save_model(model, args.out)
         if train.n > 0:
-            scored = model
-            if model.kernel.standardize_inputs and model.standardization is None:
-                scored = dataclasses.replace(model, standardization=train.standardization)
-            prior = build_prior_from_model(
-                [s for s in scenarios if s.name not in holdout], scored
-            )
+            prior = build_prior_from_model(train_scenarios, _standardized(model, train))
             print(f"fit: all parameters fixed, mll={marginal_log_likelihood(prior, train):.6f}")
         else:
             print("fit: all parameters fixed")
@@ -131,9 +131,7 @@ def cmd_fit(args) -> int:
 
     if train.n == 0:
         raise SchemaError("cannot fit hyperparameters with an empty training set")
-    if model.kernel.standardize_inputs:
-        model = dataclasses.replace(model, standardization=train.standardization)
-    train_scenarios = [s for s in scenarios if s.name not in holdout]
+    model = _standardized(model, train, refit=True)
 
     def builder(candidate):
         return build_prior_from_model(train_scenarios, candidate)
@@ -144,84 +142,77 @@ def cmd_fit(args) -> int:
     initial = finite[0] if finite else float("nan")
     print(
         f"fit: n={train.n} free={','.join(model.fit.free)} "
-        f"evaluations={result.iterations} initial_mll={initial:.6f} "
+        f"evaluations={result.evaluations} initial_mll={initial:.6f} "
         f"final_mll={result.mll:.6f}"
     )
     print(f"fit: wrote {args.out}")
     return EXIT_OK
 
 
-def _target_rows(prior, name):
-    return prior.rows_for_scenario(name)
-
-
-def cmd_emulate(args) -> int:
+def _load_holdout(args):
+    """Load the model and scenarios and build the prior over all of them,
+    training on every scenario but the held-out one.  Returns the
+    scenarios, the training set, the prior and the held-out prior rows."""
     model = load_model(args.model)
     scenarios = _load_scenarios(args.scenario, model)
-    _require_holdout(scenarios, args.holdout)
-    model, train, prior = _prepare(model, scenarios, args.holdout)
-    rows = _target_rows(prior, args.holdout)
+    train, _ = assemble_training_set(
+        scenarios, holdout=(args.holdout,), agents=model.agent_names
+    )
+    prior = build_prior_from_model(scenarios, _standardized(model, train))
+    return scenarios, train, prior, prior.rows_for_scenario(args.holdout)
+
+
+def _temperature(prior, train, rows):
+    """Prior mean and predictive distribution (posterior plus internal
+    variability) of the temperature at ``rows``."""
     posterior = posterior_temperature(prior, train, rows)
-    gamma = prior.variability_gram.values[np.ix_(rows, rows)]
-    predictive = with_variability(posterior, gamma, prior.sigma)
-    std = predictive.std()
+    gamma = prior.variability_gram[np.ix_(rows, rows)]
+    return prior.mean[rows], with_variability(posterior, gamma, prior.sigma)
+
+
+def _forcing(prior, train, rows):
+    """Prior mean and posterior distribution of the forcing at ``rows``."""
+    return prior.forcing_mean[rows], posterior_forcing(prior, train, rows)
+
+
+def _interval_rows(years, prior_mean, mean, std, prefix=()):
+    """Output rows: year, prior mean, posterior mean and std, 95% bounds."""
     half = Z95 * std
-    years = [year for _, year in predictive.index]
-    out_rows = [
-        [
-            str(year),
-            _fmt(prior.mean[row]),
-            _fmt(mean),
-            _fmt(s),
-            _fmt(mean - h),
-            _fmt(mean + h),
-        ]
-        for year, row, mean, s, h in zip(years, rows, predictive.mean, std, half)
+    return [
+        [*prefix, str(year), _fmt(p), _fmt(m), _fmt(s), _fmt(m - h), _fmt(m + h)]
+        for year, p, m, s, h in zip(years, prior_mean, mean, std, half)
     ]
-    _write_csv(
-        args.out,
-        ["year", "prior_mean", "posterior_mean", "posterior_std", "lower95", "upper95"],
-        out_rows,
-    )
-    print(f"emulate: wrote {args.out} ({len(out_rows)} rows)")
-    return EXIT_OK
 
 
-def cmd_forcing(args) -> int:
-    model = load_model(args.model)
-    scenarios = _load_scenarios(args.scenario, model)
-    _require_holdout(scenarios, args.holdout)
-    model, train, prior = _prepare(model, scenarios, args.holdout)
-    rows = _target_rows(prior, args.holdout)
-    posterior = posterior_forcing(prior, train, rows)
-    std = posterior.std()
-    half = Z95 * std
+def _write_intervals(args, prior_mean, posterior):
     years = [year for _, year in posterior.index]
-    out_rows = [
-        [
-            str(year),
-            _fmt(prior.forcing_mean[row]),
-            _fmt(mean),
-            _fmt(s),
-            _fmt(mean - h),
-            _fmt(mean + h),
-        ]
-        for year, row, mean, s, h in zip(years, rows, posterior.mean, std, half)
+    rows = _interval_rows(years, prior_mean, posterior.mean, posterior.std())
+    _write_csv(args.out, INTERVAL_HEADER, rows)
+    print(f"{args.command}: wrote {args.out} ({len(rows)} rows)")
+
+
+def _write_samples(args, _, predictive):
+    draws = sample_posterior(predictive, args.count, args.seed)
+    header = ["year"] + [f"sample_{i:04d}" for i in range(args.count)]
+    rows = [
+        [str(year)] + [_fmt(value) for value in draws[:, a]]
+        for a, (_, year) in enumerate(predictive.index)
     ]
-    _write_csv(
-        args.out,
-        ["year", "prior_mean", "posterior_mean", "posterior_std", "lower95", "upper95"],
-        out_rows,
-    )
-    print(f"forcing: wrote {args.out} ({len(out_rows)} rows)")
+    _write_csv(args.out, header, rows)
+    print(f"sample: wrote {args.out} ({args.count} draws)")
+
+
+def cmd_query(args) -> int:
+    """emulate, forcing and sample: load, prepare, condition on the training
+    rows, query the held-out rows and write the result."""
+    _, train, prior, rows = _load_holdout(args)
+    prior_mean, posterior = args.query(prior, train, rows)
+    args.write(args, prior_mean, posterior)
     return EXIT_OK
 
 
 def cmd_spatial_emulate(args) -> int:
-    model = load_model(args.model)
-    scenarios = _load_scenarios(args.scenario, model)
-    _require_holdout(scenarios, args.holdout)
-    model, train, prior = _prepare(model, scenarios, args.holdout)
+    scenarios, train, prior, rows = _load_holdout(args)
 
     train_scenarios = [s for s in scenarios if s.name != args.holdout]
     for scen in train_scenarios:
@@ -239,10 +230,9 @@ def cmd_spatial_emulate(args) -> int:
         sgrid,
     )
     local = np.concatenate([s.spatial_temperature for s in train_scenarios], axis=0)
-    rows = _target_rows(prior, args.holdout)
     field = spatial_posterior(pattern, prior, train, local, rows)
 
-    gamma = prior.variability_gram.values[np.ix_(rows, rows)]
+    gamma = prior.variability_gram[np.ix_(rows, rows)]
     years = [prior.index[r][1] for r in rows]
     out_rows = []
     for i, lat in enumerate(sgrid.latitudes):
@@ -255,50 +245,11 @@ def cmd_spatial_emulate(args) -> int:
                 + prior.sigma**2 * beta**2 * np.diag(gamma)
                 + pattern.residual_variance[i, j]
             )
-            std = np.sqrt(variance)
-            for a, year in enumerate(years):
-                mean = cell.mean[a]
-                half = Z95 * std[a]
-                out_rows.append(
-                    [
-                        _fmt(lat),
-                        _fmt(lon),
-                        str(year),
-                        _fmt(prior_mean[a]),
-                        _fmt(mean),
-                        _fmt(std[a]),
-                        _fmt(mean - half),
-                        _fmt(mean + half),
-                    ]
-                )
-    _write_csv(
-        args.out,
-        ["lat", "lon", "year", "prior_mean", "posterior_mean", "posterior_std",
-         "lower95", "upper95"],
-        out_rows,
-    )
+            out_rows.extend(_interval_rows(
+                years, prior_mean, cell.mean, np.sqrt(variance), prefix=(_fmt(lat), _fmt(lon))
+            ))
+    _write_csv(args.out, ["lat", "lon", *INTERVAL_HEADER], out_rows)
     print(f"spatial-emulate: wrote {args.out} ({len(out_rows)} rows)")
-    return EXIT_OK
-
-
-def cmd_sample(args) -> int:
-    model = load_model(args.model)
-    scenarios = _load_scenarios(args.scenario, model)
-    _require_holdout(scenarios, args.holdout)
-    model, train, prior = _prepare(model, scenarios, args.holdout)
-    rows = _target_rows(prior, args.holdout)
-    posterior = posterior_temperature(prior, train, rows)
-    gamma = prior.variability_gram.values[np.ix_(rows, rows)]
-    predictive = with_variability(posterior, gamma, prior.sigma)
-    draws = sample_posterior(predictive, args.count, args.seed)
-    header = ["year"] + [f"sample_{i:04d}" for i in range(args.count)]
-    years = [year for _, year in predictive.index]
-    out_rows = [
-        [str(year)] + [_fmt(draws[s, a]) for s in range(args.count)]
-        for a, year in enumerate(years)
-    ]
-    _write_csv(args.out, header, out_rows)
-    print(f"sample: wrote {args.out} ({args.count} draws)")
     return EXIT_OK
 
 
@@ -331,10 +282,10 @@ def _read_truth_global(path) -> dict[int, float]:
             raise SchemaError(f"{path}: truth scenario needs year and tas_global columns")
         y, t = header.index("year"), header.index("tas_global")
         out = {}
-        for row in reader:
+        for line, row in enumerate(reader, start=2):
             if not row or not any(cell.strip() for cell in row):
                 continue
-            out[int(row[y])] = float(row[t])
+            out[_parse_year(row[y], path, line)] = _parse_float(row[t], path, line, "tas_global")
     return out
 
 
@@ -342,24 +293,18 @@ def _read_truth_spatial(path) -> dict[tuple[float, float, int], float]:
     companion = spatial_companion_path(path)
     if not companion.exists():
         raise SchemaError(f"{companion}: spatial truth file not found")
-    out = {}
-    with open(companion, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = [h.strip() for h in next(reader, [])]
-        if header != ["lat", "lon", "year", "tas"]:
-            raise SchemaError(f"{companion}: expected columns lat, lon, year, tas")
-        for row in reader:
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            out[(float(row[0]), float(row[1]), int(row[2]))] = float(row[3])
-    return out
+    return read_spatial_rows(companion)
 
 
-def _score_pair(mean, std, truth):
-    rmse, mae, bias = deterministic_scores(mean, truth)
-    ll, calib, crps = probabilistic_scores(mean, np.asarray(std) ** 2, truth)
-    return ScoreReport(rmse=rmse, mae=mae, bias=bias, log_likelihood=ll,
-                       calib95=calib, crps=crps)
+def _cell_scores(cell):
+    """Posterior and prior scores of one cell's predictions."""
+    truth = cell["truth"]
+    rmse, mae, bias = deterministic_scores(cell["mean"], truth)
+    ll, calib, crps = probabilistic_scores(cell["mean"], np.asarray(cell["std"]) ** 2, truth)
+    posterior = ScoreReport(rmse=rmse, mae=mae, bias=bias, log_likelihood=ll,
+                            calib95=calib, crps=crps)
+    rmse, mae, bias = deterministic_scores(cell["prior"], truth)
+    return posterior, ScoreReport(rmse=rmse, mae=mae, bias=bias)
 
 
 def cmd_evaluate(args) -> int:
@@ -371,71 +316,43 @@ def cmd_evaluate(args) -> int:
         if needed not in col:
             raise SchemaError(f"{args.predictions}: missing column '{needed}'")
 
-    def in_period(year):
-        return period is None or (period[0] <= year <= period[1])
+    # Truth and predictions are grouped by cell: (lat, lon) for a spatial
+    # file, the single cell () for a global one.
+    if spatial:
+        truth = _read_truth_spatial(args.scenario)
+    else:
+        truth = {(year,): value for year, value in _read_truth_global(args.scenario).items()}
+    cells: dict[tuple, dict[str, list[float]]] = {}
+    for row in rows:
+        year = int(row[col["year"]])
+        if period is not None and not period[0] <= year <= period[1]:
+            continue
+        key = (float(row[col["lat"]]), float(row[col["lon"]])) if spatial else ()
+        if key + (year,) not in truth:
+            raise SchemaError(f"truth has no value for {key + (year,)} inside the requested period")
+        cell = cells.setdefault(key, {"prior": [], "mean": [], "std": [], "truth": []})
+        cell["prior"].append(float(row[col["prior_mean"]]))
+        cell["mean"].append(float(row[col["posterior_mean"]]))
+        cell["std"].append(float(row[col["posterior_std"]]))
+        cell["truth"].append(truth[key + (year,)])
+    if not cells:
+        raise SchemaError("no prediction rows fall inside the requested period")
 
     if not spatial:
-        truth_by_year = _read_truth_global(args.scenario)
-        years, prior_mean, post_mean, post_std, truth = [], [], [], [], []
-        for row in rows:
-            year = int(row[col["year"]])
-            if not in_period(year):
-                continue
-            if year not in truth_by_year:
-                raise SchemaError(
-                    f"truth scenario has no year {year} inside the requested period"
-                )
-            years.append(year)
-            prior_mean.append(float(row[col["prior_mean"]]))
-            post_mean.append(float(row[col["posterior_mean"]]))
-            post_std.append(float(row[col["posterior_std"]]))
-            truth.append(truth_by_year[year])
-        if not years:
-            raise SchemaError("no prediction rows fall inside the requested period")
-        posterior = _score_pair(post_mean, post_std, truth)
-        p_rmse, p_mae, p_bias = deterministic_scores(prior_mean, truth)
-        prior = ScoreReport(rmse=p_rmse, mae=p_mae, bias=p_bias)
+        posterior, prior = _cell_scores(cells[()])
     else:
-        truth_cells = _read_truth_spatial(args.scenario)
-        from .scenario import SpatialGrid
-
-        cells: dict[tuple[float, float], dict[str, list[float]]] = {}
-        for row in rows:
-            year = int(row[col["year"]])
-            if not in_period(year):
-                continue
-            key = (float(row[col["lat"]]), float(row[col["lon"]]))
-            cell = cells.setdefault(
-                key, {"prior": [], "mean": [], "std": [], "truth": []}
-            )
-            tkey = (key[0], key[1], year)
-            if tkey not in truth_cells:
-                raise SchemaError(
-                    f"spatial truth has no value for {tkey} inside the requested period"
-                )
-            cell["prior"].append(float(row[col["prior_mean"]]))
-            cell["mean"].append(float(row[col["posterior_mean"]]))
-            cell["std"].append(float(row[col["posterior_std"]]))
-            cell["truth"].append(truth_cells[tkey])
-        if not cells:
-            raise SchemaError("no prediction rows fall inside the requested period")
         lats = sorted({lat for lat, _ in cells})
         lons = sorted({lon for _, lon in cells})
-        grid = SpatialGrid(latitudes=lats, longitudes=lons)
-        post_reports, prior_reports = [], []
+        scores = []
         for lat in lats:
-            post_row, prior_row = [], []
+            scores.append([])
             for lon in lons:
-                cell = cells.get((lat, lon))
-                if cell is None:
+                if (lat, lon) not in cells:
                     raise SchemaError(f"prediction grid is missing cell ({lat}, {lon})")
-                post_row.append(_score_pair(cell["mean"], cell["std"], cell["truth"]))
-                rmse, mae, bias = deterministic_scores(cell["prior"], cell["truth"])
-                prior_row.append(ScoreReport(rmse=rmse, mae=mae, bias=bias))
-            post_reports.append(post_row)
-            prior_reports.append(prior_row)
-        posterior = spatial_scores(post_reports, grid)
-        prior = spatial_scores(prior_reports, grid)
+                scores[-1].append(_cell_scores(cells[(lat, lon)]))
+        grid = SpatialGrid(latitudes=lats, longitudes=lons)
+        posterior = spatial_scores([[post for post, _ in row] for row in scores], grid)
+        prior = spatial_scores([[pri for _, pri in row] for row in scores], grid)
 
     _write_csv(
         args.out,
@@ -466,6 +383,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failures else EXIT_OPTIMIZATION
 
 
+def _draw_count(text) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ebgp",
@@ -474,44 +398,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenarios=True, model=False, holdout=False):
-        if scenarios:
-            p.add_argument("--scenario", nargs="+", required=True, metavar="PATH",
-                           help="scenario CSV files")
-        if model:
+    def add_common(p, query=True):
+        p.add_argument("--scenario", nargs="+", required=True, metavar="PATH",
+                       help="scenario CSV files")
+        if query:
             p.add_argument("--model", required=True, help="model file")
-        if holdout:
             p.add_argument("--holdout", required=True,
                            help="scenario name to emulate (excluded from training)")
         p.add_argument("--out", required=True, help="output path")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help=f"random seed (default {DEFAULT_SEED})")
-        p.add_argument("--format", choices=["csv"], default="csv",
-                       help="output format (csv only)")
 
     p = sub.add_parser("fit", help="fit hyperparameters by marginal likelihood")
     p.add_argument("--config", required=True, help="model/config file")
     p.add_argument("--holdout", action="append", default=[], metavar="NAME",
                    help="scenario name to exclude from training (repeatable)")
-    add_common(p)
+    add_common(p, query=False)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("emulate", help="posterior temperature for a held-out scenario")
-    add_common(p, model=True, holdout=True)
-    p.set_defaults(func=cmd_emulate)
+    add_common(p)
+    p.set_defaults(func=cmd_query, query=_temperature, write=_write_intervals)
 
     p = sub.add_parser("forcing", help="posterior radiative forcing for a held-out scenario")
-    add_common(p, model=True, holdout=True)
-    p.set_defaults(func=cmd_forcing)
+    add_common(p)
+    p.set_defaults(func=cmd_query, query=_forcing, write=_write_intervals)
 
     p = sub.add_parser("spatial-emulate", help="per-cell posterior temperatures")
-    add_common(p, model=True, holdout=True)
+    add_common(p)
     p.set_defaults(func=cmd_spatial_emulate)
 
     p = sub.add_parser("sample", help="draw joint posterior samples")
-    add_common(p, model=True, holdout=True)
-    p.add_argument("--count", type=int, default=100, help="number of draws")
-    p.set_defaults(func=cmd_sample)
+    add_common(p)
+    p.add_argument("--count", type=_draw_count, default=100, help="number of draws (>= 1)")
+    p.set_defaults(func=cmd_query, query=_temperature, write=_write_samples)
 
     p = sub.add_parser("evaluate", help="score predictions against a truth scenario")
     p.add_argument("--predictions", required=True, help="prediction CSV from emulate")
@@ -519,13 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period", default=None, metavar="Y0:Y1",
                    help="inclusive year range to score")
     p.add_argument("--out", required=True, help="output path")
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("verify", help="run the oracle verification suite")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -6,8 +6,12 @@ computes exact posteriors over temperature and radiative forcing, the
 marginal log-likelihood and its gradients, and fits hyperparameters by
 quasi-Newton ascent on log-parameters.
 
-All solves go through Cholesky factorizations with an escalating jitter
-ladder; explicit matrix inverses never appear on the solve path.
+Inference is one exact Gaussian conditioning on the noisy training block
+(Rasmussen & Williams, GPML, Algorithm 2.1): ``condition`` factorises the
+block once and every posterior and likelihood is read from the resulting
+``Conditioned`` value.  All solves go through Cholesky factorizations with
+an escalating jitter ladder; explicit matrix inverses never appear on the
+solve path.
 """
 
 from __future__ import annotations
@@ -23,13 +27,19 @@ from scipy.optimize import minimize
 from . import ebm, kernels
 from .ebm import ForcingParams, ImpulseParams
 from .errors import GridMismatch, NonFinite, SchemaError, SingularGram
-from .kernels import GramMatrix, KernelConfig
+from .kernels import KernelConfig
 from .scenario import AgentSpec, Scenario, Standardization, TrainingSet
 
 LOG_2PI = np.log(2.0 * np.pi)
 
 # Relative jitter rungs tried before declaring a Gram singular.
 JITTER_LADDER = (1e-6, 1e-5, 1e-4)
+
+
+def _diagonal_scale(matrix: np.ndarray) -> float:
+    """Mean diagonal, the unit of relative jitter; 1 when it is not positive."""
+    scale = float(np.mean(np.diag(matrix))) if matrix.size else 0.0
+    return scale if scale > 0 else 1.0
 
 
 def cholesky_with_jitter(
@@ -42,9 +52,7 @@ def cholesky_with_jitter(
     rung fails.
     """
     matrix = np.asarray(matrix, dtype=float)
-    scale = float(np.mean(np.diag(matrix))) if matrix.size else 0.0
-    if scale <= 0:
-        scale = 1.0
+    scale = _diagonal_scale(matrix)
     for rel in ladder:
         jitter = rel * scale
         try:
@@ -62,7 +70,7 @@ class GPPrior:
     """Prior over the stacked multi-scenario grid.
 
     ``mean`` is the deterministic box-model temperature path,
-    ``physics_gram`` the propagated forcing covariance, and
+    ``physics_gram`` the propagated forcing covariance L K L^T, and
     ``variability_gram`` the internal-variability covariance (block diagonal
     across scenarios, without the sigma^2 factor).  ``index`` locates each
     row as a (scenario name, year) pair.  The remaining fields carry what
@@ -73,8 +81,8 @@ class GPPrior:
     """
 
     mean: np.ndarray
-    physics_gram: GramMatrix
-    variability_gram: GramMatrix
+    physics_gram: np.ndarray
+    variability_gram: np.ndarray
     sigma: float
     index: list[tuple[str, int]]
     forcing_mean: np.ndarray
@@ -93,11 +101,20 @@ class GPPrior:
             raise GridMismatch(f"scenario '{name}' is not part of this prior")
         return rows
 
-    def noise_block(self, rows: np.ndarray) -> np.ndarray:
-        block = self.sigma**2 * self.variability_gram.values[np.ix_(rows, rows)]
+    def noisy_block(
+        self, pos: np.ndarray, physics: np.ndarray | None = None, sigma: float | None = None
+    ) -> np.ndarray:
+        """Covariance of noisy observations at rows ``pos``: the physics
+        block plus sigma^2 times the variability block plus any extra
+        per-row noise.  The optimizer passes ``physics`` (already restricted
+        to ``pos``) and ``sigma`` for a candidate kernel and noise level."""
+        if physics is None:
+            physics = self.physics_gram[np.ix_(pos, pos)]
+        sigma = self.sigma if sigma is None else sigma
+        noise = sigma**2 * self.variability_gram[np.ix_(pos, pos)]
         if self.extra_noise is not None:
-            block = block + np.diag(self.extra_noise[rows])
-        return block
+            noise = noise + np.diag(self.extra_noise[pos])
+        return physics + noise
 
 
 @dataclass
@@ -183,8 +200,6 @@ def build_prior(
     kernel: KernelConfig,
     agents: list[AgentSpec] | None = None,
     standardization: Standardization | None = None,
-    variability_mode: str = "long_time",
-    jitter: float = 1e-6,
 ) -> GPPrior:
     """Assemble the prior over the stacked scenarios.
 
@@ -192,8 +207,7 @@ def build_prior(
     scenario's forcing.  Physics blocks between scenarios a and b are
     L_a K_ab L_b^T with K_ab the forcing kernel between their emission rows;
     the variability Gram is block diagonal because internal-variability
-    realizations of distinct runs are independent.  ``jitter`` is relative
-    to the mean diagonal of each Gram.
+    realizations of distinct runs are independent.
     """
     if not scenarios:
         raise GridMismatch("at least one scenario is required")
@@ -216,7 +230,7 @@ def build_prior(
         means.append(temp)
         forcings.append(f)
         operators.append(ebm.temperature_operator(impulse, scen.grid))
-        var_blocks.append(kernels.internal_variability_gram(impulse, scen.grid, variability_mode))
+        var_blocks.append(kernels.internal_variability_gram(impulse, scen.grid))
         raw_inputs.append(scen.emission_matrix(names))
         index.extend((scen.name, int(y)) for y in scen.grid.years().astype(int))
 
@@ -228,16 +242,10 @@ def build_prior(
     op = block_diag(*operators)
     k_t = op @ k_f @ op.T
     k_t = 0.5 * (k_t + k_t.T)
-    gamma = block_diag(*var_blocks)
-
-    def _rel_jitter(matrix: np.ndarray) -> float:
-        scale = float(np.mean(np.diag(matrix)))
-        return jitter * (scale if scale > 0 else 1.0)
-
     return GPPrior(
         mean=np.concatenate(means),
-        physics_gram=GramMatrix(k_t, jitter=_rel_jitter(k_t)),
-        variability_gram=GramMatrix(gamma, jitter=_rel_jitter(gamma)),
+        physics_gram=k_t,
+        variability_gram=block_diag(*var_blocks),
         sigma=impulse.variability_amplitude,
         index=index,
         forcing_mean=np.concatenate(forcings),
@@ -247,11 +255,7 @@ def build_prior(
     )
 
 
-def build_prior_from_model(
-    scenarios: list[Scenario],
-    model: EmulatorModel,
-    variability_mode: str = "long_time",
-) -> GPPrior:
+def build_prior_from_model(scenarios: list[Scenario], model: EmulatorModel) -> GPPrior:
     return build_prior(
         scenarios,
         model.impulse,
@@ -259,7 +263,6 @@ def build_prior_from_model(
         model.kernel,
         agents=model.agents,
         standardization=model.standardization,
-        variability_mode=variability_mode,
     )
 
 
@@ -272,13 +275,74 @@ def locate_rows(prior: GPPrior, index: Sequence[tuple[str, int]]) -> np.ndarray:
         raise GridMismatch(f"row {missing.args[0]} is not in the prior index") from None
 
 
-def _train_factor(prior: GPPrior, train: TrainingSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(positions, Cholesky factor of the noisy train block, residual)."""
+def factorise(
+    block: np.ndarray,
+    residual: np.ndarray,
+    jitter: float | None = None,
+    ladder: Sequence[float] = JITTER_LADDER,
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Factor, alpha, jitter and log-density of a zero-mean Gaussian with
+    covariance ``block`` at ``residual`` (GPML Algorithm 2.1, lines 2-4).
+
+    ``jitter`` is a frozen absolute diagonal regularizer; when None the
+    relative ``ladder`` is climbed and the jitter that succeeded returned.
+    """
+    n = residual.size
+    if n == 0:
+        return np.empty((0, 0)), residual.copy(), 0.0, 0.0
+    if jitter is None:
+        factor, jitter = cholesky_with_jitter(block, ladder)
+    else:
+        try:
+            factor = cholesky(block + jitter * np.eye(n), lower=True)
+        except np.linalg.LinAlgError:
+            raise SingularGram("Cholesky failed at the frozen fitting jitter") from None
+    alpha = cho_solve((factor, True), residual)
+    logdet = 2.0 * np.sum(np.log(np.diag(factor)))
+    return factor, alpha, jitter, -0.5 * (n * LOG_2PI + logdet + float(residual @ alpha))
+
+
+@dataclass
+class Conditioned:
+    """A prior conditioned on observed temperatures at rows ``positions``.
+
+    ``factor`` is the lower Cholesky factor of the noisy block at those
+    rows, ``residual`` the observations minus the prior mean, ``alpha`` the
+    block's solve against the residual, ``jitter`` the absolute diagonal
+    regularizer the factorization needed and ``log_likelihood`` the
+    marginal log-density of the observations.
+    """
+
+    prior: GPPrior
+    positions: np.ndarray
+    residual: np.ndarray
+    factor: np.ndarray
+    alpha: np.ndarray
+    jitter: float
+    log_likelihood: float
+
+    def posterior(
+        self, rows: np.ndarray, mean: np.ndarray, covariance: np.ndarray, cross: np.ndarray
+    ) -> PosteriorDistribution:
+        """Gaussian update of a quantity with prior ``mean`` and
+        ``covariance`` at prior rows ``rows``, whose covariance with the
+        observations is ``cross``."""
+        if self.positions.size:
+            mean = mean + cross @ self.alpha
+            v = solve_triangular(self.factor, cross.T, lower=True)
+            covariance = covariance - v.T @ v
+            covariance = 0.5 * (covariance + covariance.T)
+        return PosteriorDistribution(
+            mean=mean, covariance=covariance, index=[self.prior.index[i] for i in rows]
+        )
+
+
+def condition(prior: GPPrior, train: TrainingSet) -> Conditioned:
+    """Condition the prior on the training temperatures: one factorization
+    of the noisy training block serves every query."""
     pos = locate_rows(prior, train.index)
-    block = prior.physics_gram.values[np.ix_(pos, pos)] + prior.noise_block(pos)
-    factor, _ = cholesky_with_jitter(block)
     residual = train.temperatures - prior.mean[pos]
-    return pos, factor, residual
+    return Conditioned(prior, pos, residual, *factorise(prior.noisy_block(pos), residual))
 
 
 def posterior_temperature(
@@ -291,21 +355,14 @@ def posterior_temperature(
     predictive distribution for noisy observations.
     """
     test_rows = np.asarray(test_rows, dtype=int)
-    test_index = [prior.index[i] for i in test_rows]
-    k = prior.physics_gram.values
-    if train.n == 0:
-        return PosteriorDistribution(
-            mean=prior.mean[test_rows].copy(),
-            covariance=k[np.ix_(test_rows, test_rows)].copy(),
-            index=test_index,
-        )
-    pos, factor, residual = _train_factor(prior, train)
-    alpha = cho_solve((factor, True), residual)
-    cross = k[np.ix_(test_rows, pos)]
-    mean = prior.mean[test_rows] + cross @ alpha
-    v = solve_triangular(factor, cross.T, lower=True)
-    cov = k[np.ix_(test_rows, test_rows)] - v.T @ v
-    return PosteriorDistribution(mean=mean, covariance=0.5 * (cov + cov.T), index=test_index)
+    conditioned = condition(prior, train)
+    k = prior.physics_gram
+    return conditioned.posterior(
+        test_rows,
+        prior.mean[test_rows],
+        k[np.ix_(test_rows, test_rows)],
+        k[np.ix_(test_rows, conditioned.positions)],
+    )
 
 
 def posterior_forcing(
@@ -314,22 +371,13 @@ def posterior_forcing(
     """Exact posterior over the radiative forcing at the requested rows,
     informed by temperature observations only."""
     test_rows = np.asarray(test_rows, dtype=int)
-    test_index = [prior.index[i] for i in test_rows]
+    conditioned = condition(prior, train)
     k_f = prior.forcing_gram
-    if train.n == 0:
-        return PosteriorDistribution(
-            mean=prior.forcing_mean[test_rows].copy(),
-            covariance=k_f[np.ix_(test_rows, test_rows)].copy(),
-            index=test_index,
-        )
-    pos, factor, residual = _train_factor(prior, train)
-    alpha = cho_solve((factor, True), residual)
     # Cov(F, T) = K_f L^T restricted to (test, train) rows.
-    cross = k_f[test_rows, :] @ prior.response_operator[pos, :].T
-    mean = prior.forcing_mean[test_rows] + cross @ alpha
-    v = solve_triangular(factor, cross.T, lower=True)
-    cov = k_f[np.ix_(test_rows, test_rows)] - v.T @ v
-    return PosteriorDistribution(mean=mean, covariance=0.5 * (cov + cov.T), index=test_index)
+    cross = k_f[test_rows, :] @ prior.response_operator[conditioned.positions, :].T
+    return conditioned.posterior(
+        test_rows, prior.forcing_mean[test_rows], k_f[np.ix_(test_rows, test_rows)], cross
+    )
 
 
 def with_variability(
@@ -348,12 +396,7 @@ def with_variability(
 
 def marginal_log_likelihood(prior: GPPrior, train: TrainingSet) -> float:
     """Log-density of the training temperatures under the noisy prior."""
-    if train.n == 0:
-        return 0.0
-    _, factor, residual = _train_factor(prior, train)
-    alpha = cho_solve((factor, True), residual)
-    logdet = 2.0 * np.sum(np.log(np.diag(factor)))
-    return -0.5 * (train.n * LOG_2PI + logdet + float(residual @ alpha))
+    return condition(prior, train).log_likelihood
 
 
 def predictive_log_density(
@@ -370,11 +413,7 @@ def predictive_log_density(
     if variability is not None:
         gram, sigma = variability
         cov = cov + sigma**2 * np.asarray(gram, dtype=float)
-    factor, _ = cholesky_with_jitter(cov, ladder=(0.0, *JITTER_LADDER))
-    residual = values - posterior.mean
-    alpha = cho_solve((factor, True), residual)
-    logdet = 2.0 * np.sum(np.log(np.diag(factor)))
-    return -0.5 * (posterior.n * LOG_2PI + logdet + float(residual @ alpha))
+    return factorise(cov, values - posterior.mean, ladder=(0.0, *JITTER_LADDER))[3]
 
 
 def sample_posterior(
@@ -397,116 +436,119 @@ def sample_posterior(
 # Hyperparameter fitting
 # ---------------------------------------------------------------------------
 
-KERNEL_PARAMS = ("lengthscales", "variance", "sigma")
-EBM_PARAMS = ("timescales", "equilibrium_responses", "forcing")
-FITTABLE = KERNEL_PARAMS + EBM_PARAMS
-
 
 @dataclass
 class FitResult:
     model: EmulatorModel
     trace: list[float]
-    iterations: int
+    evaluations: int
     mll: float
+
+
+@dataclass(frozen=True)
+class Parameter:
+    """One row of the table of fittable parameters.
+
+    ``get`` reads the row's values from a model and ``put`` returns a copy
+    of the model holding new values.  ``log`` rows are positive and travel
+    in log space; the others (forcing coefficients, which may be negative)
+    travel untransformed.  ``analytic`` rows are differentiated by
+    ``mll_and_gradient``, whose gradient lists them in table order; the
+    optimizer differentiates the other rows by central finite differences.
+    """
+
+    name: str
+    get: Callable[[EmulatorModel], np.ndarray]
+    put: Callable[[EmulatorModel, np.ndarray], EmulatorModel]
+    log: bool
+    analytic: bool
+
+
+FORCING_COEFFICIENTS = ("alpha_log", "alpha_lin", "alpha_sqrt")
+
+
+def _with_kernel(model: EmulatorModel, **changes) -> EmulatorModel:
+    return dataclasses.replace(model, kernel=dataclasses.replace(model.kernel, **changes))
+
+
+def _with_impulse(model: EmulatorModel, **changes) -> EmulatorModel:
+    return dataclasses.replace(model, impulse=dataclasses.replace(model.impulse, **changes))
+
+
+def _forcing_coefficients(model: EmulatorModel) -> np.ndarray:
+    return np.array(
+        [getattr(params, c) for params in model.forcing.values() for c in FORCING_COEFFICIENTS]
+    )
+
+
+def _with_forcing_coefficients(model: EmulatorModel, values: np.ndarray) -> EmulatorModel:
+    values = iter(values.tolist())
+    forcing = {
+        name: dataclasses.replace(params, **{c: next(values) for c in FORCING_COEFFICIENTS})
+        for name, params in model.forcing.items()
+    }
+    return dataclasses.replace(model, forcing=forcing)
+
+
+# Table order is the order of the optimizer's vector, so it fixes the path
+# L-BFGS-B takes.
+PARAMETERS = (
+    Parameter("lengthscales", lambda m: m.kernel.lengthscales,
+              lambda m, v: _with_kernel(m, lengthscales=v), log=True, analytic=True),
+    Parameter("variance", lambda m: np.array([m.kernel.variance]),
+              lambda m, v: _with_kernel(m, variance=float(v[0])), log=True, analytic=True),
+    Parameter("sigma", lambda m: np.array([m.impulse.variability_amplitude]),
+              lambda m, v: _with_impulse(m, variability_amplitude=float(v[0])),
+              log=True, analytic=True),
+    Parameter("timescales", lambda m: m.impulse.timescales,
+              lambda m, v: _with_impulse(m, timescales=v), log=True, analytic=False),
+    Parameter("equilibrium_responses", lambda m: m.impulse.equilibrium_responses,
+              lambda m, v: _with_impulse(m, equilibrium_responses=v), log=True, analytic=False),
+    Parameter("forcing", _forcing_coefficients, _with_forcing_coefficients,
+              log=False, analytic=False),
+)
+PARAMETER_NAMES = tuple(p.name for p in PARAMETERS)
+
+
+class FreeParameters:
+    """The rows of ``PARAMETERS`` named in ``free``, flattened in table
+    order into the unconstrained vector ``theta0`` the optimizer moves."""
+
+    def __init__(self, model: EmulatorModel, free: Sequence[str]):
+        for name in free:
+            if name not in PARAMETER_NAMES:
+                raise ValueError(f"unknown fittable parameter '{name}'")
+        self.model = model
+        # (row, its slice of theta, its slice of mll_and_gradient's gradient
+        # or None for a finite-difference row)
+        self.rows: list[tuple[Parameter, slice, slice | None]] = []
+        pieces = []
+        start = slot = 0
+        for row in PARAMETERS:
+            values = row.get(model)
+            if row.name in free:
+                if row.log and np.any(values <= 0):
+                    raise ValueError(f"{row.name} must be positive to be fit on the log scale")
+                pieces.append(np.log(values) if row.log else values)
+                gradient = slice(slot, slot + values.size) if row.analytic else None
+                self.rows.append((row, slice(start, start + values.size), gradient))
+                start += values.size
+            if row.analytic:
+                slot += values.size
+        self.theta0 = np.concatenate(pieces) if pieces else np.empty(0)
+
+    def apply(self, theta: np.ndarray) -> EmulatorModel:
+        """The model with the free parameters set from ``theta``."""
+        model = self.model
+        for row, where, _ in self.rows:
+            chunk = theta[where]
+            model = row.put(model, np.exp(chunk) if row.log else chunk)
+        return model
 
 
 def fitting_jitter(prior: GPPrior, train: TrainingSet, rel: float = JITTER_LADDER[0]) -> float:
     """Absolute diagonal regularizer for fitting, frozen at the start point."""
-    pos = locate_rows(prior, train.index)
-    block = prior.physics_gram.values[np.ix_(pos, pos)] + prior.noise_block(pos)
-    scale = float(np.mean(np.diag(block))) if block.size else 1.0
-    return rel * (scale if scale > 0 else 1.0)
-
-
-def _forcing_alpha_items(forcing: ForcingParams) -> list[tuple[str, str]]:
-    items = []
-    for name in forcing:
-        for coef in ("alpha_log", "alpha_lin", "alpha_sqrt"):
-            items.append((name, coef))
-    return items
-
-
-def _pack(model: EmulatorModel, free: tuple[str, ...]) -> tuple[np.ndarray, Callable]:
-    """Flatten the free parameters into an unconstrained vector.
-
-    Positive parameters travel in log space; forcing coefficients (which may
-    be negative) travel untransformed.  Returns the initial vector and a
-    function mapping a vector back to a model.
-    """
-    for name in free:
-        if name not in FITTABLE:
-            raise ValueError(f"unknown fittable parameter '{name}'")
-    pieces: list[np.ndarray] = []
-    layout: list[tuple[str, int]] = []
-
-    def _push(name: str, values: np.ndarray):
-        pieces.append(values)
-        layout.append((name, values.size))
-
-    if "lengthscales" in free:
-        _push("lengthscales", np.log(model.kernel.lengthscales))
-    if "variance" in free:
-        _push("variance", np.array([np.log(model.kernel.variance)]))
-    if "sigma" in free:
-        if model.impulse.variability_amplitude <= 0:
-            raise ValueError("sigma must be positive to be fit on the log scale")
-        _push("sigma", np.array([np.log(model.impulse.variability_amplitude)]))
-    if "timescales" in free:
-        _push("timescales", np.log(model.impulse.timescales))
-    if "equilibrium_responses" in free:
-        _push("equilibrium_responses", np.log(model.impulse.equilibrium_responses))
-    if "forcing" in free:
-        alphas = [getattr(model.forcing[a], c) for a, c in _forcing_alpha_items(model.forcing)]
-        _push("forcing", np.array(alphas))
-
-    theta0 = np.concatenate(pieces) if pieces else np.empty(0)
-
-    def apply(theta: np.ndarray) -> EmulatorModel:
-        out = model
-        cursor = 0
-        kernel = model.kernel
-        impulse = model.impulse
-        forcing = model.forcing
-        for name, size in layout:
-            chunk = theta[cursor : cursor + size]
-            cursor += size
-            if name == "lengthscales":
-                kernel = dataclasses.replace(kernel, lengthscales=np.exp(chunk))
-            elif name == "variance":
-                kernel = dataclasses.replace(kernel, variance=float(np.exp(chunk[0])))
-            elif name == "sigma":
-                impulse = dataclasses.replace(
-                    impulse, variability_amplitude=float(np.exp(chunk[0]))
-                )
-            elif name == "timescales":
-                impulse = dataclasses.replace(impulse, timescales=np.exp(chunk))
-            elif name == "equilibrium_responses":
-                impulse = dataclasses.replace(impulse, equilibrium_responses=np.exp(chunk))
-            elif name == "forcing":
-                forcing = {k: dataclasses.replace(v) for k, v in forcing.items()}
-                for (agent, coef), value in zip(_forcing_alpha_items(forcing), chunk):
-                    setattr(forcing[agent], coef, float(value))
-        return dataclasses.replace(out, kernel=kernel, impulse=impulse, forcing=forcing)
-
-    return theta0, apply
-
-
-def _entry_kinds(model: EmulatorModel, free: tuple[str, ...]) -> list[str]:
-    """Per-entry parameter kind in pack order."""
-    kinds: list[str] = []
-    if "lengthscales" in free:
-        kinds += ["lengthscale"] * model.kernel.n_dims
-    if "variance" in free:
-        kinds += ["variance"]
-    if "sigma" in free:
-        kinds += ["sigma"]
-    if "timescales" in free:
-        kinds += ["ebm"] * model.impulse.n_boxes
-    if "equilibrium_responses" in free:
-        kinds += ["ebm"] * model.impulse.n_boxes
-    if "forcing" in free:
-        kinds += ["ebm"] * (3 * len(model.forcing))
-    return kinds
+    return rel * _diagonal_scale(prior.noisy_block(locate_rows(prior, train.index)))
 
 
 def mll_and_gradient(
@@ -533,31 +575,19 @@ def mll_and_gradient(
     pos = locate_rows(prior, train.index)
     k_f, dk_dl, dk_dv = kernels.forcing_gram_gradients(prior.kernel_inputs, kernel)
     op = prior.response_operator[pos, :]
-    k_t = op @ k_f @ op.T
-    gamma = prior.variability_gram.values[np.ix_(pos, pos)]
     sigma = prior.sigma if sigma is None else sigma
-    noisy = k_t + sigma**2 * gamma
-    if prior.extra_noise is not None:
-        noisy = noisy + np.diag(prior.extra_noise[pos])
-    if jitter is None:
-        factor, _ = cholesky_with_jitter(noisy)
-    else:
-        try:
-            factor = cholesky(noisy + jitter * np.eye(train.n), lower=True)
-        except np.linalg.LinAlgError:
-            raise SingularGram("Cholesky failed at the frozen fitting jitter") from None
+    block = prior.noisy_block(pos, physics=op @ k_f @ op.T, sigma=sigma)
     residual = train.temperatures - prior.mean[pos]
-    alpha = cho_solve((factor, True), residual)
-    logdet = 2.0 * np.sum(np.log(np.diag(factor)))
-    mll = -0.5 * (train.n * LOG_2PI + logdet + float(residual @ alpha))
+    conditioned = Conditioned(prior, pos, residual, *factorise(block, residual, jitter))
 
-    inv = cho_solve((factor, True), np.eye(train.n))
-    w = np.outer(alpha, alpha) - inv
+    inv = cho_solve((conditioned.factor, True), np.eye(train.n))
+    w = np.outer(conditioned.alpha, conditioned.alpha) - inv
     b = op.T @ w @ op
+    gamma = prior.variability_gram[np.ix_(pos, pos)]
     grad = [0.5 * float(np.sum(b * g)) for g in dk_dl]
     grad.append(0.5 * float(np.sum(b * dk_dv)))
     grad.append(float(sigma**2 * np.sum(w * gamma)))
-    return mll, np.array(grad)
+    return conditioned.log_likelihood, np.array(grad)
 
 
 def fit_hyperparameters(
@@ -583,13 +613,10 @@ def fit_hyperparameters(
 
     if not free:
         mll = marginal_log_likelihood(builder(model), train)
-        return FitResult(model=model, trace=[mll], iterations=0, mll=mll)
+        return FitResult(model=model, trace=[mll], evaluations=0, mll=mll)
 
-    theta0, apply = _pack(model, free)
-    kinds = _entry_kinds(model, free)
-    kernel_mask = np.array([k != "ebm" for k in kinds])
-    ebm_entries = np.where(~kernel_mask)[0]
-    ebm_free = ebm_entries.size > 0
+    params = FreeParameters(model, free)
+    ebm_free = any(gradient is None for _, _, gradient in params.rows)
     # With the box model fixed the prior geometry (mean path, response
     # operator, variability Gram, kernel inputs) never changes; build once.
     fixed_prior = None if ebm_free else builder(model)
@@ -599,15 +626,16 @@ def fit_hyperparameters(
     best = -np.inf
     evaluations = 0
 
+    def evaluate(theta: np.ndarray, prior: GPPrior | None = None) -> tuple[float, np.ndarray]:
+        candidate = params.apply(theta)
+        return mll_and_gradient(
+            builder(candidate) if prior is None else prior, train, candidate.kernel,
+            sigma=candidate.impulse.variability_amplitude, jitter=jitter,
+        )
+
     def mll_at(theta: np.ndarray) -> float:
         try:
-            candidate = apply(theta)
-            prior = builder(candidate)
-            value, _ = mll_and_gradient(
-                prior, train, candidate.kernel,
-                sigma=candidate.impulse.variability_amplitude, jitter=jitter,
-            )
-            return value
+            return evaluate(theta)[0]
         except (ValueError, SingularGram):
             return -np.inf
 
@@ -615,12 +643,7 @@ def fit_hyperparameters(
         nonlocal best, evaluations
         evaluations += 1
         try:
-            candidate = apply(theta)
-            prior = fixed_prior if fixed_prior is not None else builder(candidate)
-            mll, kernel_grad = mll_and_gradient(
-                prior, train, candidate.kernel,
-                sigma=candidate.impulse.variability_amplitude, jitter=jitter,
-            )
+            mll, kernel_grad = evaluate(theta, fixed_prior)
         except (ValueError, SingularGram):
             trace.append(best)
             return np.inf, np.zeros_like(theta)
@@ -628,17 +651,12 @@ def fit_hyperparameters(
             trace.append(best)
             return np.inf, np.zeros_like(theta)
         grad = np.zeros_like(theta)
-        sel = []
-        if "lengthscales" in free:
-            sel.extend(range(model.kernel.n_dims))
-        if "variance" in free:
-            sel.append(model.kernel.n_dims)
-        if "sigma" in free:
-            sel.append(model.kernel.n_dims + 1)
-        grad[kernel_mask] = kernel_grad[sel]
-        if ebm_free:
-            h = 1e-5
-            for pos in ebm_entries:
+        h = 1e-5
+        for _, where, gradient in params.rows:
+            if gradient is not None:
+                grad[where] = kernel_grad[gradient]
+                continue
+            for pos in range(where.start, where.stop):
                 up = theta.copy()
                 dn = theta.copy()
                 up[pos] += h
@@ -649,6 +667,7 @@ def fit_hyperparameters(
         return -mll, -grad
 
     rng = np.random.default_rng(seed)
+    theta0 = params.theta0
     starts = [theta0]
     starts.extend(theta0 + rng.normal(scale=0.5, size=theta0.size) for _ in range(restarts))
 
@@ -669,5 +688,5 @@ def fit_hyperparameters(
     if not np.isfinite(best_value):
         raise NonFinite("marginal log-likelihood is not finite anywhere the optimizer looked")
 
-    fitted = apply(best_theta)
-    return FitResult(model=fitted, trace=trace, iterations=evaluations, mll=best_value)
+    fitted = params.apply(best_theta)
+    return FitResult(model=fitted, trace=trace, evaluations=evaluations, mll=best_value)

@@ -1,9 +1,9 @@
 """Covariance functions.
 
-Matérn kernels with automatic relevance determination over emission inputs,
-the physics-propagated thermal and temperature Gram matrices, the
-internal-variability covariances (long-time and exact forms) and the
-forcing-to-temperature cross covariance.
+Matérn kernels with automatic relevance determination over emission inputs
+and the internal-variability covariances (long-time and exact forms).  The
+physics-propagated Grams are assembled in ``inference.build_prior``; their
+reference forms live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky
 
 from . import ebm
 from .errors import DimensionMismatch
@@ -42,52 +41,6 @@ class KernelConfig:
     @property
     def n_dims(self) -> int:
         return self.lengthscales.size
-
-
-@dataclass
-class GramMatrix:
-    """Symmetric covariance matrix plus the jitter to add before factorization."""
-
-    values: np.ndarray
-    jitter: float = 0.0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise ValueError("Gram matrix must be square")
-        if self.jitter < 0:
-            raise ValueError("jitter must be >= 0")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    def regularized(self) -> np.ndarray:
-        return self.values + self.jitter * np.eye(self.n)
-
-    def cholesky(self) -> np.ndarray:
-        """Lower Cholesky factor of the jittered matrix."""
-        return cholesky(self.regularized(), lower=True)
-
-
-def _scaled_distance(x: np.ndarray, y: np.ndarray, config: KernelConfig) -> float:
-    dx = (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) / config.lengthscales
-    return float(np.sqrt(np.sum(dx * dx)))
-
-
-def matern(x: np.ndarray, y: np.ndarray, config: KernelConfig) -> float:
-    """Evaluate the ARD Matérn kernel between two input vectors."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.size != y.size or x.size != config.n_dims:
-        raise DimensionMismatch(
-            f"inputs of size {x.size} and {y.size} for {config.n_dims} lengthscales"
-        )
-    r = _scaled_distance(x, y, config)
-    if config.family == "matern12":
-        return config.variance * np.exp(-r)
-    u = SQRT3 * r
-    return config.variance * (1.0 + u) * np.exp(-u)
 
 
 def _sq_diffs(xa: np.ndarray, xb: np.ndarray, config: KernelConfig) -> np.ndarray:
@@ -138,37 +91,6 @@ def forcing_gram_gradients(
         k = v * (1.0 + SQRT3 * r) * e
         grads = [3.0 * v * e * sq[c] for c in range(config.n_dims)]
     return k, grads, k.copy()
-
-
-def thermal_cross_gram(k: np.ndarray, op_i: np.ndarray, op_j: np.ndarray) -> np.ndarray:
-    """Covariance between two mode responses: op_i K op_j^T."""
-    k = np.asarray(k, dtype=float)
-    if op_i.shape[1] != k.shape[0] or op_j.shape[1] != k.shape[1]:
-        raise DimensionMismatch(
-            f"operators {op_i.shape}, {op_j.shape} do not conform with kernel {k.shape}"
-        )
-    return op_i @ k @ op_j.T
-
-
-def temperature_gram(
-    k: np.ndarray, impulse: ebm.ImpulseParams, grid: ebm.TimeGrid
-) -> np.ndarray:
-    """Temperature covariance L K L^T with L the summed mode operator."""
-    op = ebm.temperature_operator(impulse, grid)
-    return thermal_cross_gram(k, op, op)
-
-
-def forcing_temperature_cross_gram(
-    k_block: np.ndarray, impulse: ebm.ImpulseParams, grid: ebm.TimeGrid
-) -> np.ndarray:
-    """Cross covariance Cov(F(t), T(t')): forcing kernel rows against K L^T columns."""
-    k_block = np.asarray(k_block, dtype=float)
-    if k_block.ndim != 2 or k_block.shape[1] != grid.n_steps:
-        raise DimensionMismatch(
-            f"kernel block {k_block.shape} does not conform with grid of {grid.n_steps} steps"
-        )
-    op = ebm.temperature_operator(impulse, grid)
-    return k_block @ op.T
 
 
 def variability_weights(impulse: ebm.ImpulseParams) -> np.ndarray:

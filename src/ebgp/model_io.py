@@ -24,7 +24,7 @@ import numpy as np
 
 from .ebm import AgentForcing, ImpulseParams
 from .errors import ParseError, SchemaError
-from .inference import EmulatorModel, FitSettings
+from .inference import PARAMETER_NAMES, EmulatorModel, FitSettings
 from .kernels import KernelConfig
 from .scenario import AgentSpec, Standardization
 
@@ -51,6 +51,13 @@ def _parse_float(text: str, where: str) -> float:
 def _parse_list(text: str, where: str) -> np.ndarray:
     items = [t.strip() for t in text.split(",") if t.strip()]
     return np.array([_parse_float(t, where) for t in items])
+
+
+def _parse_count(text: str, where: str) -> int:
+    text = text.strip()
+    if not text.isdecimal():
+        raise SchemaError(f"{where}: '{text}' is not a non-negative integer")
+    return int(text)
 
 
 def _parse_bool(text: str, where: str) -> bool:
@@ -217,12 +224,15 @@ def parse_model(text: str, where: str = "<model>") -> EmulatorModel:
         free_text = parser.get("fit", "free", fallback=None)
         if free_text is not None:
             fit.free = tuple(t.strip() for t in free_text.split(",") if t.strip())
-        if parser.has_option("fit", "restarts"):
-            fit.restarts = int(_parse_float(parser.get("fit", "restarts"), where))
-        if parser.has_option("fit", "max_iterations"):
-            fit.max_iterations = int(
-                _parse_float(parser.get("fit", "max_iterations"), where)
-            )
+        for name in fit.free:
+            if name not in PARAMETER_NAMES:
+                raise SchemaError(
+                    f"{where}: [fit] free: unknown parameter '{name}' "
+                    f"(choose from {', '.join(PARAMETER_NAMES)})"
+                )
+        for key in ("restarts", "max_iterations"):
+            if parser.has_option("fit", key):
+                setattr(fit, key, _parse_count(parser.get("fit", key), f"{where}: [fit] {key}"))
 
     return EmulatorModel(
         agents=agents,

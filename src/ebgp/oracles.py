@@ -19,7 +19,59 @@ import numpy as np
 
 from . import ebm, kernels
 from .ebm import BoxModelParams, ImpulseParams, TimeGrid
+from .errors import DimensionMismatch
 from .kernels import KernelConfig
+
+
+def _scaled_distance(x: np.ndarray, y: np.ndarray, config: KernelConfig) -> float:
+    dx = (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)) / config.lengthscales
+    return float(np.sqrt(np.sum(dx * dx)))
+
+
+def matern(x: np.ndarray, y: np.ndarray, config: KernelConfig) -> float:
+    """Evaluate the ARD Matérn kernel between two input vectors."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if x.size != y.size or x.size != config.n_dims:
+        raise DimensionMismatch(
+            f"inputs of size {x.size} and {y.size} for {config.n_dims} lengthscales"
+        )
+    r = _scaled_distance(x, y, config)
+    if config.family == "matern12":
+        return config.variance * np.exp(-r)
+    u = kernels.SQRT3 * r
+    return config.variance * (1.0 + u) * np.exp(-u)
+
+
+def thermal_cross_gram(k: np.ndarray, op_i: np.ndarray, op_j: np.ndarray) -> np.ndarray:
+    """Covariance between two mode responses: op_i K op_j^T."""
+    k = np.asarray(k, dtype=float)
+    if op_i.shape[1] != k.shape[0] or op_j.shape[1] != k.shape[1]:
+        raise DimensionMismatch(
+            f"operators {op_i.shape}, {op_j.shape} do not conform with kernel {k.shape}"
+        )
+    return op_i @ k @ op_j.T
+
+
+def temperature_gram(
+    k: np.ndarray, impulse: ImpulseParams, grid: TimeGrid
+) -> np.ndarray:
+    """Temperature covariance L K L^T with L the summed mode operator."""
+    op = ebm.temperature_operator(impulse, grid)
+    return thermal_cross_gram(k, op, op)
+
+
+def forcing_temperature_cross_gram(
+    k_block: np.ndarray, impulse: ImpulseParams, grid: TimeGrid
+) -> np.ndarray:
+    """Cross covariance Cov(F(t), T(t')): forcing kernel rows against K L^T columns."""
+    k_block = np.asarray(k_block, dtype=float)
+    if k_block.ndim != 2 or k_block.shape[1] != grid.n_steps:
+        raise DimensionMismatch(
+            f"kernel block {k_block.shape} does not conform with grid of {grid.n_steps} steps"
+        )
+    op = ebm.temperature_operator(impulse, grid)
+    return k_block @ op.T
 
 
 def rk4_box_temperature(
@@ -304,7 +356,7 @@ def default_verification(seed: int = 0) -> list[VerificationCheck]:
 
     impulse, grid, emissions, kernel = _toy_setup()
 
-    analytic = kernels.temperature_gram(
+    analytic = temperature_gram(
         kernels.forcing_gram(emissions, emissions, kernel), impulse, grid
     )
     empirical = mc_temperature_covariance(kernel, emissions, impulse, grid, 2000, seed)

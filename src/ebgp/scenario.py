@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -183,11 +184,14 @@ class TrainingSet:
 
 def _parse_float(text: str, path, line: int, column: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(
             f"{path}: line {line}, column '{column}': cannot parse '{text}' as a number"
         ) from None
+    if not isfinite(value):
+        raise ParseError(f"{path}: line {line}, column '{column}': value '{text}' is not finite")
+    return value
 
 
 def _parse_year(text: str, path, line: int) -> int:
@@ -316,26 +320,45 @@ def load_scenario(
     )
 
 
-def _load_spatial(path: Path, grid: TimeGrid) -> tuple[SpatialGrid, np.ndarray]:
+def read_spatial_rows(
+    path, grid: TimeGrid | None = None
+) -> dict[tuple[float, float, int], float]:
+    """Temperatures of a long-format spatial file keyed by (lat, lon, year).
+
+    Rejects duplicate keys and, when ``grid`` is given, years off that grid.
+    """
+    on_grid = None if grid is None else set(grid.years().astype(int).tolist())
     rows: dict[tuple[float, float, int], float] = {}
-    lats: set[float] = set()
-    lons: set[float] = set()
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = [h.strip() for h in next(reader)]
+        header = [h.strip() for h in next(reader, [])]
         if header != ["lat", "lon", "year", "tas"]:
             raise SchemaError(f"{path}: expected columns lat, lon, year, tas")
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            lat = _parse_float(row[0], path, line_no, "lat")
-            lon = _parse_float(row[1], path, line_no, "lon")
-            year = _parse_year(row[2], path, line_no)
-            tas = _parse_float(row[3], path, line_no, "tas")
-            rows[(lat, lon, year)] = tas
-            lats.add(lat)
-            lons.add(lon)
-    sgrid = SpatialGrid(latitudes=sorted(lats), longitudes=sorted(lons))
+            key = (
+                _parse_float(row[0], path, line_no, "lat"),
+                _parse_float(row[1], path, line_no, "lon"),
+                _parse_year(row[2], path, line_no),
+            )
+            if on_grid is not None and key[2] not in on_grid:
+                raise SchemaError(
+                    f"{path}: line {line_no}: year {key[2]} is not on the scenario's grid "
+                    f"{min(on_grid)}-{max(on_grid)}"
+                )
+            if key in rows:
+                raise SchemaError(f"{path}: line {line_no}: duplicate row for {key}")
+            rows[key] = _parse_float(row[3], path, line_no, "tas")
+    return rows
+
+
+def _load_spatial(path: Path, grid: TimeGrid) -> tuple[SpatialGrid, np.ndarray]:
+    rows = read_spatial_rows(path, grid)
+    sgrid = SpatialGrid(
+        latitudes=sorted({lat for lat, _, _ in rows}),
+        longitudes=sorted({lon for _, lon, _ in rows}),
+    )
     years = grid.years().astype(int)
     cube = np.empty((grid.n_steps, *sgrid.shape))
     for a, year in enumerate(years):

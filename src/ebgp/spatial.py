@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import DegenerateRegressor, DimensionMismatch, EmptyGrid, GridMismatch
 from .inference import GPPrior, PosteriorDistribution, posterior_temperature
-from .kernels import GramMatrix
 from .scenario import SpatialGrid, TrainingSet
 
 
@@ -93,13 +92,8 @@ def spatial_prior(pattern: PatternScalingMap, prior: GPPrior, i: int, j: int) ->
     return dataclasses.replace(
         prior,
         mean=beta * prior.mean + beta0,
-        physics_gram=GramMatrix(
-            scale * prior.physics_gram.values, jitter=scale * prior.physics_gram.jitter
-        ),
-        variability_gram=GramMatrix(
-            scale * prior.variability_gram.values,
-            jitter=scale * prior.variability_gram.jitter,
-        ),
+        physics_gram=scale * prior.physics_gram,
+        variability_gram=scale * prior.variability_gram,
         extra_noise=np.full(prior.n, res),
     )
 

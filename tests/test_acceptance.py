@@ -26,6 +26,7 @@ from ebgp.ebm import (
 )
 from ebgp.inference import (
     EmulatorModel,
+    FreeParameters,
     GPPrior,
     build_prior,
     build_prior_from_model,
@@ -36,14 +37,7 @@ from ebgp.inference import (
     posterior_forcing,
     posterior_temperature,
 )
-from ebgp.inference import _pack
-from ebgp.kernels import (
-    GramMatrix,
-    KernelConfig,
-    forcing_gram,
-    internal_variability_gram,
-    temperature_gram,
-)
+from ebgp.kernels import KernelConfig, forcing_gram, internal_variability_gram
 from ebgp.metrics import deterministic_scores, gaussian_crps, probabilistic_scores
 from ebgp.oracles import (
     finite_difference_gradient,
@@ -53,6 +47,7 @@ from ebgp.oracles import (
     rk4_box_temperature,
     scaled_frobenius_distance,
     sde_variability_covariance,
+    temperature_gram,
 )
 from ebgp.scenario import (
     AgentSpec,
@@ -182,7 +177,7 @@ def _posterior_setup():
     s2 = Scenario("b", TimeGrid(1900, n), {"co2": np.cumsum(1 + 0.05 * t), "so2": 1 + 0.02 * t})
     prior0 = build_prior([s1, s2], impulse, forcing, kernel, agents=agents)
     rng = np.random.default_rng(3)
-    cov = prior0.physics_gram.values + impulse.variability_amplitude**2 * prior0.variability_gram.values
+    cov = prior0.physics_gram + impulse.variability_amplitude**2 * prior0.variability_gram
     y = prior0.mean + np.linalg.cholesky(cov + 1e-10 * np.eye(2 * n)) @ rng.standard_normal(2 * n)
     s1.global_temperature = y[:n]
     s2.global_temperature = y[n:]
@@ -207,7 +202,7 @@ def test_criterion_05_posterior_exactness():
         post = posterior_temperature(prior, empty, rows)
         assert np.max(np.abs(post.mean - prior.mean[rows])) <= 1e-12
         assert np.max(np.abs(
-            post.covariance - prior.physics_gram.values[np.ix_(rows, rows)]
+            post.covariance - prior.physics_gram[np.ix_(rows, rows)]
         )) <= 1e-12
 
         # noiseless interpolation reproduces the training values
@@ -242,8 +237,8 @@ def _degenerate_prior(cov):
     n = cov.shape[0]
     return GPPrior(
         mean=np.zeros(n),
-        physics_gram=GramMatrix(cov),
-        variability_gram=GramMatrix(np.zeros((n, n))),
+        physics_gram=cov,
+        variability_gram=np.zeros((n, n)),
         sigma=0.0,
         index=[("x", 2000 + i) for i in range(n)],
         forcing_mean=np.zeros(n),
@@ -284,7 +279,8 @@ def test_criterion_06_mll_and_gradients():
             kernel=kernel,
         )
         jitter = fitting_jitter(prior, train)
-        theta0, apply = _pack(model, ("lengthscales", "variance", "sigma"))
+        params = FreeParameters(model, ("lengthscales", "variance", "sigma"))
+        theta0, apply = params.theta0, params.apply
 
         def objective(theta):
             candidate = apply(theta)
@@ -320,7 +316,7 @@ def test_criterion_07_hyperparameter_recovery():
         truth = EmulatorModel(agents=agents, impulse=impulse_true, forcing=forcing,
                               kernel=kernel_true)
         prior = build_prior_from_model([s1, s2], truth)
-        cov = prior.physics_gram.values + true_sigma**2 * prior.variability_gram.values
+        cov = prior.physics_gram + true_sigma**2 * prior.variability_gram
         rng = np.random.default_rng(123)
         y = np.linalg.cholesky(cov + 1e-10 * np.eye(2 * n)) @ rng.standard_normal(2 * n)
         s1.global_temperature = y[:n]

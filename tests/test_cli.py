@@ -51,7 +51,7 @@ def workspace(tmp_path):
             Scenario(name=name, grid=grid, emissions=emissions, concentrations=conc)
         )
     prior = build_prior(scenarios, IMPULSE, FORCING, KERNEL, agents=AGENTS)
-    cov = prior.physics_gram.values + IMPULSE.variability_amplitude**2 * prior.variability_gram.values
+    cov = prior.physics_gram + IMPULSE.variability_amplitude**2 * prior.variability_gram
     y = prior.mean + np.linalg.cholesky(cov + 1e-9 * np.eye(prior.n)) @ rng.standard_normal(prior.n)
     beta = np.array([[0.8, 1.1], [1.0, 1.3]])
     beta0 = np.array([[0.05, -0.05], [0.0, 0.1]])
@@ -113,7 +113,8 @@ class TestFit:
         model.fit = FitSettings(free=("variance",), restarts=0, max_iterations=5)
         free_config = tmp / "config_nan.txt"
         save_model(model, free_config)
-        # temperatures of NaN make the objective non-finite everywhere
+        # temperatures this large overflow the objective everywhere (NaN input
+        # is rejected when the file is read)
         broken = tmp / "broken.csv"
         text = (tmp / "hist.csv").read_text().splitlines()
         header = text[0].split(",")
@@ -121,7 +122,7 @@ class TestFit:
         rows = [text[0]]
         for line in text[1:]:
             cells = line.split(",")
-            cells[tas] = "nan"
+            cells[tas] = "1e200"
             rows.append(",".join(cells))
         broken.write_text("\n".join(rows) + "\n")
         rc = main(["fit", "--config", str(free_config), "--scenario", str(broken),
@@ -242,6 +243,73 @@ class TestSample:
                    "--holdout", "target", "--count", "7", "--seed", "6", "--out", str(c)])
         assert rc == 0
         assert a.read_bytes() != c.read_bytes()
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_rejected(self, workspace, capsys, count):
+        tmp, config, paths = workspace
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sample", "--model", str(config), "--scenario", *paths,
+                  "--holdout", "target", "--count", count, "--out", str(tmp / "s.csv")])
+        assert exit_info.value.code == 2
+        assert "--count" in capsys.readouterr().err
+        assert not (tmp / "s.csv").exists()
+
+
+def _edit_csv(path, line, column, value):
+    """Set one cell (1-based file line, column name) of a CSV file."""
+    rows = path.read_text().splitlines()
+    header = rows[0].split(",")
+    cells = rows[line - 1].split(",")
+    cells[header.index(column)] = value
+    rows[line - 1] = ",".join(cells)
+    path.write_text("\n".join(rows) + "\n")
+
+
+class TestInputValidation:
+    """Bad scenario values are rejected where they are read, naming the file,
+    line and column, with exit code 2."""
+
+    def emulate(self, workspace):
+        tmp, config, paths = workspace
+        return main(["emulate", "--model", str(config), "--scenario", *paths,
+                     "--holdout", "target", "--out", str(tmp / "x.csv")])
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_scenario_value(self, workspace, capsys, value):
+        tmp, _, _ = workspace
+        _edit_csv(tmp / "hist.csv", 4, "tas_global", value)
+        assert self.emulate(workspace) == 2
+        assert "hist.csv: line 4, column 'tas_global'" in capsys.readouterr().err
+
+    def test_nonfinite_spatial_value(self, workspace, capsys):
+        tmp, _, _ = workspace
+        _edit_csv(tmp / "mid_spatial.csv", 7, "tas", "-inf")
+        assert self.emulate(workspace) == 2
+        assert "mid_spatial.csv: line 7, column 'tas'" in capsys.readouterr().err
+
+    def test_duplicate_spatial_row(self, workspace, capsys):
+        tmp, _, _ = workspace
+        spatial = tmp / "hist_spatial.csv"
+        rows = spatial.read_text().splitlines()
+        duplicate = rows[1].split(",")[:3] + ["99.0"]
+        spatial.write_text("\n".join(rows + [",".join(duplicate)]) + "\n")
+        assert self.emulate(workspace) == 2
+        assert f"hist_spatial.csv: line {len(rows) + 1}: duplicate" in capsys.readouterr().err
+
+    def test_spatial_year_off_the_grid(self, workspace, capsys):
+        tmp, _, _ = workspace
+        _edit_csv(tmp / "hist_spatial.csv", 3, "year", "2050")
+        assert self.emulate(workspace) == 2
+        assert "hist_spatial.csv: line 3: year 2050" in capsys.readouterr().err
+
+    def test_nonfinite_truth_value(self, workspace, capsys):
+        tmp, _, _ = workspace
+        assert self.emulate(workspace) == 0
+        _edit_csv(tmp / "target.csv", 5, "tas_global", "nan")
+        rc = main(["evaluate", "--predictions", str(tmp / "x.csv"),
+                   "--scenario", str(tmp / "target.csv"), "--out", str(tmp / "s.csv")])
+        assert rc == 2
+        assert "target.csv: line 5, column 'tas_global'" in capsys.readouterr().err
 
 
 class TestSpatialEmulate:

@@ -132,3 +132,26 @@ class TestErrors:
         model.forcing["co,2"] = model.forcing.pop("co2")
         with pytest.raises(SchemaError):
             serialize_model(model)
+
+
+class TestFitSection:
+    def test_unknown_free_parameter_names_the_file(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text(
+            serialize_model(example_model()).replace(
+                "free = lengthscales, sigma", "free = lengthscale, sigma"
+            )
+        )
+        with pytest.raises(SchemaError, match=r"model\.txt.*'lengthscale'"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "line", ["restarts = 1.9", "restarts = -1", "max_iterations = many", "max_iterations = -5"]
+    )
+    def test_counts_must_be_non_negative_integers(self, tmp_path, line):
+        key = line.split(" = ")[0]
+        default = "restarts = 2" if key == "restarts" else "max_iterations = 50"
+        path = tmp_path / "model.txt"
+        path.write_text(serialize_model(example_model()).replace(default, line))
+        with pytest.raises(SchemaError, match=rf"model\.txt.*{key}"):
+            load_model(path)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ebgp.ebm import BoxModelParams, ImpulseParams, TimeGrid, diagonalize, thermal_response
-from ebgp.kernels import KernelConfig, forcing_gram, internal_variability_gram, temperature_gram
+from ebgp.kernels import KernelConfig, forcing_gram, internal_variability_gram
 from ebgp.oracles import (
     VerificationCheck,
     finite_difference_gradient,
@@ -13,6 +13,7 @@ from ebgp.oracles import (
     rk4_impulse_temperature,
     scaled_frobenius_distance,
     sde_variability_covariance,
+    temperature_gram,
 )
 from ebgp.oracles import _cumtrapz2d
 

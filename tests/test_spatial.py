@@ -123,7 +123,7 @@ class TestSpatialPrior:
         _, _, prior = global_setup(scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents)
         cell = spatial_prior(self.pattern(0.0, 0.7), prior, 1, 1)
         np.testing.assert_allclose(cell.mean, 0.7)
-        np.testing.assert_array_equal(cell.physics_gram.values, 0.0)
+        np.testing.assert_array_equal(cell.physics_gram, 0.0)
 
     def test_unit_slope_is_global_prior(
         self, scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents
@@ -131,7 +131,7 @@ class TestSpatialPrior:
         _, _, prior = global_setup(scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents)
         cell = spatial_prior(self.pattern(1.0, 0.0), prior, 0, 2)
         np.testing.assert_array_equal(cell.mean, prior.mean)
-        np.testing.assert_array_equal(cell.physics_gram.values, prior.physics_gram.values)
+        np.testing.assert_array_equal(cell.physics_gram, prior.physics_gram)
 
     def test_negative_slope_scales_quadratically(
         self, scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents
@@ -140,11 +140,11 @@ class TestSpatialPrior:
         cell = spatial_prior(self.pattern(-0.5, 0.2), prior, 2, 0)
         np.testing.assert_allclose(cell.mean, -0.5 * prior.mean + 0.2)
         np.testing.assert_allclose(
-            cell.physics_gram.values, 0.25 * prior.physics_gram.values
+            cell.physics_gram, 0.25 * prior.physics_gram
         )
         np.testing.assert_allclose(
-            np.diag(cell.physics_gram.values),
-            0.25 * np.diag(prior.physics_gram.values),
+            np.diag(cell.physics_gram),
+            0.25 * np.diag(prior.physics_gram),
             atol=0,
         )
 
@@ -175,7 +175,7 @@ class TestSpatialPosterior:
         field = spatial_posterior(pattern, prior, empty, np.empty((0, *GRID.shape)), rows)
         for cell in field.values():
             np.testing.assert_allclose(cell.mean, 0.8 * prior.mean + 0.1)
-            np.testing.assert_allclose(cell.covariance, 0.64 * prior.physics_gram.values)
+            np.testing.assert_allclose(cell.covariance, 0.64 * prior.physics_gram)
 
     def test_identity_pattern_reduces_to_global(
         self, scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents
@@ -236,7 +236,7 @@ class TestSpatialPosterior:
         rows = np.arange(prior.n)
         field = spatial_posterior(pattern, prior, train, local, rows)
         for (i, j), cell in field.items():
-            prior_var = np.diag(spatial_prior(pattern, prior, i, j).physics_gram.values)
+            prior_var = np.diag(spatial_prior(pattern, prior, i, j).physics_gram)
             assert np.all(np.diag(cell.covariance) <= prior_var + 1e-9)
 
     def test_shape_mismatch(self, scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents):
