@@ -51,7 +51,6 @@ from .spatial import (
     area_weighted_mean,
     fit_pattern_scaling,
     spatial_posterior,
-    spatial_prior,
 )
 
 __version__ = "0.1.0"

@@ -39,6 +39,7 @@ from .metrics import (
 from .model_io import load_model, save_model
 from .scenario import (
     SpatialGrid,
+    _data_rows,
     _parse_float,
     _parse_year,
     assemble_training_set,
@@ -218,7 +219,7 @@ def cmd_spatial_emulate(args) -> int:
     for scen in train_scenarios:
         if scen.spatial_temperature is None:
             raise SchemaError(f"scenario '{scen.name}' carries no spatial temperatures")
-    grids = {tuple(s.spatial_grid.latitudes) + tuple(s.spatial_grid.longitudes)
+    grids = {(tuple(s.spatial_grid.latitudes), tuple(s.spatial_grid.longitudes))
              for s in train_scenarios}
     if len(grids) > 1:
         raise SchemaError("training scenarios live on different spatial grids")
@@ -230,23 +231,21 @@ def cmd_spatial_emulate(args) -> int:
         sgrid,
     )
     local = np.concatenate([s.spatial_temperature for s in train_scenarios], axis=0)
-    field = spatial_posterior(pattern, prior, train, local, rows)
+    mean, variance = spatial_posterior(pattern, prior, train, local, rows)
 
-    gamma = prior.variability_gram[np.ix_(rows, rows)]
+    slope = pattern.slope[..., None]
+    prior_mean = slope * prior.mean[rows] + pattern.intercept[..., None]
+    std = np.sqrt(
+        np.clip(variance, 0.0, None)
+        + prior.sigma**2 * slope**2 * np.diag(prior.variability_gram)[rows]
+        + pattern.residual_variance[..., None]
+    )
     years = [prior.index[r][1] for r in rows]
     out_rows = []
     for i, lat in enumerate(sgrid.latitudes):
         for j, lon in enumerate(sgrid.longitudes):
-            cell = field[(i, j)]
-            beta = pattern.slope[i, j]
-            prior_mean = beta * prior.mean[rows] + pattern.intercept[i, j]
-            variance = (
-                np.clip(np.diag(cell.covariance), 0.0, None)
-                + prior.sigma**2 * beta**2 * np.diag(gamma)
-                + pattern.residual_variance[i, j]
-            )
             out_rows.extend(_interval_rows(
-                years, prior_mean, cell.mean, np.sqrt(variance), prefix=(_fmt(lat), _fmt(lon))
+                years, prior_mean[i, j], mean[i, j], std[i, j], prefix=(_fmt(lat), _fmt(lon))
             ))
     _write_csv(args.out, ["lat", "lon", *INTERVAL_HEADER], out_rows)
     print(f"spatial-emulate: wrote {args.out} ({len(out_rows)} rows)")
@@ -266,11 +265,15 @@ def _parse_period(text):
     return first, last
 
 
+# The prediction columns ``evaluate`` scores.
+PREDICTED = ("prior_mean", "posterior_mean", "posterior_std")
+
+
 def _read_prediction_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = [h.strip() for h in next(reader, [])]
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        rows = list(_data_rows(reader, header, path))
     return header, rows
 
 
@@ -281,12 +284,10 @@ def _read_truth_global(path) -> dict[int, float]:
         if "year" not in header or "tas_global" not in header:
             raise SchemaError(f"{path}: truth scenario needs year and tas_global columns")
         y, t = header.index("year"), header.index("tas_global")
-        out = {}
-        for line, row in enumerate(reader, start=2):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            out[_parse_year(row[y], path, line)] = _parse_float(row[t], path, line, "tas_global")
-    return out
+        return {
+            _parse_year(row[y], path, line): _parse_float(row[t], path, line, "tas_global")
+            for line, row in _data_rows(reader, header, path)
+        }
 
 
 def _read_truth_spatial(path) -> dict[tuple[float, float, int], float]:
@@ -298,12 +299,12 @@ def _read_truth_spatial(path) -> dict[tuple[float, float, int], float]:
 
 def _cell_scores(cell):
     """Posterior and prior scores of one cell's predictions."""
-    truth = cell["truth"]
-    rmse, mae, bias = deterministic_scores(cell["mean"], truth)
-    ll, calib, crps = probabilistic_scores(cell["mean"], np.asarray(cell["std"]) ** 2, truth)
+    truth, mean = cell["truth"], cell["posterior_mean"]
+    rmse, mae, bias = deterministic_scores(mean, truth)
+    ll, calib, crps = probabilistic_scores(mean, np.asarray(cell["posterior_std"]) ** 2, truth)
     posterior = ScoreReport(rmse=rmse, mae=mae, bias=bias, log_likelihood=ll,
                             calib95=calib, crps=crps)
-    rmse, mae, bias = deterministic_scores(cell["prior"], truth)
+    rmse, mae, bias = deterministic_scores(cell["prior_mean"], truth)
     return posterior, ScoreReport(rmse=rmse, mae=mae, bias=bias)
 
 
@@ -311,8 +312,9 @@ def cmd_evaluate(args) -> int:
     period = _parse_period(args.period)
     header, rows = _read_prediction_csv(args.predictions)
     spatial = header[:3] == ["lat", "lon", "year"]
+    key_columns = ("lat", "lon") if spatial else ()
     col = {name: i for i, name in enumerate(header)}
-    for needed in ("year", "prior_mean", "posterior_mean", "posterior_std"):
+    for needed in ("year", *PREDICTED):
         if needed not in col:
             raise SchemaError(f"{args.predictions}: missing column '{needed}'")
 
@@ -323,17 +325,17 @@ def cmd_evaluate(args) -> int:
     else:
         truth = {(year,): value for year, value in _read_truth_global(args.scenario).items()}
     cells: dict[tuple, dict[str, list[float]]] = {}
-    for row in rows:
-        year = int(row[col["year"]])
+    path = args.predictions
+    for line, row in rows:
+        year = _parse_year(row[col["year"]], path, line)
         if period is not None and not period[0] <= year <= period[1]:
             continue
-        key = (float(row[col["lat"]]), float(row[col["lon"]])) if spatial else ()
+        key = tuple(_parse_float(row[col[c]], path, line, c) for c in key_columns)
         if key + (year,) not in truth:
             raise SchemaError(f"truth has no value for {key + (year,)} inside the requested period")
-        cell = cells.setdefault(key, {"prior": [], "mean": [], "std": [], "truth": []})
-        cell["prior"].append(float(row[col["prior_mean"]]))
-        cell["mean"].append(float(row[col["posterior_mean"]]))
-        cell["std"].append(float(row[col["posterior_std"]]))
+        cell = cells.setdefault(key, {column: [] for column in (*PREDICTED, "truth")})
+        for column in PREDICTED:
+            cell[column].append(_parse_float(row[col[column]], path, line, column))
         cell["truth"].append(truth[key + (year,)])
     if not cells:
         raise SchemaError("no prediction rows fall inside the requested period")

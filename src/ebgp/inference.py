@@ -76,8 +76,7 @@ class GPPrior:
     row as a (scenario name, year) pair.  The remaining fields carry what
     forcing posteriors and refitting need: the prior forcing path, the raw
     forcing kernel matrix, the stacked response operator and the
-    (standardized) kernel inputs.  ``extra_noise`` optionally adds a
-    per-row white-noise variance on top of sigma^2 * variability.
+    (standardized) kernel inputs.
     """
 
     mean: np.ndarray
@@ -89,7 +88,6 @@ class GPPrior:
     forcing_gram: np.ndarray
     response_operator: np.ndarray
     kernel_inputs: np.ndarray
-    extra_noise: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -105,16 +103,13 @@ class GPPrior:
         self, pos: np.ndarray, physics: np.ndarray | None = None, sigma: float | None = None
     ) -> np.ndarray:
         """Covariance of noisy observations at rows ``pos``: the physics
-        block plus sigma^2 times the variability block plus any extra
-        per-row noise.  The optimizer passes ``physics`` (already restricted
-        to ``pos``) and ``sigma`` for a candidate kernel and noise level."""
+        block plus sigma^2 times the variability block.  The optimizer
+        passes ``physics`` (already restricted to ``pos``) and ``sigma`` for
+        a candidate kernel and noise level."""
         if physics is None:
             physics = self.physics_gram[np.ix_(pos, pos)]
         sigma = self.sigma if sigma is None else sigma
-        noise = sigma**2 * self.variability_gram[np.ix_(pos, pos)]
-        if self.extra_noise is not None:
-            noise = noise + np.diag(self.extra_noise[pos])
-        return physics + noise
+        return physics + sigma**2 * self.variability_gram[np.ix_(pos, pos)]
 
 
 @dataclass

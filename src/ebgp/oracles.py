@@ -3,7 +3,9 @@
 Monte Carlo sampling of the forcing prior pushed through a fine-substep ODE
 integrator, Euler-Maruyama simulation of the noise responses, direct
 trapezoid quadrature of the covariance double integrals, a Monte Carlo CRPS
-estimator and a central finite-difference gradient checker.
+estimator, a central finite-difference gradient checker, reference forms of
+the kernel and propagated Grams, and the per-cell Cholesky form of the
+spatial posterior.
 
 These routines back the test and acceptance suites and the ``verify`` CLI
 command; production inference never calls them.  Everything is
@@ -12,6 +14,7 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +23,10 @@ import numpy as np
 from . import ebm, kernels
 from .ebm import BoxModelParams, ImpulseParams, TimeGrid
 from .errors import DimensionMismatch
+from .inference import Conditioned, GPPrior, PosteriorDistribution, factorise, locate_rows
 from .kernels import KernelConfig
+from .scenario import TrainingSet
+from .spatial import PatternScalingMap
 
 
 def _scaled_distance(x: np.ndarray, y: np.ndarray, config: KernelConfig) -> float:
@@ -72,6 +78,41 @@ def forcing_temperature_cross_gram(
         )
     op = ebm.temperature_operator(impulse, grid)
     return k_block @ op.T
+
+
+def cell_prior(
+    pattern: PatternScalingMap, prior: GPPrior, i: int, j: int
+) -> tuple[GPPrior, np.ndarray]:
+    """Prior of grid cell (i, j): affinely mapped mean, Grams scaled by slope
+    squared, and per-row white noise of the regression residual variance."""
+    beta = float(pattern.slope[i, j])
+    cell = dataclasses.replace(
+        prior,
+        mean=beta * prior.mean + float(pattern.intercept[i, j]),
+        physics_gram=beta**2 * prior.physics_gram,
+        variability_gram=beta**2 * prior.variability_gram,
+    )
+    return cell, np.full(prior.n, float(pattern.residual_variance[i, j]))
+
+
+def cell_posterior(
+    pattern: PatternScalingMap, prior: GPPrior, train: TrainingSet,
+    local_observations: np.ndarray, i: int, j: int, test_rows: np.ndarray,
+) -> PosteriorDistribution:
+    """Posterior of cell (i, j), full covariance, by a Cholesky factorization
+    of the cell's own block: the reference for ``spatial.spatial_posterior``."""
+    test_rows = np.asarray(test_rows, dtype=int)
+    cell, noise = cell_prior(pattern, prior, i, j)
+    pos = locate_rows(cell, train.index)
+    residual = np.asarray(local_observations, dtype=float)[:, i, j] - cell.mean[pos]
+    k = cell.physics_gram
+    block = k[np.ix_(pos, pos)] + (
+        cell.sigma**2 * cell.variability_gram[np.ix_(pos, pos)] + np.diag(noise[pos])
+    )
+    conditioned = Conditioned(cell, pos, residual, *factorise(block, residual))
+    return conditioned.posterior(
+        test_rows, cell.mean[test_rows], k[np.ix_(test_rows, test_rows)], k[np.ix_(test_rows, pos)]
+    )
 
 
 def rk4_box_temperature(

@@ -203,6 +203,19 @@ def _parse_year(text: str, path, line: int) -> int:
         ) from None
 
 
+def _data_rows(reader, header: list[str], path):
+    """(line number, row) of each non-blank row after the header; a row
+    whose field count differs from the header's is a ParseError."""
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise ParseError(
+                f"{path}: line {line_no}: expected {len(header)} fields, found {len(row)}"
+            )
+        yield line_no, row
+
+
 def _grid_from_years(years: list[int], path) -> TimeGrid:
     if not years:
         raise SchemaError(f"{path}: file contains no data rows")
@@ -268,13 +281,7 @@ def load_scenario(
         col_of = {h: i for i, h in enumerate(header)}
         years: list[int] = []
         data: dict[str, list[float]] = {h: [] for h in header if h != "year"}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: line {line_no}: expected {len(header)} fields, found {len(row)}"
-                )
+        for line_no, row in _data_rows(reader, header, path):
             years.append(_parse_year(row[col_of["year"]], path, line_no))
             for h in data:
                 data[h].append(_parse_float(row[col_of[h]], path, line_no, h))
@@ -334,9 +341,7 @@ def read_spatial_rows(
         header = [h.strip() for h in next(reader, [])]
         if header != ["lat", "lon", "year", "tas"]:
             raise SchemaError(f"{path}: expected columns lat, lon, year, tas")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
+        for line_no, row in _data_rows(reader, header, path):
             key = (
                 _parse_float(row[0], path, line_no, "lat"),
                 _parse_float(row[1], path, line_no, "lon"),

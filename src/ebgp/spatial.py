@@ -2,21 +2,22 @@
 
 Local temperature at each grid cell is modelled as an affine function of
 global temperature; the fitted map turns the global prior into independent
-per-cell priors whose posteriors are computed with the exact machinery from
-the inference module.  Cells never interact, so everything here is
-embarrassingly parallel; iteration order is fixed for determinism.
+per-cell priors.  Every cell's noisy training block is the global one scaled
+by the slope squared plus the cell's residual variance on the diagonal, so
+one eigendecomposition of the global block gives the exact posterior mean
+and marginal variance of all cells at once.  The per-cell Cholesky form of
+the same posterior is the reference in ``oracles``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateRegressor, DimensionMismatch, EmptyGrid, GridMismatch
-from .inference import GPPrior, PosteriorDistribution, posterior_temperature
+from .errors import DegenerateRegressor, DimensionMismatch, EmptyGrid, GridMismatch, SingularGram
+from .inference import JITTER_LADDER, GPPrior, locate_rows
 from .scenario import SpatialGrid, TrainingSet
 
 
@@ -76,57 +77,64 @@ def fit_pattern_scaling(
     )
 
 
-def spatial_prior(pattern: PatternScalingMap, prior: GPPrior, i: int, j: int) -> GPPrior:
-    """Prior over one grid cell: affinely mapped mean, covariance scaled by
-    slope squared.
-
-    The cell's noise model keeps the global variability Gram scaled
-    consistently with the prior (slope squared) and adds the regression
-    residual variance as per-row white noise, covering local fluctuations
-    the pattern cannot express.
-    """
-    beta = float(pattern.slope[i, j])
-    beta0 = float(pattern.intercept[i, j])
-    res = float(pattern.residual_variance[i, j])
-    scale = beta**2
-    return dataclasses.replace(
-        prior,
-        mean=beta * prior.mean + beta0,
-        physics_gram=scale * prior.physics_gram,
-        variability_gram=scale * prior.variability_gram,
-        extra_noise=np.full(prior.n, res),
-    )
-
-
 def spatial_posterior(
     pattern: PatternScalingMap,
     prior: GPPrior,
     train: TrainingSet,
     local_observations: np.ndarray,
     test_rows: np.ndarray,
-) -> dict[tuple[int, int], PosteriorDistribution]:
-    """Independent exact posterior at every grid cell.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact posterior mean and epistemic marginal variance of every cell,
+    each of shape (n_lat, n_lon, len(test_rows)).
 
-    ``local_observations`` has shape (train.n, n_lat, n_lon), with rows
-    aligned to ``train.index``.  Returns a dict keyed by (lat index, lon
-    index) in row-major order.
+    A cell with slope b, intercept b0 and residual variance r has the noisy
+    training block b^2 A + r I, A the global one.  So with A = V diag(lam) V^T,
+    D = b^2 lam + r + jitter, P = K[test, train] V and y the cell's
+    residuals, mean = b m* + b0 + b^2 P ((V^T y) / D) and
+    variance = b^2 diag K** - b^4 (P * P) (1 / D).  The jitter is the first
+    ``JITTER_LADDER`` rung, times the cell block's mean diagonal (1 when that
+    is not positive), that makes every D positive.  ``local_observations``
+    has shape (train.n, n_lat, n_lon), rows aligned to ``train.index``.
     """
     local_observations = np.asarray(local_observations, dtype=float)
+    test_rows = np.asarray(test_rows, dtype=int)
     n_lat, n_lon = pattern.grid.shape
     if local_observations.shape != (train.n, n_lat, n_lon):
         raise GridMismatch(
             f"local observations have shape {local_observations.shape}, "
             f"expected {(train.n, n_lat, n_lon)}"
         )
-    field: dict[tuple[int, int], PosteriorDistribution] = {}
-    for i in range(n_lat):
-        for j in range(n_lon):
-            cell_prior = spatial_prior(pattern, prior, i, j)
-            cell_train = dataclasses.replace(
-                train, temperatures=local_observations[:, i, j]
-            )
-            field[(i, j)] = posterior_temperature(cell_prior, cell_train, test_rows)
-    return field
+    slope = pattern.slope.ravel()
+    intercept = pattern.intercept.ravel()
+    noise = pattern.residual_variance.ravel()
+    scale = slope**2
+
+    pos = locate_rows(prior, train.index)
+    block = prior.noisy_block(pos)
+    eigvals, eigvecs = np.linalg.eigh(block)
+    jitter = np.zeros_like(noise)
+    if pos.size:
+        diagonal = scale * np.mean(np.diag(block)) + noise
+        diagonal[diagonal <= 0] = 1.0
+        rungs = np.array(JITTER_LADDER)[:, None] * diagonal
+        # b^2 lam_min + r + jitter is the smallest D of a cell
+        positive = scale * eigvals[0] + noise + rungs > 0
+        if not np.all(positive[-1]):
+            raise SingularGram(f"a cell block is singular at maximum jitter (n={pos.size})")
+        jitter = rungs[np.argmax(positive, axis=0), np.arange(slope.size)]
+    d = scale * eigvals[:, None] + noise + jitter
+
+    k = prior.physics_gram
+    proj = k[np.ix_(test_rows, pos)] @ eigvecs
+    residual = local_observations.reshape(train.n, slope.size) - (
+        slope * prior.mean[pos, None] + intercept
+    )
+    mean = (
+        slope * prior.mean[test_rows, None] + intercept
+        + scale * (proj @ ((eigvecs.T @ residual) / d))
+    )
+    variance = scale * np.diag(k)[test_rows, None] - scale**2 * ((proj * proj) @ (1.0 / d))
+    return mean.T.reshape(n_lat, n_lon, -1), variance.T.reshape(n_lat, n_lon, -1)
 
 
 def area_weighted_mean(field: np.ndarray, grid: SpatialGrid) -> float:

@@ -40,6 +40,7 @@ from ebgp.inference import (
 from ebgp.kernels import KernelConfig, forcing_gram, internal_variability_gram
 from ebgp.metrics import deterministic_scores, gaussian_crps, probabilistic_scores
 from ebgp.oracles import (
+    cell_posterior,
     finite_difference_gradient,
     mc_crps,
     mc_temperature_covariance,
@@ -380,11 +381,16 @@ def test_criterion_09_spatial_reduction():
         )
         rows = np.arange(prior.n)
         local = np.repeat(train.temperatures, 4).reshape(train.n, 2, 2)
-        field = spatial_posterior(pattern, prior, train, local, rows)
         reference = posterior_temperature(prior, train, rows)
-        for cell in field.values():
-            assert np.max(np.abs(cell.mean - reference.mean)) <= 1e-10
-            assert np.max(np.abs(cell.covariance - reference.covariance)) <= 1e-10
+        for i in range(2):
+            for j in range(2):
+                cell = cell_posterior(pattern, prior, train, local, i, j, rows)
+                assert np.max(np.abs(cell.mean - reference.mean)) <= 1e-10
+                assert np.max(np.abs(cell.covariance - reference.covariance)) <= 1e-10
+        mean, variance = spatial_posterior(pattern, prior, train, local, rows)
+        for cell_mean, cell_variance in zip(mean.reshape(4, -1), variance.reshape(4, -1)):
+            assert np.max(np.abs(cell_mean - reference.mean)) <= 1e-10
+            assert np.max(np.abs(cell_variance - np.diag(reference.covariance))) <= 1e-10
 
         # pattern-scaling regression against the normal-equations oracle
         rng = np.random.default_rng(9)

@@ -302,6 +302,63 @@ class TestInputValidation:
         assert self.emulate(workspace) == 2
         assert "hist_spatial.csv: line 3: year 2050" in capsys.readouterr().err
 
+    def test_short_spatial_row(self, workspace, capsys):
+        tmp, _, _ = workspace
+        spatial = tmp / "hist_spatial.csv"
+        rows = spatial.read_text().splitlines()
+        rows[5] = ",".join(rows[5].split(",")[:3])
+        spatial.write_text("\n".join(rows) + "\n")
+        assert self.emulate(workspace) == 2
+        assert "hist_spatial.csv: line 6: expected 4 fields, found 3" in capsys.readouterr().err
+
+    def test_spatial_grids_differ_in_shape(self, workspace, capsys):
+        """A 2x1 and a 1x2 grid with the same coordinate values."""
+        tmp, config, paths = workspace
+        for name, cells in (("hist", [(0.0, 20.0), (10.0, 20.0)]),
+                            ("mid", [(0.0, 10.0), (0.0, 20.0)])):
+            lines = ["lat,lon,year,tas"] + [
+                f"{lat!r},{lon!r},{year},0.5" for year in range(1980, 2010) for lat, lon in cells
+            ]
+            (tmp / f"{name}_spatial.csv").write_text("\n".join(lines) + "\n")
+        rc = main(["spatial-emulate", "--model", str(config), "--scenario", *paths,
+                   "--holdout", "target", "--out", str(tmp / "s.csv")])
+        assert rc == 2
+        assert "different spatial grids" in capsys.readouterr().err
+
+    def evaluate_edited(self, workspace, edit):
+        """Run emulate, apply ``edit`` to the prediction rows (header
+        first), then evaluate them."""
+        tmp, _, _ = workspace
+        assert self.emulate(workspace) == 0
+        predictions = tmp / "x.csv"
+        rows = [row.split(",") for row in predictions.read_text().splitlines()]
+        edit(rows)
+        predictions.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        return main(["evaluate", "--predictions", str(predictions),
+                     "--scenario", str(tmp / "target.csv"), "--out", str(tmp / "s.csv")])
+
+    def test_truncated_prediction_row(self, workspace, capsys):
+        def truncate(rows):
+            rows[4] = rows[4][:3]
+
+        assert self.evaluate_edited(workspace, truncate) == 2
+        assert "x.csv: line 5: expected 6 fields, found 3" in capsys.readouterr().err
+
+    def test_nan_posterior_mean(self, workspace, capsys):
+        def poison(rows):
+            rows[2][rows[0].index("posterior_mean")] = "nan"
+
+        assert self.evaluate_edited(workspace, poison) == 2
+        assert "x.csv: line 3, column 'posterior_mean'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", ["year", "prior_mean", "posterior_std"])
+    def test_unparseable_prediction_value(self, workspace, capsys, column):
+        def garble(rows):
+            rows[7][rows[0].index(column)] = "abc"
+
+        assert self.evaluate_edited(workspace, garble) == 2
+        assert f"x.csv: line 8, column '{column}': cannot parse 'abc'" in capsys.readouterr().err
+
     def test_nonfinite_truth_value(self, workspace, capsys):
         tmp, _, _ = workspace
         assert self.emulate(workspace) == 0

@@ -1,17 +1,15 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from ebgp.errors import DegenerateRegressor, EmptyGrid, GridMismatch
-from ebgp.inference import build_prior, posterior_temperature
+from ebgp.errors import DegenerateRegressor, EmptyGrid, GridMismatch, SingularGram
+from ebgp.inference import Conditioned, build_prior, factorise, posterior_temperature
+from ebgp.oracles import cell_posterior, cell_prior
 from ebgp.scenario import SpatialGrid, TrainingSet, assemble_training_set
 from ebgp.spatial import (
     PatternScalingMap,
     area_weighted_mean,
     fit_pattern_scaling,
     spatial_posterior,
-    spatial_prior,
 )
 
 GRID = SpatialGrid([-45.0, 0.0, 45.0], [0.0, 120.0, 240.0])
@@ -121,7 +119,7 @@ class TestSpatialPrior:
 
     def test_zero_slope(self, scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents):
         _, _, prior = global_setup(scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents)
-        cell = spatial_prior(self.pattern(0.0, 0.7), prior, 1, 1)
+        cell, _ = cell_prior(self.pattern(0.0, 0.7), prior, 1, 1)
         np.testing.assert_allclose(cell.mean, 0.7)
         np.testing.assert_array_equal(cell.physics_gram, 0.0)
 
@@ -129,7 +127,7 @@ class TestSpatialPrior:
         self, scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents
     ):
         _, _, prior = global_setup(scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents)
-        cell = spatial_prior(self.pattern(1.0, 0.0), prior, 0, 2)
+        cell, _ = cell_prior(self.pattern(1.0, 0.0), prior, 0, 2)
         np.testing.assert_array_equal(cell.mean, prior.mean)
         np.testing.assert_array_equal(cell.physics_gram, prior.physics_gram)
 
@@ -137,7 +135,7 @@ class TestSpatialPrior:
         self, scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents
     ):
         _, _, prior = global_setup(scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents)
-        cell = spatial_prior(self.pattern(-0.5, 0.2), prior, 2, 0)
+        cell, _ = cell_prior(self.pattern(-0.5, 0.2), prior, 2, 0)
         np.testing.assert_allclose(cell.mean, -0.5 * prior.mean + 0.2)
         np.testing.assert_allclose(
             cell.physics_gram, 0.25 * prior.physics_gram
@@ -152,8 +150,24 @@ class TestSpatialPrior:
         self, scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents
     ):
         _, _, prior = global_setup(scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents)
-        cell = spatial_prior(self.pattern(1.0, 0.0, residual=0.04), prior, 0, 0)
-        np.testing.assert_allclose(cell.extra_noise, 0.04)
+        _, noise = cell_prior(self.pattern(1.0, 0.0, residual=0.04), prior, 0, 0)
+        np.testing.assert_allclose(noise, 0.04)
+
+
+def oracle_field(pattern, prior, train, local, rows):
+    """Per-cell Cholesky posteriors of every cell, keyed by (i, j)."""
+    n_lat, n_lon = pattern.grid.shape
+    return {
+        (i, j): cell_posterior(pattern, prior, train, local, i, j, rows)
+        for i in range(n_lat)
+        for j in range(n_lon)
+    }
+
+
+def column_relative_error(got, reference):
+    """Largest deviation relative to the largest magnitude of the reference."""
+    scale = np.max(np.abs(reference))
+    return np.max(np.abs(got - reference)) / (scale if scale > 0 else 1.0)
 
 
 class TestSpatialPosterior:
@@ -172,10 +186,15 @@ class TestSpatialPosterior:
             index=[], boundaries=[],
         )
         rows = np.arange(prior.n)
-        field = spatial_posterior(pattern, prior, empty, np.empty((0, *GRID.shape)), rows)
-        for cell in field.values():
+        local = np.empty((0, *GRID.shape))
+        for cell in oracle_field(pattern, prior, empty, local, rows).values():
             np.testing.assert_allclose(cell.mean, 0.8 * prior.mean + 0.1)
             np.testing.assert_allclose(cell.covariance, 0.64 * prior.physics_gram)
+        mean, variance = spatial_posterior(pattern, prior, empty, local, rows)
+        for cell_mean, cell_variance in zip(mean.reshape(-1, rows.size),
+                                            variance.reshape(-1, rows.size)):
+            np.testing.assert_allclose(cell_mean, 0.8 * prior.mean + 0.1)
+            np.testing.assert_allclose(cell_variance, 0.64 * np.diag(prior.physics_gram))
 
     def test_identity_pattern_reduces_to_global(
         self, scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents
@@ -191,11 +210,15 @@ class TestSpatialPosterior:
         local = np.repeat(
             train.temperatures[:, None, None], GRID.shape[0] * GRID.shape[1], axis=1
         ).reshape(train.n, *GRID.shape)
-        field = spatial_posterior(pattern, prior, train, local, rows)
         reference = posterior_temperature(prior, train, rows)
-        for cell in field.values():
+        for cell in oracle_field(pattern, prior, train, local, rows).values():
             np.testing.assert_allclose(cell.mean, reference.mean, atol=1e-10)
             np.testing.assert_allclose(cell.covariance, reference.covariance, atol=1e-10)
+        mean, variance = spatial_posterior(pattern, prior, train, local, rows)
+        for cell_mean, cell_variance in zip(mean.reshape(-1, rows.size),
+                                            variance.reshape(-1, rows.size)):
+            np.testing.assert_allclose(cell_mean, reference.mean, atol=1e-10)
+            np.testing.assert_allclose(cell_variance, np.diag(reference.covariance), atol=1e-10)
 
     def test_two_cells_match_independent_posteriors(
         self, scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents
@@ -205,6 +228,7 @@ class TestSpatialPosterior:
         _, train, prior = global_setup(
             scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents
         )
+        assert train.n == prior.n  # the training rows are all prior rows, in order
         grid2 = SpatialGrid([0.0], [0.0, 180.0])
         pattern = PatternScalingMap(
             slope=np.array([[1.4, -0.6]]), intercept=np.array([[0.2, -0.1]]),
@@ -213,13 +237,80 @@ class TestSpatialPosterior:
         rng = np.random.default_rng(8)
         local = rng.normal(size=(train.n, 1, 2))
         rows = np.arange(prior.n)
-        field = spatial_posterior(pattern, prior, train, local, rows)
+        field = oracle_field(pattern, prior, train, local, rows)
+        mean, variance = spatial_posterior(pattern, prior, train, local, rows)
         for j in range(2):
-            cell_prior = spatial_prior(pattern, prior, 0, j)
-            cell_train = dataclasses.replace(train, temperatures=local[:, 0, j])
-            reference = posterior_temperature(cell_prior, cell_train, rows)
+            cell, noise = cell_prior(pattern, prior, 0, j)
+            y = local[:, 0, j] - cell.mean
+            k = cell.physics_gram
+            block = k + (cell.sigma**2 * cell.variability_gram + np.diag(noise))
+            reference = Conditioned(cell, rows, y, *factorise(block, y)).posterior(
+                rows, cell.mean, k, k
+            )
             np.testing.assert_allclose(field[(0, j)].mean, reference.mean, atol=0)
             np.testing.assert_allclose(field[(0, j)].covariance, reference.covariance, atol=0)
+            assert column_relative_error(mean[0, j], reference.mean) <= 1e-12
+            assert column_relative_error(variance[0, j], np.diag(reference.covariance)) <= 1e-12
+
+    def test_batched_matches_per_cell_oracle(
+        self, scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents
+    ):
+        """The eigenbasis path against one Cholesky factorization per cell,
+        on held-out rows, with positive, negative and zero slopes.  Cell
+        (1, 1) has zero slope and zero residual variance, so its block is
+        zero and its jitter rests on the unit scale of a non-positive
+        mean diagonal."""
+        rng = np.random.default_rng(11)
+        s1 = scenario_factory("a", 30, seed=0)
+        s2 = scenario_factory("b", 30, seed=4)
+        s1.global_temperature = rng.normal(size=30).cumsum() * 0.05
+        train, _ = assemble_training_set([s1, s2], holdout=("b",))
+        prior = build_prior(
+            [s1, s2], toy_impulse, toy_forcing, toy_kernel,
+            agents=toy_agents, standardization=train.standardization,
+        )
+        grid = SpatialGrid([-30.0, 30.0], [0.0, 120.0, 240.0])
+        pattern = PatternScalingMap(
+            slope=np.array([[1.3, -0.7, 0.0], [0.4, 0.0, -1.1]]),
+            intercept=rng.normal(size=grid.shape),
+            residual_variance=np.array([[0.01, 0.02, 0.03], [0.005, 0.0, 0.015]]),
+            grid=grid,
+        )
+        local = (
+            pattern.slope * train.temperatures[:, None, None] + pattern.intercept
+            + 0.1 * rng.normal(size=(train.n, *grid.shape))
+        )
+        rows = prior.rows_for_scenario("b")
+        field = oracle_field(pattern, prior, train, local, rows)
+        reference_mean = np.array([[field[(i, j)].mean for j in range(3)] for i in range(2)])
+        reference_variance = np.array(
+            [[np.diag(field[(i, j)].covariance) for j in range(3)] for i in range(2)]
+        )
+        mean, variance = spatial_posterior(pattern, prior, train, local, rows)
+        assert mean.shape == variance.shape == (2, 3, rows.size)
+        assert column_relative_error(mean, reference_mean) <= 1e-12
+        assert column_relative_error(variance, reference_variance) <= 1e-12
+        np.testing.assert_array_equal(variance[1, 1], 0.0)
+
+    def test_singular_cell_block_raises(
+        self, scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents
+    ):
+        """A cell block that no jitter rung makes positive definite is an
+        error on both paths."""
+        _, train, prior = global_setup(
+            scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents
+        )
+        grid = SpatialGrid([0.0], [0.0, 180.0])
+        pattern = PatternScalingMap(
+            slope=np.array([[1.0, 0.0]]), intercept=np.zeros(grid.shape),
+            residual_variance=np.array([[0.0, -1.0]]), grid=grid,
+        )
+        local = np.zeros((train.n, *grid.shape))
+        rows = np.arange(prior.n)
+        with pytest.raises(SingularGram):
+            cell_posterior(pattern, prior, train, local, 0, 1, rows)
+        with pytest.raises(SingularGram):
+            spatial_posterior(pattern, prior, train, local, rows)
 
     def test_posterior_variance_below_prior_per_cell(
         self, scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents
@@ -234,10 +325,11 @@ class TestSpatialPosterior:
         rng = np.random.default_rng(9)
         local = rng.normal(size=(train.n, *GRID.shape))
         rows = np.arange(prior.n)
-        field = spatial_posterior(pattern, prior, train, local, rows)
-        for (i, j), cell in field.items():
-            prior_var = np.diag(spatial_prior(pattern, prior, i, j).physics_gram)
-            assert np.all(np.diag(cell.covariance) <= prior_var + 1e-9)
+        _, variance = spatial_posterior(pattern, prior, train, local, rows)
+        for i in range(GRID.shape[0]):
+            for j in range(GRID.shape[1]):
+                prior_var = np.diag(cell_prior(pattern, prior, i, j)[0].physics_gram)
+                assert np.all(variance[i, j] <= prior_var + 1e-9)
 
     def test_shape_mismatch(self, scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents):
         _, train, prior = global_setup(
