@@ -39,13 +39,12 @@ from .metrics import (
 from .model_io import load_model, save_model
 from .scenario import (
     SpatialGrid,
-    _data_rows,
-    _parse_float,
-    _parse_year,
+    _locate,
     assemble_training_set,
+    cube_order,
     load_scenario,
-    read_spatial_rows,
-    spatial_companion_path,
+    read_table,
+    read_truth,
 )
 from .spatial import fit_pattern_scaling, spatial_posterior
 
@@ -269,92 +268,55 @@ def _parse_period(text):
 PREDICTED = ("prior_mean", "posterior_mean", "posterior_std")
 
 
-def _read_prediction_csv(path):
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = [h.strip() for h in next(reader, [])]
-        rows = list(_data_rows(reader, header, path))
-    return header, rows
-
-
-def _read_truth_global(path) -> dict[int, float]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = [h.strip() for h in next(reader, [])]
-        if "year" not in header or "tas_global" not in header:
-            raise SchemaError(f"{path}: truth scenario needs year and tas_global columns")
-        y, t = header.index("year"), header.index("tas_global")
-        return {
-            _parse_year(row[y], path, line): _parse_float(row[t], path, line, "tas_global")
-            for line, row in _data_rows(reader, header, path)
-        }
-
-
-def _read_truth_spatial(path) -> dict[tuple[float, float, int], float]:
-    companion = spatial_companion_path(path)
-    if not companion.exists():
-        raise SchemaError(f"{companion}: spatial truth file not found")
-    return read_spatial_rows(companion)
-
-
-def _cell_scores(cell):
-    """Posterior and prior scores of one cell's predictions."""
-    truth, mean = cell["truth"], cell["posterior_mean"]
-    rmse, mae, bias = deterministic_scores(mean, truth)
-    ll, calib, crps = probabilistic_scores(mean, np.asarray(cell["posterior_std"]) ** 2, truth)
-    posterior = ScoreReport(rmse=rmse, mae=mae, bias=bias, log_likelihood=ll,
-                            calib95=calib, crps=crps)
-    rmse, mae, bias = deterministic_scores(cell["prior_mean"], truth)
-    return posterior, ScoreReport(rmse=rmse, mae=mae, bias=bias)
-
-
 def cmd_evaluate(args) -> int:
     period = _parse_period(args.period)
-    header, rows = _read_prediction_csv(args.predictions)
-    spatial = header[:3] == ["lat", "lon", "year"]
-    key_columns = ("lat", "lon") if spatial else ()
-    col = {name: i for i, name in enumerate(header)}
-    for needed in ("year", *PREDICTED):
-        if needed not in col:
-            raise SchemaError(f"{args.predictions}: missing column '{needed}'")
-
-    # Truth and predictions are grouped by cell: (lat, lon) for a spatial
-    # file, the single cell () for a global one.
-    if spatial:
-        truth = _read_truth_spatial(args.scenario)
-    else:
-        truth = {(year,): value for year, value in _read_truth_global(args.scenario).items()}
-    cells: dict[tuple, dict[str, list[float]]] = {}
     path = args.predictions
-    for line, row in rows:
-        year = _parse_year(row[col["year"]], path, line)
-        if period is not None and not period[0] <= year <= period[1]:
-            continue
-        key = tuple(_parse_float(row[col[c]], path, line, c) for c in key_columns)
-        if key + (year,) not in truth:
-            raise SchemaError(f"truth has no value for {key + (year,)} inside the requested period")
-        cell = cells.setdefault(key, {column: [] for column in (*PREDICTED, "truth")})
-        for column in PREDICTED:
-            cell[column].append(_parse_float(row[col[column]], path, line, column))
-        cell["truth"].append(truth[key + (year,)])
-    if not cells:
-        raise SchemaError("no prediction rows fall inside the requested period")
 
-    if not spatial:
-        posterior, prior = _cell_scores(cells[()])
+    def columns(header):
+        spatial = header[:3] == ["lat", "lon", "year"]
+        for needed in ("year", *PREDICTED):
+            if needed not in header:
+                raise SchemaError(f"{path}: missing column '{needed}'")
+        return ["year", *(("lat", "lon") if spatial else ()), *PREDICTED]
+
+    lines, table = read_table(path, columns)
+    if period is not None:
+        keep = (table["year"] >= period[0]) & (table["year"] <= period[1])
+        lines = lines[keep]
+        table = {name: column[keep] for name, column in table.items()}
+    if lines.size == 0:
+        raise SchemaError("no prediction rows fall inside the requested period")
+    spatial = "lat" in table
+    year = table["year"]
+    coords = [table["lat"], table["lon"]] if spatial else []
+
+    # Each row's truth, joined by index on the truth's axes.
+    truth_axes, truth_years, truth = read_truth(args.scenario, spatial)
+    found = [_locate(values, axis)
+             for values, axis in zip([*coords, year], [*truth_axes, truth_years])]
+    known = np.logical_and.reduce([hit for _, hit in found])
+    if not np.all(known):
+        k = int(np.argmin(known))
+        key = (*(float(column[k]) for column in coords), int(year[k]))
+        raise SchemaError(f"truth has no value for {key} inside the requested period")
+    table["truth"] = truth[tuple(index for index, _ in found)]
+
+    # (lat, lon, year) cubes, or single series for a global file; scores
+    # reduce over the year axis.
+    axes, order = cube_order(path, lines, coords, year, np.unique(year))
+    shape = (*(axis.size for axis in axes), -1)
+    prior_mean, mean, std, truth = (
+        table[name][order].reshape(shape) for name in (*PREDICTED, "truth")
+    )
+    posterior = dict(zip(SCORE_FIELDS, (
+        *deterministic_scores(mean, truth), *probabilistic_scores(mean, std**2, truth)
+    )))
+    prior = dict(zip(SCORE_FIELDS, deterministic_scores(prior_mean, truth)))
+    if spatial:
+        grid = SpatialGrid(*axes)
+        posterior, prior = spatial_scores(posterior, grid), spatial_scores(prior, grid)
     else:
-        lats = sorted({lat for lat, _ in cells})
-        lons = sorted({lon for _, lon in cells})
-        scores = []
-        for lat in lats:
-            scores.append([])
-            for lon in lons:
-                if (lat, lon) not in cells:
-                    raise SchemaError(f"prediction grid is missing cell ({lat}, {lon})")
-                scores[-1].append(_cell_scores(cells[(lat, lon)]))
-        grid = SpatialGrid(latitudes=lats, longitudes=lons)
-        posterior = spatial_scores([[post for post, _ in row] for row in scores], grid)
-        prior = spatial_scores([[pri for _, pri in row] for row in scores], grid)
+        posterior, prior = ScoreReport(**posterior), ScoreReport(**prior)
 
     _write_csv(
         args.out,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import GridMismatch, LengthMismatch, NonPositiveVariance
+from .errors import LengthMismatch, NonPositiveVariance
 from .scenario import SpatialGrid
 from .spatial import area_weighted_mean
 
@@ -62,18 +62,22 @@ class ScoreReport:
 
 
 def deterministic_scores(prediction: np.ndarray, truth: np.ndarray) -> tuple[float, float, float]:
-    """(rmse, mae, bias) of a point prediction against the ground truth."""
+    """(rmse, mae, bias) of a point prediction against the ground truth.
+
+    Scores reduce over the last axis, so a cube of series gives one score
+    per series.
+    """
     prediction = np.atleast_1d(np.asarray(prediction, dtype=float))
     truth = np.atleast_1d(np.asarray(truth, dtype=float))
-    if prediction.size != truth.size or prediction.size == 0:
+    if prediction.shape != truth.shape or prediction.size == 0:
         raise LengthMismatch(
-            f"prediction has {prediction.size} points, truth has {truth.size}"
+            f"prediction has shape {prediction.shape}, truth has {truth.shape}"
         )
     err = prediction - truth
     return (
-        float(np.sqrt(np.mean(err**2))),
-        float(np.mean(np.abs(err))),
-        float(np.mean(err)),
+        np.sqrt(np.mean(err**2, axis=-1)),
+        np.mean(np.abs(err), axis=-1),
+        np.mean(err, axis=-1),
     )
 
 
@@ -106,7 +110,7 @@ def probabilistic_scores(
     mean: np.ndarray, variance: np.ndarray, truth: np.ndarray
 ) -> tuple[float, float, float]:
     """(mean per-point log-likelihood, calib95, mean CRPS) of marginal
-    Gaussian predictions.
+    Gaussian predictions, reduced over the last axis.
 
     Zero variances are permitted: the calibration check then counts exact
     hits, CRPS degrades to absolute error and the log-likelihood diverges.
@@ -115,9 +119,9 @@ def probabilistic_scores(
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     variance = np.atleast_1d(np.asarray(variance, dtype=float))
     truth = np.atleast_1d(np.asarray(truth, dtype=float))
-    if not (mean.size == variance.size == truth.size) or mean.size == 0:
+    if not (mean.shape == variance.shape == truth.shape) or mean.size == 0:
         raise LengthMismatch(
-            f"sizes differ: mean {mean.size}, variance {variance.size}, truth {truth.size}"
+            f"shapes differ: mean {mean.shape}, variance {variance.shape}, truth {truth.shape}"
         )
     if np.any(variance < 0):
         raise NonPositiveVariance("negative predictive variance")
@@ -128,34 +132,17 @@ def probabilistic_scores(
             np.log(2.0 * np.pi) + np.log(variance) + (truth - mean) ** 2 / np.where(variance > 0, variance, 1.0)
         )
     log_density = np.where(variance > 0, log_density, np.where(truth == mean, np.inf, -np.inf))
-    calib = float(np.mean(np.abs(truth - mean) <= Z95 * std))
-    crps = float(np.mean(gaussian_crps(mean, std, truth)))
+    calib = np.mean(np.abs(truth - mean) <= Z95 * std, axis=-1)
+    crps = np.mean(gaussian_crps(mean, std, truth), axis=-1)
     with np.errstate(invalid="ignore"):
-        mean_ll = float(np.mean(log_density))
+        mean_ll = np.mean(log_density, axis=-1)
     return mean_ll, calib, crps
 
 
-def spatial_scores(reports: list[list[ScoreReport]], grid: SpatialGrid) -> ScoreReport:
-    """Aggregate per-cell reports with cos-latitude area weights.
-
-    A score is aggregated only when every cell provides it.
-    """
-    n_lat, n_lon = grid.shape
-    if len(reports) != n_lat or any(len(row) != n_lon for row in reports):
-        raise GridMismatch(
-            f"reports have shape ({len(reports)}, ...), grid is {grid.shape}"
-        )
-    aggregated = {}
-    for name in SCORE_FIELDS:
-        values = np.array(
-            [
-                [np.nan if getattr(reports[i][j], name) is None else getattr(reports[i][j], name)
-                 for j in range(n_lon)]
-                for i in range(n_lat)
-            ]
-        )
-        if np.any(np.isnan(values)):
-            aggregated[name] = None
-        else:
-            aggregated[name] = area_weighted_mean(values, grid)
-    return ScoreReport(**aggregated)
+def spatial_scores(cells: dict[str, np.ndarray], grid: SpatialGrid) -> ScoreReport:
+    """Aggregate per-cell score arrays, keyed by score name and each shaped
+    like the grid, with cos-latitude area weights.  Scores not given stay
+    None."""
+    return ScoreReport(
+        **{name: area_weighted_mean(values, grid) for name, values in cells.items()}
+    )

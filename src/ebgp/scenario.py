@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from math import isfinite
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -182,38 +183,102 @@ class TrainingSet:
         raise UnknownScenario(f"scenario '{name}' is not in the training set")
 
 
-def _parse_float(text: str, path, line: int, column: str) -> float:
+def read_table(path, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Line numbers and named float columns of a CSV file's data rows.
+
+    ``columns`` maps the stripped header to the names of the columns to
+    parse, raising SchemaError when the header is not acceptable.  Blank
+    rows are skipped; a row whose field count differs from the header's is
+    a ParseError.  Values parse as Python's ``float`` does (``year`` as
+    ``int``) and must be finite; the first bad value in file order is a
+    ParseError naming its line and column.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{path}: file is empty")
+        header = [h.strip() for h in header]
+        names = columns(header)
+        lines, rows = [], []
+        for line_no, row in enumerate(reader, start=2):
+            if not "".join(row).strip():
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}: line {line_no}: expected {len(header)} fields, found {len(row)}"
+                )
+            lines.append(line_no)
+            rows.append(row)
+    col_of = {h: i for i, h in enumerate(header)}
+    parsers = {
+        name: (int, "an integer") if name == "year" else (float, "a number") for name in names
+    }
     try:
-        value = float(text)
+        table = {
+            name: np.fromiter(map(parse, map(itemgetter(col_of[name]), rows)), float, len(rows))
+            for name, (parse, _) in parsers.items()
+        }
+        sound = all(np.all(np.isfinite(column)) for column in table.values())
     except ValueError:
-        raise ParseError(
-            f"{path}: line {line}, column '{column}': cannot parse '{text}' as a number"
-        ) from None
-    if not isfinite(value):
-        raise ParseError(f"{path}: line {line}, column '{column}': value '{text}' is not finite")
-    return value
+        sound = False
+    if not sound:
+        # Find and report the first bad value in file order.
+        for line_no, row in zip(lines, rows):
+            for name, (parse, kind) in parsers.items():
+                text, where = row[col_of[name]], f"{path}: line {line_no}, column '{name}'"
+                try:
+                    value = parse(text)
+                except ValueError:
+                    raise ParseError(f"{where}: cannot parse '{text}' as {kind}") from None
+                if not isfinite(value):
+                    raise ParseError(f"{where}: value '{text}' is not finite")
+    return np.array(lines, dtype=int), table
 
 
-def _parse_year(text: str, path, line: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(
-            f"{path}: line {line}, column 'year': cannot parse '{text}' as an integer"
-        ) from None
+def _locate(values: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each value in the sorted ``axis``, and whether it is there."""
+    index = np.clip(np.searchsorted(axis, values), 0, axis.size - 1)
+    return index, axis[index] == values
 
 
-def _data_rows(reader, header: list[str], path):
-    """(line number, row) of each non-blank row after the header; a row
-    whose field count differs from the header's is a ParseError."""
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise ParseError(
-                f"{path}: line {line_no}: expected {len(header)} fields, found {len(row)}"
+def cube_order(path, lines, coords, year, years) -> tuple[list[np.ndarray], np.ndarray]:
+    """Axes of the dense cube the data rows fill, and the permutation that
+    puts the rows in the cube's C order.
+
+    The axes are the sorted unique values of each coordinate column in
+    ``coords`` (none for a single series), then ``years`` (sorted).  A year
+    not in ``years`` and a repeated row are SchemaErrors naming the first
+    offending line; a cell no row fills is one naming the first such cell.
+    """
+    axes, index = [], []
+    for column in coords:
+        axis, inverse = np.unique(column, return_inverse=True)
+        axes.append(axis)
+        index.append(inverse)
+    position, on_grid = _locate(year, years)
+    shape = (*(axis.size for axis in axes), years.size)
+    flat = np.ravel_multi_index((*index, position), shape)
+    order = np.argsort(flat, kind="stable")
+    repeated = np.zeros(flat.size, dtype=bool)
+    repeated[order[1:][flat[order[1:]] == flat[order[:-1]]]] = True
+    bad = ~on_grid | repeated
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        if not on_grid[k]:
+            raise SchemaError(
+                f"{path}: line {lines[k]}: year {int(year[k])} is not on the scenario's grid "
+                f"{int(years[0])}-{int(years[-1])}"
             )
-        yield line_no, row
+        key = (*(float(column[k]) for column in coords), int(year[k]))
+        raise SchemaError(f"{path}: line {lines[k]}: duplicate row for {key}")
+    if flat.size < np.prod(shape):
+        filled = np.zeros(shape, dtype=bool)
+        filled.flat[flat] = True
+        *cell, a = np.argwhere(~filled)[0]
+        key = (*(float(axis[i]) for axis, i in zip(axes, cell)), int(years[a]))
+        raise SchemaError(f"{path}: missing cell {key}")
+    return axes, order
 
 
 def _grid_from_years(years: list[int], path) -> TimeGrid:
@@ -250,26 +315,15 @@ def load_scenario(
     ``<stem>_spatial.csv`` exists next to the main file.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
+
+    def columns(header):
         if "year" not in header:
             raise SchemaError(f"{path}: missing required column 'year'")
-
         known = {"year", "tas_global"}
-        emission_col: dict[str, tuple[str, bool]] = {}
         for spec in agents:
             raw = f"emission:{spec.name}"
             cum = f"cumulative_emission:{spec.name}"
-            if cum in header:
-                emission_col[spec.name] = (cum, True)
-            elif raw in header:
-                emission_col[spec.name] = (raw, False)
-            else:
+            if raw not in header and cum not in header:
                 raise SchemaError(
                     f"{path}: missing column '{raw}' (or '{cum}') for agent '{spec.name}'"
                 )
@@ -277,103 +331,77 @@ def load_scenario(
         unknown = [h for h in header if h not in known]
         if unknown:
             raise SchemaError(f"{path}: unknown columns {unknown}")
+        return ["year", *(h for h in header if h != "year")]
 
-        col_of = {h: i for i, h in enumerate(header)}
-        years: list[int] = []
-        data: dict[str, list[float]] = {h: [] for h in header if h != "year"}
-        for line_no, row in _data_rows(reader, header, path):
-            years.append(_parse_year(row[col_of["year"]], path, line_no))
-            for h in data:
-                data[h].append(_parse_float(row[col_of[h]], path, line_no, h))
-
-    grid = _grid_from_years(years, path)
+    _, data = read_table(path, columns)
+    grid = _grid_from_years(data["year"].astype(int).tolist(), path)
 
     emissions: dict[str, np.ndarray] = {}
     for spec in agents:
-        col, already_cumulative = emission_col[spec.name]
-        series = np.asarray(data[col], dtype=float)
-        if spec.input_mode == "cumulative_emission" and not already_cumulative:
-            series = np.cumsum(series) * grid.step
+        series = data.get(f"cumulative_emission:{spec.name}")
+        if series is None:
+            series = data[f"emission:{spec.name}"]
+            if spec.input_mode == "cumulative_emission":
+                series = np.cumsum(series) * grid.step
         emissions[spec.name] = series
 
     concentrations = {
-        spec.name: np.asarray(data[f"concentration:{spec.name}"], dtype=float)
+        spec.name: data[f"concentration:{spec.name}"]
         for spec in agents
         if f"concentration:{spec.name}" in data
     }
 
-    tas = np.asarray(data["tas_global"], dtype=float) if "tas_global" in data else None
-
-    spatial_grid = None
-    cube = None
-    if spatial_path is not None:
-        companion = Path(spatial_path)
-        if not companion.exists():
-            raise SchemaError(f"{companion}: spatial file not found")
+    companion = spatial_companion_path(path) if spatial_path is None else Path(spatial_path)
+    spatial_grid = cube = None
+    if companion.exists():
         spatial_grid, cube = _load_spatial(companion, grid)
-    else:
-        companion = spatial_companion_path(path)
-        if companion.exists():
-            spatial_grid, cube = _load_spatial(companion, grid)
+    elif spatial_path is not None:
+        raise SchemaError(f"{companion}: spatial file not found")
 
     return Scenario(
         name=name if name is not None else path.stem,
         grid=grid,
         emissions=emissions,
         concentrations=concentrations or None,
-        global_temperature=tas,
+        global_temperature=data.get("tas_global"),
         spatial_temperature=cube,
         spatial_grid=spatial_grid,
     )
 
 
-def read_spatial_rows(
-    path, grid: TimeGrid | None = None
-) -> dict[tuple[float, float, int], float]:
-    """Temperatures of a long-format spatial file keyed by (lat, lon, year).
-
-    Rejects duplicate keys and, when ``grid`` is given, years off that grid.
-    """
-    on_grid = None if grid is None else set(grid.years().astype(int).tolist())
-    rows: dict[tuple[float, float, int], float] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = [h.strip() for h in next(reader, [])]
+def _load_spatial(path: Path, grid: TimeGrid) -> tuple[SpatialGrid, np.ndarray]:
+    def columns(header):
         if header != ["lat", "lon", "year", "tas"]:
             raise SchemaError(f"{path}: expected columns lat, lon, year, tas")
-        for line_no, row in _data_rows(reader, header, path):
-            key = (
-                _parse_float(row[0], path, line_no, "lat"),
-                _parse_float(row[1], path, line_no, "lon"),
-                _parse_year(row[2], path, line_no),
-            )
-            if on_grid is not None and key[2] not in on_grid:
-                raise SchemaError(
-                    f"{path}: line {line_no}: year {key[2]} is not on the scenario's grid "
-                    f"{min(on_grid)}-{max(on_grid)}"
-                )
-            if key in rows:
-                raise SchemaError(f"{path}: line {line_no}: duplicate row for {key}")
-            rows[key] = _parse_float(row[3], path, line_no, "tas")
-    return rows
+        return header
 
-
-def _load_spatial(path: Path, grid: TimeGrid) -> tuple[SpatialGrid, np.ndarray]:
-    rows = read_spatial_rows(path, grid)
-    sgrid = SpatialGrid(
-        latitudes=sorted({lat for lat, _, _ in rows}),
-        longitudes=sorted({lon for _, lon, _ in rows}),
-    )
+    lines, data = read_table(path, columns)
     years = grid.years().astype(int)
-    cube = np.empty((grid.n_steps, *sgrid.shape))
-    for a, year in enumerate(years):
-        for i, lat in enumerate(sgrid.latitudes):
-            for j, lon in enumerate(sgrid.longitudes):
-                key = (lat, lon, int(year))
-                if key not in rows:
-                    raise SchemaError(f"{path}: missing cell ({lat}, {lon}, {year})")
-                cube[a, i, j] = rows[key]
-    return sgrid, cube
+    (lats, lons), order = cube_order(path, lines, (data["lat"], data["lon"]), data["year"], years)
+    cube = data["tas"][order].reshape(lats.size, lons.size, years.size)
+    return SpatialGrid(lats, lons), np.ascontiguousarray(np.moveaxis(cube, -1, 0))
+
+
+def read_truth(path, spatial: bool) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Coordinate axes, years and values of a truth scenario: the
+    ``tas_global`` series, or the ``_spatial.csv`` companion on the main
+    file's grid as a (lat, lon, year) cube."""
+    needed = ["year"] if spatial else ["year", "tas_global"]
+
+    def columns(header):
+        if any(name not in header for name in needed):
+            raise SchemaError(f"{path}: truth scenario needs columns {', '.join(needed)}")
+        return needed
+
+    _, data = read_table(path, columns)
+    grid = _grid_from_years(data["year"].astype(int).tolist(), path)
+    if not spatial:
+        return [], data["year"], data["tas_global"]
+    companion = spatial_companion_path(path)
+    if not companion.exists():
+        raise SchemaError(f"{companion}: spatial truth file not found")
+    sgrid, cube = _load_spatial(companion, grid)
+    return [sgrid.latitudes, sgrid.longitudes], data["year"], np.moveaxis(cube, 0, -1)
 
 
 def save_scenario(scenario: Scenario, path, agents: list[AgentSpec]) -> None:

@@ -325,11 +325,12 @@ class TestInputValidation:
         assert rc == 2
         assert "different spatial grids" in capsys.readouterr().err
 
-    def evaluate_edited(self, workspace, edit):
-        """Run emulate, apply ``edit`` to the prediction rows (header
+    def evaluate_edited(self, workspace, edit, command="emulate"):
+        """Run ``command``, apply ``edit`` to its prediction rows (header
         first), then evaluate them."""
-        tmp, _, _ = workspace
-        assert self.emulate(workspace) == 0
+        tmp, config, paths = workspace
+        assert main([command, "--model", str(config), "--scenario", *paths,
+                     "--holdout", "target", "--out", str(tmp / "x.csv")]) == 0
         predictions = tmp / "x.csv"
         rows = [row.split(",") for row in predictions.read_text().splitlines()]
         edit(rows)
@@ -367,6 +368,71 @@ class TestInputValidation:
                    "--scenario", str(tmp / "target.csv"), "--out", str(tmp / "s.csv")])
         assert rc == 2
         assert "target.csv: line 5, column 'tas_global'" in capsys.readouterr().err
+
+    def test_repeated_truth_year(self, workspace, capsys):
+        tmp, _, _ = workspace
+        assert self.emulate(workspace) == 0
+        truth = tmp / "target.csv"
+        rows = truth.read_text().splitlines()
+        repeated = rows[5].split(",")
+        repeated[-1] = "99.0"
+        truth.write_text("\n".join(rows + [",".join(repeated)]) + "\n")
+        rc = main(["evaluate", "--predictions", str(tmp / "x.csv"),
+                   "--scenario", str(truth), "--out", str(tmp / "s.csv")])
+        assert rc == 2
+        assert "target.csv: years are not uniformly spaced" in capsys.readouterr().err
+
+    def test_spatial_truth_year_off_the_grid(self, workspace, capsys):
+        tmp, _, _ = workspace
+
+        def move_truth_year(_):
+            _edit_csv(tmp / "target_spatial.csv", 3, "year", "2050")
+
+        assert self.evaluate_edited(workspace, move_truth_year, "spatial-emulate") == 2
+        assert "target_spatial.csv: line 3: year 2050 is not on" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["emulate", "spatial-emulate"])
+    def test_duplicate_prediction_row(self, workspace, capsys, command):
+        """A repeated row with a shifted mean is rejected, not scored twice."""
+        appended = []
+
+        def repeat(rows):
+            column = rows[0].index("posterior_mean")
+            rows.append(list(rows[5]))
+            rows[-1][column] = repr(float(rows[-1][column]) + 5.0)
+            appended.append(len(rows))
+
+        assert self.evaluate_edited(workspace, repeat, command) == 2
+        assert f"x.csv: line {appended[0]}: duplicate row" in capsys.readouterr().err
+
+    def test_incomplete_spatial_predictions(self, workspace, capsys):
+        def drop(rows):
+            del rows[3]
+
+        assert self.evaluate_edited(workspace, drop, "spatial-emulate") == 2
+        assert "x.csv: missing cell (-30.0, 0.0, 1982)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edited", ["hist.csv", "hist_spatial.csv", "x.csv"])
+    def test_blank_rows_are_skipped(self, workspace, edited):
+        """An empty row and whitespace-only rows change no output."""
+        tmp, config, paths = workspace
+        predict = ["spatial-emulate", "--model", str(config), "--scenario", *paths,
+                   "--holdout", "target", "--out", str(tmp / "x.csv")]
+        score = ["evaluate", "--predictions", str(tmp / "x.csv"),
+                 "--scenario", str(tmp / "target.csv"), "--out", str(tmp / "s.csv")]
+        steps = [score] if edited == "x.csv" else [predict, score]
+        outputs = [tmp / argv[argv.index("--out") + 1] for argv in steps]
+
+        def run():
+            for argv in steps:
+                assert main(argv) == 0
+            return [path.read_bytes() for path in outputs]
+
+        assert main(predict) == 0
+        before = run()
+        rows = (tmp / edited).read_text().splitlines()
+        (tmp / edited).write_text("\n".join([*rows[:3], "", " \t ", *rows[3:], "  ,  "]) + "\n")
+        assert run() == before
 
 
 class TestSpatialEmulate:

@@ -3,9 +3,12 @@
 ``emulate``, ``forcing`` and ``spatial-emulate`` run with
 ``data/synthetic/model_config.txt`` as a fixed model, holding out
 ``ssp_mid``.  Every ``stride``-th row of each output must match the recorded
-row to 1e-12, relative to the largest magnitude in each column.  ``fit`` is
-left out because it is slow and every bit of its result depends on the
-optimizer path; ``sample`` because eigenvector signs depend on the BLAS.
+row to 1e-12, relative to the largest magnitude in each column.  ``evaluate``
+scores the full ``emulate`` and ``spatial-emulate`` outputs against
+``ssp_mid`` over 2015:2050; its score tables are held to the same rule, with
+labels and blank cells equal.  ``fit`` is left out because it is slow and
+every bit of its result depends on the optimizer path; ``sample`` because
+eigenvector signs depend on the BLAS.
 
 Re-record, only after reviewing an intended change of the numerics, with
 
@@ -13,6 +16,7 @@ Re-record, only after reviewing an intended change of the numerics, with
 """
 
 import csv
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -24,36 +28,74 @@ DATA = Path(__file__).resolve().parents[1] / "data" / "synthetic"
 GOLDEN = Path(__file__).resolve().parent / "data"
 SCENARIOS = ("historical", "ssp_low", "ssp_mid", "ssp_high")
 STRIDES = {"emulate": 5, "forcing": 5, "spatial-emulate": 37}
+# Score table name -> the command whose predictions ``evaluate`` scores.
+SCORED = {"scores": "emulate", "spatial_scores": "spatial-emulate"}
+PERIOD = "2015:2050"
 RTOL = 1e-12
 
 
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
-    return rows[0], [[float(cell) for cell in row] for row in rows[1:]]
+    return rows[0], rows[1:]
 
 
-def strided_rows(command, workdir):
-    """Header and every ``stride``-th data row of the command's output."""
+def run_query(command, workdir):
+    """Path of the command's full output."""
     out = Path(workdir) / f"{command}.csv"
     argv = [command, "--model", str(DATA / "model_config.txt"),
             "--scenario", *(str(DATA / f"{name}.csv") for name in SCENARIOS),
             "--holdout", "ssp_mid", "--out", str(out)]
     assert main(argv) == 0
-    header, rows = read_rows(out)
+    return out
+
+
+def strided_rows(command, workdir):
+    """Header and every ``stride``-th data row of the command's output."""
+    header, rows = read_rows(run_query(command, workdir))
     return header, rows[:: STRIDES[command]]
+
+
+def evaluate(table, workdir):
+    """Path of ``evaluate``'s score table for the named predictions."""
+    out = Path(workdir) / f"{table}.csv"
+    predictions = run_query(SCORED[table], workdir)
+    assert main(["evaluate", "--predictions", str(predictions),
+                 "--scenario", str(DATA / "ssp_mid.csv"),
+                 "--period", PERIOD, "--out", str(out)]) == 0
+    return out
+
+
+def assert_matches(got, reference):
+    """Equal headers, row counts, labels and blanks; numbers within RTOL of
+    the largest magnitude in their column."""
+    (got_header, got_rows), (header, rows) = got, reference
+    assert got_header == header
+    assert len(got_rows) == len(rows)
+    first = 1 if header[0] == "label" else 0
+    assert [row[:first] for row in got_rows] == [row[:first] for row in rows]
+
+    def numbers(table):
+        return np.array([[float(cell) if cell else np.nan for cell in row[first:]]
+                         for row in table])
+
+    got, reference = numbers(got_rows), numbers(rows)
+    assert np.array_equal(np.isnan(got), np.isnan(reference))
+    scale = np.nanmax(np.abs(reference), axis=0)
+    scale[~(scale > 0)] = 1.0
+    assert np.nanmax(np.abs(got - reference) / scale) <= RTOL
 
 
 @pytest.mark.parametrize("command", sorted(STRIDES))
 def test_matches_golden_rows(command, tmp_path):
-    header, reference = read_rows(GOLDEN / f"golden_{command}.csv")
-    got_header, got = strided_rows(command, tmp_path)
-    assert got_header == header
-    reference, got = np.array(reference), np.array(got)
-    assert got.shape == reference.shape
-    scale = np.max(np.abs(reference), axis=0)
-    scale[scale == 0] = 1.0
-    assert np.max(np.abs(got - reference) / scale) <= RTOL
+    reference = read_rows(GOLDEN / f"golden_{command}.csv")
+    assert_matches(strided_rows(command, tmp_path), reference)
+
+
+@pytest.mark.parametrize("table", sorted(SCORED))
+def test_matches_golden_scores(table, tmp_path):
+    reference = read_rows(GOLDEN / f"golden_{table}.csv")
+    assert_matches(read_rows(evaluate(table, tmp_path)), reference)
 
 
 if __name__ == "__main__":
@@ -67,5 +109,9 @@ if __name__ == "__main__":
             with open(path, "w", newline="", encoding="utf-8") as handle:
                 writer = csv.writer(handle)
                 writer.writerow(header)
-                writer.writerows([repr(value) for value in row] for row in rows)
+                writer.writerows([repr(float(cell)) for cell in row] for row in rows)
+            print(f"wrote {path}")
+        for table in sorted(SCORED):
+            path = GOLDEN / f"golden_{table}.csv"
+            shutil.copyfile(evaluate(table, workdir), path)
             print(f"wrote {path}")

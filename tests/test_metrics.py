@@ -114,6 +114,19 @@ class TestProbabilistic:
         _, calib_out, _ = probabilistic_scores([0.0], [std**2], [outside])
         assert calib_in == 1.0 and calib_out == 0.0
 
+    def test_cube_matches_series_one_at_a_time(self):
+        """Scores of a cube reduce over its last axis, bit for bit as when
+        each series is scored alone."""
+        rng = np.random.default_rng(3)
+        mean, truth = rng.normal(size=(2, 3, 4, 36))
+        variance = rng.uniform(0.1, 1.0, size=(3, 4, 36))
+        cube = (*deterministic_scores(mean, truth), *probabilistic_scores(mean, variance, truth))
+        for i in range(3):
+            for j in range(4):
+                series = (*deterministic_scores(mean[i, j], truth[i, j]),
+                          *probabilistic_scores(mean[i, j], variance[i, j], truth[i, j]))
+                assert [score[i, j] for score in cube] == list(series)
+
 
 class TestScoreReport:
     def test_csv_round_trip(self):
@@ -137,30 +150,26 @@ class TestSpatialScores:
     grid = SpatialGrid([0.0, 60.0], [0.0, 180.0])
 
     def test_identical_reports_pass_through(self):
-        report = ScoreReport(rmse=0.3, mae=0.2, bias=0.0, log_likelihood=1.0,
-                             calib95=0.9, crps=0.1)
-        out = spatial_scores([[report, report], [report, report]], self.grid)
+        values = dict(rmse=0.3, mae=0.2, bias=0.0, log_likelihood=1.0, calib95=0.9, crps=0.1)
+        out = spatial_scores({k: np.full((2, 2), v) for k, v in values.items()}, self.grid)
         for name in SCORE_FIELDS:
-            assert getattr(out, name) == pytest.approx(getattr(report, name), abs=1e-12)
+            assert getattr(out, name) == pytest.approx(values[name], abs=1e-12)
 
     def test_two_row_cosine_weights(self):
-        top = ScoreReport(rmse=1.0)
-        bottom = ScoreReport(rmse=0.0)
-        out = spatial_scores([[top, top], [bottom, bottom]], self.grid)
+        out = spatial_scores({"rmse": np.array([[1.0, 1.0], [0.0, 0.0]])}, self.grid)
         assert out.rmse == pytest.approx(1.0 / 1.5, rel=1e-12)
         assert out.mae is None
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
         values = rng.uniform(0.0, 1.0, size=(2, 2))
-        reports = [[ScoreReport(crps=values[i, j]) for j in range(2)] for i in range(2)]
         weights = np.cos(np.radians(self.grid.latitudes))
         expected = sum(
             weights[i] * values[i, j] for i in range(2) for j in range(2)
         ) / (2 * weights.sum())
-        out = spatial_scores(reports, self.grid)
+        out = spatial_scores({"crps": values}, self.grid)
         assert out.crps == pytest.approx(expected, abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(GridMismatch):
-            spatial_scores([[ScoreReport()]], self.grid)
+            spatial_scores({"rmse": np.zeros((1, 1))}, self.grid)
