@@ -18,7 +18,14 @@ import sys
 import numpy as np
 
 from . import oracles
-from .errors import EmulatorError, NonFinite, ParseError, SchemaError, SingularGram
+from .errors import (
+    CompatibilityError,
+    EmulatorError,
+    NonFinite,
+    ParseError,
+    SchemaError,
+    SingularGram,
+)
 from .inference import (
     build_prior_from_model,
     fit_hyperparameters,
@@ -59,41 +66,8 @@ EXIT_COMPAT = 4
 INTERVAL_HEADER = ["year", "prior_mean", "posterior_mean", "posterior_std", "lower95", "upper95"]
 
 
-class CompatibilityError(EmulatorError):
-    """Model and scenario disagree about the atmospheric agents."""
-
-
 def _fmt(value: float) -> str:
     return repr(float(value))
-
-
-def _scenario_agent_names(path) -> set[str]:
-    """Agent names declared by a scenario file header."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        header = next(csv.reader(handle), [])
-    names = set()
-    for column in header:
-        column = column.strip()
-        for prefix in ("emission:", "cumulative_emission:"):
-            if column.startswith(prefix):
-                names.add(column[len(prefix):])
-    return names
-
-
-def _load_scenarios(paths, model):
-    scenarios = []
-    for path in paths:
-        found = _scenario_agent_names(path)
-        expected = set(model.agent_names)
-        # a file with declared agents that disagree is a compatibility
-        # problem; anything structurally broken falls through to the loader
-        if found and found != expected:
-            raise CompatibilityError(
-                f"{path}: scenario agents {sorted(found)} do not match model agents "
-                f"{sorted(expected)}"
-            )
-        scenarios.append(load_scenario(path, model.agents))
-    return scenarios
 
 
 def _standardized(model, train, refit=False):
@@ -114,7 +88,7 @@ def _write_csv(path, header, rows):
 
 def cmd_fit(args) -> int:
     model = load_model(args.config)
-    scenarios = _load_scenarios(args.scenario, model)
+    scenarios = [load_scenario(path, model.agents) for path in args.scenario]
     holdout = tuple(args.holdout)
     train, _ = assemble_training_set(scenarios, holdout=holdout, agents=model.agent_names)
     train_scenarios = [s for s in scenarios if s.name not in holdout]
@@ -154,7 +128,7 @@ def _load_holdout(args):
     training on every scenario but the held-out one.  Returns the
     scenarios, the training set, the prior and the held-out prior rows."""
     model = load_model(args.model)
-    scenarios = _load_scenarios(args.scenario, model)
+    scenarios = [load_scenario(path, model.agents) for path in args.scenario]
     train, _ = assemble_training_set(
         scenarios, holdout=(args.holdout,), agents=model.agent_names
     )
@@ -166,7 +140,7 @@ def _temperature(prior, train, rows):
     """Prior mean and predictive distribution (posterior plus internal
     variability) of the temperature at ``rows``."""
     posterior = posterior_temperature(prior, train, rows)
-    gamma = prior.variability_gram[np.ix_(rows, rows)]
+    gamma = prior.variability(rows)
     return prior.mean[rows], with_variability(posterior, gamma, prior.sigma)
 
 
@@ -236,7 +210,7 @@ def cmd_spatial_emulate(args) -> int:
     prior_mean = slope * prior.mean[rows] + pattern.intercept[..., None]
     std = np.sqrt(
         np.clip(variance, 0.0, None)
-        + prior.sigma**2 * slope**2 * np.diag(prior.variability_gram)[rows]
+        + prior.sigma**2 * slope**2 * np.diag(prior.variability(rows))
         + pattern.residual_variance[..., None]
     )
     years = [prior.index[r][1] for r in rows]

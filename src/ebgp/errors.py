@@ -53,6 +53,10 @@ class SchemaError(EmulatorError):
     """A file parsed but does not match the expected column schema."""
 
 
+class CompatibilityError(SchemaError):
+    """Model and scenario disagree about the atmospheric agents."""
+
+
 class GridError(EmulatorError):
     """Scenario years are not a uniform annual grid."""
 

@@ -1,7 +1,7 @@
 """Gaussian-process prior assembly and exact posterior inference.
 
 Builds the stacked multi-scenario prior (mean path from the box model,
-physics-propagated covariance, block-diagonal internal variability),
+physics-propagated covariance, per-scenario internal variability),
 computes exact posteriors over temperature and radiative forcing, the
 marginal log-likelihood and its gradients, and fits hyperparameters by
 quasi-Newton ascent on log-parameters.
@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag, cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize
 
 from . import ebm, kernels
 from .ebm import ForcingParams, ImpulseParams
-from .errors import GridMismatch, NonFinite, SchemaError, SingularGram
+from .errors import DimensionMismatch, GridMismatch, NonFinite, SchemaError, SingularGram
 from .kernels import KernelConfig
 from .scenario import AgentSpec, Scenario, Standardization, TrainingSet
 
@@ -67,27 +67,32 @@ def cholesky_with_jitter(
 
 @dataclass
 class GPPrior:
-    """Prior over the stacked multi-scenario grid.
+    """Prior over the stacked multi-scenario grid, scenario by scenario.
 
-    ``mean`` is the deterministic box-model temperature path,
-    ``physics_gram`` the propagated forcing covariance L K L^T, and
-    ``variability_gram`` the internal-variability covariance (block diagonal
-    across scenarios, without the sigma^2 factor).  ``index`` locates each
-    row as a (scenario name, year) pair.  The remaining fields carry what
-    forcing posteriors and refitting need: the prior forcing path, the raw
-    forcing kernel matrix, the stacked response operator and the
-    (standardized) kernel inputs.
+    ``mean`` is the box-model temperature path; ``index`` locates each row
+    as a (scenario name, year) pair.  The response operator L and the
+    variability covariance Gamma (without sigma^2) are block diagonal across
+    scenarios: only their blocks are kept, in row order, and only
+    ``apply_response`` and ``variability`` read them.  ``forcing_gram`` is
+    the kernel matrix K of the forcing path ``forcing_mean`` over the
+    (standardized) ``kernel_inputs``; ``physics_gram`` is the temperature
+    covariance L K L^T, propagated from K when not given.
     """
 
     mean: np.ndarray
-    physics_gram: np.ndarray
-    variability_gram: np.ndarray
     sigma: float
     index: list[tuple[str, int]]
     forcing_mean: np.ndarray
     forcing_gram: np.ndarray
-    response_operator: np.ndarray
+    response_blocks: list[np.ndarray]
+    variability_blocks: list[np.ndarray]
     kernel_inputs: np.ndarray
+    physics_gram: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.physics_gram is None:
+            physics = self.propagate(self.forcing_gram)
+            self.physics_gram = 0.5 * (physics + physics.T)
 
     @property
     def n(self) -> int:
@@ -99,17 +104,37 @@ class GPPrior:
             raise GridMismatch(f"scenario '{name}' is not part of this prior")
         return rows
 
-    def noisy_block(
-        self, pos: np.ndarray, physics: np.ndarray | None = None, sigma: float | None = None
-    ) -> np.ndarray:
+    def apply_response(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """L x (L^T x with ``transpose``) for an array with one row per
+        prior row, one scenario block at a time."""
+        edges = np.cumsum([len(block) for block in self.response_blocks])
+        if edges[-1] != len(x):
+            raise DimensionMismatch(f"{len(x)} rows for a response operator of {edges[-1]} rows")
+        parts = zip(self.response_blocks, np.split(x, edges[:-1]))
+        return np.concatenate([(block.T if transpose else block) @ part for block, part in parts])
+
+    def propagate(self, k: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """L k L^T (L^T k L with ``transpose``) for an array with one row
+        and one column per prior row."""
+        left = self.apply_response(k, transpose)
+        return self.apply_response(left.T, transpose).T
+
+    def variability(self, rows: np.ndarray) -> np.ndarray:
+        """Gamma restricted to prior rows ``rows``, in their order: zero
+        between rows of different scenarios."""
+        rows = np.asarray(rows, dtype=int)
+        out = np.zeros((rows.size, rows.size))
+        edges = np.cumsum([0] + [len(block) for block in self.variability_blocks])
+        for block, start, stop in zip(self.variability_blocks, edges, edges[1:]):
+            mine = np.flatnonzero((rows >= start) & (rows < stop))
+            local = rows[mine] - start
+            out[np.ix_(mine, mine)] = block[np.ix_(local, local)]
+        return out
+
+    def noisy_block(self, pos: np.ndarray) -> np.ndarray:
         """Covariance of noisy observations at rows ``pos``: the physics
-        block plus sigma^2 times the variability block.  The optimizer
-        passes ``physics`` (already restricted to ``pos``) and ``sigma`` for
-        a candidate kernel and noise level."""
-        if physics is None:
-            physics = self.physics_gram[np.ix_(pos, pos)]
-        sigma = self.sigma if sigma is None else sigma
-        return physics + sigma**2 * self.variability_gram[np.ix_(pos, pos)]
+        block plus sigma^2 times the variability block."""
+        return self.physics_gram[np.ix_(pos, pos)] + self.sigma**2 * self.variability(pos)
 
 
 @dataclass
@@ -201,8 +226,8 @@ def build_prior(
     Per-scenario means come from the discrete thermal response of that
     scenario's forcing.  Physics blocks between scenarios a and b are
     L_a K_ab L_b^T with K_ab the forcing kernel between their emission rows;
-    the variability Gram is block diagonal because internal-variability
-    realizations of distinct runs are independent.
+    the variability covariance has one block per scenario because
+    internal-variability realizations of distinct runs are independent.
     """
     if not scenarios:
         raise GridMismatch("at least one scenario is required")
@@ -234,18 +259,14 @@ def build_prior(
         st = standardization if standardization is not None else Standardization.from_rows(x)
         x = st.apply(x)
     k_f = kernels.forcing_gram(x, x, kernel)
-    op = block_diag(*operators)
-    k_t = op @ k_f @ op.T
-    k_t = 0.5 * (k_t + k_t.T)
     return GPPrior(
         mean=np.concatenate(means),
-        physics_gram=k_t,
-        variability_gram=block_diag(*var_blocks),
         sigma=impulse.variability_amplitude,
         index=index,
         forcing_mean=np.concatenate(forcings),
         forcing_gram=k_f,
-        response_operator=op,
+        response_blocks=operators,
+        variability_blocks=var_blocks,
         kernel_inputs=x,
     )
 
@@ -332,12 +353,13 @@ class Conditioned:
         )
 
 
-def condition(prior: GPPrior, train: TrainingSet) -> Conditioned:
+def condition(prior: GPPrior, train: TrainingSet, jitter: float | None = None) -> Conditioned:
     """Condition the prior on the training temperatures: one factorization
-    of the noisy training block serves every query."""
+    of the noisy training block serves every query.  ``jitter`` is as in
+    ``factorise``."""
     pos = locate_rows(prior, train.index)
     residual = train.temperatures - prior.mean[pos]
-    return Conditioned(prior, pos, residual, *factorise(prior.noisy_block(pos), residual))
+    return Conditioned(prior, pos, residual, *factorise(prior.noisy_block(pos), residual, jitter))
 
 
 def posterior_temperature(
@@ -368,8 +390,8 @@ def posterior_forcing(
     test_rows = np.asarray(test_rows, dtype=int)
     conditioned = condition(prior, train)
     k_f = prior.forcing_gram
-    # Cov(F, T) = K_f L^T restricted to (test, train) rows.
-    cross = k_f[test_rows, :] @ prior.response_operator[conditioned.positions, :].T
+    # Cov(F, T) = K_f L^T at (test, train) rows = (L K_f[:, test])[train]^T
+    cross = prior.apply_response(k_f[:, test_rows])[conditioned.positions].T
     return conditioned.posterior(
         test_rows, prior.forcing_mean[test_rows], k_f[np.ix_(test_rows, test_rows)], cross
     )
@@ -541,9 +563,9 @@ class FreeParameters:
         return model
 
 
-def fitting_jitter(prior: GPPrior, train: TrainingSet, rel: float = JITTER_LADDER[0]) -> float:
+def fitting_jitter(prior: GPPrior, train: TrainingSet) -> float:
     """Absolute diagonal regularizer for fitting, frozen at the start point."""
-    return rel * _diagonal_scale(prior.noisy_block(locate_rows(prior, train.index)))
+    return JITTER_LADDER[0] * _diagonal_scale(prior.noisy_block(locate_rows(prior, train.index)))
 
 
 def mll_and_gradient(
@@ -558,30 +580,31 @@ def mll_and_gradient(
 
     The kernel matrix is re-evaluated from the prior's stored inputs at the
     given kernel configuration (and ``sigma``, defaulting to the prior's),
-    so the prior's fixed geometry -- mean path, response operator and
-    variability Gram -- can be reused across optimizer steps.  Gradients use
-    the standard trace identities, with the physics-Gram derivative obtained
-    by pushing the kernel derivative through the response operator.
+    so the prior's fixed geometry -- mean path, response and variability
+    blocks -- can be reused across optimizer steps.  Gradients use the trace
+    identities of GPML section 5.4.1: with W = alpha alpha^T - A^{-1}, the
+    kernel terms are tr(L^T W L dK) / 2, W scattered to the prior's rows,
+    and the sigma term is sigma^2 tr(W Gamma).
 
     ``jitter`` is an absolute diagonal regularizer; the optimizer freezes it
     at its starting point so the objective stays consistent with its
     gradient.  When None, the relative ladder is used instead.
     """
-    pos = locate_rows(prior, train.index)
     k_f, dk_dl, dk_dv = kernels.forcing_gram_gradients(prior.kernel_inputs, kernel)
-    op = prior.response_operator[pos, :]
     sigma = prior.sigma if sigma is None else sigma
-    block = prior.noisy_block(pos, physics=op @ k_f @ op.T, sigma=sigma)
-    residual = train.temperatures - prior.mean[pos]
-    conditioned = Conditioned(prior, pos, residual, *factorise(block, residual, jitter))
+    # physics_gram=None propagates the candidate kernel matrix anew
+    candidate = dataclasses.replace(prior, physics_gram=None, forcing_gram=k_f, sigma=sigma)
+    conditioned = condition(candidate, train, jitter)
 
+    pos = conditioned.positions
     inv = cho_solve((conditioned.factor, True), np.eye(train.n))
     w = np.outer(conditioned.alpha, conditioned.alpha) - inv
-    b = op.T @ w @ op
-    gamma = prior.variability_gram[np.ix_(pos, pos)]
+    scattered = np.zeros((prior.n, prior.n))
+    scattered[np.ix_(pos, pos)] = w
+    b = prior.propagate(scattered, transpose=True)
     grad = [0.5 * float(np.sum(b * g)) for g in dk_dl]
     grad.append(0.5 * float(np.sum(b * dk_dv)))
-    grad.append(float(sigma**2 * np.sum(w * gamma)))
+    grad.append(float(sigma**2 * np.sum(w * prior.variability(pos))))
     return conditioned.log_likelihood, np.array(grad)
 
 
@@ -612,8 +635,7 @@ def fit_hyperparameters(
 
     params = FreeParameters(model, free)
     ebm_free = any(gradient is None for _, _, gradient in params.rows)
-    # With the box model fixed the prior geometry (mean path, response
-    # operator, variability Gram, kernel inputs) never changes; build once.
+    # With the box model fixed the prior's geometry never changes; build it once.
     fixed_prior = None if ebm_free else builder(model)
     jitter = fitting_jitter(fixed_prior if fixed_prior is not None else builder(model), train)
 
@@ -621,16 +643,9 @@ def fit_hyperparameters(
     best = -np.inf
     evaluations = 0
 
-    def evaluate(theta: np.ndarray, prior: GPPrior | None = None) -> tuple[float, np.ndarray]:
-        candidate = params.apply(theta)
-        return mll_and_gradient(
-            builder(candidate) if prior is None else prior, train, candidate.kernel,
-            sigma=candidate.impulse.variability_amplitude, jitter=jitter,
-        )
-
     def mll_at(theta: np.ndarray) -> float:
         try:
-            return evaluate(theta)[0]
+            return condition(builder(params.apply(theta)), train, jitter).log_likelihood
         except (ValueError, SingularGram):
             return -np.inf
 
@@ -638,10 +653,13 @@ def fit_hyperparameters(
         nonlocal best, evaluations
         evaluations += 1
         try:
-            mll, kernel_grad = evaluate(theta, fixed_prior)
+            candidate = params.apply(theta)
+            mll, kernel_grad = mll_and_gradient(
+                builder(candidate) if fixed_prior is None else fixed_prior, train,
+                candidate.kernel, sigma=candidate.impulse.variability_amplitude, jitter=jitter,
+            )
         except (ValueError, SingularGram):
-            trace.append(best)
-            return np.inf, np.zeros_like(theta)
+            mll = -np.inf
         if not np.isfinite(mll):
             trace.append(best)
             return np.inf, np.zeros_like(theta)
@@ -652,11 +670,9 @@ def fit_hyperparameters(
                 grad[where] = kernel_grad[gradient]
                 continue
             for pos in range(where.start, where.stop):
-                up = theta.copy()
-                dn = theta.copy()
-                up[pos] += h
-                dn[pos] -= h
-                grad[pos] = (mll_at(up) - mll_at(dn)) / (2.0 * h)
+                step = np.zeros_like(theta)
+                step[pos] = h
+                grad[pos] = (mll_at(theta + step) - mll_at(theta - step)) / (2.0 * h)
         best = max(best, mll)
         trace.append(best)
         return -mll, -grad

@@ -1,9 +1,9 @@
 """Covariance functions.
 
 Matérn kernels with automatic relevance determination over emission inputs
-and the internal-variability covariances (long-time and exact forms).  The
-physics-propagated Grams are assembled in ``inference.build_prior``; their
-reference forms live in ``oracles``.
+and the stationary internal-variability covariance.  The physics-propagated
+Grams are assembled in ``inference.build_prior``; their reference forms, and
+the exact start-from-rest variability covariance, live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -103,39 +103,15 @@ def variability_weights(impulse: ebm.ImpulseParams) -> np.ndarray:
     )
 
 
-def internal_variability_gram(
-    impulse: ebm.ImpulseParams, grid: ebm.TimeGrid, mode: str = "long_time"
-) -> np.ndarray:
-    """Internal-variability covariance on the grid, without the sigma^2 factor.
-
-    "long_time": stationary form, sum_i nu_i (q_i^2 / 2 d_i) exp(-|t-t'| / d_i).
-    "exact": full covariance of the noise responses started from rest at the
-    grid start, including the transient correction term; converges to the
-    long-time form once both times are large against every timescale.
-    """
+def internal_variability_gram(impulse: ebm.ImpulseParams, grid: ebm.TimeGrid) -> np.ndarray:
+    """Stationary internal-variability covariance on the grid, without the
+    sigma^2 factor: sum_i nu_i (q_i^2 / 2 d_i) exp(-|t-t'| / d_i)."""
     d = impulse.timescales
     q = impulse.equilibrium_responses
     t = grid.response_times()
-    if mode == "long_time":
-        nu = variability_weights(impulse)
-        lag = np.abs(t[:, None] - t[None, :])
-        gram = np.zeros((grid.n_steps, grid.n_steps))
-        for i in range(impulse.n_boxes):
-            gram += nu[i] * (q[i] ** 2 / (2.0 * d[i])) * np.exp(-lag / d[i])
-        return gram
-    if mode == "exact":
-        ti = t[:, None]
-        tj = t[None, :]
-        lag = np.abs(ti - tj)
-        gram = np.zeros((grid.n_steps, grid.n_steps))
-        for i in range(impulse.n_boxes):
-            for j in range(impulse.n_boxes):
-                # For t <= t' the lag decays on d_i, otherwise on d_j; the
-                # second exponential is the start-from-rest transient.
-                stationary = np.where(
-                    ti <= tj, np.exp(-lag / d[i]), np.exp(-lag / d[j])
-                )
-                transient = np.exp(-ti / d[i] - tj / d[j])
-                gram += q[i] * q[j] / (d[i] + d[j]) * (stationary - transient)
-        return gram
-    raise ValueError(f"unknown variability mode '{mode}'")
+    nu = variability_weights(impulse)
+    lag = np.abs(t[:, None] - t[None, :])
+    gram = np.zeros((grid.n_steps, grid.n_steps))
+    for i in range(impulse.n_boxes):
+        gram += nu[i] * (q[i] ** 2 / (2.0 * d[i])) * np.exp(-lag / d[i])
+    return gram

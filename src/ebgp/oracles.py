@@ -4,8 +4,8 @@ Monte Carlo sampling of the forcing prior pushed through a fine-substep ODE
 integrator, Euler-Maruyama simulation of the noise responses, direct
 trapezoid quadrature of the covariance double integrals, a Monte Carlo CRPS
 estimator, a central finite-difference gradient checker, reference forms of
-the kernel and propagated Grams, and the per-cell Cholesky form of the
-spatial posterior.
+the kernel and propagated Grams, the exact start-from-rest variability
+covariance, and the per-cell Cholesky form of the spatial posterior.
 
 These routines back the test and acceptance suites and the ``verify`` CLI
 command; production inference never calls them.  Everything is
@@ -80,6 +80,27 @@ def forcing_temperature_cross_gram(
     return k_block @ op.T
 
 
+def exact_variability_gram(impulse: ImpulseParams, grid: TimeGrid) -> np.ndarray:
+    """Covariance of the noise responses started from rest at the grid start,
+    without sigma^2, transient term included; it converges to the stationary
+    ``kernels.internal_variability_gram`` once both times exceed every timescale."""
+    d = impulse.timescales
+    q = impulse.equilibrium_responses
+    t = grid.response_times()
+    ti = t[:, None]
+    tj = t[None, :]
+    lag = np.abs(ti - tj)
+    gram = np.zeros((grid.n_steps, grid.n_steps))
+    for i in range(impulse.n_boxes):
+        for j in range(impulse.n_boxes):
+            # For t <= t' the lag decays on d_i, otherwise on d_j; the
+            # second exponential is the start-from-rest transient.
+            stationary = np.where(ti <= tj, np.exp(-lag / d[i]), np.exp(-lag / d[j]))
+            transient = np.exp(-ti / d[i] - tj / d[j])
+            gram += q[i] * q[j] / (d[i] + d[j]) * (stationary - transient)
+    return gram
+
+
 def cell_prior(
     pattern: PatternScalingMap, prior: GPPrior, i: int, j: int
 ) -> tuple[GPPrior, np.ndarray]:
@@ -90,7 +111,7 @@ def cell_prior(
         prior,
         mean=beta * prior.mean + float(pattern.intercept[i, j]),
         physics_gram=beta**2 * prior.physics_gram,
-        variability_gram=beta**2 * prior.variability_gram,
+        variability_blocks=[beta**2 * block for block in prior.variability_blocks],
     )
     return cell, np.full(prior.n, float(pattern.residual_variance[i, j]))
 
@@ -106,9 +127,7 @@ def cell_posterior(
     pos = locate_rows(cell, train.index)
     residual = np.asarray(local_observations, dtype=float)[:, i, j] - cell.mean[pos]
     k = cell.physics_gram
-    block = k[np.ix_(pos, pos)] + (
-        cell.sigma**2 * cell.variability_gram[np.ix_(pos, pos)] + np.diag(noise[pos])
-    )
+    block = k[np.ix_(pos, pos)] + (cell.sigma**2 * cell.variability(pos) + np.diag(noise[pos]))
     conditioned = Conditioned(cell, pos, residual, *factorise(block, residual))
     return conditioned.posterior(
         test_rows, cell.mean[test_rows], k[np.ix_(test_rows, test_rows)], k[np.ix_(test_rows, pos)]
@@ -435,8 +454,8 @@ def default_verification(seed: int = 0) -> list[VerificationCheck]:
     # Exact covariance decays to the long-time form.
     two = ImpulseParams([3.0, 8.0], [0.4, 0.3])
     tail_grid = TimeGrid(1900, 120)
-    exact = kernels.internal_variability_gram(two, tail_grid, "exact")
-    stationary = kernels.internal_variability_gram(two, tail_grid, "long_time")
+    exact = exact_variability_gram(two, tail_grid)
+    stationary = kernels.internal_variability_gram(two, tail_grid)
     times = tail_grid.response_times()
     late = np.minimum(times[:, None], times[None, :]) > 10.0 * two.timescales.max()
     tail = np.max(np.abs((exact - stationary)[late])) / np.max(np.abs(stationary))

@@ -28,6 +28,7 @@ import numpy as np
 
 from .ebm import TimeGrid
 from .errors import (
+    CompatibilityError,
     EmptyWindow,
     GridError,
     GridMismatch,
@@ -317,6 +318,15 @@ def load_scenario(
     path = Path(path)
 
     def columns(header):
+        fields = (h.partition(":") for h in header)
+        declared = {agent for kind, sep, agent in fields if sep and kind in EMISSION_MODES}
+        expected = {spec.name for spec in agents}
+        # declared agents that disagree are a compatibility problem (exit 4)
+        if declared and declared != expected:
+            raise CompatibilityError(
+                f"{path}: scenario agents {sorted(declared)} do not match model agents "
+                f"{sorted(expected)}"
+            )
         if "year" not in header:
             raise SchemaError(f"{path}: missing required column 'year'")
         known = {"year", "tas_global"}

@@ -41,6 +41,7 @@ from ebgp.kernels import KernelConfig, forcing_gram, internal_variability_gram
 from ebgp.metrics import deterministic_scores, gaussian_crps, probabilistic_scores
 from ebgp.oracles import (
     cell_posterior,
+    exact_variability_gram,
     finite_difference_gradient,
     mc_crps,
     mc_temperature_covariance,
@@ -147,8 +148,8 @@ def test_criterion_04_internal_variability():
         two = ImpulseParams([3.0, 40.0], [0.4, 0.3])
         early_grid = TimeGrid(1900, 10)
         emp = sde_variability_covariance(two, sigma, early_grid, 5000, seed=2)
-        exact = sigma**2 * internal_variability_gram(two, early_grid, "exact")
-        stationary = sigma**2 * internal_variability_gram(two, early_grid, "long_time")
+        exact = sigma**2 * exact_variability_gram(two, early_grid)
+        stationary = sigma**2 * internal_variability_gram(two, early_grid)
         assert scaled_frobenius_distance(emp, exact) < scaled_frobenius_distance(
             emp, stationary
         )
@@ -156,8 +157,8 @@ def test_criterion_04_internal_variability():
         # and it relaxes onto the stationary form within one percent
         tail = ImpulseParams([3.0, 8.0], [0.4, 0.3])
         tail_grid = TimeGrid(1900, 120)
-        exact = internal_variability_gram(tail, tail_grid, "exact")
-        stationary = internal_variability_gram(tail, tail_grid, "long_time")
+        exact = exact_variability_gram(tail, tail_grid)
+        stationary = internal_variability_gram(tail, tail_grid)
         t = tail_grid.response_times()
         late = np.minimum(t[:, None], t[None, :]) > 10.0 * tail.timescales.max()
         gap = np.max(np.abs((exact - stationary)[late]))
@@ -178,7 +179,9 @@ def _posterior_setup():
     s2 = Scenario("b", TimeGrid(1900, n), {"co2": np.cumsum(1 + 0.05 * t), "so2": 1 + 0.02 * t})
     prior0 = build_prior([s1, s2], impulse, forcing, kernel, agents=agents)
     rng = np.random.default_rng(3)
-    cov = prior0.physics_gram + impulse.variability_amplitude**2 * prior0.variability_gram
+    cov = prior0.physics_gram + impulse.variability_amplitude**2 * prior0.variability(
+        np.arange(prior0.n)
+    )
     y = prior0.mean + np.linalg.cholesky(cov + 1e-10 * np.eye(2 * n)) @ rng.standard_normal(2 * n)
     s1.global_temperature = y[:n]
     s2.global_temperature = y[n:]
@@ -230,7 +233,7 @@ def test_criterion_05_posterior_exactness():
         full = np.arange(prior.n)
         post_f = posterior_forcing(prior, train, full)
         post_t = posterior_temperature(prior, train, full)
-        convolved = prior.response_operator @ post_f.mean
+        convolved = prior.apply_response(post_f.mean)
         assert np.max(np.abs(convolved - post_t.mean)) <= 1e-8
 
 
@@ -239,12 +242,12 @@ def _degenerate_prior(cov):
     return GPPrior(
         mean=np.zeros(n),
         physics_gram=cov,
-        variability_gram=np.zeros((n, n)),
         sigma=0.0,
         index=[("x", 2000 + i) for i in range(n)],
         forcing_mean=np.zeros(n),
         forcing_gram=np.eye(n),
-        response_operator=np.eye(n),
+        response_blocks=[np.eye(n)],
+        variability_blocks=[np.zeros((n, n))],
         kernel_inputs=np.zeros((n, 1)),
     )
 
@@ -317,7 +320,7 @@ def test_criterion_07_hyperparameter_recovery():
         truth = EmulatorModel(agents=agents, impulse=impulse_true, forcing=forcing,
                               kernel=kernel_true)
         prior = build_prior_from_model([s1, s2], truth)
-        cov = prior.physics_gram + true_sigma**2 * prior.variability_gram
+        cov = prior.physics_gram + true_sigma**2 * prior.variability(np.arange(prior.n))
         rng = np.random.default_rng(123)
         y = np.linalg.cholesky(cov + 1e-10 * np.eye(2 * n)) @ rng.standard_normal(2 * n)
         s1.global_temperature = y[:n]

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from scipy.stats import multivariate_normal
 
 from ebgp.ebm import AgentForcing, ImpulseParams, TimeGrid
@@ -14,6 +15,7 @@ from ebgp.inference import (
     build_prior,
     build_prior_from_model,
     cholesky_with_jitter,
+    condition,
     fit_hyperparameters,
     fitting_jitter,
     locate_rows,
@@ -48,7 +50,9 @@ def two_scenario_setup(toy_impulse, toy_forcing, toy_kernel, toy_agents, n=40, s
     s1 = mk("a", lambda t: 1 + 0.1 * t, lambda t: 2 + np.sin(t / 8))
     s2 = mk("b", lambda t: 1 + 0.05 * t, lambda t: 1 + 0.02 * t)
     prior = build_prior([s1, s2], toy_impulse, toy_forcing, toy_kernel, agents=toy_agents)
-    cov = prior.physics_gram + toy_impulse.variability_amplitude**2 * prior.variability_gram
+    cov = prior.physics_gram + toy_impulse.variability_amplitude**2 * prior.variability(
+        np.arange(prior.n)
+    )
     y = prior.mean + np.linalg.cholesky(cov + 1e-10 * np.eye(2 * n)) @ rng.standard_normal(2 * n)
     s1.global_temperature = y[:n]
     s2.global_temperature = y[n:]
@@ -102,7 +106,7 @@ class TestBuildPrior:
 
     def test_variability_block_diagonal(self, setup):
         _, _, _, prior = setup
-        gamma = prior.variability_gram
+        gamma = prior.variability(np.arange(prior.n))
         n = 40
         np.testing.assert_array_equal(gamma[:n, n:], 0.0)
         assert np.all(np.diag(gamma) > 0)
@@ -115,7 +119,7 @@ class TestBuildPrior:
 
     def test_gram_factorizable(self, setup):
         _, _, _, prior = setup
-        noisy = prior.physics_gram + prior.sigma**2 * prior.variability_gram
+        noisy = prior.physics_gram + prior.sigma**2 * prior.variability(np.arange(prior.n))
         cholesky_with_jitter(noisy)
 
     def test_cross_scenario_blocks_match_joint_sampling(self, setup, toy_impulse):
@@ -144,6 +148,83 @@ class TestBuildPrior:
         assert scaled_frobenius_distance(
             empirical[:n, n:], prior.physics_gram[:n, n:]
         ) <= 0.1
+
+
+class TestBlockedPrior:
+    """The per-scenario response and variability blocks against the dense
+    block-diagonal operators, built here, on three scenarios of unequal
+    length."""
+
+    @pytest.fixture
+    def blocked(self, toy_impulse, toy_forcing, toy_kernel, toy_agents, scenario_factory):
+        from ebgp.ebm import temperature_operator
+        from ebgp.kernels import internal_variability_gram
+
+        rng = np.random.default_rng(11)
+        shapes = [("a", 30, 1900), ("b", 45, 1900), ("c", 20, 1950)]
+        scenarios = [
+            scenario_factory(name, n, start, temperature=rng.normal(0.0, 0.2, n), seed=k)
+            for k, (name, n, start) in enumerate(shapes)
+        ]
+        prior = build_prior(scenarios, toy_impulse, toy_forcing, toy_kernel, agents=toy_agents)
+        op = block_diag(*(temperature_operator(toy_impulse, s.grid) for s in scenarios))
+        gamma = block_diag(*(internal_variability_gram(toy_impulse, s.grid) for s in scenarios))
+        return scenarios, prior, op, gamma
+
+    def test_physics_gram_matches_dense(self, blocked):
+        _, prior, op, _ = blocked
+        dense = op @ prior.forcing_gram @ op.T
+        assert np.max(np.abs(prior.physics_gram - dense)) <= 1e-14 * np.max(np.abs(dense))
+        x = np.random.default_rng(2).normal(size=(prior.n, 3))
+        np.testing.assert_allclose(prior.apply_response(x), op @ x, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            prior.apply_response(x, transpose=True), op.T @ x, rtol=0, atol=1e-14
+        )
+
+    def test_variability_rows_match_dense(self, blocked):
+        _, prior, _, gamma = blocked
+        # unsorted, with gaps, spanning scenarios a (rows 0-29) and b (30-74)
+        rows = np.array([40, 3, 31, 7, 29, 60, 30])
+        np.testing.assert_array_equal(prior.variability(rows), gamma[np.ix_(rows, rows)])
+        everything = np.arange(prior.n)
+        np.testing.assert_array_equal(prior.variability(everything), gamma)
+
+    def test_forcing_cross_matches_dense(self, blocked):
+        scenarios, prior, op, _ = blocked
+        train, _ = assemble_training_set(scenarios, holdout=("b",))
+        rows = prior.rows_for_scenario("b")
+        conditioned = condition(prior, train)
+        k_f = prior.forcing_gram
+        dense = conditioned.posterior(
+            rows, prior.forcing_mean[rows], k_f[np.ix_(rows, rows)],
+            k_f[rows, :] @ op[conditioned.positions, :].T,
+        )
+        post = posterior_forcing(prior, train, rows)
+        for got, want in [(post.mean, dense.mean), (post.covariance, dense.covariance)]:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_gradient_on_training_subset(self, blocked, toy_kernel):
+        """Training rows are a strict subset of the prior's: the gradient
+        contraction scatters onto the prior's rows."""
+        scenarios, prior, _, _ = blocked
+        train, _ = assemble_training_set(scenarios, holdout=("b",))
+        jitter = fitting_jitter(prior, train)
+
+        def mll(theta):
+            kernel = dataclasses.replace(
+                toy_kernel, lengthscales=np.exp(theta[:2]), variance=float(np.exp(theta[2]))
+            )
+            return mll_and_gradient(
+                prior, train, kernel, sigma=float(np.exp(theta[3])), jitter=jitter
+            )
+
+        theta = np.log([1.3, 0.8, 0.4, 0.15])
+        _, grad = mll(theta)
+        fd = finite_difference_gradient(lambda t: mll(t)[0], theta)
+        assert np.all(np.abs(grad - fd) <= 1e-4 * (np.abs(fd) + 1e-6))
+        # at the prior's own kernel and sigma it is the conditioning's likelihood
+        value, _ = mll_and_gradient(prior, train, toy_kernel, jitter=jitter)
+        assert value == condition(prior, train, jitter).log_likelihood
 
 
 class TestPosteriorTemperature:
@@ -194,7 +275,7 @@ class TestPosteriorTemperature:
         t = int(test_row[0])
         noisy = (
             k[pos, pos]
-            + prior.sigma**2 * prior.variability_gram[pos, pos]
+            + prior.sigma**2 * prior.variability([pos])[0, 0]
         )
         jitter = 1e-6 * noisy  # first ladder rung, relative to the 1x1 diagonal
         noisy = noisy + jitter
@@ -265,7 +346,7 @@ class TestPosteriorForcing:
         rows = np.arange(prior.n)
         post_f = posterior_forcing(prior, train, rows)
         post_t = posterior_temperature(prior, train, rows)
-        convolved = prior.response_operator @ post_f.mean
+        convolved = prior.apply_response(post_f.mean)
         assert np.max(np.abs(convolved - post_t.mean)) <= 1e-8
 
     def test_forcing_variance_below_prior(self, setup):
@@ -286,8 +367,8 @@ class TestPosteriorForcing:
         post = posterior_forcing(prior, one, test_row)
         pos = locate_rows(prior, one.index)[0]
         k = prior.physics_gram
-        cross = prior.forcing_gram[3, :] @ prior.response_operator[pos, :]
-        noisy = k[pos, pos] + prior.sigma**2 * prior.variability_gram[pos, pos]
+        cross = prior.apply_response(prior.forcing_gram[:, 3])[pos]
+        noisy = k[pos, pos] + prior.sigma**2 * prior.variability([pos])[0, 0]
         noisy = noisy * (1.0 + 1e-6)
         resid = one.temperatures[0] - prior.mean[pos]
         assert post.mean[0] == pytest.approx(
@@ -305,12 +386,12 @@ class TestMarginalLogLikelihood:
         return GPPrior(
             mean=np.zeros(n) if mean is None else mean,
             physics_gram=cov,
-            variability_gram=np.zeros((n, n)),
             sigma=sigma,
             index=index,
             forcing_mean=np.zeros(n),
             forcing_gram=np.eye(n),
-            response_operator=np.eye(n),
+            response_blocks=[np.eye(n)],
+            variability_blocks=[np.zeros((n, n))],
             kernel_inputs=np.zeros((n, 1)),
         )
 
@@ -504,6 +585,31 @@ class TestFit:
             )
             fd = finite_difference_gradient(objective, theta)
             assert np.all(np.abs(grad - fd) <= 1e-4 * (np.abs(fd) + 1e-6))
+
+    def test_one_mll_and_gradient_per_evaluation(
+        self, toy_impulse, toy_forcing, toy_kernel, toy_agents, monkeypatch
+    ):
+        """Finite-difference rows need only the likelihood: with box-model
+        parameters free, each objective evaluation runs ``mll_and_gradient``
+        once."""
+        from ebgp import inference
+
+        model, builder, train = self._model_and_builder(
+            toy_impulse, toy_forcing, toy_kernel, toy_agents
+        )
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return mll_and_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "mll_and_gradient", counted)
+        result = fit_hyperparameters(
+            builder, train, model, free=("timescales", "sigma"),
+            restarts=0, max_iterations=3, seed=0,
+        )
+        assert result.evaluations > 0
+        assert len(calls) == result.evaluations
 
     def test_sigma_zero_cannot_be_freed(self, toy_forcing, toy_kernel, toy_agents):
         imp = ImpulseParams([3.5, 80.0], [0.45, 0.30], variability_amplitude=0.0)

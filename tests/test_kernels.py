@@ -14,6 +14,7 @@ from ebgp.kernels import (
     variability_weights,
 )
 from ebgp.oracles import (
+    exact_variability_gram,
     forcing_temperature_cross_gram,
     matern,
     quadrature_thermal_covariance,
@@ -171,7 +172,7 @@ class TestThermalGrams:
 class TestVariabilityGram:
     def test_long_time_diagonal_single_mode(self):
         imp = ImpulseParams([4.0], [0.5])
-        gram = internal_variability_gram(imp, TimeGrid(2000, 6), "long_time")
+        gram = internal_variability_gram(imp, TimeGrid(2000, 6))
         np.testing.assert_allclose(np.diag(gram), 0.5**2 / (2.0 * 4.0))
 
     def test_single_mode_weight_is_one(self):
@@ -188,15 +189,15 @@ class TestVariabilityGram:
 
     def test_exact_symmetric_psd(self, toy_impulse):
         grid = TimeGrid(2000, 40)
-        gram = internal_variability_gram(toy_impulse, grid, "exact")
+        gram = exact_variability_gram(toy_impulse, grid)
         assert np.max(np.abs(gram - gram.T)) <= 1e-12
         assert np.min(np.linalg.eigvalsh(gram)) >= -1e-10
 
     def test_exact_converges_to_long_time(self):
         imp = ImpulseParams([3.0, 8.0], [0.4, 0.3])
         grid = TimeGrid(1900, 120)
-        exact = internal_variability_gram(imp, grid, "exact")
-        stationary = internal_variability_gram(imp, grid, "long_time")
+        exact = exact_variability_gram(imp, grid)
+        stationary = internal_variability_gram(imp, grid)
         t = grid.response_times()
         late = np.minimum(t[:, None], t[None, :]) > 10.0 * imp.timescales.max()
         gap = np.max(np.abs((exact - stationary)[late]))
@@ -204,13 +205,9 @@ class TestVariabilityGram:
 
     def test_exact_below_stationary_at_start(self, toy_impulse):
         grid = TimeGrid(2000, 10)
-        exact = internal_variability_gram(toy_impulse, grid, "exact")
-        stationary = internal_variability_gram(toy_impulse, grid, "long_time")
+        exact = exact_variability_gram(toy_impulse, grid)
+        stationary = internal_variability_gram(toy_impulse, grid)
         assert np.all(np.diag(exact) < np.diag(stationary))
-
-    def test_unknown_mode(self, toy_impulse):
-        with pytest.raises(ValueError):
-            internal_variability_gram(toy_impulse, TimeGrid(2000, 4), "banana")
 
 
 class TestForcingTemperatureCross:

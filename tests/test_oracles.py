@@ -5,6 +5,7 @@ from ebgp.ebm import BoxModelParams, ImpulseParams, TimeGrid, diagonalize, therm
 from ebgp.kernels import KernelConfig, forcing_gram, internal_variability_gram
 from ebgp.oracles import (
     VerificationCheck,
+    exact_variability_gram,
     finite_difference_gradient,
     mc_crps,
     mc_temperature_covariance,
@@ -96,8 +97,8 @@ class TestSdeCovariance:
         sigma = 0.3
         grid = TimeGrid(1900, 10)
         emp = sde_variability_covariance(imp, sigma, grid, 5000, seed=2)
-        exact = sigma**2 * internal_variability_gram(imp, grid, "exact")
-        stationary = sigma**2 * internal_variability_gram(imp, grid, "long_time")
+        exact = sigma**2 * exact_variability_gram(imp, grid)
+        stationary = sigma**2 * internal_variability_gram(imp, grid)
         assert scaled_frobenius_distance(emp, exact) < scaled_frobenius_distance(
             emp, stationary
         )
@@ -107,7 +108,7 @@ class TestSdeCovariance:
         sigma = 0.3
         grid = TimeGrid(1900, 25)
         emp = sde_variability_covariance(imp, sigma, grid, 5000, seed=6)
-        exact = sigma**2 * internal_variability_gram(imp, grid, "exact")
+        exact = sigma**2 * exact_variability_gram(imp, grid)
         assert scaled_frobenius_distance(emp, exact) <= 0.05
 
     def test_deterministic_given_seed(self):

@@ -243,7 +243,7 @@ class TestSpatialPosterior:
             cell, noise = cell_prior(pattern, prior, 0, j)
             y = local[:, 0, j] - cell.mean
             k = cell.physics_gram
-            block = k + (cell.sigma**2 * cell.variability_gram + np.diag(noise))
+            block = k + (cell.sigma**2 * cell.variability(np.arange(cell.n)) + np.diag(noise))
             reference = Conditioned(cell, rows, y, *factorise(block, y)).posterior(
                 rows, cell.mean, k, k
             )
