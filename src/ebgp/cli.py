@@ -29,7 +29,6 @@ from .errors import (
 from .inference import (
     build_prior_from_model,
     fit_hyperparameters,
-    marginal_log_likelihood,
     posterior_forcing,
     posterior_temperature,
     sample_posterior,
@@ -96,8 +95,8 @@ def cmd_fit(args) -> int:
     if not model.fit.free:
         save_model(model, args.out)
         if train.n > 0:
-            prior = build_prior_from_model(train_scenarios, _standardized(model, train))
-            print(f"fit: all parameters fixed, mll={marginal_log_likelihood(prior, train):.6f}")
+            mll = fit_hyperparameters(train_scenarios, train, _standardized(model, train)).mll
+            print(f"fit: all parameters fixed, mll={mll:.6f}")
         else:
             print("fit: all parameters fixed")
         print(f"fit: wrote {args.out}")
@@ -106,11 +105,7 @@ def cmd_fit(args) -> int:
     if train.n == 0:
         raise SchemaError("cannot fit hyperparameters with an empty training set")
     model = _standardized(model, train, refit=True)
-
-    def builder(candidate):
-        return build_prior_from_model(train_scenarios, candidate)
-
-    result = fit_hyperparameters(builder, train, model, seed=args.seed)
+    result = fit_hyperparameters(train_scenarios, train, model, seed=args.seed)
     save_model(result.model, args.out)
     finite = [t for t in result.trace if np.isfinite(t)]
     initial = finite[0] if finite else float("nan")

@@ -263,29 +263,36 @@ def linear_concentrations(
     return agent.c0 + agent.concentration_per_emission * acc
 
 
-def convolution_operator(impulse: ImpulseParams, box: int, grid: TimeGrid) -> np.ndarray:
-    """Lower-triangular operator mapping an annual forcing series to the
-    discrete response of one mode.
-
-    Uses the exponential-integrator update that is exact for forcing held
-    constant over each step: entry (a, b) is
-    q_i (1 - exp(-step/d_i)) exp(-(a-b) step / d_i) for b <= a.
-    """
-    d = impulse.timescales[box]
-    q = impulse.equilibrium_responses[box]
+def mode_series(impulse: ImpulseParams, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """First column of each mode's convolution operator (one row per mode)
+    and its log-d_i derivative: entry k of row i is q_i (1 - r_i) r_i^k with
+    r_i = exp(-step/d_i), exact for forcing held constant over each step."""
+    lags = np.arange(grid.n_steps)
+    d = impulse.timescales[:, None]
+    q = impulse.equilibrium_responses[:, None]
     decay = np.exp(-grid.step / d)
-    col = q * (1.0 - decay) * decay ** np.arange(grid.n_steps)
-    row = np.zeros(grid.n_steps)
-    row[0] = col[0]
-    return toeplitz(col, row)
+    power = decay**lags
+    return q * (1.0 - decay) * power, q * (grid.step / d) * power * (lags * (1.0 - decay) - decay)
+
+
+def convolution_operator(impulse: ImpulseParams, box: int, grid: TimeGrid) -> np.ndarray:
+    """Lower-triangular Toeplitz operator of one mode's ``mode_series``: maps
+    an annual forcing series to the discrete response of that mode."""
+    col = mode_series(impulse, grid)[0][box]
+    return toeplitz(col, np.zeros_like(col))
 
 
 def temperature_operator(impulse: ImpulseParams, grid: TimeGrid) -> np.ndarray:
     """Sum of the per-mode convolution operators: maps forcing to temperature."""
-    total = np.zeros((grid.n_steps, grid.n_steps))
-    for i in range(impulse.n_boxes):
-        total += convolution_operator(impulse, i, grid)
-    return total
+    col = mode_series(impulse, grid)[0].sum(axis=0)
+    return toeplitz(col, np.zeros_like(col))
+
+
+def lag_sums(weights: np.ndarray) -> np.ndarray:
+    """Sums of a square array's subdiagonals: entry k sums entries (a, a - k)."""
+    lag = np.subtract.outer(*2 * [np.arange(len(weights))])
+    lower = lag >= 0
+    return np.bincount(lag[lower], weights=weights[lower], minlength=len(weights))
 
 
 def thermal_response(

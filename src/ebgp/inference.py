@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.optimize import minimize
+from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
 
 from . import ebm, kernels
 from .ebm import ForcingParams, ImpulseParams
@@ -36,12 +35,6 @@ LOG_2PI = np.log(2.0 * np.pi)
 JITTER_LADDER = (1e-6, 1e-5, 1e-4)
 
 
-def _diagonal_scale(matrix: np.ndarray) -> float:
-    """Mean diagonal, the unit of relative jitter; 1 when it is not positive."""
-    scale = float(np.mean(np.diag(matrix))) if matrix.size else 0.0
-    return scale if scale > 0 else 1.0
-
-
 def cholesky_with_jitter(
     matrix: np.ndarray, ladder: Sequence[float] = JITTER_LADDER
 ) -> tuple[np.ndarray, float]:
@@ -52,7 +45,9 @@ def cholesky_with_jitter(
     rung fails.
     """
     matrix = np.asarray(matrix, dtype=float)
-    scale = _diagonal_scale(matrix)
+    # the unit of relative jitter: the mean diagonal, or 1 when not positive
+    scale = float(np.mean(np.diag(matrix))) if matrix.size else 0.0
+    scale = scale if scale > 0 else 1.0
     for rel in ladder:
         jitter = rel * scale
         try:
@@ -213,22 +208,8 @@ def scenario_forcing(
     return ebm.forcing_response(conc, forcing, scen.grid)
 
 
-def build_prior(
-    scenarios: list[Scenario],
-    impulse: ImpulseParams,
-    forcing: ForcingParams,
-    kernel: KernelConfig,
-    agents: list[AgentSpec] | None = None,
-    standardization: Standardization | None = None,
-) -> GPPrior:
-    """Assemble the prior over the stacked scenarios.
-
-    Per-scenario means come from the discrete thermal response of that
-    scenario's forcing.  Physics blocks between scenarios a and b are
-    L_a K_ab L_b^T with K_ab the forcing kernel between their emission rows;
-    the variability covariance has one block per scenario because
-    internal-variability realizations of distinct runs are independent.
-    """
+def _prior_fields(scenarios, impulse, forcing, kernel, agents, standardization) -> dict:
+    """Every ``GPPrior`` field but the kernel matrix, scenario by scenario."""
     if not scenarios:
         raise GridMismatch("at least one scenario is required")
     steps = {s.grid.step for s in scenarios}
@@ -258,17 +239,36 @@ def build_prior(
     if kernel.standardize_inputs:
         st = standardization if standardization is not None else Standardization.from_rows(x)
         x = st.apply(x)
-    k_f = kernels.forcing_gram(x, x, kernel)
-    return GPPrior(
+    return dict(
         mean=np.concatenate(means),
         sigma=impulse.variability_amplitude,
         index=index,
         forcing_mean=np.concatenate(forcings),
-        forcing_gram=k_f,
         response_blocks=operators,
         variability_blocks=var_blocks,
         kernel_inputs=x,
     )
+
+
+def build_prior(
+    scenarios: list[Scenario],
+    impulse: ImpulseParams,
+    forcing: ForcingParams,
+    kernel: KernelConfig,
+    agents: list[AgentSpec] | None = None,
+    standardization: Standardization | None = None,
+) -> GPPrior:
+    """Assemble the prior over the stacked scenarios.
+
+    Per-scenario means come from the discrete thermal response of that
+    scenario's forcing.  Physics blocks between scenarios a and b are
+    L_a K_ab L_b^T with K_ab the forcing kernel between their emission rows;
+    the variability covariance has one block per scenario because
+    internal-variability realizations of distinct runs are independent.
+    """
+    fields = _prior_fields(scenarios, impulse, forcing, kernel, agents, standardization)
+    x = fields["kernel_inputs"]
+    return GPPrior(**fields, forcing_gram=kernels.forcing_gram(x, x, kernel))
 
 
 def build_prior_from_model(scenarios: list[Scenario], model: EmulatorModel) -> GPPrior:
@@ -469,16 +469,13 @@ class Parameter:
     ``get`` reads the row's values from a model and ``put`` returns a copy
     of the model holding new values.  ``log`` rows are positive and travel
     in log space; the others (forcing coefficients, which may be negative)
-    travel untransformed.  ``analytic`` rows are differentiated by
-    ``mll_and_gradient``, whose gradient lists them in table order; the
-    optimizer differentiates the other rows by central finite differences.
+    travel untransformed.  ``mll_and_gradient`` differentiates every row.
     """
 
     name: str
     get: Callable[[EmulatorModel], np.ndarray]
     put: Callable[[EmulatorModel, np.ndarray], EmulatorModel]
     log: bool
-    analytic: bool
 
 
 FORCING_COEFFICIENTS = ("alpha_log", "alpha_lin", "alpha_sqrt")
@@ -511,18 +508,16 @@ def _with_forcing_coefficients(model: EmulatorModel, values: np.ndarray) -> Emul
 # L-BFGS-B takes.
 PARAMETERS = (
     Parameter("lengthscales", lambda m: m.kernel.lengthscales,
-              lambda m, v: _with_kernel(m, lengthscales=v), log=True, analytic=True),
+              lambda m, v: _with_kernel(m, lengthscales=v), log=True),
     Parameter("variance", lambda m: np.array([m.kernel.variance]),
-              lambda m, v: _with_kernel(m, variance=float(v[0])), log=True, analytic=True),
+              lambda m, v: _with_kernel(m, variance=float(v[0])), log=True),
     Parameter("sigma", lambda m: np.array([m.impulse.variability_amplitude]),
-              lambda m, v: _with_impulse(m, variability_amplitude=float(v[0])),
-              log=True, analytic=True),
+              lambda m, v: _with_impulse(m, variability_amplitude=float(v[0])), log=True),
     Parameter("timescales", lambda m: m.impulse.timescales,
-              lambda m, v: _with_impulse(m, timescales=v), log=True, analytic=False),
+              lambda m, v: _with_impulse(m, timescales=v), log=True),
     Parameter("equilibrium_responses", lambda m: m.impulse.equilibrium_responses,
-              lambda m, v: _with_impulse(m, equilibrium_responses=v), log=True, analytic=False),
-    Parameter("forcing", _forcing_coefficients, _with_forcing_coefficients,
-              log=False, analytic=False),
+              lambda m, v: _with_impulse(m, equilibrium_responses=v), log=True),
+    Parameter("forcing", _forcing_coefficients, _with_forcing_coefficients, log=False),
 )
 PARAMETER_NAMES = tuple(p.name for p in PARAMETERS)
 
@@ -536,80 +531,84 @@ class FreeParameters:
             if name not in PARAMETER_NAMES:
                 raise ValueError(f"unknown fittable parameter '{name}'")
         self.model = model
-        # (row, its slice of theta, its slice of mll_and_gradient's gradient
-        # or None for a finite-difference row)
-        self.rows: list[tuple[Parameter, slice, slice | None]] = []
-        pieces = []
-        start = slot = 0
-        for row in PARAMETERS:
-            values = row.get(model)
-            if row.name in free:
-                if row.log and np.any(values <= 0):
-                    raise ValueError(f"{row.name} must be positive to be fit on the log scale")
-                pieces.append(np.log(values) if row.log else values)
-                gradient = slice(slot, slot + values.size) if row.analytic else None
-                self.rows.append((row, slice(start, start + values.size), gradient))
-                start += values.size
-            if row.analytic:
-                slot += values.size
+        self.rows = [row for row in PARAMETERS if row.name in free]
+        values = [row.get(model) for row in self.rows]
+        for row, v in zip(self.rows, values):
+            if row.log and np.any(v <= 0):
+                raise ValueError(f"{row.name} must be positive to be fit on the log scale")
+        self.splits = np.cumsum([v.size for v in values], dtype=int)[:-1]
+        pieces = [np.log(v) if row.log else v for row, v in zip(self.rows, values)]
         self.theta0 = np.concatenate(pieces) if pieces else np.empty(0)
 
     def apply(self, theta: np.ndarray) -> EmulatorModel:
         """The model with the free parameters set from ``theta``."""
         model = self.model
-        for row, where, _ in self.rows:
-            chunk = theta[where]
+        for row, chunk in zip(self.rows, np.split(theta, self.splits)):
             model = row.put(model, np.exp(chunk) if row.log else chunk)
         return model
 
 
-def fitting_jitter(prior: GPPrior, train: TrainingSet) -> float:
-    """Absolute diagonal regularizer for fitting, frozen at the start point."""
-    return JITTER_LADDER[0] * _diagonal_scale(prior.noisy_block(locate_rows(prior, train.index)))
-
-
 def mll_and_gradient(
-    prior: GPPrior,
+    scenarios: list[Scenario],
     train: TrainingSet,
-    kernel: KernelConfig,
-    sigma: float | None = None,
+    model: EmulatorModel,
+    free: Sequence[str] = PARAMETER_NAMES,
     jitter: float | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Marginal log-likelihood and its gradient with respect to
-    (log lengthscales..., log variance, log sigma).
+    """Marginal log-likelihood of the training temperatures under the
+    model's prior over ``scenarios`` and its gradient over the ``free`` rows
+    of ``PARAMETERS``, in table order and the optimizer's coordinates.
 
-    The kernel matrix is re-evaluated from the prior's stored inputs at the
-    given kernel configuration (and ``sigma``, defaulting to the prior's),
-    so the prior's fixed geometry -- mean path, response and variability
-    blocks -- can be reused across optimizer steps.  Gradients use the trace
-    identities of GPML section 5.4.1: with W = alpha alpha^T - A^{-1}, the
-    kernel terms are tr(L^T W L dK) / 2, W scattered to the prior's rows,
-    and the sigma term is sigma^2 tr(W Gamma).
-
-    ``jitter`` is an absolute diagonal regularizer; the optimizer freezes it
-    at its starting point so the objective stays consistent with its
-    gradient.  When None, the relative ladder is used instead.
+    Gradients use the trace identities of GPML section 5.4.1, with
+    W = alpha alpha^T - A^{-1} scattered to the prior's rows: tr(L^T W L dK) / 2
+    for the kernel, sigma^2 tr(W Gamma) for sigma, the sum over scenarios s
+    of <(W L K)_ss + alpha_s F_s^T, dL_s> + sigma^2 <W_ss, dGamma_s> / 2 for
+    the box model, and alpha^T L dF for the forcing coefficients.  ``jitter``
+    is as in ``factorise``; the optimizer freezes it at its start point.
     """
-    k_f, dk_dl, dk_dv = kernels.forcing_gram_gradients(prior.kernel_inputs, kernel)
-    sigma = prior.sigma if sigma is None else sigma
-    # physics_gram=None propagates the candidate kernel matrix anew
-    candidate = dataclasses.replace(prior, physics_gram=None, forcing_gram=k_f, sigma=sigma)
-    conditioned = condition(candidate, train, jitter)
+    impulse, sigma = model.impulse, model.impulse.variability_amplitude
+    fields = _prior_fields(scenarios, impulse, model.forcing, model.kernel, model.agents,
+                           model.standardization)
+    k_f, dk_dl, dk_dv = kernels.forcing_gram_gradients(fields["kernel_inputs"], model.kernel)
+    prior = GPPrior(**fields, forcing_gram=k_f)
+    conditioned = condition(prior, train, jitter)
 
     pos = conditioned.positions
-    inv = cho_solve((conditioned.factor, True), np.eye(train.n))
-    w = np.outer(conditioned.alpha, conditioned.alpha) - inv
+    inv = lapack.dpotri(conditioned.factor, lower=True)[0]
+    w = np.outer(conditioned.alpha, conditioned.alpha) - (np.tril(inv) + np.tril(inv, -1).T)
     scattered = np.zeros((prior.n, prior.n))
     scattered[np.ix_(pos, pos)] = w
+    alpha = np.zeros(prior.n)
+    alpha[pos] = conditioned.alpha
     b = prior.propagate(scattered, transpose=True)
-    grad = [0.5 * float(np.sum(b * g)) for g in dk_dl]
-    grad.append(0.5 * float(np.sum(b * dk_dv)))
-    grad.append(float(sigma**2 * np.sum(w * prior.variability(pos))))
-    return conditioned.log_likelihood, np.array(grad)
+    grad = {"lengthscales": [0.5 * np.sum(b * g) for g in dk_dl],
+            "variance": [0.5 * np.sum(b * dk_dv)],
+            "sigma": [sigma**2 * np.sum(w * prior.variability(pos))]}
+    if {"timescales", "equilibrium_responses"} & set(free):
+        lk = prior.apply_response(k_f)
+        box = 0.0
+        edges = np.cumsum([0] + [scen.grid.n_steps for scen in scenarios])
+        for scen, rows in zip(scenarios, map(slice, edges, edges[1:])):
+            # mode i's operator is linear in q_i, so mode_series holds both derivatives
+            series = np.array(ebm.mode_series(impulse, scen.grid))
+            response = scattered[rows] @ lk[:, rows] + np.outer(alpha[rows], prior.forcing_mean[rows])
+            noise = kernels.variability_gradient(impulse, scen.grid, scattered[rows, rows])
+            box = box + series @ ebm.lag_sums(response) + 0.5 * sigma**2 * noise
+        grad["equilibrium_responses"], grad["timescales"] = box
+    if "forcing" in free:
+        # F is linear in the coefficients: dF along one is F at that unit vector
+        units = (_with_forcing_coefficients(model, u).forcing
+                 for u in np.eye(_forcing_coefficients(model).size))
+        grad["forcing"] = np.array([np.concatenate(
+            [scenario_forcing(scen, unit, model.agents) for scen in scenarios]
+        ) for unit in units]) @ prior.apply_response(alpha, transpose=True)
+    return conditioned.log_likelihood, np.concatenate(
+        [np.asarray(grad[row.name], dtype=float) for row in PARAMETERS if row.name in free]
+    )
 
 
 def fit_hyperparameters(
-    builder: Callable[[EmulatorModel], GPPrior],
+    scenarios: list[Scenario],
     train: TrainingSet,
     model: EmulatorModel,
     free: tuple[str, ...] | None = None,
@@ -619,60 +618,43 @@ def fit_hyperparameters(
 ) -> FitResult:
     """Maximise the marginal log-likelihood over the selected parameters.
 
-    ``builder`` maps a model to a prior covering (at least) the training
-    rows.  Runs L-BFGS-B on log-transformed positive parameters, once from
-    the supplied model and ``restarts`` more times from perturbed starts.
-    The trace records the best marginal log-likelihood seen after each
-    objective evaluation and is non-decreasing by construction.
+    The prior covers ``scenarios``, which hold (at least) the training rows.
+    Runs L-BFGS-B on log-transformed positive parameters, once from the
+    supplied model and ``restarts`` more times from perturbed starts.  The
+    trace records the best marginal log-likelihood seen after each objective
+    evaluation (failed or overflowing ones rejected) and never decreases.
     """
+    # Imported here: of all the commands only ``fit`` needs the optimizer.
+    from scipy.optimize import minimize
+
     free = tuple(free) if free is not None else model.fit.free
     restarts = restarts if restarts is not None else model.fit.restarts
     max_iterations = max_iterations if max_iterations is not None else model.fit.max_iterations
 
+    prior = build_prior_from_model(scenarios, model)
     if not free:
-        mll = marginal_log_likelihood(builder(model), train)
+        mll = marginal_log_likelihood(prior, train)
         return FitResult(model=model, trace=[mll], evaluations=0, mll=mll)
 
     params = FreeParameters(model, free)
-    ebm_free = any(gradient is None for _, _, gradient in params.rows)
-    # With the box model fixed the prior's geometry never changes; build it once.
-    fixed_prior = None if ebm_free else builder(model)
-    jitter = fitting_jitter(fixed_prior if fixed_prior is not None else builder(model), train)
+    # The jitter rung the start point's own factorization needs, frozen.
+    _, jitter = cholesky_with_jitter(prior.noisy_block(locate_rows(prior, train.index)))
 
     trace: list[float] = []
     best = -np.inf
     evaluations = 0
 
-    def mll_at(theta: np.ndarray) -> float:
-        try:
-            return condition(builder(params.apply(theta)), train, jitter).log_likelihood
-        except (ValueError, SingularGram):
-            return -np.inf
-
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal best, evaluations
         evaluations += 1
         try:
-            candidate = params.apply(theta)
-            mll, kernel_grad = mll_and_gradient(
-                builder(candidate) if fixed_prior is None else fixed_prior, train,
-                candidate.kernel, sigma=candidate.impulse.variability_amplitude, jitter=jitter,
-            )
-        except (ValueError, SingularGram):
+            with np.errstate(over="raise", invalid="raise"):
+                mll, grad = mll_and_gradient(scenarios, train, params.apply(theta), free, jitter)
+        except (ValueError, SingularGram, FloatingPointError):
             mll = -np.inf
         if not np.isfinite(mll):
             trace.append(best)
             return np.inf, np.zeros_like(theta)
-        grad = np.zeros_like(theta)
-        h = 1e-5
-        for _, where, gradient in params.rows:
-            if gradient is not None:
-                grad[where] = kernel_grad[gradient]
-                continue
-            for pos in range(where.start, where.stop):
-                step = np.zeros_like(theta)
-                step[pos] = h
-                grad[pos] = (mll_at(theta + step) - mll_at(theta - step)) / (2.0 * h)
         best = max(best, mll)
         trace.append(best)
         return -mll, -grad

@@ -115,3 +115,19 @@ def internal_variability_gram(impulse: ebm.ImpulseParams, grid: ebm.TimeGrid) ->
     for i in range(impulse.n_boxes):
         gram += nu[i] * (q[i] ** 2 / (2.0 * d[i])) * np.exp(-lag / d[i])
     return gram
+
+
+def variability_gradient(
+    impulse: ebm.ImpulseParams, grid: ebm.TimeGrid, weights: np.ndarray
+) -> np.ndarray:
+    """Gradient of <weights, internal_variability_gram> with respect to log q
+    (first row) and log d (second row), closed form in c_ij = q_i q_j / (d_i + d_j):
+    the Gram is sum_ij c_ij exp(-|t-t'| / d_i)."""
+    d = impulse.timescales
+    lag = grid.step * np.arange(grid.n_steps) / d[:, None]
+    sums = ebm.lag_sums(np.tril(weights) + np.triu(weights, 1).T)
+    e, f = np.array([np.exp(-lag), lag * np.exp(-lag)]) @ sums
+    pair = np.add.outer(d, d)
+    c = np.outer(impulse.equilibrium_responses, impulse.equilibrium_responses) / pair
+    r = c / pair
+    return np.array([c.sum(1) * e + c @ e, c.sum(1) * f - d * (r.sum(1) * e + r @ e)])

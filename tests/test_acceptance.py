@@ -25,13 +25,14 @@ from ebgp.ebm import (
     thermal_response,
 )
 from ebgp.inference import (
+    PARAMETER_NAMES,
     EmulatorModel,
     FreeParameters,
     GPPrior,
     build_prior,
     build_prior_from_model,
+    condition,
     fit_hyperparameters,
-    fitting_jitter,
     marginal_log_likelihood,
     mll_and_gradient,
     posterior_forcing,
@@ -186,16 +187,14 @@ def _posterior_setup():
     s1.global_temperature = y[:n]
     s2.global_temperature = y[n:]
     train, _ = assemble_training_set([s1, s2], holdout=("b",))
-    prior = build_prior(
-        [s1, s2], impulse, forcing, kernel, agents=agents,
-        standardization=train.standardization,
-    )
-    return train, prior
+    model = EmulatorModel(agents=agents, impulse=impulse, forcing=forcing, kernel=kernel,
+                          standardization=train.standardization)
+    return train, build_prior_from_model([s1, s2], model), [s1, s2], model
 
 
 def test_criterion_05_posterior_exactness():
     with criterion(5, "posterior exactness"):
-        train, prior = _posterior_setup()
+        train, prior, _, _ = _posterior_setup()
 
         # empty training set: posterior is the prior, exactly
         empty = TrainingSet(
@@ -272,35 +271,20 @@ def test_criterion_06_mll_and_gradients():
             )
             assert abs(mll - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
-        # analytic kernel and noise gradients against central differences
-        train, prior = _posterior_setup()
-        kernel = KernelConfig("matern32", [1.0, 1.5], 0.3)
-        impulse = ImpulseParams([3.5, 80.0], [0.45, 0.30], variability_amplitude=0.12)
-        model = EmulatorModel(
-            agents=[AgentSpec("co2", "cumulative_emission"), AgentSpec("so2", "emission")],
-            impulse=impulse,
-            forcing={"co2": AgentForcing(alpha_log=5.35, c0=278.0), "so2": AgentForcing()},
-            kernel=kernel,
-        )
-        jitter = fitting_jitter(prior, train)
-        params = FreeParameters(model, ("lengthscales", "variance", "sigma"))
+        # analytic gradients of every fittable row against central
+        # differences, on a prior over more rows than the training set holds
+        train, prior, scenarios, model = _posterior_setup()
+        jitter = condition(prior, train).jitter
+        params = FreeParameters(model, PARAMETER_NAMES)
         theta0, apply = params.theta0, params.apply
 
         def objective(theta):
-            candidate = apply(theta)
-            return mll_and_gradient(
-                prior, train, candidate.kernel,
-                sigma=candidate.impulse.variability_amplitude, jitter=jitter,
-            )[0]
+            return mll_and_gradient(scenarios, train, apply(theta), jitter=jitter)[0]
 
         rng = np.random.default_rng(67)
         for _ in range(20):
             theta = theta0 + rng.normal(scale=0.4, size=theta0.size)
-            candidate = apply(theta)
-            _, grad = mll_and_gradient(
-                prior, train, candidate.kernel,
-                sigma=candidate.impulse.variability_amplitude, jitter=jitter,
-            )
+            _, grad = mll_and_gradient(scenarios, train, apply(theta), jitter=jitter)
             fd = finite_difference_gradient(objective, theta)
             assert np.all(np.abs(grad - fd) <= 1e-4 * (np.abs(fd) + 1e-6))
 
@@ -334,7 +318,7 @@ def test_criterion_07_hyperparameter_recovery():
             kernel=dataclasses.replace(kernel_true, lengthscales=np.array([3.0])),
         )
         result = fit_hyperparameters(
-            lambda m: build_prior_from_model([s1, s2], m), train, start,
+            [s1, s2], train, start,
             free=("lengthscales", "sigma"), restarts=2, max_iterations=150, seed=0,
         )
         fitted_ell = result.model.kernel.lengthscales[0]
@@ -376,7 +360,7 @@ def test_criterion_08_metrics():
 
 def test_criterion_09_spatial_reduction():
     with criterion(9, "spatial reduction"):
-        train, prior = _posterior_setup()
+        train, prior, _, _ = _posterior_setup()
         grid = SpatialGrid([-45.0, 45.0], [0.0, 180.0])
         pattern = PatternScalingMap(
             slope=np.ones(grid.shape), intercept=np.zeros(grid.shape),

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +135,36 @@ class TestFit:
                    "--out", str(tmp / "m.txt")])
         assert rc == 3
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("broken, message", [
+        ("missing", "no accumulation rule"),
+        ("non-positive", "non-positive concentrations"),
+    ])
+    def test_unevaluable_free_forcing_term_exits_2(self, workspace, capsys, broken, message):
+        """A free forcing row differentiates every coefficient, zero or not:
+        so2's log and sqrt terms are zero here, yet a missing so2
+        concentration with no accumulation rule, or a non-positive one, is a
+        data error."""
+        tmp, config, paths = workspace
+        model = load_model(config)
+        model.fit = FitSettings(free=("forcing",), restarts=0, max_iterations=5)
+        if broken == "missing":
+            model.forcing["so2"] = AgentForcing(alpha_lin=-0.02, c0=1.0)
+        free_config = tmp / "config_forcing.txt"
+        save_model(model, free_config)
+        for path in paths:
+            rows = [line.split(",") for line in Path(path).read_text().splitlines()]
+            column = rows[0].index("concentration:so2")
+            for cells in rows:
+                if broken == "missing":
+                    del cells[column]
+                elif cells is not rows[0]:
+                    cells[column] = "0.0"
+            Path(path).write_text("\n".join(",".join(cells) for cells in rows) + "\n")
+        rc = main(["fit", "--config", str(free_config), "--scenario", *paths,
+                   "--holdout", "target", "--out", str(tmp / "m.txt")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 class TestEmulate:
@@ -557,3 +591,16 @@ class TestVerify:
 
 def test_default_seed_documented():
     assert isinstance(DEFAULT_SEED, int)
+
+
+def test_cli_import_leaves_the_optimizer_unloaded():
+    """Only ``fit`` uses scipy.optimize; the other commands do not pay for
+    importing it."""
+    import ebgp
+
+    src = str(Path(ebgp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, ebgp.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

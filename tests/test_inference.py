@@ -8,6 +8,7 @@ from scipy.stats import multivariate_normal
 from ebgp.ebm import AgentForcing, ImpulseParams, TimeGrid
 from ebgp.errors import GridMismatch, SingularGram
 from ebgp.inference import (
+    PARAMETER_NAMES,
     EmulatorModel,
     FreeParameters,
     GPPrior,
@@ -17,7 +18,6 @@ from ebgp.inference import (
     cholesky_with_jitter,
     condition,
     fit_hyperparameters,
-    fitting_jitter,
     locate_rows,
     marginal_log_likelihood,
     mll_and_gradient,
@@ -203,27 +203,34 @@ class TestBlockedPrior:
         for got, want in [(post.mean, dense.mean), (post.covariance, dense.covariance)]:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_gradient_on_training_subset(self, blocked, toy_kernel):
+    def test_gradient_on_training_subset(
+        self, blocked, toy_impulse, toy_forcing, toy_kernel, toy_agents
+    ):
         """Training rows are a strict subset of the prior's: the gradient
-        contraction scatters onto the prior's rows."""
+        contractions scatter onto the prior's rows, for every fittable row."""
         scenarios, prior, _, _ = blocked
         train, _ = assemble_training_set(scenarios, holdout=("b",))
-        jitter = fitting_jitter(prior, train)
+        jitter = condition(prior, train).jitter
+        model = EmulatorModel(
+            agents=toy_agents, impulse=toy_impulse, forcing=toy_forcing, kernel=toy_kernel
+        )
+        params = FreeParameters(
+            dataclasses.replace(
+                model,
+                kernel=dataclasses.replace(toy_kernel, lengthscales=[1.3, 0.8], variance=0.4),
+                impulse=dataclasses.replace(toy_impulse, variability_amplitude=0.15),
+            ),
+            PARAMETER_NAMES,
+        )
 
         def mll(theta):
-            kernel = dataclasses.replace(
-                toy_kernel, lengthscales=np.exp(theta[:2]), variance=float(np.exp(theta[2]))
-            )
-            return mll_and_gradient(
-                prior, train, kernel, sigma=float(np.exp(theta[3])), jitter=jitter
-            )
+            return mll_and_gradient(scenarios, train, params.apply(theta), jitter=jitter)
 
-        theta = np.log([1.3, 0.8, 0.4, 0.15])
-        _, grad = mll(theta)
-        fd = finite_difference_gradient(lambda t: mll(t)[0], theta)
+        _, grad = mll(params.theta0)
+        fd = finite_difference_gradient(lambda t: mll(t)[0], params.theta0)
         assert np.all(np.abs(grad - fd) <= 1e-4 * (np.abs(fd) + 1e-6))
-        # at the prior's own kernel and sigma it is the conditioning's likelihood
-        value, _ = mll_and_gradient(prior, train, toy_kernel, jitter=jitter)
+        # at the prior's own parameters it is the conditioning's likelihood
+        value, _ = mll_and_gradient(scenarios, train, model, jitter=jitter)
         assert value == condition(prior, train, jitter).log_likelihood
 
 
@@ -522,21 +529,20 @@ class TestSampling:
 
 
 class TestFit:
-    def _model_and_builder(self, toy_impulse, toy_forcing, toy_kernel, toy_agents):
+    def _model_and_scenarios(self, toy_impulse, toy_forcing, toy_kernel, toy_agents):
         s1, s2 = two_scenario_setup(toy_impulse, toy_forcing, toy_kernel, toy_agents)
         train, _ = assemble_training_set([s1, s2])
         model = EmulatorModel(
             agents=toy_agents, impulse=toy_impulse, forcing=toy_forcing,
             kernel=toy_kernel, standardization=train.standardization,
         )
-        builder = lambda m: build_prior_from_model([s1, s2], m)
-        return model, builder, train
+        return model, [s1, s2], train
 
     def test_all_fixed_returns_input(self, toy_impulse, toy_forcing, toy_kernel, toy_agents):
-        model, builder, train = self._model_and_builder(
+        model, scenarios, train = self._model_and_scenarios(
             toy_impulse, toy_forcing, toy_kernel, toy_agents
         )
-        result = fit_hyperparameters(builder, train, model, free=())
+        result = fit_hyperparameters(scenarios, train, model, free=())
         assert result.evaluations == 0
         assert result.model is model
         assert len(result.trace) == 1
@@ -544,12 +550,12 @@ class TestFit:
     def test_trace_nondecreasing_and_final_at_least_initial(
         self, toy_impulse, toy_forcing, toy_kernel, toy_agents
     ):
-        model, builder, train = self._model_and_builder(
+        model, scenarios, train = self._model_and_scenarios(
             toy_impulse, toy_forcing, toy_kernel, toy_agents
         )
-        initial = marginal_log_likelihood(builder(model), train)
+        initial = marginal_log_likelihood(build_prior_from_model(scenarios, model), train)
         result = fit_hyperparameters(
-            builder, train, model, free=("lengthscales", "variance", "sigma"),
+            scenarios, train, model, free=("lengthscales", "variance", "sigma"),
             restarts=1, max_iterations=30, seed=0,
         )
         finite = [t for t in result.trace if np.isfinite(t)]
@@ -559,57 +565,51 @@ class TestFit:
     def test_gradient_matches_finite_differences(
         self, toy_impulse, toy_forcing, toy_kernel, toy_agents
     ):
-        model, builder, train = self._model_and_builder(
+        """Every fittable row, the box model and the forcing coefficients
+        (one of them negative) included."""
+        model, scenarios, train = self._model_and_scenarios(
             toy_impulse, toy_forcing, toy_kernel, toy_agents
         )
-        prior = builder(model)
-        jitter = fitting_jitter(prior, train)
-        free = ("lengthscales", "variance", "sigma")
-        params = FreeParameters(model, free)
+        jitter = condition(build_prior_from_model(scenarios, model), train).jitter
+        params = FreeParameters(model, PARAMETER_NAMES)
         theta0, apply = params.theta0, params.apply
         rng = np.random.default_rng(4)
         for _ in range(5):
             theta = theta0 + rng.normal(scale=0.3, size=theta0.size)
 
             def objective(t):
-                candidate = apply(t)
-                return mll_and_gradient(
-                    prior, train, candidate.kernel,
-                    sigma=candidate.impulse.variability_amplitude, jitter=jitter,
-                )[0]
+                return mll_and_gradient(scenarios, train, apply(t), jitter=jitter)[0]
 
-            candidate = apply(theta)
-            _, grad = mll_and_gradient(
-                prior, train, candidate.kernel,
-                sigma=candidate.impulse.variability_amplitude, jitter=jitter,
-            )
+            _, grad = mll_and_gradient(scenarios, train, apply(theta), jitter=jitter)
             fd = finite_difference_gradient(objective, theta)
             assert np.all(np.abs(grad - fd) <= 1e-4 * (np.abs(fd) + 1e-6))
 
-    def test_one_mll_and_gradient_per_evaluation(
+    def test_one_kernel_evaluation_per_evaluation(
         self, toy_impulse, toy_forcing, toy_kernel, toy_agents, monkeypatch
     ):
-        """Finite-difference rows need only the likelihood: with box-model
-        parameters free, each objective evaluation runs ``mll_and_gradient``
-        once."""
-        from ebgp import inference
+        """With box-model parameters free, each objective evaluation
+        evaluates the kernel once, with its gradients; the plain kernel is
+        evaluated at most once in the whole fit."""
+        from ebgp import kernels
 
-        model, builder, train = self._model_and_builder(
+        model, scenarios, train = self._model_and_scenarios(
             toy_impulse, toy_forcing, toy_kernel, toy_agents
         )
-        calls = []
+        calls = {"forcing_gram": 0, "forcing_gram_gradients": 0}
+        for name in calls:
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return mll_and_gradient(*args, **kwargs)
+            def counted(*args, _name=name, _original=getattr(kernels, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(inference, "mll_and_gradient", counted)
+            monkeypatch.setattr(kernels, name, counted)
         result = fit_hyperparameters(
-            builder, train, model, free=("timescales", "sigma"),
+            scenarios, train, model, free=("timescales", "sigma"),
             restarts=0, max_iterations=3, seed=0,
         )
         assert result.evaluations > 0
-        assert len(calls) == result.evaluations
+        assert calls["forcing_gram_gradients"] == result.evaluations
+        assert calls["forcing_gram"] <= 1
 
     def test_sigma_zero_cannot_be_freed(self, toy_forcing, toy_kernel, toy_agents):
         imp = ImpulseParams([3.5, 80.0], [0.45, 0.30], variability_amplitude=0.0)
@@ -620,11 +620,11 @@ class TestFit:
             FreeParameters(model, ("sigma",))
 
     def test_ebm_parameters_can_move(self, toy_impulse, toy_forcing, toy_kernel, toy_agents):
-        model, builder, train = self._model_and_builder(
+        model, scenarios, train = self._model_and_scenarios(
             toy_impulse, toy_forcing, toy_kernel, toy_agents
         )
         result = fit_hyperparameters(
-            builder, train, model, free=("equilibrium_responses",),
+            scenarios, train, model, free=("equilibrium_responses",),
             restarts=0, max_iterations=5, seed=0,
         )
         assert result.model.impulse.equilibrium_responses.shape == (2,)
@@ -634,13 +634,13 @@ class TestFit:
         self, toy_impulse, toy_forcing, toy_kernel, toy_agents
     ):
         """Forcing sensitivities travel untransformed (they may be negative)
-        and the mixed analytic/finite-difference objective still improves."""
-        model, builder, train = self._model_and_builder(
+        and the objective still improves."""
+        model, scenarios, train = self._model_and_scenarios(
             toy_impulse, toy_forcing, toy_kernel, toy_agents
         )
-        initial = marginal_log_likelihood(builder(model), train)
+        initial = marginal_log_likelihood(build_prior_from_model(scenarios, model), train)
         result = fit_hyperparameters(
-            builder, train, model, free=("forcing", "sigma"),
+            scenarios, train, model, free=("forcing", "sigma"),
             restarts=0, max_iterations=10, seed=0,
         )
         assert result.mll >= initial - 1e-9
@@ -650,7 +650,7 @@ class TestFit:
     def test_nonfinite_data_raises(self, toy_impulse, toy_forcing, toy_kernel, toy_agents):
         from ebgp.errors import NonFinite
 
-        model, builder, train = self._model_and_builder(
+        model, scenarios, train = self._model_and_scenarios(
             toy_impulse, toy_forcing, toy_kernel, toy_agents
         )
         broken = dataclasses.replace(
@@ -658,7 +658,7 @@ class TestFit:
         )
         with pytest.raises(NonFinite):
             fit_hyperparameters(
-                builder, broken, model, free=("variance",),
+                scenarios, broken, model, free=("variance",),
                 restarts=0, max_iterations=5, seed=0,
             )
 
