@@ -10,7 +10,6 @@ from .ebm import (
     ImpulseParams,
     TimeGrid,
     build_feedback_matrix,
-    convolution_operator,
     diagonalize,
     forcing_response,
     thermal_response,
@@ -44,7 +43,6 @@ from .scenario import (
     assemble_training_set,
     load_scenario,
     save_scenario,
-    to_anomaly,
 )
 from .spatial import (
     PatternScalingMap,

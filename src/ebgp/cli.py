@@ -49,6 +49,7 @@ from .scenario import (
     assemble_training_set,
     cube_order,
     load_scenario,
+    read_spatial,
     read_table,
     read_truth,
 )
@@ -183,22 +184,18 @@ def cmd_query(args) -> int:
 def cmd_spatial_emulate(args) -> int:
     scenarios, train, prior, rows = _load_holdout(args)
 
-    train_scenarios = [s for s in scenarios if s.name != args.holdout]
-    for scen in train_scenarios:
-        if scen.spatial_temperature is None:
-            raise SchemaError(f"scenario '{scen.name}' carries no spatial temperatures")
-    grids = {(tuple(s.spatial_grid.latitudes), tuple(s.spatial_grid.longitudes))
-             for s in train_scenarios}
-    if len(grids) > 1:
+    # Only the training scenarios' companions are read.
+    training = [(scen, *read_spatial(path, scen.grid))
+                for path, scen in zip(args.scenario, scenarios) if scen.name != args.holdout]
+    if not training:
+        raise SchemaError("spatial-emulate needs at least one training scenario")
+    train_scenarios, grids, cubes = zip(*training)
+    if len({(tuple(g.latitudes), tuple(g.longitudes)) for g in grids}) > 1:
         raise SchemaError("training scenarios live on different spatial grids")
-    sgrid = train_scenarios[0].spatial_grid
+    sgrid = grids[0]
 
-    pattern = fit_pattern_scaling(
-        [s.global_temperature for s in train_scenarios],
-        [s.spatial_temperature for s in train_scenarios],
-        sgrid,
-    )
-    local = np.concatenate([s.spatial_temperature for s in train_scenarios], axis=0)
+    pattern = fit_pattern_scaling([s.global_temperature for s in train_scenarios], cubes, sgrid)
+    local = np.concatenate(cubes, axis=0)
     mean, variance = spatial_posterior(pattern, prior, train, local, rows)
 
     slope = pattern.slope[..., None]
@@ -209,14 +206,18 @@ def cmd_spatial_emulate(args) -> int:
         + pattern.residual_variance[..., None]
     )
     years = [prior.index[r][1] for r in rows]
-    out_rows = []
-    for i, lat in enumerate(sgrid.latitudes):
-        for j, lon in enumerate(sgrid.longitudes):
-            out_rows.extend(_interval_rows(
-                years, prior_mean[i, j], mean[i, j], std[i, j], prefix=(_fmt(lat), _fmt(lon))
-            ))
+    # Formatted cell by cell as the writer consumes them, so only one cell's
+    # rows are held in memory.
+    out_rows = (
+        row
+        for i, lat in enumerate(sgrid.latitudes)
+        for j, lon in enumerate(sgrid.longitudes)
+        for row in _interval_rows(
+            years, prior_mean[i, j], mean[i, j], std[i, j], prefix=(_fmt(lat), _fmt(lon))
+        )
+    )
     _write_csv(args.out, ["lat", "lon", *INTERVAL_HEADER], out_rows)
-    print(f"spatial-emulate: wrote {args.out} ({len(out_rows)} rows)")
+    print(f"spatial-emulate: wrote {args.out} ({mean.size} rows)")
     return EXIT_OK
 
 

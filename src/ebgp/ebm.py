@@ -275,13 +275,6 @@ def mode_series(impulse: ImpulseParams, grid: TimeGrid) -> tuple[np.ndarray, np.
     return q * (1.0 - decay) * power, q * (grid.step / d) * power * (lags * (1.0 - decay) - decay)
 
 
-def convolution_operator(impulse: ImpulseParams, box: int, grid: TimeGrid) -> np.ndarray:
-    """Lower-triangular Toeplitz operator of one mode's ``mode_series``: maps
-    an annual forcing series to the discrete response of that mode."""
-    col = mode_series(impulse, grid)[0][box]
-    return toeplitz(col, np.zeros_like(col))
-
-
 def temperature_operator(impulse: ImpulseParams, grid: TimeGrid) -> np.ndarray:
     """Sum of the per-mode convolution operators: maps forcing to temperature."""
     col = mode_series(impulse, grid)[0].sum(axis=0)

@@ -63,7 +63,3 @@ class GridError(EmulatorError):
 
 class UnknownScenario(EmulatorError):
     """A scenario name was requested that is not in the given set."""
-
-
-class EmptyWindow(EmulatorError):
-    """A baseline window does not overlap the series grid."""

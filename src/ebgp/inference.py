@@ -611,26 +611,21 @@ def fit_hyperparameters(
     scenarios: list[Scenario],
     train: TrainingSet,
     model: EmulatorModel,
-    free: tuple[str, ...] | None = None,
-    restarts: int | None = None,
-    max_iterations: int | None = None,
     seed: int = 0,
 ) -> FitResult:
-    """Maximise the marginal log-likelihood over the selected parameters.
+    """Maximise the marginal log-likelihood over the parameters ``model.fit`` frees.
 
     The prior covers ``scenarios``, which hold (at least) the training rows.
     Runs L-BFGS-B on log-transformed positive parameters, once from the
-    supplied model and ``restarts`` more times from perturbed starts.  The
-    trace records the best marginal log-likelihood seen after each objective
-    evaluation (failed or overflowing ones rejected) and never decreases.
+    supplied model and ``model.fit.restarts`` more times from perturbed
+    starts.  The trace records the best marginal log-likelihood seen after
+    each objective evaluation (failed or overflowing ones rejected) and never
+    decreases.
     """
     # Imported here: of all the commands only ``fit`` needs the optimizer.
     from scipy.optimize import minimize
 
-    free = tuple(free) if free is not None else model.fit.free
-    restarts = restarts if restarts is not None else model.fit.restarts
-    max_iterations = max_iterations if max_iterations is not None else model.fit.max_iterations
-
+    free = model.fit.free
     prior = build_prior_from_model(scenarios, model)
     if not free:
         mll = marginal_log_likelihood(prior, train)
@@ -662,7 +657,9 @@ def fit_hyperparameters(
     rng = np.random.default_rng(seed)
     theta0 = params.theta0
     starts = [theta0]
-    starts.extend(theta0 + rng.normal(scale=0.5, size=theta0.size) for _ in range(restarts))
+    starts.extend(
+        theta0 + rng.normal(scale=0.5, size=theta0.size) for _ in range(model.fit.restarts)
+    )
 
     best_theta = theta0
     best_value = -np.inf
@@ -672,7 +669,7 @@ def fit_hyperparameters(
             start,
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": max_iterations},
+            options={"maxiter": model.fit.max_iterations},
         )
         value = -result.fun if np.isfinite(result.fun) else -np.inf
         if value > best_value:

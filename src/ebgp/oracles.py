@@ -3,9 +3,10 @@
 Monte Carlo sampling of the forcing prior pushed through a fine-substep ODE
 integrator, Euler-Maruyama simulation of the noise responses, direct
 trapezoid quadrature of the covariance double integrals, a Monte Carlo CRPS
-estimator, a central finite-difference gradient checker, reference forms of
-the kernel and propagated Grams, the exact start-from-rest variability
-covariance, and the per-cell Cholesky form of the spatial posterior.
+estimator, a central finite-difference gradient checker, the per-mode
+convolution operators, reference forms of the kernel and propagated Grams,
+the exact start-from-rest variability covariance, and the per-cell Cholesky
+form of the spatial posterior.
 
 These routines back the test and acceptance suites and the ``verify`` CLI
 command; production inference never calls them.  Everything is
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from . import ebm, kernels
 from .ebm import BoxModelParams, ImpulseParams, TimeGrid
@@ -47,6 +49,13 @@ def matern(x: np.ndarray, y: np.ndarray, config: KernelConfig) -> float:
         return config.variance * np.exp(-r)
     u = kernels.SQRT3 * r
     return config.variance * (1.0 + u) * np.exp(-u)
+
+
+def convolution_operator(impulse: ImpulseParams, box: int, grid: TimeGrid) -> np.ndarray:
+    """Lower-triangular Toeplitz operator of one mode's ``ebm.mode_series``:
+    maps an annual forcing series to the discrete response of that mode."""
+    col = ebm.mode_series(impulse, grid)[0][box]
+    return toeplitz(col, np.zeros_like(col))
 
 
 def thermal_cross_gram(k: np.ndarray, op_i: np.ndarray, op_j: np.ndarray) -> np.ndarray:

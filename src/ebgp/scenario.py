@@ -1,5 +1,5 @@
-"""Scenario data model, CSV ingestion and validation, anomaly baselining and
-training-set assembly.
+"""Scenario data model, CSV ingestion and validation, and training-set
+assembly.
 
 File format (UTF-8 CSV with a header row):
 
@@ -13,7 +13,9 @@ cumulative are accumulated at ingestion.  ``cumulative_emission:`` columns
 are stored as-is, and are what ``save_scenario`` writes for cumulative
 agents so that a save/load round trip is exact.  Spatial temperature cubes
 live in a companion long-format CSV ``<stem>_spatial.csv`` with columns
-lat, lon, year, tas.  Floats are written with full round-trip precision.
+lat, lon, year, tas; ``load_scenario`` reads the main file only, and
+``read_spatial`` reads a companion for the commands that use one.  Floats are
+written with full round-trip precision.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 from .ebm import TimeGrid
 from .errors import (
     CompatibilityError,
-    EmptyWindow,
     GridError,
     GridMismatch,
     ParseError,
@@ -161,27 +162,16 @@ class Standardization:
 class TrainingSet:
     """Stacked multi-scenario training data for Gaussian-process inference.
 
-    ``index`` locates each row as a (scenario name, year) pair;
-    ``boundaries`` records the contiguous [start, stop) slice of each
-    scenario in declared order.
+    ``index`` locates each row as a (scenario name, year) pair.
     """
 
     temperatures: np.ndarray
-    emissions: np.ndarray
-    times: np.ndarray
     index: list[tuple[str, int]]
-    boundaries: list[tuple[str, int, int]]
     standardization: Standardization | None = None
 
     @property
     def n(self) -> int:
         return self.temperatures.size
-
-    def rows_for(self, name: str) -> slice:
-        for scen, start, stop in self.boundaries:
-            if scen == name:
-                return slice(start, stop)
-        raise UnknownScenario(f"scenario '{name}' is not in the training set")
 
 
 def read_table(path, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -304,17 +294,9 @@ def spatial_companion_path(path) -> Path:
     return path.with_name(path.stem + "_spatial" + path.suffix)
 
 
-def load_scenario(
-    path,
-    agents: list[AgentSpec],
-    name: str | None = None,
-    spatial_path=None,
-) -> Scenario:
-    """Load and validate one scenario CSV.
-
-    The spatial companion file is read when ``spatial_path`` is given or when
-    ``<stem>_spatial.csv`` exists next to the main file.
-    """
+def load_scenario(path, agents: list[AgentSpec]) -> Scenario:
+    """Load and validate one scenario CSV, named after its stem.  The spatial
+    companion is not read (see ``read_spatial``)."""
     path = Path(path)
 
     def columns(header):
@@ -361,33 +343,31 @@ def load_scenario(
         if f"concentration:{spec.name}" in data
     }
 
-    companion = spatial_companion_path(path) if spatial_path is None else Path(spatial_path)
-    spatial_grid = cube = None
-    if companion.exists():
-        spatial_grid, cube = _load_spatial(companion, grid)
-    elif spatial_path is not None:
-        raise SchemaError(f"{companion}: spatial file not found")
-
     return Scenario(
-        name=name if name is not None else path.stem,
+        name=path.stem,
         grid=grid,
         emissions=emissions,
         concentrations=concentrations or None,
         global_temperature=data.get("tas_global"),
-        spatial_temperature=cube,
-        spatial_grid=spatial_grid,
     )
 
 
-def _load_spatial(path: Path, grid: TimeGrid) -> tuple[SpatialGrid, np.ndarray]:
+def read_spatial(path, grid: TimeGrid) -> tuple[SpatialGrid, np.ndarray]:
+    """The spatial grid and (year, lat, lon) temperature cube of the scenario
+    at ``path``, read from its ``<stem>_spatial.csv`` companion on ``grid``."""
+    companion = spatial_companion_path(path)
+    if not companion.exists():
+        raise SchemaError(f"{companion}: spatial file not found")
+
     def columns(header):
         if header != ["lat", "lon", "year", "tas"]:
-            raise SchemaError(f"{path}: expected columns lat, lon, year, tas")
+            raise SchemaError(f"{companion}: expected columns lat, lon, year, tas")
         return header
 
-    lines, data = read_table(path, columns)
+    lines, data = read_table(companion, columns)
     years = grid.years().astype(int)
-    (lats, lons), order = cube_order(path, lines, (data["lat"], data["lon"]), data["year"], years)
+    coords = (data["lat"], data["lon"])
+    (lats, lons), order = cube_order(companion, lines, coords, data["year"], years)
     cube = data["tas"][order].reshape(lats.size, lons.size, years.size)
     return SpatialGrid(lats, lons), np.ascontiguousarray(np.moveaxis(cube, -1, 0))
 
@@ -407,15 +387,13 @@ def read_truth(path, spatial: bool) -> tuple[list[np.ndarray], np.ndarray, np.nd
     grid = _grid_from_years(data["year"].astype(int).tolist(), path)
     if not spatial:
         return [], data["year"], data["tas_global"]
-    companion = spatial_companion_path(path)
-    if not companion.exists():
-        raise SchemaError(f"{companion}: spatial truth file not found")
-    sgrid, cube = _load_spatial(companion, grid)
+    sgrid, cube = read_spatial(path, grid)
     return [sgrid.latitudes, sgrid.longitudes], data["year"], np.moveaxis(cube, 0, -1)
 
 
 def save_scenario(scenario: Scenario, path, agents: list[AgentSpec]) -> None:
-    """Write a scenario back to CSV; exact inverse of load_scenario."""
+    """Write a scenario back to CSV, and its spatial cube to the companion;
+    exact inverse of load_scenario and read_spatial."""
     path = Path(path)
     header = ["year"]
     for spec in agents:
@@ -457,23 +435,6 @@ def save_scenario(scenario: Scenario, path, agents: list[AgentSpec]) -> None:
                         )
 
 
-def to_anomaly(series: np.ndarray, grid: TimeGrid, window: tuple[int, int]) -> np.ndarray:
-    """Subtract the mean of the series over the year window [start, end], inclusive."""
-    series = np.asarray(series, dtype=float)
-    years = grid.years()
-    start, end = window
-    mask = (years >= start) & (years <= end)
-    if not np.any(mask):
-        raise EmptyWindow(f"baseline window {start}-{end} does not overlap the grid")
-    return series - series[mask].mean()
-
-
-def default_baseline(grid: TimeGrid, length: int = 50) -> tuple[int, int]:
-    """First ``length`` years of the grid, the documented default baseline."""
-    years = grid.years().astype(int)
-    return int(years[0]), int(years[min(length, grid.n_steps) - 1])
-
-
 def assemble_training_set(
     scenarios: list[Scenario],
     holdout: tuple[str, ...] = (),
@@ -504,38 +465,17 @@ def assemble_training_set(
 
     temps: list[np.ndarray] = []
     rows: list[np.ndarray] = []
-    times: list[np.ndarray] = []
     index: list[tuple[str, int]] = []
-    boundaries: list[tuple[str, int, int]] = []
-    cursor = 0
     for s in kept:
         if s.global_temperature is None:
             raise SchemaError(f"training scenario '{s.name}' has no tas_global series")
-        n = s.grid.n_steps
         temps.append(np.asarray(s.global_temperature, dtype=float))
         rows.append(s.emission_matrix(agents))
-        times.append(s.grid.years())
         index.extend((s.name, int(y)) for y in s.grid.years().astype(int))
-        boundaries.append((s.name, cursor, cursor + n))
-        cursor += n
-
-    if kept:
-        temperatures = np.concatenate(temps)
-        emissions = np.vstack(rows)
-        stacked_times = np.concatenate(times)
-        standardization = Standardization.from_rows(emissions)
-    else:
-        temperatures = np.empty(0)
-        emissions = np.empty((0, len(agents)))
-        stacked_times = np.empty(0)
-        standardization = None
 
     train = TrainingSet(
-        temperatures=temperatures,
-        emissions=emissions,
-        times=stacked_times,
+        temperatures=np.concatenate(temps) if kept else np.empty(0),
         index=index,
-        boundaries=boundaries,
-        standardization=standardization,
+        standardization=Standardization.from_rows(np.vstack(rows)) if kept else None,
     )
     return train, held

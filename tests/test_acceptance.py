@@ -27,6 +27,7 @@ from ebgp.ebm import (
 from ebgp.inference import (
     PARAMETER_NAMES,
     EmulatorModel,
+    FitSettings,
     FreeParameters,
     GPPrior,
     build_prior,
@@ -197,10 +198,7 @@ def test_criterion_05_posterior_exactness():
         train, prior, _, _ = _posterior_setup()
 
         # empty training set: posterior is the prior, exactly
-        empty = TrainingSet(
-            temperatures=np.empty(0), emissions=np.empty((0, 2)), times=np.empty(0),
-            index=[], boundaries=[],
-        )
+        empty = TrainingSet(temperatures=np.empty(0), index=[])
         rows = prior.rows_for_scenario("b")
         post = posterior_temperature(prior, empty, rows)
         assert np.max(np.abs(post.mean - prior.mean[rows])) <= 1e-12
@@ -260,10 +258,7 @@ def test_criterion_06_mll_and_gradients():
             cov = a @ a.T + n * np.eye(n)
             y = rng.normal(size=n)
             prior = _degenerate_prior(cov)
-            train = TrainingSet(
-                temperatures=y, emissions=np.zeros((n, 1)), times=np.arange(n, dtype=float),
-                index=list(prior.index), boundaries=[("x", 0, n)],
-            )
+            train = TrainingSet(temperatures=y, index=list(prior.index))
             mll = marginal_log_likelihood(prior, train)
             jitter = 1e-6 * np.mean(np.diag(cov))
             oracle = multivariate_normal.logpdf(
@@ -316,11 +311,9 @@ def test_criterion_07_hyperparameter_recovery():
             truth,
             impulse=dataclasses.replace(impulse_true, variability_amplitude=0.15),
             kernel=dataclasses.replace(kernel_true, lengthscales=np.array([3.0])),
+            fit=FitSettings(free=("lengthscales", "sigma"), restarts=2, max_iterations=150),
         )
-        result = fit_hyperparameters(
-            [s1, s2], train, start,
-            free=("lengthscales", "sigma"), restarts=2, max_iterations=150, seed=0,
-        )
+        result = fit_hyperparameters([s1, s2], train, start, seed=0)
         fitted_ell = result.model.kernel.lengthscales[0]
         fitted_sigma = result.model.impulse.variability_amplitude
         assert abs(fitted_ell - true_ell) <= 0.2 * true_ell

@@ -303,12 +303,16 @@ def _edit_csv(path, line, column, value):
 
 class TestInputValidation:
     """Bad scenario values are rejected where they are read, naming the file,
-    line and column, with exit code 2."""
+    line and column, with exit code 2.  Spatial companions are read by
+    ``spatial-emulate`` (training scenarios) and ``evaluate`` (truth) only."""
 
-    def emulate(self, workspace):
+    def emulate(self, workspace, command="emulate"):
         tmp, config, paths = workspace
-        return main(["emulate", "--model", str(config), "--scenario", *paths,
+        return main([command, "--model", str(config), "--scenario", *paths,
                      "--holdout", "target", "--out", str(tmp / "x.csv")])
+
+    def spatial_emulate(self, workspace):
+        return self.emulate(workspace, "spatial-emulate")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_scenario_value(self, workspace, capsys, value):
@@ -320,7 +324,7 @@ class TestInputValidation:
     def test_nonfinite_spatial_value(self, workspace, capsys):
         tmp, _, _ = workspace
         _edit_csv(tmp / "mid_spatial.csv", 7, "tas", "-inf")
-        assert self.emulate(workspace) == 2
+        assert self.spatial_emulate(workspace) == 2
         assert "mid_spatial.csv: line 7, column 'tas'" in capsys.readouterr().err
 
     def test_duplicate_spatial_row(self, workspace, capsys):
@@ -329,13 +333,13 @@ class TestInputValidation:
         rows = spatial.read_text().splitlines()
         duplicate = rows[1].split(",")[:3] + ["99.0"]
         spatial.write_text("\n".join(rows + [",".join(duplicate)]) + "\n")
-        assert self.emulate(workspace) == 2
+        assert self.spatial_emulate(workspace) == 2
         assert f"hist_spatial.csv: line {len(rows) + 1}: duplicate" in capsys.readouterr().err
 
     def test_spatial_year_off_the_grid(self, workspace, capsys):
         tmp, _, _ = workspace
         _edit_csv(tmp / "hist_spatial.csv", 3, "year", "2050")
-        assert self.emulate(workspace) == 2
+        assert self.spatial_emulate(workspace) == 2
         assert "hist_spatial.csv: line 3: year 2050" in capsys.readouterr().err
 
     def test_short_spatial_row(self, workspace, capsys):
@@ -344,7 +348,7 @@ class TestInputValidation:
         rows = spatial.read_text().splitlines()
         rows[5] = ",".join(rows[5].split(",")[:3])
         spatial.write_text("\n".join(rows) + "\n")
-        assert self.emulate(workspace) == 2
+        assert self.spatial_emulate(workspace) == 2
         assert "hist_spatial.csv: line 6: expected 4 fields, found 3" in capsys.readouterr().err
 
     def test_spatial_grids_differ_in_shape(self, workspace, capsys):
@@ -489,6 +493,85 @@ class TestSpatialEmulate:
         assert len(rows) == 2 * 2 * 30
         cells = {(row["lat"], row["lon"]) for row in rows}
         assert len(cells) == 4
+
+
+class TestSpatialCompanions:
+    """A ``_spatial.csv`` companion is read by ``spatial-emulate`` for the
+    training scenarios and by ``evaluate`` for a spatial truth, and by no
+    other command."""
+
+    MALFORMED = "lat,lon,year,tas\n0.0,0.0,oops\n"
+
+    def run(self, workspace, capsys, command, holdout="target"):
+        """Exit code, stdout, stderr and output bytes of ``command`` over the
+        workspace scenarios."""
+        tmp, config, paths = workspace
+        out = tmp / f"{command}.out"
+        source = "--config" if command == "fit" else "--model"
+        rc = main([command, source, str(config), "--scenario", *paths,
+                   "--holdout", holdout, "--out", str(out)])
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err, out.read_bytes() if rc == 0 else None
+
+    @pytest.mark.parametrize("command", ["fit", "emulate", "forcing", "sample"])
+    def test_global_commands_ignore_malformed_companions(self, workspace, capsys, command):
+        tmp, _, _ = workspace
+        before = self.run(workspace, capsys, command)
+        assert before[0] == 0
+        for name in ("hist", "mid", "target"):
+            (tmp / f"{name}_spatial.csv").write_text(self.MALFORMED)
+        assert self.run(workspace, capsys, command) == before
+
+    def test_held_out_companion_is_not_read(self, workspace, capsys):
+        tmp, _, _ = workspace
+        before = self.run(workspace, capsys, "spatial-emulate")
+        assert before[0] == 0
+        companion = tmp / "target_spatial.csv"
+        companion.write_text(self.MALFORMED)
+        assert self.run(workspace, capsys, "spatial-emulate") == before
+        companion.unlink()
+        assert self.run(workspace, capsys, "spatial-emulate") == before
+
+    def test_missing_training_companion_exits_2(self, workspace, capsys):
+        tmp, _, _ = workspace
+        (tmp / "mid_spatial.csv").unlink()
+        rc, _, err, _ = self.run(workspace, capsys, "spatial-emulate")
+        assert rc == 2
+        assert "mid_spatial.csv: spatial file not found" in err
+
+    def test_spatial_emulate_without_training_exits_2(self, workspace, capsys):
+        tmp, config, paths = workspace
+        target = [p for p in paths if p.endswith("target.csv")]
+        rc = main(["spatial-emulate", "--model", str(config), "--scenario", *target,
+                   "--holdout", "target", "--out", str(tmp / "x.csv")])
+        assert rc == 2
+        assert "at least one training scenario" in capsys.readouterr().err
+
+    def test_each_command_reads_only_what_it_uses(self, workspace, capsys, monkeypatch):
+        """The name of every file ``scenario.read_table`` opens, per command."""
+        from ebgp import cli, scenario
+
+        tmp, _, _ = workspace
+        opened = []
+
+        def recording(path, columns, _read=scenario.read_table):
+            opened.append(Path(path).name)
+            return _read(path, columns)
+
+        monkeypatch.setattr(scenario, "read_table", recording)
+        monkeypatch.setattr(cli, "read_table", recording)
+        scenarios = ["hist.csv", "mid.csv", "target.csv"]
+        for command in ("fit", "emulate", "forcing", "sample"):
+            opened.clear()
+            assert self.run(workspace, capsys, command)[0] == 0
+            assert opened == scenarios
+        opened.clear()
+        assert self.run(workspace, capsys, "spatial-emulate")[0] == 0
+        assert opened == [*scenarios, "hist_spatial.csv", "mid_spatial.csv"]
+        opened.clear()
+        assert main(["evaluate", "--predictions", str(tmp / "spatial-emulate.out"),
+                     "--scenario", str(tmp / "target.csv"), "--out", str(tmp / "s.csv")]) == 0
+        assert opened == ["spatial-emulate.out", "target.csv", "target_spatial.csv"]
 
 
 class TestEvaluate:

@@ -9,7 +9,6 @@ from ebgp.ebm import (
     ImpulseParams,
     TimeGrid,
     build_feedback_matrix,
-    convolution_operator,
     diagonalization,
     diagonalize,
     forcing_feedback_vector,
@@ -19,7 +18,7 @@ from ebgp.ebm import (
     thermal_response,
 )
 from ebgp.errors import NonDiagonalizable, NonPositiveConcentration
-from ebgp.oracles import rk4_box_temperature, rk4_impulse_temperature
+from ebgp.oracles import convolution_operator, rk4_box_temperature, rk4_impulse_temperature
 
 def _random_box(rng, k=None):
     k = k if k is not None else int(rng.integers(1, 4))

@@ -10,6 +10,7 @@ from ebgp.errors import GridMismatch, SingularGram
 from ebgp.inference import (
     PARAMETER_NAMES,
     EmulatorModel,
+    FitSettings,
     FreeParameters,
     GPPrior,
     PosteriorDistribution,
@@ -237,10 +238,7 @@ class TestBlockedPrior:
 class TestPosteriorTemperature:
     def test_empty_training_returns_prior(self, setup):
         _, s2, _, prior = setup
-        empty = TrainingSet(
-            temperatures=np.empty(0), emissions=np.empty((0, 2)), times=np.empty(0),
-            index=[], boundaries=[],
-        )
+        empty = TrainingSet(temperatures=np.empty(0), index=[])
         rows = prior.rows_for_scenario("b")
         post = posterior_temperature(prior, empty, rows)
         np.testing.assert_array_equal(post.mean, prior.mean[rows])
@@ -271,9 +269,8 @@ class TestPosteriorTemperature:
         computed by hand from the Gram entries."""
         _, _, train, prior = setup
         one = TrainingSet(
-            temperatures=train.temperatures[:1], emissions=train.emissions[:1],
-            times=train.times[:1], index=train.index[:1],
-            boundaries=[("a", 0, 1)], standardization=train.standardization,
+            temperatures=train.temperatures[:1], index=train.index[:1],
+            standardization=train.standardization,
         )
         test_row = prior.rows_for_scenario("b")[5:6]
         post = posterior_temperature(prior, one, test_row)
@@ -303,9 +300,8 @@ class TestPosteriorTemperature:
         """Conditioning on more observations never increases the variance."""
         _, _, train, prior = setup
         half = TrainingSet(
-            temperatures=train.temperatures[:20], emissions=train.emissions[:20],
-            times=train.times[:20], index=train.index[:20],
-            boundaries=[("a", 0, 20)], standardization=train.standardization,
+            temperatures=train.temperatures[:20], index=train.index[:20],
+            standardization=train.standardization,
         )
         rows = prior.rows_for_scenario("b")
         var_half = np.diag(posterior_temperature(prior, half, rows).covariance)
@@ -335,10 +331,7 @@ class TestPosteriorTemperature:
 class TestPosteriorForcing:
     def test_empty_training_returns_prior(self, setup):
         _, _, _, prior = setup
-        empty = TrainingSet(
-            temperatures=np.empty(0), emissions=np.empty((0, 2)), times=np.empty(0),
-            index=[], boundaries=[],
-        )
+        empty = TrainingSet(temperatures=np.empty(0), index=[])
         rows = prior.rows_for_scenario("b")
         post = posterior_forcing(prior, empty, rows)
         np.testing.assert_array_equal(post.mean, prior.forcing_mean[rows])
@@ -366,9 +359,8 @@ class TestPosteriorForcing:
     def test_single_point_scalar_algebra(self, setup):
         _, _, train, prior = setup
         one = TrainingSet(
-            temperatures=train.temperatures[:1], emissions=train.emissions[:1],
-            times=train.times[:1], index=train.index[:1],
-            boundaries=[("a", 0, 1)], standardization=train.standardization,
+            temperatures=train.temperatures[:1], index=train.index[:1],
+            standardization=train.standardization,
         )
         test_row = np.array([3])
         post = posterior_forcing(prior, one, test_row)
@@ -403,13 +395,9 @@ class TestMarginalLogLikelihood:
         )
 
     def _train(self, values):
-        n = len(values)
         return TrainingSet(
             temperatures=np.asarray(values, dtype=float),
-            emissions=np.zeros((n, 1)),
-            times=np.arange(n, dtype=float),
-            index=[("x", 2000 + i) for i in range(n)],
-            boundaries=[("x", 0, n)],
+            index=[("x", 2000 + i) for i in range(len(values))],
         )
 
     def test_single_point_unit_variance(self):
@@ -441,10 +429,7 @@ class TestMarginalLogLikelihood:
 
     def test_empty_training_set(self):
         prior = self._prior_from_cov(np.eye(2))
-        empty = TrainingSet(
-            temperatures=np.empty(0), emissions=np.empty((0, 1)), times=np.empty(0),
-            index=[], boundaries=[],
-        )
+        empty = TrainingSet(temperatures=np.empty(0), index=[])
         assert marginal_log_likelihood(prior, empty) == 0.0
 
     def test_scenario_order_invariance(self, toy_impulse, toy_forcing, toy_kernel, toy_agents):
@@ -542,9 +527,10 @@ class TestFit:
         model, scenarios, train = self._model_and_scenarios(
             toy_impulse, toy_forcing, toy_kernel, toy_agents
         )
-        result = fit_hyperparameters(scenarios, train, model, free=())
+        fixed = dataclasses.replace(model, fit=FitSettings(free=()))
+        result = fit_hyperparameters(scenarios, train, fixed)
         assert result.evaluations == 0
-        assert result.model is model
+        assert result.model is fixed
         assert len(result.trace) == 1
 
     def test_trace_nondecreasing_and_final_at_least_initial(
@@ -554,10 +540,10 @@ class TestFit:
             toy_impulse, toy_forcing, toy_kernel, toy_agents
         )
         initial = marginal_log_likelihood(build_prior_from_model(scenarios, model), train)
-        result = fit_hyperparameters(
-            scenarios, train, model, free=("lengthscales", "variance", "sigma"),
-            restarts=1, max_iterations=30, seed=0,
-        )
+        model = dataclasses.replace(model, fit=FitSettings(
+            free=("lengthscales", "variance", "sigma"), restarts=1, max_iterations=30
+        ))
+        result = fit_hyperparameters(scenarios, train, model, seed=0)
         finite = [t for t in result.trace if np.isfinite(t)]
         assert np.all(np.diff(finite) >= 0)
         assert result.mll >= initial - 1e-9
@@ -603,10 +589,10 @@ class TestFit:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(kernels, name, counted)
-        result = fit_hyperparameters(
-            scenarios, train, model, free=("timescales", "sigma"),
-            restarts=0, max_iterations=3, seed=0,
+        model = dataclasses.replace(
+            model, fit=FitSettings(free=("timescales", "sigma"), restarts=0, max_iterations=3)
         )
+        result = fit_hyperparameters(scenarios, train, model, seed=0)
         assert result.evaluations > 0
         assert calls["forcing_gram_gradients"] == result.evaluations
         assert calls["forcing_gram"] <= 1
@@ -623,10 +609,10 @@ class TestFit:
         model, scenarios, train = self._model_and_scenarios(
             toy_impulse, toy_forcing, toy_kernel, toy_agents
         )
-        result = fit_hyperparameters(
-            scenarios, train, model, free=("equilibrium_responses",),
-            restarts=0, max_iterations=5, seed=0,
+        model = dataclasses.replace(
+            model, fit=FitSettings(free=("equilibrium_responses",), restarts=0, max_iterations=5)
         )
+        result = fit_hyperparameters(scenarios, train, model, seed=0)
         assert result.model.impulse.equilibrium_responses.shape == (2,)
         assert np.isfinite(result.mll)
 
@@ -639,10 +625,10 @@ class TestFit:
             toy_impulse, toy_forcing, toy_kernel, toy_agents
         )
         initial = marginal_log_likelihood(build_prior_from_model(scenarios, model), train)
-        result = fit_hyperparameters(
-            scenarios, train, model, free=("forcing", "sigma"),
-            restarts=0, max_iterations=10, seed=0,
+        model = dataclasses.replace(
+            model, fit=FitSettings(free=("forcing", "sigma"), restarts=0, max_iterations=10)
         )
+        result = fit_hyperparameters(scenarios, train, model, seed=0)
         assert result.mll >= initial - 1e-9
         assert result.model.forcing["so2"].alpha_lin != toy_forcing["so2"].alpha_lin \
             or result.model.impulse.variability_amplitude != toy_impulse.variability_amplitude
@@ -656,11 +642,11 @@ class TestFit:
         broken = dataclasses.replace(
             train, temperatures=np.full_like(train.temperatures, np.nan)
         )
+        model = dataclasses.replace(
+            model, fit=FitSettings(free=("variance",), restarts=0, max_iterations=5)
+        )
         with pytest.raises(NonFinite):
-            fit_hyperparameters(
-                scenarios, broken, model, free=("variance",),
-                restarts=0, max_iterations=5, seed=0,
-            )
+            fit_hyperparameters(scenarios, broken, model, seed=0)
 
 
 class TestCholeskyLadder:

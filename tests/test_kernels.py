@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from ebgp.ebm import ImpulseParams, TimeGrid, convolution_operator, temperature_operator
+from ebgp.ebm import ImpulseParams, TimeGrid, temperature_operator
 from ebgp.errors import DimensionMismatch
 from ebgp.inference import cholesky_with_jitter
 from ebgp.kernels import (
@@ -14,6 +14,7 @@ from ebgp.kernels import (
     variability_weights,
 )
 from ebgp.oracles import (
+    convolution_operator,
     exact_variability_gram,
     forcing_temperature_cross_gram,
     matern,

@@ -4,23 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebgp.ebm import TimeGrid
-from ebgp.errors import (
-    EmptyWindow,
-    GridError,
-    ParseError,
-    SchemaError,
-    UnknownScenario,
-)
+from ebgp.errors import GridError, ParseError, SchemaError, UnknownScenario
 from ebgp.scenario import (
     AgentSpec,
     Scenario,
     SpatialGrid,
     Standardization,
     assemble_training_set,
-    default_baseline,
     load_scenario,
+    read_spatial,
     save_scenario,
-    to_anomaly,
 )
 
 AGENTS = [AgentSpec("co2", "cumulative_emission", "GtC"), AgentSpec("so2", "emission", "Mt")]
@@ -106,7 +99,8 @@ class TestRoundTrip:
         )
         path = tmp_path / "round.csv"
         save_scenario(scen, path, AGENTS)
-        back = load_scenario(path, AGENTS, name="round")
+        back = load_scenario(path, AGENTS)
+        assert back.name == "round"
         np.testing.assert_array_equal(back.emissions["co2"], scen.emissions["co2"])
         np.testing.assert_array_equal(back.emissions["so2"], scen.emissions["so2"])
         np.testing.assert_array_equal(back.concentrations["co2"], scen.concentrations["co2"])
@@ -136,12 +130,14 @@ class TestRoundTrip:
         np.testing.assert_array_equal(back.global_temperature, scen.global_temperature)
 
     def test_missing_explicit_spatial_path(self, tmp_path):
+        """Reading the companion of a scenario that has none names the file."""
         path = write(
             tmp_path / "s.csv",
             "year,emission:co2,emission:so2\n2000,1.0,0.5\n2001,2.0,0.5\n",
         )
-        with pytest.raises(SchemaError, match="spatial"):
-            load_scenario(path, AGENTS, spatial_path=tmp_path / "nope.csv")
+        grid = load_scenario(path, AGENTS).grid
+        with pytest.raises(SchemaError, match="s_spatial.csv: spatial file not found"):
+            read_spatial(path, grid)
 
     def test_spatial_round_trip(self, tmp_path):
         grid = TimeGrid(2000, 3)
@@ -158,40 +154,11 @@ class TestRoundTrip:
         )
         path = tmp_path / "sp.csv"
         save_scenario(scen, path, AGENTS)
-        back = load_scenario(path, AGENTS)
-        np.testing.assert_array_equal(back.spatial_temperature, cube)
-        np.testing.assert_array_equal(back.spatial_grid.latitudes, sgrid.latitudes)
-
-
-class TestAnomaly:
-    def test_constant_series(self):
-        grid = TimeGrid(1900, 10)
-        np.testing.assert_array_equal(
-            to_anomaly(np.full(10, 3.3), grid, (1900, 1909)), 0.0
-        )
-
-    def test_full_window_zero_mean(self):
-        grid = TimeGrid(1900, 8)
-        rng = np.random.default_rng(1)
-        out = to_anomaly(rng.normal(size=8), grid, (1900, 1907))
-        assert abs(out.mean()) <= 1e-12
-
-    @settings(max_examples=30, deadline=None)
-    @given(values=st.lists(st.floats(-10, 10), min_size=6, max_size=20))
-    def test_window_mean_removed(self, values):
-        grid = TimeGrid(1900, len(values))
-        out = to_anomaly(np.array(values), grid, (1902, 1904))
-        assert abs(out[2:5].mean()) <= 1e-12
-
-    def test_empty_window(self):
-        grid = TimeGrid(1900, 5)
-        with pytest.raises(EmptyWindow):
-            to_anomaly(np.zeros(5), grid, (1800, 1850))
-
-    def test_default_baseline(self):
-        grid = TimeGrid(1850, 200)
-        assert default_baseline(grid) == (1850, 1899)
-        assert default_baseline(TimeGrid(1850, 10)) == (1850, 1859)
+        assert load_scenario(path, AGENTS).spatial_temperature is None
+        back_grid, back_cube = read_spatial(path, grid)
+        np.testing.assert_array_equal(back_cube, cube)
+        np.testing.assert_array_equal(back_grid.latitudes, sgrid.latitudes)
+        np.testing.assert_array_equal(back_grid.longitudes, sgrid.longitudes)
 
 
 class TestAssemble:
@@ -204,7 +171,7 @@ class TestAssemble:
         train, held = assemble_training_set(scens, holdout=("b",))
         assert train.n == 30
         assert [h.name for h in held] == ["b"]
-        assert train.boundaries == [("a", 0, 10), ("c", 10, 30)]
+        assert [name for name, _ in train.index] == ["a"] * 10 + ["c"] * 20
         assert train.index[0] == ("a", 1900)
         assert train.index[-1] == ("c", 1919)
 
@@ -234,7 +201,8 @@ class TestAssemble:
             scenario_factory("b", 25, temperature=np.zeros(25), seed=3),
         ]
         train, _ = assemble_training_set(scens)
-        standardized = train.standardization.apply(train.emissions)
+        rows = np.vstack([s.emission_matrix() for s in scens])
+        standardized = train.standardization.apply(rows)
         np.testing.assert_allclose(standardized.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(standardized.std(axis=0), 1.0, atol=1e-10)
 
@@ -249,15 +217,7 @@ class TestAssemble:
         ]
         t1, _ = assemble_training_set(scens)
         t2, _ = assemble_training_set(scens)
-        np.testing.assert_array_equal(t1.emissions, t2.emissions)
+        np.testing.assert_array_equal(t1.temperatures, t2.temperatures)
+        np.testing.assert_array_equal(t1.standardization.mean, t2.standardization.mean)
+        np.testing.assert_array_equal(t1.standardization.std, t2.standardization.std)
         assert t1.index == t2.index
-
-    def test_rows_for(self, scenario_factory):
-        scens = [
-            scenario_factory("a", 10, temperature=np.zeros(10)),
-            scenario_factory("b", 10, temperature=np.zeros(10), seed=1),
-        ]
-        train, _ = assemble_training_set(scens)
-        assert train.rows_for("b") == slice(10, 20)
-        with pytest.raises(UnknownScenario):
-            train.rows_for("zz")

@@ -181,10 +181,7 @@ class TestSpatialPosterior:
             residual_variance=np.zeros(GRID.shape),
             grid=GRID,
         )
-        empty = TrainingSet(
-            temperatures=np.empty(0), emissions=np.empty((0, 2)), times=np.empty(0),
-            index=[], boundaries=[],
-        )
+        empty = TrainingSet(temperatures=np.empty(0), index=[])
         rows = np.arange(prior.n)
         local = np.empty((0, *GRID.shape))
         for cell in oracle_field(pattern, prior, empty, local, rows).values():
