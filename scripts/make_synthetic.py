@@ -183,7 +183,8 @@ def main() -> None:
 
     # True forcing path per the generating sensitivities, plus a joint
     # stochastic texture correlated across scenarios through emissions.
-    true_prior = build_prior(scenarios, IMPULSE, TRUE_FORCING, TEXTURE, agents=AGENTS)
+    truth = EmulatorModel(agents=AGENTS, impulse=IMPULSE, forcing=TRUE_FORCING, kernel=TEXTURE)
+    true_prior = build_prior(scenarios, truth)
     eigvals, eigvecs = np.linalg.eigh(true_prior.forcing_gram)
     root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
     forcing_texture = root @ rng.standard_normal(true_prior.n)

@@ -21,7 +21,6 @@ from .inference import (
     GPPrior,
     PosteriorDistribution,
     build_prior,
-    build_prior_from_model,
     condition,
     fit_hyperparameters,
     marginal_log_likelihood,

@@ -27,7 +27,7 @@ from .errors import (
     SingularGram,
 )
 from .inference import (
-    build_prior_from_model,
+    build_prior,
     fit_hyperparameters,
     posterior_forcing,
     posterior_temperature,
@@ -94,12 +94,12 @@ def cmd_fit(args) -> int:
     train_scenarios = [s for s in scenarios if s.name not in holdout]
 
     if not model.fit.free:
-        save_model(model, args.out)
+        message = "fit: all parameters fixed"
         if train.n > 0:
             mll = fit_hyperparameters(train_scenarios, train, _standardized(model, train)).mll
-            print(f"fit: all parameters fixed, mll={mll:.6f}")
-        else:
-            print("fit: all parameters fixed")
+            message += f", mll={mll:.6f}"
+        save_model(model, args.out)
+        print(message)
         print(f"fit: wrote {args.out}")
         return EXIT_OK
 
@@ -128,7 +128,7 @@ def _load_holdout(args):
     train, _ = assemble_training_set(
         scenarios, holdout=(args.holdout,), agents=model.agent_names
     )
-    prior = build_prior_from_model(scenarios, _standardized(model, train))
+    prior = build_prior(scenarios, _standardized(model, train))
     return scenarios, train, prior, prior.rows_for_scenario(args.holdout)
 
 
@@ -340,6 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--holdout", required=True,
                            help="scenario name to emulate (excluded from training)")
         p.add_argument("--out", required=True, help="output path")
+
+    def add_seed(p):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help=f"random seed (default {DEFAULT_SEED})")
 
@@ -348,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holdout", action="append", default=[], metavar="NAME",
                    help="scenario name to exclude from training (repeatable)")
     add_common(p, query=False)
+    add_seed(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("emulate", help="posterior temperature for a held-out scenario")
@@ -364,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw joint posterior samples")
     add_common(p)
+    add_seed(p)
     p.add_argument("--count", type=_draw_count, default=100, help="number of draws (>= 1)")
     p.set_defaults(func=cmd_query, query=_temperature, write=_write_samples)
 
@@ -377,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the oracle verification suite")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    add_seed(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

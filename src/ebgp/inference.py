@@ -70,7 +70,7 @@ class GPPrior:
     scenarios: only their blocks are kept, in row order, and only
     ``apply_response`` and ``variability`` read them.  ``forcing_gram`` is
     the kernel matrix K of the forcing path ``forcing_mean`` over the
-    (standardized) ``kernel_inputs``; ``physics_gram`` is the temperature
+    (standardized) emission rows; ``physics_gram`` is the temperature
     covariance L K L^T, propagated from K when not given.
     """
 
@@ -81,7 +81,6 @@ class GPPrior:
     forcing_gram: np.ndarray
     response_blocks: list[np.ndarray]
     variability_blocks: list[np.ndarray]
-    kernel_inputs: np.ndarray
     physics_gram: np.ndarray | None = None
 
     def __post_init__(self):
@@ -208,16 +207,17 @@ def scenario_forcing(
     return ebm.forcing_response(conc, forcing, scen.grid)
 
 
-def _prior_fields(scenarios, impulse, forcing, kernel, agents, standardization) -> dict:
-    """Every ``GPPrior`` field but the kernel matrix, scenario by scenario."""
+def _prior_fields(scenarios: list[Scenario], model: EmulatorModel) -> tuple[dict, np.ndarray]:
+    """Every ``GPPrior`` field but the kernel matrix, scenario by scenario,
+    and the kernel inputs: the stacked emission rows, standardized when the
+    kernel asks for it with the model's constants, or with constants fitted
+    on these rows when the model has none."""
     if not scenarios:
         raise GridMismatch("at least one scenario is required")
     steps = {s.grid.step for s in scenarios}
     if len(steps) > 1:
         raise GridMismatch(f"scenarios have inconsistent steps: {sorted(steps)}")
-    if agents is None:
-        agents = [AgentSpec(name) for name in scenarios[0].agent_names]
-    names = [a.name for a in agents]
+    impulse = model.impulse
 
     means = []
     forcings = []
@@ -226,39 +226,32 @@ def _prior_fields(scenarios, impulse, forcing, kernel, agents, standardization) 
     raw_inputs = []
     index: list[tuple[str, int]] = []
     for scen in scenarios:
-        f = scenario_forcing(scen, forcing, agents)
+        f = scenario_forcing(scen, model.forcing, model.agents)
         _, temp = ebm.thermal_response(f, impulse, scen.grid)
         means.append(temp)
         forcings.append(f)
         operators.append(ebm.temperature_operator(impulse, scen.grid))
         var_blocks.append(kernels.internal_variability_gram(impulse, scen.grid))
-        raw_inputs.append(scen.emission_matrix(names))
+        raw_inputs.append(scen.emission_matrix(model.agent_names))
         index.extend((scen.name, int(y)) for y in scen.grid.years().astype(int))
 
     x = np.vstack(raw_inputs)
-    if kernel.standardize_inputs:
-        st = standardization if standardization is not None else Standardization.from_rows(x)
-        x = st.apply(x)
-    return dict(
+    if model.kernel.standardize_inputs:
+        st = model.standardization
+        x = (st if st is not None else Standardization.from_rows(x)).apply(x)
+    fields = dict(
         mean=np.concatenate(means),
         sigma=impulse.variability_amplitude,
         index=index,
         forcing_mean=np.concatenate(forcings),
         response_blocks=operators,
         variability_blocks=var_blocks,
-        kernel_inputs=x,
     )
+    return fields, x
 
 
-def build_prior(
-    scenarios: list[Scenario],
-    impulse: ImpulseParams,
-    forcing: ForcingParams,
-    kernel: KernelConfig,
-    agents: list[AgentSpec] | None = None,
-    standardization: Standardization | None = None,
-) -> GPPrior:
-    """Assemble the prior over the stacked scenarios.
+def build_prior(scenarios: list[Scenario], model: EmulatorModel) -> GPPrior:
+    """Assemble the model's prior over the stacked scenarios.
 
     Per-scenario means come from the discrete thermal response of that
     scenario's forcing.  Physics blocks between scenarios a and b are
@@ -266,20 +259,8 @@ def build_prior(
     the variability covariance has one block per scenario because
     internal-variability realizations of distinct runs are independent.
     """
-    fields = _prior_fields(scenarios, impulse, forcing, kernel, agents, standardization)
-    x = fields["kernel_inputs"]
-    return GPPrior(**fields, forcing_gram=kernels.forcing_gram(x, x, kernel))
-
-
-def build_prior_from_model(scenarios: list[Scenario], model: EmulatorModel) -> GPPrior:
-    return build_prior(
-        scenarios,
-        model.impulse,
-        model.forcing,
-        model.kernel,
-        agents=model.agents,
-        standardization=model.standardization,
-    )
+    fields, x = _prior_fields(scenarios, model)
+    return GPPrior(**fields, forcing_gram=kernels.forcing_gram(x, x, model.kernel))
 
 
 def locate_rows(prior: GPPrior, index: Sequence[tuple[str, int]]) -> np.ndarray:
@@ -567,9 +548,8 @@ def mll_and_gradient(
     is as in ``factorise``; the optimizer freezes it at its start point.
     """
     impulse, sigma = model.impulse, model.impulse.variability_amplitude
-    fields = _prior_fields(scenarios, impulse, model.forcing, model.kernel, model.agents,
-                           model.standardization)
-    k_f, dk_dl, dk_dv = kernels.forcing_gram_gradients(fields["kernel_inputs"], model.kernel)
+    fields, x = _prior_fields(scenarios, model)
+    k_f, dk_dl = kernels.forcing_gram_gradients(x, model.kernel)
     prior = GPPrior(**fields, forcing_gram=k_f)
     conditioned = condition(prior, train, jitter)
 
@@ -582,7 +562,7 @@ def mll_and_gradient(
     alpha[pos] = conditioned.alpha
     b = prior.propagate(scattered, transpose=True)
     grad = {"lengthscales": [0.5 * np.sum(b * g) for g in dk_dl],
-            "variance": [0.5 * np.sum(b * dk_dv)],
+            "variance": [0.5 * np.sum(b * k_f)],
             "sigma": [sigma**2 * np.sum(w * prior.variability(pos))]}
     if {"timescales", "equilibrium_responses"} & set(free):
         lk = prior.apply_response(k_f)
@@ -626,9 +606,15 @@ def fit_hyperparameters(
     from scipy.optimize import minimize
 
     free = model.fit.free
-    prior = build_prior_from_model(scenarios, model)
+    prior = build_prior(scenarios, model)
     if not free:
-        mll = marginal_log_likelihood(prior, train)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                mll = marginal_log_likelihood(prior, train)
+        except FloatingPointError:
+            mll = np.nan
+        if not np.isfinite(mll):
+            raise NonFinite("marginal log-likelihood is not finite at the fixed parameters")
         return FitResult(model=model, trace=[mll], evaluations=0, mll=mll)
 
     params = FreeParameters(model, free)

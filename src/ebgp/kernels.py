@@ -2,8 +2,9 @@
 
 Matérn kernels with automatic relevance determination over emission inputs
 and the stationary internal-variability covariance.  The physics-propagated
-Grams are assembled in ``inference.build_prior``; their reference forms, and
-the exact start-from-rest variability covariance, live in ``oracles``.
+Grams are assembled in ``inference.build_prior(scenarios, model)`` from the
+model's kernel configuration; their reference forms, and the exact
+start-from-rest variability covariance, live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ class KernelConfig:
         return self.lengthscales.size
 
 
-def _sq_diffs(xa: np.ndarray, xb: np.ndarray, config: KernelConfig) -> np.ndarray:
-    """Per-dimension squared scaled differences, shape (d, n, m)."""
+def _sq_diffs(xa: np.ndarray, xb: np.ndarray, config: KernelConfig) -> list[np.ndarray]:
+    """Squared scaled differences, one (n, m) array per input dimension."""
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
     if xa.shape[1] != xb.shape[1]:
@@ -55,14 +56,13 @@ def _sq_diffs(xa: np.ndarray, xb: np.ndarray, config: KernelConfig) -> np.ndarra
         raise DimensionMismatch(
             f"{xa.shape[1]} input dimensions for {config.n_dims} lengthscales"
         )
-    diff = xa[:, None, :] - xb[None, :, :]
-    return np.moveaxis((diff / config.lengthscales) ** 2, -1, 0)
+    return [((a[:, None] - b[None, :]) / ell) ** 2
+            for a, b, ell in zip(xa.T, xb.T, config.lengthscales)]
 
 
 def forcing_gram(xa: np.ndarray, xb: np.ndarray, config: KernelConfig) -> np.ndarray:
     """Kernel matrix between two sets of emission input rows."""
-    sq = _sq_diffs(xa, xb, config)
-    r = np.sqrt(np.sum(sq, axis=0))
+    r = np.sqrt(sum(_sq_diffs(xa, xb, config)))
     if config.family == "matern12":
         return config.variance * np.exp(-r)
     u = SQRT3 * r
@@ -71,26 +71,23 @@ def forcing_gram(xa: np.ndarray, xb: np.ndarray, config: KernelConfig) -> np.nda
 
 def forcing_gram_gradients(
     x: np.ndarray, config: KernelConfig
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """Kernel matrix over one input set plus its log-parameter derivatives.
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Kernel matrix over one input set plus its log-lengthscale derivatives.
 
-    Returns (K, [dK/dlog lengthscale_chi ...], dK/dlog variance).  Used by the
-    marginal-likelihood optimizer; derivatives are with respect to the log of
-    each positive hyperparameter.
+    Returns (K, [dK/dlog lengthscale_chi ...]).  Used by the
+    marginal-likelihood optimizer; the derivative with respect to the log
+    variance is K itself.
     """
     sq = _sq_diffs(x, x, config)
-    r = np.sqrt(np.sum(sq, axis=0))
+    r = np.sqrt(sum(sq))
     v = config.variance
     if config.family == "matern12":
         k = v * np.exp(-r)
         # dK/dlog l = K * sq_chi / r, with the r -> 0 diagonal limit of zero
         safe_r = np.where(r > 0, r, 1.0)
-        grads = [np.where(r > 0, k * sq[c] / safe_r, 0.0) for c in range(config.n_dims)]
-    else:
-        e = np.exp(-SQRT3 * r)
-        k = v * (1.0 + SQRT3 * r) * e
-        grads = [3.0 * v * e * sq[c] for c in range(config.n_dims)]
-    return k, grads, k.copy()
+        return k, [np.where(r > 0, k * s / safe_r, 0.0) for s in sq]
+    e = np.exp(-SQRT3 * r)
+    return v * (1.0 + SQRT3 * r) * e, [3.0 * v * e * s for s in sq]
 
 
 def variability_weights(impulse: ebm.ImpulseParams) -> np.ndarray:

@@ -40,18 +40,6 @@ class ScoreReport:
             for name in SCORE_FIELDS
         ]
 
-    @classmethod
-    def from_csv_values(cls, values: list[str]) -> "ScoreReport":
-        if len(values) != len(SCORE_FIELDS):
-            raise LengthMismatch(
-                f"expected {len(SCORE_FIELDS)} score fields, got {len(values)}"
-            )
-        kwargs = {
-            name: (float(text) if text.strip() else None)
-            for name, text in zip(SCORE_FIELDS, values)
-        }
-        return cls(**kwargs)
-
     def to_table(self) -> str:
         lines = []
         for name in SCORE_FIELDS:

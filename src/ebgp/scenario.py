@@ -443,9 +443,13 @@ def assemble_training_set(
     """Stack training scenarios in declared order, excluding holdouts.
 
     Standardization constants are fit on the stacked training rows only.
-    Returns the training set and the held-out scenarios.
+    Returns the training set and the held-out scenarios.  Each scenario name
+    may appear once.
     """
     names = [s.name for s in scenarios]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise SchemaError(f"scenario '{name}' is given more than once")
     for h in holdout:
         if h not in names:
             raise UnknownScenario(f"holdout '{h}' is not among scenarios {names}")

@@ -31,7 +31,6 @@ from ebgp.inference import (
     FreeParameters,
     GPPrior,
     build_prior,
-    build_prior_from_model,
     condition,
     fit_hyperparameters,
     marginal_log_likelihood,
@@ -179,7 +178,7 @@ def _posterior_setup():
     t = np.arange(n, dtype=float)
     s1 = Scenario("a", TimeGrid(1900, n), {"co2": np.cumsum(1 + 0.1 * t), "so2": 2 + np.sin(t / 8)})
     s2 = Scenario("b", TimeGrid(1900, n), {"co2": np.cumsum(1 + 0.05 * t), "so2": 1 + 0.02 * t})
-    prior0 = build_prior([s1, s2], impulse, forcing, kernel, agents=agents)
+    prior0 = build_prior([s1, s2], EmulatorModel(agents, impulse, forcing, kernel))
     rng = np.random.default_rng(3)
     cov = prior0.physics_gram + impulse.variability_amplitude**2 * prior0.variability(
         np.arange(prior0.n)
@@ -190,7 +189,7 @@ def _posterior_setup():
     train, _ = assemble_training_set([s1, s2], holdout=("b",))
     model = EmulatorModel(agents=agents, impulse=impulse, forcing=forcing, kernel=kernel,
                           standardization=train.standardization)
-    return train, build_prior_from_model([s1, s2], model), [s1, s2], model
+    return train, build_prior([s1, s2], model), [s1, s2], model
 
 
 def test_criterion_05_posterior_exactness():
@@ -217,11 +216,10 @@ def test_criterion_05_posterior_exactness():
             global_temperature=0.5 * np.tanh(rng.normal(size=n)),
         )
         itrain, _ = assemble_training_set([scen])
-        iprior = build_prior(
-            [scen], imp0, {"x": AgentForcing()},
+        iprior = build_prior([scen], EmulatorModel(
+            agents, imp0, {"x": AgentForcing()},
             KernelConfig("matern12", [1.0], 1.0, standardize_inputs=False),
-            agents=agents,
-        )
+        ))
         ipost = posterior_temperature(iprior, itrain, np.arange(n))
         assert np.max(np.abs(ipost.mean - scen.global_temperature)) <= 1e-6
         assert np.max(np.diag(ipost.covariance)) <= 1e-6
@@ -245,7 +243,6 @@ def _degenerate_prior(cov):
         forcing_gram=np.eye(n),
         response_blocks=[np.eye(n)],
         variability_blocks=[np.zeros((n, n))],
-        kernel_inputs=np.zeros((n, 1)),
     )
 
 
@@ -298,7 +295,7 @@ def test_criterion_07_hyperparameter_recovery():
         s2 = Scenario("b", TimeGrid(1900, n), {"x": 4.0 + 3.8 * np.sin(t / 9.0 + 2.0)})
         truth = EmulatorModel(agents=agents, impulse=impulse_true, forcing=forcing,
                               kernel=kernel_true)
-        prior = build_prior_from_model([s1, s2], truth)
+        prior = build_prior([s1, s2], truth)
         cov = prior.physics_gram + true_sigma**2 * prior.variability(np.arange(prior.n))
         rng = np.random.default_rng(123)
         y = np.linalg.cholesky(cov + 1e-10 * np.eye(2 * n)) @ rng.standard_normal(2 * n)

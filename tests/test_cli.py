@@ -33,6 +33,12 @@ def read_csv(path):
         return list(csv.DictReader(handle))
 
 
+def parse_report(row):
+    """A ScoreReport from one row of an evaluate file: an empty cell is None."""
+    return ScoreReport(**{name: float(row[name]) if row[name].strip() else None
+                          for name in SCORE_FIELDS})
+
+
 @pytest.fixture
 def workspace(tmp_path):
     """Three small scenarios drawn from the model family, plus a config."""
@@ -54,7 +60,7 @@ def workspace(tmp_path):
         scenarios.append(
             Scenario(name=name, grid=grid, emissions=emissions, concentrations=conc)
         )
-    prior = build_prior(scenarios, IMPULSE, FORCING, KERNEL, agents=AGENTS)
+    prior = build_prior(scenarios, EmulatorModel(AGENTS, IMPULSE, FORCING, KERNEL))
     cov = prior.physics_gram + IMPULSE.variability_amplitude**2 * prior.variability(
         np.arange(prior.n)
     )
@@ -113,14 +119,10 @@ class TestFit:
         assert rc == 2
         assert "oops" in capsys.readouterr().err
 
-    def test_degenerate_optimization_exits_3(self, workspace, capsys):
-        tmp, config, paths = workspace
-        model = load_model(config)
-        model.fit = FitSettings(free=("variance",), restarts=0, max_iterations=5)
-        free_config = tmp / "config_nan.txt"
-        save_model(model, free_config)
-        # temperatures this large overflow the objective everywhere (NaN input
-        # is rejected when the file is read)
+    @staticmethod
+    def _overflowing_scenario(tmp):
+        """hist.csv with temperatures so large that they overflow the
+        likelihood everywhere (NaN input is rejected when the file is read)."""
         broken = tmp / "broken.csv"
         text = (tmp / "hist.csv").read_text().splitlines()
         header = text[0].split(",")
@@ -131,10 +133,31 @@ class TestFit:
             cells[tas] = "1e200"
             rows.append(",".join(cells))
         broken.write_text("\n".join(rows) + "\n")
+        return broken
+
+    def test_degenerate_optimization_exits_3(self, workspace, capsys):
+        tmp, config, paths = workspace
+        model = load_model(config)
+        model.fit = FitSettings(free=("variance",), restarts=0, max_iterations=5)
+        free_config = tmp / "config_nan.txt"
+        save_model(model, free_config)
+        broken = self._overflowing_scenario(tmp)
         rc = main(["fit", "--config", str(free_config), "--scenario", str(broken),
                    "--out", str(tmp / "m.txt")])
         assert rc == 3
         assert "finite" in capsys.readouterr().err
+
+    def test_all_fixed_nonfinite_likelihood_exits_3(self, workspace, capsys):
+        """With nothing free the likelihood is evaluated once, under the
+        same overflow policy as the optimizer's objective: no model file."""
+        tmp, config, paths = workspace
+        broken = self._overflowing_scenario(tmp)
+        out = tmp / "m.txt"
+        rc = main(["fit", "--config", str(config), "--scenario", str(broken),
+                   "--out", str(out)])
+        assert rc == 3
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("broken, message", [
         ("missing", "no accumulation rule"),
@@ -219,6 +242,26 @@ class TestEmulate:
         rc = main(["emulate", "--model", str(model), "--scenario", str(alien),
                    "--holdout", "alien", "--out", str(tmp / "x.csv")])
         assert rc == 4
+
+    def test_repeated_scenario_exits_2(self, workspace, capsys):
+        tmp, config, paths = workspace
+        hist = [p for p in paths if p.endswith("hist.csv")]
+        rc = main(["emulate", "--model", str(config), "--scenario", *hist, *paths,
+                   "--holdout", "target", "--out", str(tmp / "x.csv")])
+        assert rc == 2
+        assert "'hist' is given more than once" in capsys.readouterr().err
+        assert not (tmp / "x.csv").exists()
+
+    def test_same_scenario_name_from_two_directories_exits_2(self, workspace, capsys):
+        tmp, config, paths = workspace
+        other = tmp / "other"
+        other.mkdir()
+        (other / "target.csv").write_text((tmp / "target.csv").read_text())
+        rc = main(["emulate", "--model", str(config), "--scenario", *paths,
+                   str(other / "target.csv"), "--holdout", "target", "--out", str(tmp / "x.csv")])
+        assert rc == 2
+        assert "'target' is given more than once" in capsys.readouterr().err
+        assert not (tmp / "x.csv").exists()
 
     def test_unknown_holdout_exits_2(self, workspace):
         tmp, config, paths = workspace
@@ -615,8 +658,8 @@ class TestEvaluate:
         assert main(["evaluate", "--predictions", str(pred),
                      "--scenario", str(tmp / "target.csv"), "--out", str(out)]) == 0
         rows = read_csv(out)
-        posterior = ScoreReport.from_csv_values([rows[0][f] for f in SCORE_FIELDS])
-        prior = ScoreReport.from_csv_values([rows[1][f] for f in SCORE_FIELDS])
+        posterior = parse_report(rows[0])
+        prior = parse_report(rows[1])
         assert posterior.rmse == pytest.approx(0.1)
         assert prior.log_likelihood is None
 
@@ -670,6 +713,17 @@ class TestVerify:
         assert list(rows[0].keys()) == ["check", "statistic", "tolerance", "pass"]
         assert len(rows) >= 5
         assert all(row["pass"] == "true" for row in rows)
+
+
+@pytest.mark.parametrize("command", ["emulate", "forcing", "spatial-emulate"])
+def test_seed_is_not_an_option(workspace, capsys, command):
+    """Only fit, sample and verify draw random numbers."""
+    tmp, config, paths = workspace
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--model", str(config), "--scenario", *paths,
+              "--holdout", "target", "--out", str(tmp / "x.csv"), "--seed", "3"])
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_default_seed_documented():

@@ -15,7 +15,6 @@ from ebgp.inference import (
     GPPrior,
     PosteriorDistribution,
     build_prior,
-    build_prior_from_model,
     cholesky_with_jitter,
     condition,
     fit_hyperparameters,
@@ -30,7 +29,13 @@ from ebgp.inference import (
 )
 from ebgp.kernels import KernelConfig
 from ebgp.oracles import finite_difference_gradient
-from ebgp.scenario import AgentSpec, Scenario, TrainingSet, assemble_training_set
+from ebgp.scenario import (
+    AgentSpec,
+    Scenario,
+    Standardization,
+    TrainingSet,
+    assemble_training_set,
+)
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -50,7 +55,7 @@ def two_scenario_setup(toy_impulse, toy_forcing, toy_kernel, toy_agents, n=40, s
 
     s1 = mk("a", lambda t: 1 + 0.1 * t, lambda t: 2 + np.sin(t / 8))
     s2 = mk("b", lambda t: 1 + 0.05 * t, lambda t: 1 + 0.02 * t)
-    prior = build_prior([s1, s2], toy_impulse, toy_forcing, toy_kernel, agents=toy_agents)
+    prior = build_prior([s1, s2], EmulatorModel(toy_agents, toy_impulse, toy_forcing, toy_kernel))
     cov = prior.physics_gram + toy_impulse.variability_amplitude**2 * prior.variability(
         np.arange(prior.n)
     )
@@ -64,14 +69,39 @@ def two_scenario_setup(toy_impulse, toy_forcing, toy_kernel, toy_agents, n=40, s
 def setup(toy_impulse, toy_forcing, toy_kernel, toy_agents):
     s1, s2 = two_scenario_setup(toy_impulse, toy_forcing, toy_kernel, toy_agents)
     train, _ = assemble_training_set([s1, s2], holdout=("b",))
-    prior = build_prior(
-        [s1, s2], toy_impulse, toy_forcing, toy_kernel,
-        agents=toy_agents, standardization=train.standardization,
-    )
+    prior = build_prior([s1, s2], EmulatorModel(
+        toy_agents, toy_impulse, toy_forcing, toy_kernel, train.standardization
+    ))
     return s1, s2, train, prior
 
 
 class TestBuildPrior:
+    @pytest.mark.parametrize("rule", ["stored", "fitted", "raw"])
+    def test_kernel_input_standardization(
+        self, setup, toy_impulse, toy_forcing, toy_agents, rule
+    ):
+        """The kernel sees the emission rows standardized with the model's
+        stored constants, or with constants fitted on the prior's own rows
+        when it has none, and raw rows when the kernel does not standardize."""
+        from ebgp.kernels import forcing_gram
+
+        s1, s2, _, _ = setup
+        raw = np.vstack([s.emission_matrix(["co2", "so2"]) for s in (s1, s2)])
+        mean, std = np.array([0.5, -1.0]), np.array([2.0, 3.0])
+        stored = None if rule == "fitted" else Standardization(mean, std)
+        if rule == "stored":
+            x = (raw - mean) / std
+        elif rule == "fitted":
+            x = (raw - raw.mean(axis=0)) / raw.std(axis=0)
+        else:
+            x = raw
+        kernel = KernelConfig("matern32", [1.0, 1.5], 0.3, standardize_inputs=rule != "raw")
+        model = EmulatorModel(toy_agents, toy_impulse, toy_forcing, kernel, stored)
+        prior = build_prior([s1, s2], model)
+        np.testing.assert_allclose(
+            prior.forcing_gram, forcing_gram(x, x, kernel), rtol=1e-13, atol=0
+        )
+
     def test_mean_matches_standalone_run(self, setup, toy_impulse, toy_forcing, toy_agents):
         from ebgp.ebm import thermal_response
         from ebgp.inference import scenario_forcing
@@ -92,7 +122,8 @@ class TestBuildPrior:
             emissions={"co2": np.zeros(10), "so2": np.zeros(10)},
             concentrations={"co2": np.full(10, 278.0), "so2": np.full(10, 1.0)},
         )
-        prior = build_prior([scen], toy_impulse, toy_forcing, toy_kernel, agents=toy_agents)
+        model = EmulatorModel(toy_agents, toy_impulse, toy_forcing, toy_kernel)
+        prior = build_prior([scen], model)
         np.testing.assert_array_equal(prior.mean, 0.0)
 
     def test_duplicate_scenario_blocks_equal(
@@ -100,7 +131,8 @@ class TestBuildPrior:
     ):
         s1, _ = two_scenario_setup(toy_impulse, toy_forcing, toy_kernel, toy_agents)
         twin = dataclasses.replace(s1, name="a2")
-        prior = build_prior([s1, twin], toy_impulse, toy_forcing, toy_kernel, agents=toy_agents)
+        model = EmulatorModel(toy_agents, toy_impulse, toy_forcing, toy_kernel)
+        prior = build_prior([s1, twin], model)
         n = s1.grid.n_steps
         k = prior.physics_gram
         np.testing.assert_allclose(k[:n, n:], k[:n, :n], atol=1e-12)
@@ -116,7 +148,7 @@ class TestBuildPrior:
         a = Scenario("a", TimeGrid(1900, 5), {"co2": np.ones(5), "so2": np.ones(5)})
         b = Scenario("b", TimeGrid(1900, 5, step=2.0), {"co2": np.ones(5), "so2": np.ones(5)})
         with pytest.raises(GridMismatch):
-            build_prior([a, b], toy_impulse, toy_forcing, toy_kernel, agents=toy_agents)
+            build_prior([a, b], EmulatorModel(toy_agents, toy_impulse, toy_forcing, toy_kernel))
 
     def test_gram_factorizable(self, setup):
         _, _, _, prior = setup
@@ -167,7 +199,8 @@ class TestBlockedPrior:
             scenario_factory(name, n, start, temperature=rng.normal(0.0, 0.2, n), seed=k)
             for k, (name, n, start) in enumerate(shapes)
         ]
-        prior = build_prior(scenarios, toy_impulse, toy_forcing, toy_kernel, agents=toy_agents)
+        model = EmulatorModel(toy_agents, toy_impulse, toy_forcing, toy_kernel)
+        prior = build_prior(scenarios, model)
         op = block_diag(*(temperature_operator(toy_impulse, s.grid) for s in scenarios))
         gamma = block_diag(*(internal_variability_gram(toy_impulse, s.grid) for s in scenarios))
         return scenarios, prior, op, gamma
@@ -259,7 +292,7 @@ class TestPosteriorTemperature:
         )
         kc = KernelConfig("matern12", [1.0], 1.0, standardize_inputs=False)
         train, _ = assemble_training_set([scen])
-        prior = build_prior([scen], imp, forcing, kc, agents=agents)
+        prior = build_prior([scen], EmulatorModel(agents, imp, forcing, kc))
         post = posterior_temperature(prior, train, np.arange(n))
         assert np.max(np.abs(post.mean - scen.global_temperature)) <= 1e-6
         assert np.max(np.diag(post.covariance)) <= 1e-6
@@ -391,7 +424,6 @@ class TestMarginalLogLikelihood:
             forcing_gram=np.eye(n),
             response_blocks=[np.eye(n)],
             variability_blocks=[np.zeros((n, n))],
-            kernel_inputs=np.zeros((n, 1)),
         )
 
     def _train(self, values):
@@ -437,10 +469,9 @@ class TestMarginalLogLikelihood:
         values = {}
         for order in ([s1, s2], [s2, s1]):
             train, _ = assemble_training_set(order)
-            prior = build_prior(
-                order, toy_impulse, toy_forcing, toy_kernel,
-                agents=toy_agents, standardization=train.standardization,
-            )
+            prior = build_prior(order, EmulatorModel(
+                toy_agents, toy_impulse, toy_forcing, toy_kernel, train.standardization
+            ))
             values[tuple(s.name for s in order)] = marginal_log_likelihood(prior, train)
         a, b = values.values()
         assert a == pytest.approx(b, rel=1e-9)
@@ -539,7 +570,7 @@ class TestFit:
         model, scenarios, train = self._model_and_scenarios(
             toy_impulse, toy_forcing, toy_kernel, toy_agents
         )
-        initial = marginal_log_likelihood(build_prior_from_model(scenarios, model), train)
+        initial = marginal_log_likelihood(build_prior(scenarios, model), train)
         model = dataclasses.replace(model, fit=FitSettings(
             free=("lengthscales", "variance", "sigma"), restarts=1, max_iterations=30
         ))
@@ -556,7 +587,7 @@ class TestFit:
         model, scenarios, train = self._model_and_scenarios(
             toy_impulse, toy_forcing, toy_kernel, toy_agents
         )
-        jitter = condition(build_prior_from_model(scenarios, model), train).jitter
+        jitter = condition(build_prior(scenarios, model), train).jitter
         params = FreeParameters(model, PARAMETER_NAMES)
         theta0, apply = params.theta0, params.apply
         rng = np.random.default_rng(4)
@@ -624,7 +655,7 @@ class TestFit:
         model, scenarios, train = self._model_and_scenarios(
             toy_impulse, toy_forcing, toy_kernel, toy_agents
         )
-        initial = marginal_log_likelihood(build_prior_from_model(scenarios, model), train)
+        initial = marginal_log_likelihood(build_prior(scenarios, model), train)
         model = dataclasses.replace(
             model, fit=FitSettings(free=("forcing", "sigma"), restarts=0, max_iterations=10)
         )

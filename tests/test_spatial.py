@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from ebgp.errors import DegenerateRegressor, EmptyGrid, GridMismatch, SingularGram
-from ebgp.inference import Conditioned, build_prior, factorise, posterior_temperature
+from ebgp.inference import (
+    Conditioned,
+    EmulatorModel,
+    build_prior,
+    factorise,
+    posterior_temperature,
+)
 from ebgp.oracles import cell_posterior, cell_prior
 from ebgp.scenario import SpatialGrid, TrainingSet, assemble_training_set
 from ebgp.spatial import (
@@ -100,10 +106,9 @@ def global_setup(scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_age
     s1 = scenario_factory("a", 30, temperature=None)
     s1.global_temperature = rng.normal(size=30).cumsum() * 0.05
     train, _ = assemble_training_set([s1])
-    prior = build_prior(
-        [s1], toy_impulse, toy_forcing, toy_kernel,
-        agents=toy_agents, standardization=train.standardization,
-    )
+    prior = build_prior([s1], EmulatorModel(
+        toy_agents, toy_impulse, toy_forcing, toy_kernel, train.standardization
+    ))
     return s1, train, prior
 
 
@@ -262,10 +267,9 @@ class TestSpatialPosterior:
         s2 = scenario_factory("b", 30, seed=4)
         s1.global_temperature = rng.normal(size=30).cumsum() * 0.05
         train, _ = assemble_training_set([s1, s2], holdout=("b",))
-        prior = build_prior(
-            [s1, s2], toy_impulse, toy_forcing, toy_kernel,
-            agents=toy_agents, standardization=train.standardization,
-        )
+        prior = build_prior([s1, s2], EmulatorModel(
+            toy_agents, toy_impulse, toy_forcing, toy_kernel, train.standardization
+        ))
         grid = SpatialGrid([-30.0, 30.0], [0.0, 120.0, 240.0])
         pattern = PatternScalingMap(
             slope=np.array([[1.3, -0.7, 0.0], [0.4, 0.0, -1.1]]),
