@@ -15,8 +15,14 @@ generation constants; tests consume the committed files.
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread, set before numpy loads it: with more threads the order of
+# floating-point sums follows the core count and the files' last digits move.
+for _key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_key] = "1"
 
 import numpy as np
 

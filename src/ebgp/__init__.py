@@ -26,7 +26,6 @@ from .inference import (
     marginal_log_likelihood,
     posterior_forcing,
     posterior_temperature,
-    predictive_log_density,
     sample_posterior,
     with_variability,
 )

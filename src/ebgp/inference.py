@@ -397,23 +397,6 @@ def marginal_log_likelihood(prior: GPPrior, train: TrainingSet) -> float:
     return condition(prior, train).log_likelihood
 
 
-def predictive_log_density(
-    posterior: PosteriorDistribution,
-    values: np.ndarray,
-    variability: tuple[np.ndarray, float] | None = None,
-) -> float:
-    """Joint log-density of ``values`` under the (optionally noise-augmented)
-    posterior Gaussian."""
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    if values.size != posterior.n:
-        raise GridMismatch(f"{values.size} values for a posterior of size {posterior.n}")
-    cov = posterior.covariance
-    if variability is not None:
-        gram, sigma = variability
-        cov = cov + sigma**2 * np.asarray(gram, dtype=float)
-    return factorise(cov, values - posterior.mean, ladder=(0.0, *JITTER_LADDER))[3]
-
-
 def sample_posterior(
     posterior: PosteriorDistribution, count: int, seed: int
 ) -> np.ndarray:

@@ -3,7 +3,7 @@
 Probabilistic scores evaluate the marginal (per-point) predictive Gaussians:
 the reported log-likelihood is the mean per-point log-density, which keeps
 values comparable across series lengths.  The joint log-density of a full
-posterior is available separately via ``inference.predictive_log_density``.
+posterior is available separately via ``oracles.predictive_log_density``.
 """
 
 from __future__ import annotations

@@ -1,24 +1,20 @@
 """Versioned human-readable model serialization.
 
-Models and fit configurations share one grammar: an INI-style text file with
-``key = value`` sections.  Floats are written with ``repr`` so every real
-round-trips bit-exactly; lists are comma-separated.  Section layout:
-
-    [meta]            format_version
-    [agents]          order plus <name>.mode and <name>.unit per agent
-    [response]        timescales, equilibrium_responses, variability_amplitude
-    [forcing.<name>]  alpha_log, alpha_lin, alpha_sqrt, c0,
-                      optional concentration_per_emission
-    [kernel]          family, lengthscales, variance, standardize_inputs
-    [standardization] optional: mean, std (per agent, in order)
-    [fit]             optional: free, restarts, max_iterations
+Models and fit configurations share one INI-style grammar of ``key = value``
+sections.  ``LAYOUT`` is the layout of every dataclass-backed section: its keys
+in file order, named like the dataclass fields, each with the kind that parses
+and formats it (floats by ``repr``, so they round-trip bit-exactly; lists
+comma-separated).  Only ``[meta]`` and ``[agents]`` are spelled out by hand.
+Undeclared sections and keys, repeated names and non-finite numbers are rejected.
 """
 
 from __future__ import annotations
 
 import configparser
 import re
+from math import isfinite
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,40 +29,104 @@ FORMAT_VERSION = 1
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
 
-def _fmt_float(value: float) -> str:
-    return repr(float(value))
+def _items(text: str) -> list[str]:
+    return [t.strip() for t in text.split(",") if t.strip()]
 
 
-def _fmt_list(values) -> str:
-    return ", ".join(_fmt_float(v) for v in np.atleast_1d(values))
-
-
-def _parse_float(text: str, where: str) -> float:
+def _number(text: str, at: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise ParseError(f"{where}: cannot parse '{text}' as a number") from None
+        raise ParseError(f"{at}: cannot parse '{text}' as a number") from None
+    if not isfinite(value):
+        raise ParseError(f"{at}: value '{text}' is not finite")
+    return value
 
 
-def _parse_list(text: str, where: str) -> np.ndarray:
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    return np.array([_parse_float(t, where) for t in items])
+def _names(text: str, at: str, known=None) -> tuple[str, ...]:
+    names = tuple(_items(text))
+    for name in names:
+        if names.count(name) > 1:
+            raise SchemaError(f"{at}: '{name}' is named twice")
+        if known is not None and name not in known:
+            raise SchemaError(f"{at}: unknown parameter '{name}' (choose from {', '.join(known)})")
+    return names
 
 
-def _parse_count(text: str, where: str) -> int:
+def _count(text: str, at: str) -> int:
     text = text.strip()
     if not text.isdecimal():
-        raise SchemaError(f"{where}: '{text}' is not a non-negative integer")
+        raise SchemaError(f"{at}: '{text}' is not a non-negative integer")
     return int(text)
 
 
-def _parse_bool(text: str, where: str) -> bool:
+def _flag(text: str, at: str) -> bool:
     lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ParseError(f"{where}: cannot parse '{text}' as a boolean")
+    if lowered not in ("true", "yes", "1", "false", "no", "0"):
+        raise ParseError(f"{at}: cannot parse '{text}' as a boolean")
+    return lowered in ("true", "yes", "1")
+
+
+class Kind(NamedTuple):
+    parse: Callable[[str, str], object]  # (text, location) -> value
+    format: Callable[[object], str]
+
+
+NUMBER = Kind(_number, lambda v: repr(float(v)))
+NUMBERS = Kind(lambda text, at: np.array([_number(t, at) for t in _items(text)]),
+               lambda v: ", ".join(map(NUMBER.format, np.atleast_1d(v))))
+TEXT = Kind(lambda text, at: text.strip(), str)
+FLAG = Kind(_flag, lambda v: "true" if v else "false")
+COUNT = Kind(_count, str)
+PARAMETERS = Kind(lambda text, at: _names(text, at, PARAMETER_NAMES), ", ".join)
+
+
+class Key(NamedTuple):
+    name: str  # the dataclass field, spelled as in the file
+    kind: Kind
+    required: bool = True
+    per_agent: bool = False  # one entry per agent, in [agents] order
+
+
+class Section(NamedTuple):
+    header: str  # "{agent}" repeats the section once per agent
+    field: str  # the EmulatorModel field it fills
+    build: type
+    required: bool
+    keys: tuple[Key, ...]
+
+
+LAYOUT = (
+    Section("response", "impulse", ImpulseParams, True, (
+        Key("timescales", NUMBERS),
+        Key("equilibrium_responses", NUMBERS),
+        Key("variability_amplitude", NUMBER))),
+    Section("forcing.{agent}", "forcing", AgentForcing, True, (
+        Key("alpha_log", NUMBER),
+        Key("alpha_lin", NUMBER),
+        Key("alpha_sqrt", NUMBER),
+        Key("c0", NUMBER),
+        Key("concentration_per_emission", NUMBER, required=False))),
+    Section("kernel", "kernel", KernelConfig, True, (
+        Key("family", TEXT),
+        Key("lengthscales", NUMBERS, per_agent=True),
+        Key("variance", NUMBER),
+        Key("standardize_inputs", FLAG))),
+    Section("standardization", "standardization", Standardization, False, (
+        Key("mean", NUMBERS, per_agent=True),
+        Key("std", NUMBERS, per_agent=True))),
+    Section("fit", "fit", FitSettings, False, (
+        Key("free", PARAMETERS, required=False),
+        Key("restarts", COUNT, required=False),
+        Key("max_iterations", COUNT, required=False))),
+)
+
+
+def _sections(agents):
+    """(header, section, agent or None) for every ``LAYOUT`` section, in file order."""
+    for section in LAYOUT:
+        for agent in agents if "{agent}" in section.header else [None]:
+            yield section.header.format(agent=agent), section, agent
 
 
 def serialize_model(model: EmulatorModel) -> str:
@@ -75,55 +135,19 @@ def serialize_model(model: EmulatorModel) -> str:
             raise SchemaError(
                 f"agent name '{spec.name}' is not serializable (use letters, digits, underscore)"
             )
-    lines: list[str] = []
-    lines.append("[meta]")
-    lines.append(f"format_version = {FORMAT_VERSION}")
-    lines.append("")
-    lines.append("[agents]")
-    lines.append("order = " + ", ".join(spec.name for spec in model.agents))
+    lines = ["[meta]", f"format_version = {FORMAT_VERSION}", "", "[agents]",
+             "order = " + ", ".join(model.agent_names)]
     for spec in model.agents:
-        lines.append(f"{spec.name}.mode = {spec.input_mode}")
-        lines.append(f"{spec.name}.unit = {spec.unit}")
-    lines.append("")
-    lines.append("[response]")
-    lines.append("timescales = " + _fmt_list(model.impulse.timescales))
-    lines.append("equilibrium_responses = " + _fmt_list(model.impulse.equilibrium_responses))
-    lines.append(
-        "variability_amplitude = " + _fmt_float(model.impulse.variability_amplitude)
-    )
-    for spec in model.agents:
-        params = model.forcing[spec.name]
-        lines.append("")
-        lines.append(f"[forcing.{spec.name}]")
-        lines.append("alpha_log = " + _fmt_float(params.alpha_log))
-        lines.append("alpha_lin = " + _fmt_float(params.alpha_lin))
-        lines.append("alpha_sqrt = " + _fmt_float(params.alpha_sqrt))
-        lines.append("c0 = " + _fmt_float(params.c0))
-        if params.concentration_per_emission is not None:
-            lines.append(
-                "concentration_per_emission = "
-                + _fmt_float(params.concentration_per_emission)
-            )
-    lines.append("")
-    lines.append("[kernel]")
-    lines.append(f"family = {model.kernel.family}")
-    lines.append("lengthscales = " + _fmt_list(model.kernel.lengthscales))
-    lines.append("variance = " + _fmt_float(model.kernel.variance))
-    lines.append(
-        "standardize_inputs = " + ("true" if model.kernel.standardize_inputs else "false")
-    )
-    if model.standardization is not None:
-        lines.append("")
-        lines.append("[standardization]")
-        lines.append("mean = " + _fmt_list(model.standardization.mean))
-        lines.append("std = " + _fmt_list(model.standardization.std))
-    lines.append("")
-    lines.append("[fit]")
-    lines.append("free = " + ", ".join(model.fit.free))
-    lines.append(f"restarts = {model.fit.restarts}")
-    lines.append(f"max_iterations = {model.fit.max_iterations}")
-    lines.append("")
-    return "\n".join(lines)
+        lines += [f"{spec.name}.mode = {spec.input_mode}", f"{spec.name}.unit = {spec.unit}"]
+    for header, section, agent in _sections(model.agent_names):
+        value = getattr(model, section.field)
+        value = value if agent is None else value[agent]
+        if value is None:
+            continue
+        items = [(key, getattr(value, key.name)) for key in section.keys]
+        lines += ["", f"[{header}]"] + [
+            f"{key.name} = {key.kind.format(item)}" for key, item in items if item is not None]
+    return "\n".join(lines) + "\n"
 
 
 def save_model(model: EmulatorModel, path) -> None:
@@ -131,7 +155,8 @@ def save_model(model: EmulatorModel, path) -> None:
 
 
 def parse_model(text: str, where: str = "<model>") -> EmulatorModel:
-    parser = configparser.ConfigParser(interpolation=None)
+    # A header is never empty, so no [DEFAULT] section applies to the others.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str  # keys are case sensitive
     try:
         parser.read_string(text)
@@ -149,7 +174,7 @@ def parse_model(text: str, where: str = "<model>") -> EmulatorModel:
     if version != str(FORMAT_VERSION):
         raise ParseError(f"{where}: unsupported format_version '{version}'")
 
-    order = [t.strip() for t in need("agents", "order").split(",") if t.strip()]
+    order = _names(need("agents", "order"), f"{where}: [agents] order")
     if not order:
         raise SchemaError(f"{where}: [agents] order is empty")
     agents = []
@@ -160,88 +185,40 @@ def parse_model(text: str, where: str = "<model>") -> EmulatorModel:
             agents.append(AgentSpec(name=name, input_mode=mode, unit=unit))
         except ValueError as exc:
             raise SchemaError(f"{where}: agent '{name}': {exc}") from None
+    declared = {"meta": {"format_version"}, "agents": {"order"}}
+    declared["agents"].update(f"{name}.{k}" for name in order for k in ("mode", "unit"))
 
-    try:
-        impulse = ImpulseParams(
-            timescales=_parse_list(need("response", "timescales"), where),
-            equilibrium_responses=_parse_list(
-                need("response", "equilibrium_responses"), where
-            ),
-            variability_amplitude=_parse_float(
-                need("response", "variability_amplitude"), where
-            ),
-        )
-    except ValueError as exc:
-        raise SchemaError(f"{where}: [response]: {exc}") from None
-
-    forcing = {}
-    for name in order:
-        section = f"forcing.{name}"
-        coef = parser.get(section, "concentration_per_emission", fallback=None) if parser.has_section(section) else None
+    fields = {"agents": agents, "forcing": {}}
+    for header, section, agent in _sections(order):
+        declared[header] = {key.name for key in section.keys}
+        if not section.required and not parser.has_section(header):
+            continue
+        values = {}
+        for key in section.keys:
+            if key.required or parser.has_option(header, key.name):
+                at = f"{where}: [{header}] {key.name}"
+                values[key.name] = key.kind.parse(need(header, key.name), at)
         try:
-            forcing[name] = AgentForcing(
-                alpha_log=_parse_float(need(section, "alpha_log"), where),
-                alpha_lin=_parse_float(need(section, "alpha_lin"), where),
-                alpha_sqrt=_parse_float(need(section, "alpha_sqrt"), where),
-                c0=_parse_float(need(section, "c0"), where),
-                concentration_per_emission=(
-                    _parse_float(coef, where) if coef is not None else None
-                ),
-            )
+            value = section.build(**values)
         except ValueError as exc:
-            raise SchemaError(f"{where}: [{section}]: {exc}") from None
-
-    try:
-        kernel = KernelConfig(
-            family=need("kernel", "family").strip(),
-            lengthscales=_parse_list(need("kernel", "lengthscales"), where),
-            variance=_parse_float(need("kernel", "variance"), where),
-            standardize_inputs=_parse_bool(need("kernel", "standardize_inputs"), where),
-        )
-    except ValueError as exc:
-        raise SchemaError(f"{where}: [kernel]: {exc}") from None
-    if kernel.n_dims != len(order):
-        raise SchemaError(
-            f"{where}: kernel has {kernel.n_dims} lengthscales for {len(order)} agents"
-        )
-
-    standardization = None
-    if parser.has_section("standardization"):
-        try:
-            standardization = Standardization(
-                mean=_parse_list(need("standardization", "mean"), where),
-                std=_parse_list(need("standardization", "std"), where),
-            )
-        except ValueError as exc:
-            raise SchemaError(f"{where}: [standardization]: {exc}") from None
-        if standardization.mean.size != len(order):
-            raise SchemaError(
-                f"{where}: standardization covers {standardization.mean.size} agents, expected {len(order)}"
-            )
-
-    fit = FitSettings()
-    if parser.has_section("fit"):
-        free_text = parser.get("fit", "free", fallback=None)
-        if free_text is not None:
-            fit.free = tuple(t.strip() for t in free_text.split(",") if t.strip())
-        for name in fit.free:
-            if name not in PARAMETER_NAMES:
+            raise SchemaError(f"{where}: [{header}]: {exc}") from None
+        for key in section.keys:
+            if key.per_agent and np.size(getattr(value, key.name)) != len(order):
                 raise SchemaError(
-                    f"{where}: [fit] free: unknown parameter '{name}' "
-                    f"(choose from {', '.join(PARAMETER_NAMES)})"
-                )
-        for key in ("restarts", "max_iterations"):
-            if parser.has_option("fit", key):
-                setattr(fit, key, _parse_count(parser.get("fit", key), f"{where}: [fit] {key}"))
+                    f"{where}: [{header}] {key.name}: needs {len(order)} values, one per agent")
+        if agent is None:
+            fields[section.field] = value
+        else:
+            fields[section.field][agent] = value
 
-    return EmulatorModel(
-        agents=agents,
-        impulse=impulse,
-        forcing=forcing,
-        kernel=kernel,
-        standardization=standardization,
-        fit=fit,
-    )
+    # Unknown names come last, so a missing section or bad value is named first.
+    for header in parser.sections():
+        if header not in declared:
+            raise SchemaError(f"{where}: unknown section [{header}]")
+        for key in parser.options(header):
+            if key not in declared[header]:
+                raise SchemaError(f"{where}: unknown key '{key}' in [{header}]")
+    return EmulatorModel(**fields)
 
 
 def load_model(path) -> EmulatorModel:

@@ -5,8 +5,8 @@ integrator, Euler-Maruyama simulation of the noise responses, direct
 trapezoid quadrature of the covariance double integrals, a Monte Carlo CRPS
 estimator, a central finite-difference gradient checker, the per-mode
 convolution operators, reference forms of the kernel and propagated Grams,
-the exact start-from-rest variability covariance, and the per-cell Cholesky
-form of the spatial posterior.
+the exact start-from-rest variability covariance, the per-cell Cholesky
+form of the spatial posterior and the joint predictive log-density.
 
 These routines back the test and acceptance suites and the ``verify`` CLI
 command; production inference never calls them.  Everything is
@@ -22,9 +22,9 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import toeplitz
 
-from . import ebm, kernels
+from . import ebm, inference, kernels
 from .ebm import BoxModelParams, ImpulseParams, TimeGrid
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, GridMismatch
 from .inference import Conditioned, GPPrior, PosteriorDistribution, factorise, locate_rows
 from .kernels import KernelConfig
 from .scenario import TrainingSet
@@ -141,6 +141,23 @@ def cell_posterior(
     return conditioned.posterior(
         test_rows, cell.mean[test_rows], k[np.ix_(test_rows, test_rows)], k[np.ix_(test_rows, pos)]
     )
+
+
+def predictive_log_density(
+    posterior: PosteriorDistribution,
+    values: np.ndarray,
+    variability: tuple[np.ndarray, float] | None = None,
+) -> float:
+    """Joint log-density of ``values`` under the (optionally noise-augmented)
+    posterior Gaussian."""
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    if values.size != posterior.n:
+        raise GridMismatch(f"{values.size} values for a posterior of size {posterior.n}")
+    cov = posterior.covariance
+    if variability is not None:
+        gram, sigma = variability
+        cov = cov + sigma**2 * np.asarray(gram, dtype=float)
+    return factorise(cov, values - posterior.mean, ladder=(0.0, *inference.JITTER_LADDER))[3]
 
 
 def rk4_box_temperature(

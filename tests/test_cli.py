@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +364,14 @@ class TestInputValidation:
         _edit_csv(tmp / "hist.csv", 4, "tas_global", value)
         assert self.emulate(workspace) == 2
         assert "hist.csv: line 4, column 'tas_global'" in capsys.readouterr().err
+
+    def test_nonfinite_model_value(self, workspace, capsys):
+        _, config, _ = workspace
+        config.write_text(config.read_text().replace("variance = 0.2", "variance = nan"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.emulate(workspace) == 2
+        assert f"{config}: [kernel] variance: value 'nan' is not finite" in capsys.readouterr().err
 
     def test_nonfinite_spatial_value(self, workspace, capsys):
         tmp, _, _ = workspace

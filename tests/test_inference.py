@@ -23,12 +23,11 @@ from ebgp.inference import (
     mll_and_gradient,
     posterior_forcing,
     posterior_temperature,
-    predictive_log_density,
     sample_posterior,
     with_variability,
 )
 from ebgp.kernels import KernelConfig
-from ebgp.oracles import finite_difference_gradient
+from ebgp.oracles import finite_difference_gradient, predictive_log_density
 from ebgp.scenario import (
     AgentSpec,
     Scenario,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,3 +157,68 @@ class TestFitSection:
         path.write_text(serialize_model(example_model()).replace(default, line))
         with pytest.raises(SchemaError, match=rf"model\.txt.*{key}"):
             load_model(path)
+
+
+class TestRejectedWhereRead:
+    """Anything the layout does not declare, a repeated name and a number
+    that is not finite are rejected naming the file, section and key."""
+
+    def load_edited(self, tmp_path, old, new):
+        text = serialize_model(example_model())
+        assert old in text
+        path = tmp_path / "model.txt"
+        path.write_text(text.replace(old, new, 1))
+        return load_model(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_nonfinite_scalar(self, tmp_path, value):
+        with pytest.raises(ParseError, match=rf"model\.txt: \[kernel\] variance: .*'{value}'"):
+            self.load_edited(tmp_path, "variance = 0.25", f"variance = {value}")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_nonfinite_list_entry(self, tmp_path, value):
+        with pytest.raises(ParseError, match=rf"model\.txt: \[response\] timescales: .*'{value}'"):
+            self.load_edited(tmp_path, "timescales = 4.1, 239.0", f"timescales = 4.1, {value}")
+
+    def test_agent_named_twice(self, tmp_path):
+        with pytest.raises(SchemaError, match=r"model\.txt: \[agents\] order: 'co2' is named twice"):
+            self.load_edited(tmp_path, "order = co2, so2", "order = co2, so2, co2")
+
+    def test_free_parameter_named_twice(self, tmp_path):
+        with pytest.raises(SchemaError, match=r"model\.txt: \[fit\] free: 'sigma' is named twice"):
+            self.load_edited(tmp_path, "free = lengthscales, sigma", "free = sigma, lengthscales, sigma")
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("max_iterations = 50", "max_iteration = 5", r"unknown key 'max_iteration' in \[fit\]"),
+            ("co2.unit = GtC", "co2.units = GtC", r"unknown key 'co2.units' in \[agents\]"),
+            ("concentration_per_emission = 0.47", "concentration_per_emision = 0.47",
+             r"unknown key 'concentration_per_emision' in \[forcing.co2\]"),
+            ("lengthscales = 1.0, 2.0", "lengthscales = 1.0, 2.0\nlengthscale = 3.0",
+             r"unknown key 'lengthscale' in \[kernel\]"),
+            ("[fit]", "[kernal]\nfamily = matern12\n\n[fit]", r"unknown section \[kernal\]"),
+            ("[meta]", "[DEFAULT]\n\n[meta]", r"unknown section \[DEFAULT\]"),
+        ],
+        ids=["fit-key", "agents-key", "forcing-key", "kernel-key", "section", "default-section"],
+    )
+    def test_undeclared_names(self, tmp_path, old, new, message):
+        with pytest.raises(SchemaError, match=rf"model\.txt: {message}"):
+            self.load_edited(tmp_path, old, new)
+
+    def test_sections_checked_in_file_order(self):
+        """With faults in several sections the first in file order is
+        reported, and an unknown section only once the others are sound."""
+        faults = [
+            ("[response]", "variability_amplitude = 0.7", "variability_amplitude = -1.0"),
+            ("[forcing.co2]", "c0 = 278.0", "c0 = -1.0"),
+            ("[kernel]", "variance = 0.25", "variance = -1.0"),
+            ("[extra]", "", ""),
+        ]
+        text = serialize_model(example_model()) + "[extra]\n"
+        for _, good, bad in faults[:-1]:
+            text = text.replace(good, bad)
+        for section, good, bad in faults:
+            with pytest.raises(SchemaError, match=re.escape(section)):
+                parse_model(text)
+            text = text.replace(bad, good)
