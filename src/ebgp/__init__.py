@@ -23,11 +23,9 @@ from .inference import (
     build_prior,
     condition,
     fit_hyperparameters,
-    marginal_log_likelihood,
     posterior_forcing,
     posterior_temperature,
     sample_posterior,
-    with_variability,
 )
 from .kernels import KernelConfig, forcing_gram, internal_variability_gram
 from .metrics import ScoreReport, deterministic_scores, probabilistic_scores, spatial_scores

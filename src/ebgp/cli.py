@@ -28,11 +28,11 @@ from .errors import (
 )
 from .inference import (
     build_prior,
+    condition,
     fit_hyperparameters,
     posterior_forcing,
     posterior_temperature,
     sample_posterior,
-    with_variability,
 )
 from .metrics import (
     SCORE_FIELDS,
@@ -107,6 +107,10 @@ def cmd_fit(args) -> int:
         raise SchemaError("cannot fit hyperparameters with an empty training set")
     model = _standardized(model, train, refit=True)
     result = fit_hyperparameters(train_scenarios, train, model, seed=args.seed)
+    for i, (converged, iterations, message) in enumerate(result.starts):
+        if not converged:
+            print(f"fit: start {i} did not converge after {iterations} iterations: {message}",
+                  file=sys.stderr)
     save_model(result.model, args.out)
     finite = [t for t in result.trace if np.isfinite(t)]
     initial = finite[0] if finite else float("nan")
@@ -132,17 +136,18 @@ def _load_holdout(args):
     return scenarios, train, prior, prior.rows_for_scenario(args.holdout)
 
 
-def _temperature(prior, train, rows):
+def _temperature(conditioned, rows):
     """Prior mean and predictive distribution (posterior plus internal
     variability) of the temperature at ``rows``."""
-    posterior = posterior_temperature(prior, train, rows)
-    gamma = prior.variability(rows)
-    return prior.mean[rows], with_variability(posterior, gamma, prior.sigma)
+    prior = conditioned.prior
+    posterior = posterior_temperature(conditioned, rows)
+    posterior.covariance += prior.sigma**2 * prior.variability(rows)
+    return prior.mean[rows], posterior
 
 
-def _forcing(prior, train, rows):
+def _forcing(conditioned, rows):
     """Prior mean and posterior distribution of the forcing at ``rows``."""
-    return prior.forcing_mean[rows], posterior_forcing(prior, train, rows)
+    return conditioned.prior.forcing_mean[rows], posterior_forcing(conditioned, rows)
 
 
 def _interval_rows(years, prior_mean, mean, std, prefix=()):
@@ -176,7 +181,7 @@ def cmd_query(args) -> int:
     """emulate, forcing and sample: load, prepare, condition on the training
     rows, query the held-out rows and write the result."""
     _, train, prior, rows = _load_holdout(args)
-    prior_mean, posterior = args.query(prior, train, rows)
+    prior_mean, posterior = args.query(condition(prior, train), rows)
     args.write(args, prior_mean, posterior)
     return EXIT_OK
 
@@ -317,11 +322,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failures else EXIT_OPTIMIZATION
 
 
-def _draw_count(text) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
-    return count
+def _at_least(minimum):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def integer(text) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output path")
 
     def add_seed(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+        p.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED,
                        help=f"random seed (default {DEFAULT_SEED})")
 
     p = sub.add_parser("fit", help="fit hyperparameters by marginal likelihood")
@@ -368,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw joint posterior samples")
     add_common(p)
     add_seed(p)
-    p.add_argument("--count", type=_draw_count, default=100, help="number of draws (>= 1)")
+    p.add_argument("--count", type=_at_least(1), default=100, help="number of draws (>= 1)")
     p.set_defaults(func=cmd_query, query=_temperature, write=_write_samples)
 
     p = sub.add_parser("evaluate", help="score predictions against a truth scenario")

@@ -8,10 +8,10 @@ quasi-Newton ascent on log-parameters.
 
 Inference is one exact Gaussian conditioning on the noisy training block
 (Rasmussen & Williams, GPML, Algorithm 2.1): ``condition`` factorises the
-block once and every posterior and likelihood is read from the resulting
-``Conditioned`` value.  All solves go through Cholesky factorizations with
-an escalating jitter ladder; explicit matrix inverses never appear on the
-solve path.
+block once, the temperature and forcing posteriors take the resulting
+``Conditioned`` value, and the likelihood is its ``log_likelihood``.
+``factorise`` is the one Cholesky routine and owns the jitter ladder;
+explicit matrix inverses never appear on the solve path.
 """
 
 from __future__ import annotations
@@ -33,31 +33,6 @@ LOG_2PI = np.log(2.0 * np.pi)
 
 # Relative jitter rungs tried before declaring a Gram singular.
 JITTER_LADDER = (1e-6, 1e-5, 1e-4)
-
-
-def cholesky_with_jitter(
-    matrix: np.ndarray, ladder: Sequence[float] = JITTER_LADDER
-) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor with escalating diagonal jitter.
-
-    Jitter rungs are relative to the mean diagonal.  Returns the factor and
-    the absolute jitter that succeeded; raises SingularGram when the last
-    rung fails.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    # the unit of relative jitter: the mean diagonal, or 1 when not positive
-    scale = float(np.mean(np.diag(matrix))) if matrix.size else 0.0
-    scale = scale if scale > 0 else 1.0
-    for rel in ladder:
-        jitter = rel * scale
-        try:
-            factor = cholesky(matrix + jitter * np.eye(matrix.shape[0]), lower=True)
-            return factor, jitter
-        except np.linalg.LinAlgError:
-            continue
-    raise SingularGram(
-        f"Cholesky failed at maximum jitter {ladder[-1] * scale:g} (n={matrix.shape[0]})"
-    )
 
 
 @dataclass
@@ -281,19 +256,28 @@ def factorise(
     """Factor, alpha, jitter and log-density of a zero-mean Gaussian with
     covariance ``block`` at ``residual`` (GPML Algorithm 2.1, lines 2-4).
 
-    ``jitter`` is a frozen absolute diagonal regularizer; when None the
-    relative ``ladder`` is climbed and the jitter that succeeded returned.
+    The only caller of ``cholesky``.  ``jitter`` is a frozen absolute
+    diagonal regularizer; when None the ``ladder`` rungs, relative to the
+    mean diagonal (1 when that is not positive), are tried in turn and the
+    absolute jitter that succeeded returned.  Raises SingularGram when the
+    last rung fails.
     """
     n = residual.size
     if n == 0:
         return np.empty((0, 0)), residual.copy(), 0.0, 0.0
     if jitter is None:
-        factor, jitter = cholesky_with_jitter(block, ladder)
+        scale = float(np.mean(np.diag(block)))
+        rungs = [rel * (scale if scale > 0 else 1.0) for rel in ladder]
     else:
+        rungs = [jitter]
+    for jitter in rungs:
         try:
             factor = cholesky(block + jitter * np.eye(n), lower=True)
+            break
         except np.linalg.LinAlgError:
-            raise SingularGram("Cholesky failed at the frozen fitting jitter") from None
+            continue
+    else:
+        raise SingularGram(f"Cholesky failed at jitter {jitter:g} (n={n})")
     alpha = cho_solve((factor, True), residual)
     logdet = 2.0 * np.sum(np.log(np.diag(factor)))
     return factor, alpha, jitter, -0.5 * (n * LOG_2PI + logdet + float(residual @ alpha))
@@ -343,58 +327,30 @@ def condition(prior: GPPrior, train: TrainingSet, jitter: float | None = None) -
     return Conditioned(prior, pos, residual, *factorise(prior.noisy_block(pos), residual, jitter))
 
 
-def posterior_temperature(
-    prior: GPPrior, train: TrainingSet, test_rows: np.ndarray
-) -> PosteriorDistribution:
-    """Exact posterior over the temperature process at the requested rows.
+def posterior_temperature(conditioned: Conditioned, rows: np.ndarray) -> PosteriorDistribution:
+    """Exact posterior over the temperature process at prior rows ``rows``.
 
     The covariance is the posterior of the smooth (epistemic) temperature
-    component; add the variability term via ``with_variability`` to get the
-    predictive distribution for noisy observations.
+    component; the predictive distribution for noisy observations adds
+    sigma^2 times ``GPPrior.variability(rows)``.
     """
-    test_rows = np.asarray(test_rows, dtype=int)
-    conditioned = condition(prior, train)
+    rows = np.asarray(rows, dtype=int)
+    prior = conditioned.prior
     k = prior.physics_gram
     return conditioned.posterior(
-        test_rows,
-        prior.mean[test_rows],
-        k[np.ix_(test_rows, test_rows)],
-        k[np.ix_(test_rows, conditioned.positions)],
+        rows, prior.mean[rows], k[np.ix_(rows, rows)], k[np.ix_(rows, conditioned.positions)]
     )
 
 
-def posterior_forcing(
-    prior: GPPrior, train: TrainingSet, test_rows: np.ndarray
-) -> PosteriorDistribution:
-    """Exact posterior over the radiative forcing at the requested rows,
+def posterior_forcing(conditioned: Conditioned, rows: np.ndarray) -> PosteriorDistribution:
+    """Exact posterior over the radiative forcing at prior rows ``rows``,
     informed by temperature observations only."""
-    test_rows = np.asarray(test_rows, dtype=int)
-    conditioned = condition(prior, train)
+    rows = np.asarray(rows, dtype=int)
+    prior = conditioned.prior
     k_f = prior.forcing_gram
     # Cov(F, T) = K_f L^T at (test, train) rows = (L K_f[:, test])[train]^T
-    cross = prior.apply_response(k_f[:, test_rows])[conditioned.positions].T
-    return conditioned.posterior(
-        test_rows, prior.forcing_mean[test_rows], k_f[np.ix_(test_rows, test_rows)], cross
-    )
-
-
-def with_variability(
-    posterior: PosteriorDistribution, gram: np.ndarray, sigma: float
-) -> PosteriorDistribution:
-    """Predictive distribution: posterior covariance plus sigma^2 * gram."""
-    gram = np.asarray(gram, dtype=float)
-    if gram.shape != posterior.covariance.shape:
-        raise GridMismatch("variability gram does not match the posterior shape")
-    return PosteriorDistribution(
-        mean=posterior.mean.copy(),
-        covariance=posterior.covariance + sigma**2 * gram,
-        index=list(posterior.index),
-    )
-
-
-def marginal_log_likelihood(prior: GPPrior, train: TrainingSet) -> float:
-    """Log-density of the training temperatures under the noisy prior."""
-    return condition(prior, train).log_likelihood
+    cross = prior.apply_response(k_f[:, rows])[conditioned.positions].T
+    return conditioned.posterior(rows, prior.forcing_mean[rows], k_f[np.ix_(rows, rows)], cross)
 
 
 def sample_posterior(
@@ -420,10 +376,14 @@ def sample_posterior(
 
 @dataclass
 class FitResult:
+    """The fitted model and how the fit went: ``starts`` holds each L-BFGS-B
+    start's (converged, iterations, message), empty when nothing was free."""
+
     model: EmulatorModel
     trace: list[float]
     evaluations: int
     mll: float
+    starts: list[tuple[bool, int, str]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -593,7 +553,7 @@ def fit_hyperparameters(
     if not free:
         try:
             with np.errstate(over="raise", invalid="raise"):
-                mll = marginal_log_likelihood(prior, train)
+                mll = condition(prior, train).log_likelihood
         except FloatingPointError:
             mll = np.nan
         if not np.isfinite(mll):
@@ -602,7 +562,8 @@ def fit_hyperparameters(
 
     params = FreeParameters(model, free)
     # The jitter rung the start point's own factorization needs, frozen.
-    _, jitter = cholesky_with_jitter(prior.noisy_block(locate_rows(prior, train.index)))
+    pos = locate_rows(prior, train.index)
+    jitter = factorise(prior.noisy_block(pos), np.zeros(pos.size))[2]
 
     trace: list[float] = []
     best = -np.inf
@@ -632,6 +593,7 @@ def fit_hyperparameters(
 
     best_theta = theta0
     best_value = -np.inf
+    outcomes = []
     for start in starts:
         result = minimize(
             objective,
@@ -640,6 +602,7 @@ def fit_hyperparameters(
             method="L-BFGS-B",
             options={"maxiter": model.fit.max_iterations},
         )
+        outcomes.append((bool(result.success), int(result.nit), str(result.message)))
         value = -result.fun if np.isfinite(result.fun) else -np.inf
         if value > best_value:
             best_value = value
@@ -648,4 +611,4 @@ def fit_hyperparameters(
         raise NonFinite("marginal log-likelihood is not finite anywhere the optimizer looked")
 
     fitted = params.apply(best_theta)
-    return FitResult(model=fitted, trace=trace, evaluations=evaluations, mll=best_value)
+    return FitResult(fitted, trace, evaluations, best_value, outcomes)

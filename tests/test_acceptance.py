@@ -33,7 +33,6 @@ from ebgp.inference import (
     build_prior,
     condition,
     fit_hyperparameters,
-    marginal_log_likelihood,
     mll_and_gradient,
     posterior_forcing,
     posterior_temperature,
@@ -199,7 +198,7 @@ def test_criterion_05_posterior_exactness():
         # empty training set: posterior is the prior, exactly
         empty = TrainingSet(temperatures=np.empty(0), index=[])
         rows = prior.rows_for_scenario("b")
-        post = posterior_temperature(prior, empty, rows)
+        post = posterior_temperature(condition(prior, empty), rows)
         assert np.max(np.abs(post.mean - prior.mean[rows])) <= 1e-12
         assert np.max(np.abs(
             post.covariance - prior.physics_gram[np.ix_(rows, rows)]
@@ -220,14 +219,14 @@ def test_criterion_05_posterior_exactness():
             agents, imp0, {"x": AgentForcing()},
             KernelConfig("matern12", [1.0], 1.0, standardize_inputs=False),
         ))
-        ipost = posterior_temperature(iprior, itrain, np.arange(n))
+        ipost = posterior_temperature(condition(iprior, itrain), np.arange(n))
         assert np.max(np.abs(ipost.mean - scen.global_temperature)) <= 1e-6
         assert np.max(np.diag(ipost.covariance)) <= 1e-6
 
         # the forcing posterior convolves to the temperature posterior
         full = np.arange(prior.n)
-        post_f = posterior_forcing(prior, train, full)
-        post_t = posterior_temperature(prior, train, full)
+        post_f = posterior_forcing(condition(prior, train), full)
+        post_t = posterior_temperature(condition(prior, train), full)
         convolved = prior.apply_response(post_f.mean)
         assert np.max(np.abs(convolved - post_t.mean)) <= 1e-8
 
@@ -256,7 +255,7 @@ def test_criterion_06_mll_and_gradients():
             y = rng.normal(size=n)
             prior = _degenerate_prior(cov)
             train = TrainingSet(temperatures=y, index=list(prior.index))
-            mll = marginal_log_likelihood(prior, train)
+            mll = condition(prior, train).log_likelihood
             jitter = 1e-6 * np.mean(np.diag(cov))
             oracle = multivariate_normal.logpdf(
                 y, mean=np.zeros(n), cov=cov + jitter * np.eye(n)
@@ -358,7 +357,7 @@ def test_criterion_09_spatial_reduction():
         )
         rows = np.arange(prior.n)
         local = np.repeat(train.temperatures, 4).reshape(train.n, 2, 2)
-        reference = posterior_temperature(prior, train, rows)
+        reference = posterior_temperature(condition(prior, train), rows)
         for i in range(2):
             for j in range(2):
                 cell = cell_posterior(pattern, prior, train, local, i, j, rows)

@@ -160,6 +160,28 @@ class TestFit:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_converged_starts_are_reported(self, workspace, capsys):
+        """One stderr line per L-BFGS-B start that stops short of converging,
+        none when every start converges; stdout is unchanged."""
+        tmp, config, paths = workspace
+        model = load_model(config)
+        free_config = tmp / "config_free.txt"
+        err = {}
+        for iterations in (1, 200):
+            model.fit = FitSettings(free=("variance", "sigma"), restarts=1,
+                                    max_iterations=iterations)
+            save_model(model, free_config)
+            rc = main(["fit", "--config", str(free_config), "--scenario", *paths,
+                       "--holdout", "target", "--out", str(tmp / "m.txt")])
+            assert rc == 0
+            captured = capsys.readouterr()
+            assert "final_mll=" in captured.out
+            err[iterations] = captured.err.splitlines()
+        assert [line.split(" did not converge")[0] for line in err[1]] == [
+            "fit: start 0", "fit: start 1"]
+        assert not any("evaluations=" in line or "final_mll=" in line for line in err[1])
+        assert err[200] == []
+
     @pytest.mark.parametrize("broken, message", [
         ("missing", "no accumulation rule"),
         ("non-positive", "non-positive concentrations"),
@@ -733,6 +755,50 @@ def test_seed_is_not_an_option(workspace, capsys, command):
               "--holdout", "target", "--out", str(tmp / "x.csv"), "--seed", "3"])
     assert exit_info.value.code == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "sample", "verify"])
+def test_negative_seed_rejected(workspace, capsys, command):
+    """--seed is validated where it enters, before anything is read or drawn."""
+    tmp, config, paths = workspace
+    out = tmp / "x.csv"
+    inputs = {"fit": ["--config", str(config)], "sample": ["--model", str(config)]}
+    argv = [command, "--out", str(out), "--seed", "-1"]
+    if command != "verify":
+        argv += [*inputs[command], "--scenario", *paths, "--holdout", "target"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_factorisation_per_command(tmp_path, monkeypatch, capsys):
+    """Every command that conditions on the training rows factorises their
+    block once; spatial-emulate reads an eigendecomposition instead."""
+    from ebgp import inference
+
+    data = Path(__file__).resolve().parents[1] / "data" / "synthetic"
+    model = load_model(data / "model_config.txt")
+    model.fit = FitSettings(free=())
+    fixed = tmp_path / "fixed.txt"
+    save_model(model, fixed)
+    calls = []
+
+    def counting(*args, _cholesky=inference.cholesky, **kwargs):
+        calls.append(1)
+        return _cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "cholesky", counting)
+    scenarios = ["--scenario", *(str(data / f"{name}.csv")
+                                 for name in ("historical", "ssp_low", "ssp_mid", "ssp_high"))]
+    query = ["--model", str(data / "model_config.txt"), *scenarios, "--holdout", "ssp_mid"]
+    expected = {"emulate": 1, "forcing": 1, "sample": 1, "spatial-emulate": 0, "fit": 1}
+    for command, count in expected.items():
+        calls.clear()
+        argv = ["fit", "--config", str(fixed), *query[2:]] if command == "fit" else [command, *query]
+        assert main([*argv, "--out", str(tmp_path / f"{command}.out")]) == 0
+        assert len(calls) == count, command
 
 
 def test_default_seed_documented():

@@ -15,16 +15,14 @@ from ebgp.inference import (
     GPPrior,
     PosteriorDistribution,
     build_prior,
-    cholesky_with_jitter,
     condition,
+    factorise,
     fit_hyperparameters,
     locate_rows,
-    marginal_log_likelihood,
     mll_and_gradient,
     posterior_forcing,
     posterior_temperature,
     sample_posterior,
-    with_variability,
 )
 from ebgp.kernels import KernelConfig
 from ebgp.oracles import finite_difference_gradient, predictive_log_density
@@ -152,7 +150,7 @@ class TestBuildPrior:
     def test_gram_factorizable(self, setup):
         _, _, _, prior = setup
         noisy = prior.physics_gram + prior.sigma**2 * prior.variability(np.arange(prior.n))
-        cholesky_with_jitter(noisy)
+        factorise(noisy, np.zeros(prior.n))
 
     def test_cross_scenario_blocks_match_joint_sampling(self, setup, toy_impulse):
         """The stacked physics Gram, including its cross-scenario blocks,
@@ -232,7 +230,7 @@ class TestBlockedPrior:
             rows, prior.forcing_mean[rows], k_f[np.ix_(rows, rows)],
             k_f[rows, :] @ op[conditioned.positions, :].T,
         )
-        post = posterior_forcing(prior, train, rows)
+        post = posterior_forcing(conditioned, rows)
         for got, want in [(post.mean, dense.mean), (post.covariance, dense.covariance)]:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -272,7 +270,7 @@ class TestPosteriorTemperature:
         _, s2, _, prior = setup
         empty = TrainingSet(temperatures=np.empty(0), index=[])
         rows = prior.rows_for_scenario("b")
-        post = posterior_temperature(prior, empty, rows)
+        post = posterior_temperature(condition(prior, empty), rows)
         np.testing.assert_array_equal(post.mean, prior.mean[rows])
         np.testing.assert_array_equal(
             post.covariance, prior.physics_gram[np.ix_(rows, rows)]
@@ -292,7 +290,7 @@ class TestPosteriorTemperature:
         kc = KernelConfig("matern12", [1.0], 1.0, standardize_inputs=False)
         train, _ = assemble_training_set([scen])
         prior = build_prior([scen], EmulatorModel(agents, imp, forcing, kc))
-        post = posterior_temperature(prior, train, np.arange(n))
+        post = posterior_temperature(condition(prior, train), np.arange(n))
         assert np.max(np.abs(post.mean - scen.global_temperature)) <= 1e-6
         assert np.max(np.diag(post.covariance)) <= 1e-6
 
@@ -305,7 +303,7 @@ class TestPosteriorTemperature:
             standardization=train.standardization,
         )
         test_row = prior.rows_for_scenario("b")[5:6]
-        post = posterior_temperature(prior, one, test_row)
+        post = posterior_temperature(condition(prior, one), test_row)
         k = prior.physics_gram
         pos = locate_rows(prior, one.index)[0]
         t = int(test_row[0])
@@ -324,7 +322,7 @@ class TestPosteriorTemperature:
     def test_posterior_variance_below_prior(self, setup):
         _, _, train, prior = setup
         rows = prior.rows_for_scenario("b")
-        post = posterior_temperature(prior, train, rows)
+        post = posterior_temperature(condition(prior, train), rows)
         prior_var = np.diag(prior.physics_gram[np.ix_(rows, rows)])
         assert np.all(np.diag(post.covariance) <= prior_var + 1e-9)
 
@@ -336,14 +334,14 @@ class TestPosteriorTemperature:
             standardization=train.standardization,
         )
         rows = prior.rows_for_scenario("b")
-        var_half = np.diag(posterior_temperature(prior, half, rows).covariance)
-        var_full = np.diag(posterior_temperature(prior, train, rows).covariance)
+        var_half = np.diag(posterior_temperature(condition(prior, half), rows).covariance)
+        var_full = np.diag(posterior_temperature(condition(prior, train), rows).covariance)
         assert np.all(var_full <= var_half + 1e-9)
 
     def test_data_fit_improves(self, setup):
         _, _, train, prior = setup
         rows = locate_rows(prior, train.index)
-        post = posterior_temperature(prior, train, rows)
+        post = posterior_temperature(condition(prior, train), rows)
         prior_dist = PosteriorDistribution(
             mean=prior.mean[rows],
             covariance=prior.physics_gram[np.ix_(rows, rows)],
@@ -357,7 +355,7 @@ class TestPosteriorTemperature:
         _, _, train, prior = setup
         bad = dataclasses.replace(train, index=[("zz", 1900)] + train.index[1:])
         with pytest.raises(GridMismatch):
-            posterior_temperature(prior, bad, np.arange(3))
+            posterior_temperature(condition(prior, bad), np.arange(3))
 
 
 class TestPosteriorForcing:
@@ -365,7 +363,7 @@ class TestPosteriorForcing:
         _, _, _, prior = setup
         empty = TrainingSet(temperatures=np.empty(0), index=[])
         rows = prior.rows_for_scenario("b")
-        post = posterior_forcing(prior, empty, rows)
+        post = posterior_forcing(condition(prior, empty), rows)
         np.testing.assert_array_equal(post.mean, prior.forcing_mean[rows])
         np.testing.assert_array_equal(
             post.covariance, prior.forcing_gram[np.ix_(rows, rows)]
@@ -376,15 +374,15 @@ class TestPosteriorForcing:
         operator must reproduce the posterior temperature mean."""
         _, _, train, prior = setup
         rows = np.arange(prior.n)
-        post_f = posterior_forcing(prior, train, rows)
-        post_t = posterior_temperature(prior, train, rows)
+        post_f = posterior_forcing(condition(prior, train), rows)
+        post_t = posterior_temperature(condition(prior, train), rows)
         convolved = prior.apply_response(post_f.mean)
         assert np.max(np.abs(convolved - post_t.mean)) <= 1e-8
 
     def test_forcing_variance_below_prior(self, setup):
         _, _, train, prior = setup
         rows = prior.rows_for_scenario("b")
-        post = posterior_forcing(prior, train, rows)
+        post = posterior_forcing(condition(prior, train), rows)
         prior_var = np.diag(prior.forcing_gram[np.ix_(rows, rows)])
         assert np.all(np.diag(post.covariance) <= prior_var + 1e-9)
 
@@ -395,7 +393,7 @@ class TestPosteriorForcing:
             standardization=train.standardization,
         )
         test_row = np.array([3])
-        post = posterior_forcing(prior, one, test_row)
+        post = posterior_forcing(condition(prior, one), test_row)
         pos = locate_rows(prior, one.index)[0]
         k = prior.physics_gram
         cross = prior.apply_response(prior.forcing_gram[:, 3])[pos]
@@ -433,13 +431,13 @@ class TestMarginalLogLikelihood:
 
     def test_single_point_unit_variance(self):
         prior = self._prior_from_cov(np.array([[1.0]]))
-        mll = marginal_log_likelihood(prior, self._train([0.0]))
+        mll = condition(prior, self._train([0.0])).log_likelihood
         assert mll == pytest.approx(-0.9189385332046727, abs=1e-5)
 
     def test_two_point_diagonal_factorizes(self):
         cov = np.diag([1.0, 4.0])
         prior = self._prior_from_cov(cov)
-        mll = marginal_log_likelihood(prior, self._train([0.5, -1.0]))
+        mll = condition(prior, self._train([0.5, -1.0])).log_likelihood
         singles = sum(
             -0.5 * (LOG_2PI + np.log(v) + y**2 / v)
             for v, y in [(1.0, 0.5), (4.0, -1.0)]
@@ -453,7 +451,7 @@ class TestMarginalLogLikelihood:
             cov = a @ a.T + n * np.eye(n)
             y = rng.normal(size=n)
             prior = self._prior_from_cov(cov)
-            mll = marginal_log_likelihood(prior, self._train(y))
+            mll = condition(prior, self._train(y)).log_likelihood
             jitter = 1e-6 * np.mean(np.diag(cov))
             oracle = multivariate_normal.logpdf(y, mean=np.zeros(n), cov=cov + jitter * np.eye(n))
             assert abs(mll - oracle) <= 1e-10 * max(1.0, abs(oracle))
@@ -461,7 +459,7 @@ class TestMarginalLogLikelihood:
     def test_empty_training_set(self):
         prior = self._prior_from_cov(np.eye(2))
         empty = TrainingSet(temperatures=np.empty(0), index=[])
-        assert marginal_log_likelihood(prior, empty) == 0.0
+        assert condition(prior, empty).log_likelihood == 0.0
 
     def test_scenario_order_invariance(self, toy_impulse, toy_forcing, toy_kernel, toy_agents):
         s1, s2 = two_scenario_setup(toy_impulse, toy_forcing, toy_kernel, toy_agents)
@@ -471,7 +469,7 @@ class TestMarginalLogLikelihood:
             prior = build_prior(order, EmulatorModel(
                 toy_agents, toy_impulse, toy_forcing, toy_kernel, train.standardization
             ))
-            values[tuple(s.name for s in order)] = marginal_log_likelihood(prior, train)
+            values[tuple(s.name for s in order)] = condition(prior, train).log_likelihood
         a, b = values.values()
         assert a == pytest.approx(b, rel=1e-9)
 
@@ -537,11 +535,6 @@ class TestSampling:
         assert np.all(np.abs(draws.mean(axis=0)) < 0.04)
         assert np.all((draws.var(axis=0) > 0.94) & (draws.var(axis=0) < 1.06))
 
-    def test_with_variability_adds_noise(self):
-        post = PosteriorDistribution(np.zeros(2), np.eye(2), [("x", 0), ("x", 1)])
-        pred = with_variability(post, np.eye(2), 2.0)
-        np.testing.assert_array_equal(pred.covariance, np.eye(2) * 5.0)
-
 
 class TestFit:
     def _model_and_scenarios(self, toy_impulse, toy_forcing, toy_kernel, toy_agents):
@@ -569,7 +562,7 @@ class TestFit:
         model, scenarios, train = self._model_and_scenarios(
             toy_impulse, toy_forcing, toy_kernel, toy_agents
         )
-        initial = marginal_log_likelihood(build_prior(scenarios, model), train)
+        initial = condition(build_prior(scenarios, model), train).log_likelihood
         model = dataclasses.replace(model, fit=FitSettings(
             free=("lengthscales", "variance", "sigma"), restarts=1, max_iterations=30
         ))
@@ -654,7 +647,7 @@ class TestFit:
         model, scenarios, train = self._model_and_scenarios(
             toy_impulse, toy_forcing, toy_kernel, toy_agents
         )
-        initial = marginal_log_likelihood(build_prior(scenarios, model), train)
+        initial = condition(build_prior(scenarios, model), train).log_likelihood
         model = dataclasses.replace(
             model, fit=FitSettings(free=("forcing", "sigma"), restarts=0, max_iterations=10)
         )
@@ -682,7 +675,7 @@ class TestFit:
 class TestCholeskyLadder:
     def test_escalates_then_fails(self):
         ones = np.ones((4, 4))  # rank one, needs jitter
-        factor, jitter = cholesky_with_jitter(ones)
+        factor, _, jitter, _ = factorise(ones, np.zeros(4))
         assert jitter > 0
         with pytest.raises(SingularGram):
-            cholesky_with_jitter(np.array([[0.0, 1.0], [1.0, 0.0]]), ladder=(1e-12,))
+            factorise(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2), ladder=(1e-12,))

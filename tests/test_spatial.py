@@ -6,6 +6,7 @@ from ebgp.inference import (
     Conditioned,
     EmulatorModel,
     build_prior,
+    condition,
     factorise,
     posterior_temperature,
 )
@@ -212,7 +213,7 @@ class TestSpatialPosterior:
         local = np.repeat(
             train.temperatures[:, None, None], GRID.shape[0] * GRID.shape[1], axis=1
         ).reshape(train.n, *GRID.shape)
-        reference = posterior_temperature(prior, train, rows)
+        reference = posterior_temperature(condition(prior, train), rows)
         for cell in oracle_field(pattern, prior, train, local, rows).values():
             np.testing.assert_allclose(cell.mean, reference.mean, atol=1e-10)
             np.testing.assert_allclose(cell.covariance, reference.covariance, atol=1e-10)
