@@ -107,10 +107,13 @@ def cmd_fit(args) -> int:
         raise SchemaError("cannot fit hyperparameters with an empty training set")
     model = _standardized(model, train, refit=True)
     result = fit_hyperparameters(train_scenarios, train, model, seed=args.seed)
-    for i, (converged, iterations, message) in enumerate(result.starts):
+    for i, (converged, iterations, message, rejected) in enumerate(result.starts):
         if not converged:
             print(f"fit: start {i} did not converge after {iterations} iterations: {message}",
                   file=sys.stderr)
+        if rejected:
+            print(f"fit: start {i} rejected {rejected} objective evaluations "
+                  "(singular, overflowing or not finite)", file=sys.stderr)
     save_model(result.model, args.out)
     finite = [t for t in result.trace if np.isfinite(t)]
     initial = finite[0] if finite else float("nan")

@@ -11,7 +11,9 @@ Inference is one exact Gaussian conditioning on the noisy training block
 block once, the temperature and forcing posteriors take the resulting
 ``Conditioned`` value, and the likelihood is its ``log_likelihood``.
 ``factorise`` is the one Cholesky routine and owns the jitter ladder;
-explicit matrix inverses never appear on the solve path.
+explicit matrix inverses never appear on the solve path.  The kernel is
+evaluated on the distinct emission rows and expanded by index; a fit's
+evaluations share one ``FitGeometry`` and the first one's jitter rung.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class GPPrior:
 
     def __post_init__(self):
         if self.physics_gram is None:
-            physics = self.propagate(self.forcing_gram)
+            physics = self.apply_response(self.apply_response(self.forcing_gram).T).T
             self.physics_gram = 0.5 * (physics + physics.T)
 
     @property
@@ -81,12 +83,6 @@ class GPPrior:
             raise DimensionMismatch(f"{len(x)} rows for a response operator of {edges[-1]} rows")
         parts = zip(self.response_blocks, np.split(x, edges[:-1]))
         return np.concatenate([(block.T if transpose else block) @ part for block, part in parts])
-
-    def propagate(self, k: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """L k L^T (L^T k L with ``transpose``) for an array with one row
-        and one column per prior row."""
-        left = self.apply_response(k, transpose)
-        return self.apply_response(left.T, transpose).T
 
     def variability(self, rows: np.ndarray) -> np.ndarray:
         """Gamma restricted to prior rows ``rows``, in their order: zero
@@ -182,47 +178,50 @@ def scenario_forcing(
     return ebm.forcing_response(conc, forcing, scen.grid)
 
 
-def _prior_fields(scenarios: list[Scenario], model: EmulatorModel) -> tuple[dict, np.ndarray]:
+def _mean_paths(scenarios: list[Scenario], model: EmulatorModel) -> dict:
+    """The ``GPPrior`` fields the box model and the forcing coefficients
+    move: the stacked box-model temperature mean and the forcing path."""
+    forcings = [scenario_forcing(scen, model.forcing, model.agents) for scen in scenarios]
+    means = [ebm.thermal_response(f, model.impulse, scen.grid)[1]
+             for scen, f in zip(scenarios, forcings)]
+    return dict(mean=np.concatenate(means), forcing_mean=np.concatenate(forcings))
+
+
+def _response_blocks(scenarios: list[Scenario], impulse: ImpulseParams) -> dict:
+    """The ``GPPrior`` fields only the box model moves: one block of L and
+    one of Gamma per scenario."""
+    return dict(
+        response_blocks=[ebm.temperature_operator(impulse, scen.grid) for scen in scenarios],
+        variability_blocks=[kernels.internal_variability_gram(impulse, scen.grid)
+                            for scen in scenarios],
+    )
+
+
+def _prior_fields(
+    scenarios: list[Scenario], model: EmulatorModel
+) -> tuple[dict, np.ndarray, np.ndarray]:
     """Every ``GPPrior`` field but the kernel matrix, scenario by scenario,
-    and the kernel inputs: the stacked emission rows, standardized when the
-    kernel asks for it with the model's constants, or with constants fitted
-    on these rows when the model has none."""
+    and the kernel inputs: the distinct rows ``x_u`` of the stacked emission
+    rows x, standardized when the kernel asks for it with the model's
+    constants, or with constants fitted on x when the model has none, and
+    the row map ``inv`` with x = x_u[inv] (futures repeat history rows)."""
     if not scenarios:
         raise GridMismatch("at least one scenario is required")
     steps = {s.grid.step for s in scenarios}
     if len(steps) > 1:
         raise GridMismatch(f"scenarios have inconsistent steps: {sorted(steps)}")
-    impulse = model.impulse
-
-    means = []
-    forcings = []
-    operators = []
-    var_blocks = []
-    raw_inputs = []
-    index: list[tuple[str, int]] = []
-    for scen in scenarios:
-        f = scenario_forcing(scen, model.forcing, model.agents)
-        _, temp = ebm.thermal_response(f, impulse, scen.grid)
-        means.append(temp)
-        forcings.append(f)
-        operators.append(ebm.temperature_operator(impulse, scen.grid))
-        var_blocks.append(kernels.internal_variability_gram(impulse, scen.grid))
-        raw_inputs.append(scen.emission_matrix(model.agent_names))
-        index.extend((scen.name, int(y)) for y in scen.grid.years().astype(int))
-
-    x = np.vstack(raw_inputs)
+    fields = dict(
+        sigma=model.impulse.variability_amplitude,
+        index=[(scen.name, int(y)) for scen in scenarios for y in scen.grid.years().astype(int)],
+        **_mean_paths(scenarios, model),
+        **_response_blocks(scenarios, model.impulse),
+    )
+    x = np.vstack([scen.emission_matrix(model.agent_names) for scen in scenarios])
     if model.kernel.standardize_inputs:
         st = model.standardization
         x = (st if st is not None else Standardization.from_rows(x)).apply(x)
-    fields = dict(
-        mean=np.concatenate(means),
-        sigma=impulse.variability_amplitude,
-        index=index,
-        forcing_mean=np.concatenate(forcings),
-        response_blocks=operators,
-        variability_blocks=var_blocks,
-    )
-    return fields, x
+    x_u, inv = np.unique(x, axis=0, return_inverse=True)
+    return fields, x_u, inv.reshape(-1)
 
 
 def build_prior(scenarios: list[Scenario], model: EmulatorModel) -> GPPrior:
@@ -234,8 +233,9 @@ def build_prior(scenarios: list[Scenario], model: EmulatorModel) -> GPPrior:
     the variability covariance has one block per scenario because
     internal-variability realizations of distinct runs are independent.
     """
-    fields, x = _prior_fields(scenarios, model)
-    return GPPrior(**fields, forcing_gram=kernels.forcing_gram(x, x, model.kernel))
+    fields, x_u, inv = _prior_fields(scenarios, model)
+    k_u = kernels.forcing_gram(x_u, x_u, model.kernel)
+    return GPPrior(**fields, forcing_gram=k_u[inv][:, inv])
 
 
 def locate_rows(prior: GPPrior, index: Sequence[tuple[str, int]]) -> np.ndarray:
@@ -377,13 +377,14 @@ def sample_posterior(
 @dataclass
 class FitResult:
     """The fitted model and how the fit went: ``starts`` holds each L-BFGS-B
-    start's (converged, iterations, message), empty when nothing was free."""
+    start's (converged, iterations, message, rejected evaluations), empty
+    when nothing was free."""
 
     model: EmulatorModel
     trace: list[float]
     evaluations: int
     mll: float
-    starts: list[tuple[bool, int, str]] = field(default_factory=list)
+    starts: list[tuple[bool, int, str, int]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -472,60 +473,106 @@ class FreeParameters:
         return model
 
 
+BOX_MODEL = frozenset({"timescales", "equilibrium_responses"})
+
+
+class FitGeometry:
+    """What one fit's objective evaluations share, built once: the
+    ``_prior_fields`` at the start model, and from the first ``prior`` the
+    training ``positions``, Gamma at them and M = (L S)[positions], where
+    the N x m selection S picks each row's distinct input.  ``prior``
+    rebuilds L, Gamma and M only with a free box-model row, and the mean and
+    forcing paths only with a free box-model or forcing row.  ``jitter`` is
+    the rung of the last factorisation through the geometry."""
+
+    def __init__(self, scenarios: list[Scenario], train: TrainingSet, model: EmulatorModel,
+                 free: Sequence[str] = PARAMETER_NAMES):
+        self.scenarios, self.train, self.free = scenarios, train, frozenset(free)
+        self.fields, self.x_u, self.inv = _prior_fields(scenarios, model)
+        self.jitter = self.operator = None
+        if "forcing" in self.free:
+            # F is linear in the coefficients: dF along one is F at that unit vector
+            units = (_with_forcing_coefficients(model, u).forcing
+                     for u in np.eye(_forcing_coefficients(model).size))
+            self.forcing_units = np.array([np.concatenate(
+                [scenario_forcing(scen, unit, model.agents) for scen in scenarios]
+            ) for unit in units])
+
+    def prior(self, model: EmulatorModel, k_u: np.ndarray) -> GPPrior:
+        """The prior at ``model`` whose kernel matrix on ``x_u`` is ``k_u``."""
+        fields = dict(self.fields, sigma=model.impulse.variability_amplitude)
+        if self.free & (BOX_MODEL | {"forcing"}):
+            fields.update(_mean_paths(self.scenarios, model))
+        if self.free & BOX_MODEL:
+            fields.update(_response_blocks(self.scenarios, model.impulse))
+        prior = GPPrior(**fields, forcing_gram=k_u[self.inv][:, self.inv])
+        if self.operator is None or self.free & BOX_MODEL:
+            self.positions = locate_rows(prior, self.train.index)
+            selection = np.eye(len(self.x_u))[self.inv]
+            self.operator = prior.apply_response(selection)[self.positions]
+            self.gamma = prior.variability(self.positions)
+        return prior
+
+
 def mll_and_gradient(
     scenarios: list[Scenario],
     train: TrainingSet,
     model: EmulatorModel,
     free: Sequence[str] = PARAMETER_NAMES,
     jitter: float | None = None,
+    geometry: FitGeometry | None = None,
 ) -> tuple[float, np.ndarray]:
     """Marginal log-likelihood of the training temperatures under the
     model's prior over ``scenarios`` and its gradient over the ``free`` rows
     of ``PARAMETERS``, in table order and the optimizer's coordinates.
 
-    Gradients use the trace identities of GPML section 5.4.1, with
-    W = alpha alpha^T - A^{-1} scattered to the prior's rows: tr(L^T W L dK) / 2
-    for the kernel, sigma^2 tr(W Gamma) for sigma, the sum over scenarios s
-    of <(W L K)_ss + alpha_s F_s^T, dL_s> + sigma^2 <W_ss, dGamma_s> / 2 for
-    the box model, and alpha^T L dF for the forcing coefficients.  ``jitter``
-    is as in ``factorise``; the optimizer freezes it at its start point.
+    ``geometry`` is ``FitGeometry(scenarios, train, model, free)``, built
+    here when not given.  The noisy block A is assembled as in ``condition``,
+    so the value is its ``log_likelihood``.  Gradients use the trace
+    identities of GPML section 5.4.1 with W = alpha alpha^T - A^{-1}: the
+    kernel rows <B_u, dK_u> / 2 with the m x m B_u = M^T W M = (M^T alpha)
+    (M^T alpha)^T - V^T V, V = L_A^{-1} M; sigma^2 tr(W Gamma) for sigma;
+    with W scattered to the prior's rows, the sum over scenarios s of
+    <(W L K)_ss + alpha_s F_s^T, dL_s> + sigma^2 <W_ss, dGamma_s> / 2 for the
+    box model; and alpha^T L dF for the forcing coefficients.  ``jitter`` is
+    as in ``factorise``; the rung used is left in ``geometry.jitter``.
     """
+    geometry = geometry or FitGeometry(scenarios, train, model, free)
     impulse, sigma = model.impulse, model.impulse.variability_amplitude
-    fields, x = _prior_fields(scenarios, model)
-    k_f, dk_dl = kernels.forcing_gram_gradients(x, model.kernel)
-    prior = GPPrior(**fields, forcing_gram=k_f)
-    conditioned = condition(prior, train, jitter)
+    k_u, dk_u = kernels.forcing_gram_gradients(geometry.x_u, model.kernel)
+    prior = geometry.prior(model, k_u)
+    pos, gamma, operator = geometry.positions, geometry.gamma, geometry.operator
+    factor, alpha_t, geometry.jitter, mll = factorise(
+        prior.physics_gram[pos][:, pos] + sigma**2 * gamma,
+        geometry.train.temperatures - prior.mean[pos], jitter)
 
-    pos = conditioned.positions
-    inv = lapack.dpotri(conditioned.factor, lower=True)[0]
-    w = np.outer(conditioned.alpha, conditioned.alpha) - (np.tril(inv) + np.tril(inv, -1).T)
-    scattered = np.zeros((prior.n, prior.n))
-    scattered[np.ix_(pos, pos)] = w
+    beta = operator.T @ alpha_t
+    v = solve_triangular(factor, operator, lower=True, check_finite=False)
+    b = np.outer(beta, beta) - v.T @ v
+    # dpotri fills the lower triangle of A^{-1} and keeps the factor's zero upper one
+    inv = lapack.dpotri(factor, lower=True)[0]
+    trace_inv_gamma = 2.0 * np.einsum("ij,ij->", inv, gamma) - np.diag(inv) @ np.diag(gamma)
+    grad = {"lengthscales": [0.5 * np.sum(b * g) for g in dk_u],
+            "variance": [0.5 * np.sum(b * k_u)],
+            "sigma": [sigma**2 * (alpha_t @ gamma @ alpha_t - trace_inv_gamma)]}
     alpha = np.zeros(prior.n)
-    alpha[pos] = conditioned.alpha
-    b = prior.propagate(scattered, transpose=True)
-    grad = {"lengthscales": [0.5 * np.sum(b * g) for g in dk_dl],
-            "variance": [0.5 * np.sum(b * k_f)],
-            "sigma": [sigma**2 * np.sum(w * prior.variability(pos))]}
-    if {"timescales", "equilibrium_responses"} & set(free):
-        lk = prior.apply_response(k_f)
+    alpha[pos] = alpha_t
+    if geometry.free & BOX_MODEL:
+        scattered = np.zeros((prior.n, prior.n))
+        scattered[np.ix_(pos, pos)] = np.outer(alpha_t, alpha_t) - (inv + np.tril(inv, -1).T)
+        lk = prior.apply_response(prior.forcing_gram)
         box = 0.0
-        edges = np.cumsum([0] + [scen.grid.n_steps for scen in scenarios])
-        for scen, rows in zip(scenarios, map(slice, edges, edges[1:])):
+        edges = np.cumsum([0] + [scen.grid.n_steps for scen in geometry.scenarios])
+        for scen, rows in zip(geometry.scenarios, map(slice, edges, edges[1:])):
             # mode i's operator is linear in q_i, so mode_series holds both derivatives
             series = np.array(ebm.mode_series(impulse, scen.grid))
             response = scattered[rows] @ lk[:, rows] + np.outer(alpha[rows], prior.forcing_mean[rows])
             noise = kernels.variability_gradient(impulse, scen.grid, scattered[rows, rows])
             box = box + series @ ebm.lag_sums(response) + 0.5 * sigma**2 * noise
         grad["equilibrium_responses"], grad["timescales"] = box
-    if "forcing" in free:
-        # F is linear in the coefficients: dF along one is F at that unit vector
-        units = (_with_forcing_coefficients(model, u).forcing
-                 for u in np.eye(_forcing_coefficients(model).size))
-        grad["forcing"] = np.array([np.concatenate(
-            [scenario_forcing(scen, unit, model.agents) for scen in scenarios]
-        ) for unit in units]) @ prior.apply_response(alpha, transpose=True)
-    return conditioned.log_likelihood, np.concatenate(
+    if "forcing" in geometry.free:
+        grad["forcing"] = geometry.forcing_units @ prior.apply_response(alpha, transpose=True)
+    return mll, np.concatenate(
         [np.asarray(grad[row.name], dtype=float) for row in PARAMETERS if row.name in free]
     )
 
@@ -541,19 +588,21 @@ def fit_hyperparameters(
     The prior covers ``scenarios``, which hold (at least) the training rows.
     Runs L-BFGS-B on log-transformed positive parameters, once from the
     supplied model and ``model.fit.restarts`` more times from perturbed
-    starts.  The trace records the best marginal log-likelihood seen after
-    each objective evaluation (failed or overflowing ones rejected) and never
-    decreases.
+    starts, all through one ``FitGeometry``; later evaluations reuse the
+    jitter rung the first one's factorisation found.  An evaluation that
+    raises ``SingularGram``, ``ValueError`` or ``FloatingPointError``, or is
+    not finite, is rejected and counted against its start.  The trace
+    records the best marginal log-likelihood seen after each evaluation, so
+    it never decreases.
     """
     # Imported here: of all the commands only ``fit`` needs the optimizer.
     from scipy.optimize import minimize
 
     free = model.fit.free
-    prior = build_prior(scenarios, model)
     if not free:
         try:
             with np.errstate(over="raise", invalid="raise"):
-                mll = condition(prior, train).log_likelihood
+                mll = condition(build_prior(scenarios, model), train).log_likelihood
         except FloatingPointError:
             mll = np.nan
         if not np.isfinite(mll):
@@ -561,23 +610,26 @@ def fit_hyperparameters(
         return FitResult(model=model, trace=[mll], evaluations=0, mll=mll)
 
     params = FreeParameters(model, free)
-    # The jitter rung the start point's own factorization needs, frozen.
-    pos = locate_rows(prior, train.index)
-    jitter = factorise(prior.noisy_block(pos), np.zeros(pos.size))[2]
-
+    geometry = FitGeometry(scenarios, train, model, free)
     trace: list[float] = []
     best = -np.inf
-    evaluations = 0
+    evaluations = rejected = 0
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal best, evaluations
+        nonlocal best, evaluations, rejected
         evaluations += 1
         try:
             with np.errstate(over="raise", invalid="raise"):
-                mll, grad = mll_and_gradient(scenarios, train, params.apply(theta), free, jitter)
-        except (ValueError, SingularGram, FloatingPointError):
+                mll, grad = mll_and_gradient(scenarios, train, params.apply(theta), free,
+                                             geometry.jitter, geometry)
+        except SingularGram:
+            if geometry.jitter is None:
+                raise  # the start block is singular on every rung
+            mll = -np.inf
+        except (ValueError, FloatingPointError):
             mll = -np.inf
         if not np.isfinite(mll):
+            rejected += 1
             trace.append(best)
             return np.inf, np.zeros_like(theta)
         best = max(best, mll)
@@ -595,6 +647,7 @@ def fit_hyperparameters(
     best_value = -np.inf
     outcomes = []
     for start in starts:
+        before = rejected
         result = minimize(
             objective,
             start,
@@ -602,7 +655,8 @@ def fit_hyperparameters(
             method="L-BFGS-B",
             options={"maxiter": model.fit.max_iterations},
         )
-        outcomes.append((bool(result.success), int(result.nit), str(result.message)))
+        outcomes.append(
+            (bool(result.success), int(result.nit), str(result.message), rejected - before))
         value = -result.fun if np.isfinite(result.fun) else -np.inf
         if value > best_value:
             best_value = value

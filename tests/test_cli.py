@@ -182,6 +182,35 @@ class TestFit:
         assert not any("evaluations=" in line or "final_mll=" in line for line in err[1])
         assert err[200] == []
 
+    def test_rejected_evaluations_are_reported(self, workspace, capsys, monkeypatch):
+        """One stderr line per L-BFGS-B start that rejected an objective
+        evaluation (here one overflow and one non-finite value, both in
+        start 0); stdout and the exit code are unchanged."""
+        from ebgp import inference
+
+        tmp, config, paths = workspace
+        model = load_model(config)
+        model.fit = FitSettings(free=("variance", "sigma"), restarts=1, max_iterations=200)
+        free_config = tmp / "config_free.txt"
+        save_model(model, free_config)
+        calls = []
+
+        def flaky(*args, _original=inference.mll_and_gradient, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise FloatingPointError("overflow encountered in exp")
+            value, grad = _original(*args, **kwargs)
+            return (np.nan if len(calls) == 3 else value), grad
+
+        monkeypatch.setattr(inference, "mll_and_gradient", flaky)
+        rc = main(["fit", "--config", str(free_config), "--scenario", *paths,
+                   "--holdout", "target", "--out", str(tmp / "m.txt")])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "final_mll=" in captured.out
+        assert captured.err.splitlines() == [
+            "fit: start 0 rejected 2 objective evaluations (singular, overflowing or not finite)"]
+
     @pytest.mark.parametrize("broken, message", [
         ("missing", "no accumulation rule"),
         ("non-positive", "non-positive concentrations"),

@@ -10,6 +10,7 @@ from ebgp.errors import GridMismatch, SingularGram
 from ebgp.inference import (
     PARAMETER_NAMES,
     EmulatorModel,
+    FitGeometry,
     FitSettings,
     FreeParameters,
     GPPrior,
@@ -24,7 +25,7 @@ from ebgp.inference import (
     posterior_temperature,
     sample_posterior,
 )
-from ebgp.kernels import KernelConfig
+from ebgp.kernels import KERNEL_FAMILIES, KernelConfig, forcing_gram, forcing_gram_gradients
 from ebgp.oracles import finite_difference_gradient, predictive_log_density
 from ebgp.scenario import (
     AgentSpec,
@@ -263,6 +264,112 @@ class TestBlockedPrior:
         # at the prior's own parameters it is the conditioning's likelihood
         value, _ = mll_and_gradient(scenarios, train, model, jitter=jitter)
         assert value == condition(prior, train, jitter).log_likelihood
+
+
+def shared_history_setup(toy_impulse, toy_forcing, toy_agents, family, seed=5):
+    """A history and two futures that repeat its emissions bit for bit
+    before they part, with temperatures drawn from the prior, so each
+    future's history rows differ from the history's only in their weather.
+    The prior covers all three; the training rows hold out the second
+    future."""
+    n_hist, n_future = 20, 35
+    t = np.arange(n_future, dtype=float)
+
+    def emissions(rise, period):
+        flux = np.where(t < n_hist, 1.0 + 0.1 * t, 3.0 + rise * (t - n_hist))
+        so2 = np.where(t < n_hist, 2.0 + np.sin(t / 8.0), 2.0 + np.sin(t / period))
+        return {"co2": np.cumsum(flux), "so2": so2}
+
+    futures = {"f1": emissions(0.2, 5.0), "f2": emissions(-0.05, 11.0)}
+    history = {name: series[:n_hist] for name, series in futures["f1"].items()}
+    scenarios = [Scenario("h", TimeGrid(1900, n_hist), history)] + [
+        Scenario(name, TimeGrid(1900, n_future), series) for name, series in futures.items()
+    ]
+    kernel = KernelConfig(family, [1.2, 0.7], 0.3)
+    model = EmulatorModel(toy_agents, toy_impulse, toy_forcing, kernel)
+    prior = build_prior(scenarios, model)
+    cov = prior.physics_gram + toy_impulse.variability_amplitude**2 * prior.variability(
+        np.arange(prior.n)
+    )
+    rng = np.random.default_rng(seed)
+    y = prior.mean + np.linalg.cholesky(cov + 1e-10 * np.eye(prior.n)) @ rng.standard_normal(prior.n)
+    for scen, part in zip(scenarios, np.split(y, [n_hist, n_hist + n_future])):
+        scen.global_temperature = part
+    train, _ = assemble_training_set(scenarios, holdout=("f2",))
+    return scenarios, train, dataclasses.replace(model, standardization=train.standardization)
+
+
+class TestSharedHistory:
+    """The kernel is evaluated on the distinct emission rows only; that must
+    not change the prior, the likelihood or any gradient."""
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    def test_kernel_on_distinct_rows_is_exact(
+        self, toy_impulse, toy_forcing, toy_agents, family
+    ):
+        scenarios, train, model = shared_history_setup(
+            toy_impulse, toy_forcing, toy_agents, family
+        )
+        x = model.standardization.apply(
+            np.vstack([scen.emission_matrix(model.agent_names) for scen in scenarios])
+        )
+        geometry = FitGeometry(scenarios, train, model)
+        assert len(geometry.x_u) == 50 and len(x) == 90
+        np.testing.assert_array_equal(geometry.x_u[geometry.inv], x)
+        np.testing.assert_array_equal(
+            build_prior(scenarios, model).forcing_gram, forcing_gram(x, x, model.kernel)
+        )
+        k, dk = forcing_gram_gradients(x, model.kernel)
+        k_u, dk_u = forcing_gram_gradients(geometry.x_u, model.kernel)
+        for got, want in zip([k_u, *dk_u], [k, *dk]):
+            np.testing.assert_array_equal(got[geometry.inv][:, geometry.inv], want)
+
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
+    def test_objective_is_the_conditioning(self, toy_impulse, toy_forcing, toy_agents, family):
+        """The value is the conditioning's likelihood exactly, and every
+        fittable row's gradient matches central differences, on training
+        rows that are a strict subset of the prior's."""
+        scenarios, train, model = shared_history_setup(
+            toy_impulse, toy_forcing, toy_agents, family
+        )
+        prior = build_prior(scenarios, model)
+        assert train.n < prior.n
+        jitter = condition(prior, train).jitter
+        value, _ = mll_and_gradient(scenarios, train, model, jitter=jitter)
+        assert value == condition(prior, train, jitter).log_likelihood
+
+        params = FreeParameters(model, PARAMETER_NAMES)
+
+        def mll(theta):
+            return mll_and_gradient(scenarios, train, params.apply(theta), jitter=jitter)
+
+        rng = np.random.default_rng(8)
+        for _ in range(2):
+            theta = params.theta0 + rng.normal(scale=0.3, size=params.theta0.size)
+            _, grad = mll(theta)
+            fd = finite_difference_gradient(lambda t: mll(t)[0], theta)
+            assert np.all(np.abs(grad - fd) <= 1e-4 * (np.abs(fd) + 1e-6))
+
+    @pytest.mark.parametrize("free", [
+        PARAMETER_NAMES, ("lengthscales", "variance", "sigma", "forcing"), ("lengthscales", "sigma")
+    ])
+    def test_one_geometry_serves_every_evaluation(
+        self, toy_impulse, toy_forcing, toy_agents, free
+    ):
+        """A fit reuses one geometry at every parameter value it tries: that
+        gives exactly what a fresh geometry gives, whichever rows are free."""
+        scenarios, train, model = shared_history_setup(
+            toy_impulse, toy_forcing, toy_agents, "matern32"
+        )
+        jitter = condition(build_prior(scenarios, model), train).jitter
+        params = FreeParameters(model, free)
+        geometry = FitGeometry(scenarios, train, model, free)
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            moved = params.apply(params.theta0 + rng.normal(scale=0.3, size=params.theta0.size))
+            reused = mll_and_gradient(scenarios, train, moved, free, jitter, geometry)
+            fresh = mll_and_gradient(scenarios, train, moved, free, jitter)
+            assert reused[0] == fresh[0] and np.array_equal(reused[1], fresh[1])
 
 
 class TestPosteriorTemperature:
@@ -619,6 +726,83 @@ class TestFit:
         assert result.evaluations > 0
         assert calls["forcing_gram_gradients"] == result.evaluations
         assert calls["forcing_gram"] <= 1
+
+    def test_fixed_parts_built_once_per_fit(
+        self, toy_impulse, toy_forcing, toy_kernel, toy_agents, monkeypatch
+    ):
+        """With only kernel rows and sigma free, the box-model blocks are
+        built once per training scenario per fit, and each objective
+        evaluation factorises once: the start rung is the first
+        evaluation's own."""
+        from ebgp import ebm, inference, kernels
+
+        model, scenarios, train = self._model_and_scenarios(
+            toy_impulse, toy_forcing, toy_kernel, toy_agents
+        )
+        calls = {"temperature_operator": 0, "internal_variability_gram": 0, "cholesky": 0}
+        for module, name in ((ebm, "temperature_operator"),
+                             (kernels, "internal_variability_gram"), (inference, "cholesky")):
+
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        model = dataclasses.replace(model, fit=FitSettings(
+            free=("lengthscales", "variance", "sigma"), restarts=1, max_iterations=10
+        ))
+        result = fit_hyperparameters(scenarios, train, model, seed=0)
+        assert result.evaluations > 2
+        assert calls["temperature_operator"] == len(scenarios)
+        assert calls["internal_variability_gram"] == len(scenarios)
+        assert calls["cholesky"] == result.evaluations
+
+    def test_rejected_evaluations_are_counted(
+        self, toy_impulse, toy_forcing, toy_kernel, toy_agents, monkeypatch
+    ):
+        """A later evaluation that is singular at the frozen rung is
+        rejected and counted against its start, not raised."""
+        from ebgp import inference
+
+        model, scenarios, train = self._model_and_scenarios(
+            toy_impulse, toy_forcing, toy_kernel, toy_agents
+        )
+        count = []
+
+        def singular_second(*args, _original=inference.cholesky, **kwargs):
+            count.append(1)
+            if len(count) == 2:
+                raise np.linalg.LinAlgError("2-th leading minor not positive definite")
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "cholesky", singular_second)
+        model = dataclasses.replace(
+            model, fit=FitSettings(free=("variance", "sigma"), restarts=1, max_iterations=10)
+        )
+        result = fit_hyperparameters(scenarios, train, model, seed=0)
+        assert [start[3] for start in result.starts] == [1, 0]
+        assert np.isfinite(result.mll)
+
+    def test_singular_start_block_raises(
+        self, toy_impulse, toy_forcing, toy_kernel, toy_agents, monkeypatch
+    ):
+        """The first evaluation climbs the ladder: a start block singular on
+        every rung is an error, not a rejected evaluation."""
+        from ebgp import inference
+
+        model, scenarios, train = self._model_and_scenarios(
+            toy_impulse, toy_forcing, toy_kernel, toy_agents
+        )
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("1-th leading minor not positive definite")
+
+        monkeypatch.setattr(inference, "cholesky", singular)
+        model = dataclasses.replace(
+            model, fit=FitSettings(free=("variance",), restarts=0, max_iterations=5)
+        )
+        with pytest.raises(SingularGram):
+            fit_hyperparameters(scenarios, train, model, seed=0)
 
     def test_sigma_zero_cannot_be_freed(self, toy_forcing, toy_kernel, toy_agents):
         imp = ImpulseParams([3.5, 80.0], [0.45, 0.30], variability_amplitude=0.0)
