@@ -7,13 +7,13 @@ marginal log-likelihood and its gradients, and fits hyperparameters by
 quasi-Newton ascent on log-parameters.
 
 Inference is one exact Gaussian conditioning on the noisy training block
-(Rasmussen & Williams, GPML, Algorithm 2.1): ``condition`` factorises the
-block once, the temperature and forcing posteriors take the resulting
-``Conditioned`` value, and the likelihood is its ``log_likelihood``.
-``factorise`` is the one Cholesky routine and owns the jitter ladder;
-explicit matrix inverses never appear on the solve path.  The kernel is
-evaluated on the distinct emission rows and expanded by index; a fit's
-evaluations share one ``FitGeometry`` and the first one's jitter rung.
+(Rasmussen & Williams, GPML, Algorithm 2.1): ``condition`` is the only caller
+of ``factorise``, the one Cholesky routine, which owns the jitter ladder.
+The posteriors take the ``Conditioned`` value it returns, and each fit
+objective evaluation is one ``condition``: its ``log_likelihood`` is the
+value, its factor and alpha give the gradient.  The kernel is evaluated on
+the distinct emission rows and expanded by index; a fit's evaluations share
+one ``FitGeometry`` and the first one's jitter rung.
 """
 
 from __future__ import annotations
@@ -75,14 +75,13 @@ class GPPrior:
             raise GridMismatch(f"scenario '{name}' is not part of this prior")
         return rows
 
-    def apply_response(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """L x (L^T x with ``transpose``) for an array with one row per
-        prior row, one scenario block at a time."""
+    def apply_response(self, x: np.ndarray) -> np.ndarray:
+        """L x for an array with one row per prior row, one scenario block at a time."""
         edges = np.cumsum([len(block) for block in self.response_blocks])
         if edges[-1] != len(x):
             raise DimensionMismatch(f"{len(x)} rows for a response operator of {edges[-1]} rows")
         parts = zip(self.response_blocks, np.split(x, edges[:-1]))
-        return np.concatenate([(block.T if transpose else block) @ part for block, part in parts])
+        return np.concatenate([block @ part for block, part in parts])
 
     def variability(self, rows: np.ndarray) -> np.ndarray:
         """Gamma restricted to prior rows ``rows``, in their order: zero
@@ -288,15 +287,13 @@ class Conditioned:
     """A prior conditioned on observed temperatures at rows ``positions``.
 
     ``factor`` is the lower Cholesky factor of the noisy block at those
-    rows, ``residual`` the observations minus the prior mean, ``alpha`` the
-    block's solve against the residual, ``jitter`` the absolute diagonal
-    regularizer the factorization needed and ``log_likelihood`` the
-    marginal log-density of the observations.
+    rows, ``alpha`` its solve against the observations minus the prior mean,
+    ``jitter`` the absolute diagonal regularizer the factorization needed
+    and ``log_likelihood`` the marginal log-density of the observations.
     """
 
     prior: GPPrior
     positions: np.ndarray
-    residual: np.ndarray
     factor: np.ndarray
     alpha: np.ndarray
     jitter: float
@@ -324,7 +321,7 @@ def condition(prior: GPPrior, train: TrainingSet, jitter: float | None = None) -
     ``factorise``."""
     pos = locate_rows(prior, train.index)
     residual = train.temperatures - prior.mean[pos]
-    return Conditioned(prior, pos, residual, *factorise(prior.noisy_block(pos), residual, jitter))
+    return Conditioned(prior, pos, *factorise(prior.noisy_block(pos), residual, jitter))
 
 
 def posterior_temperature(conditioned: Conditioned, rows: np.ndarray) -> PosteriorDistribution:
@@ -479,11 +476,12 @@ BOX_MODEL = frozenset({"timescales", "equilibrium_responses"})
 class FitGeometry:
     """What one fit's objective evaluations share, built once: the
     ``_prior_fields`` at the start model, and from the first ``prior`` the
-    training ``positions``, Gamma at them and M = (L S)[positions], where
-    the N x m selection S picks each row's distinct input.  ``prior``
-    rebuilds L, Gamma and M only with a free box-model row, and the mean and
-    forcing paths only with a free box-model or forcing row.  ``jitter`` is
-    the rung of the last factorisation through the geometry."""
+    training ``positions``, Gamma at them, M = (L S)[positions], where the
+    N x m selection S picks each row's distinct input, and with a free
+    forcing row (L dF)[positions] for the forcing path's derivatives dF.
+    ``prior`` rebuilds L, Gamma, M and L dF only with a free box-model row,
+    and the mean and forcing paths only with a free box-model or forcing
+    row.  ``jitter`` is the rung the first factorisation through it found."""
 
     def __init__(self, scenarios: list[Scenario], train: TrainingSet, model: EmulatorModel,
                  free: Sequence[str] = PARAMETER_NAMES):
@@ -494,7 +492,7 @@ class FitGeometry:
             # F is linear in the coefficients: dF along one is F at that unit vector
             units = (_with_forcing_coefficients(model, u).forcing
                      for u in np.eye(_forcing_coefficients(model).size))
-            self.forcing_units = np.array([np.concatenate(
+            self.forcing_units = np.column_stack([np.concatenate(
                 [scenario_forcing(scen, unit, model.agents) for scen in scenarios]
             ) for unit in units])
 
@@ -511,40 +509,31 @@ class FitGeometry:
             selection = np.eye(len(self.x_u))[self.inv]
             self.operator = prior.apply_response(selection)[self.positions]
             self.gamma = prior.variability(self.positions)
+            if "forcing" in self.free:
+                self.forcing_operator = prior.apply_response(self.forcing_units)[self.positions]
         return prior
 
 
-def mll_and_gradient(
-    scenarios: list[Scenario],
-    train: TrainingSet,
-    model: EmulatorModel,
-    free: Sequence[str] = PARAMETER_NAMES,
-    jitter: float | None = None,
-    geometry: FitGeometry | None = None,
-) -> tuple[float, np.ndarray]:
-    """Marginal log-likelihood of the training temperatures under the
-    model's prior over ``scenarios`` and its gradient over the ``free`` rows
-    of ``PARAMETERS``, in table order and the optimizer's coordinates.
+def mll_and_gradient(geometry: FitGeometry, model: EmulatorModel) -> tuple[float, np.ndarray]:
+    """Marginal log-likelihood of the geometry's training temperatures under
+    ``model``'s prior, and its gradient over the geometry's free rows of
+    ``PARAMETERS``, in table order and the optimizer's coordinates.
 
-    ``geometry`` is ``FitGeometry(scenarios, train, model, free)``, built
-    here when not given.  The noisy block A is assembled as in ``condition``,
-    so the value is its ``log_likelihood``.  Gradients use the trace
-    identities of GPML section 5.4.1 with W = alpha alpha^T - A^{-1}: the
-    kernel rows <B_u, dK_u> / 2 with the m x m B_u = M^T W M = (M^T alpha)
-    (M^T alpha)^T - V^T V, V = L_A^{-1} M; sigma^2 tr(W Gamma) for sigma;
-    with W scattered to the prior's rows, the sum over scenarios s of
-    <(W L K)_ss + alpha_s F_s^T, dL_s> + sigma^2 <W_ss, dGamma_s> / 2 for the
-    box model; and alpha^T L dF for the forcing coefficients.  ``jitter`` is
-    as in ``factorise``; the rung used is left in ``geometry.jitter``.
+    Both come from one ``condition`` at the geometry's jitter: the value is
+    its ``log_likelihood``, and the gradient takes its factor L_A of the noisy
+    block A and its alpha through the trace identities of GPML section 5.4.1
+    with W = alpha alpha^T - A^{-1}: the kernel rows <B_u, dK_u> / 2 with the
+    m x m B_u = M^T W M = (M^T alpha) (M^T alpha)^T - V^T V, V = L_A^{-1} M;
+    sigma^2 tr(W Gamma) for sigma; with W scattered to the prior's rows, the
+    sum over scenarios s of <(W L K)_ss + alpha_s F_s^T, dL_s> + sigma^2
+    <W_ss, dGamma_s> / 2 for the box model; (L dF)^T alpha for ``forcing``.
     """
-    geometry = geometry or FitGeometry(scenarios, train, model, free)
     impulse, sigma = model.impulse, model.impulse.variability_amplitude
     k_u, dk_u = kernels.forcing_gram_gradients(geometry.x_u, model.kernel)
-    prior = geometry.prior(model, k_u)
+    conditioned = condition(geometry.prior(model, k_u), geometry.train, geometry.jitter)
+    geometry.jitter = conditioned.jitter
+    prior, factor, alpha_t = conditioned.prior, conditioned.factor, conditioned.alpha
     pos, gamma, operator = geometry.positions, geometry.gamma, geometry.operator
-    factor, alpha_t, geometry.jitter, mll = factorise(
-        prior.physics_gram[pos][:, pos] + sigma**2 * gamma,
-        geometry.train.temperatures - prior.mean[pos], jitter)
 
     beta = operator.T @ alpha_t
     v = solve_triangular(factor, operator, lower=True, check_finite=False)
@@ -555,9 +544,9 @@ def mll_and_gradient(
     grad = {"lengthscales": [0.5 * np.sum(b * g) for g in dk_u],
             "variance": [0.5 * np.sum(b * k_u)],
             "sigma": [sigma**2 * (alpha_t @ gamma @ alpha_t - trace_inv_gamma)]}
-    alpha = np.zeros(prior.n)
-    alpha[pos] = alpha_t
     if geometry.free & BOX_MODEL:
+        alpha = np.zeros(prior.n)
+        alpha[pos] = alpha_t
         scattered = np.zeros((prior.n, prior.n))
         scattered[np.ix_(pos, pos)] = np.outer(alpha_t, alpha_t) - (inv + np.tril(inv, -1).T)
         lk = prior.apply_response(prior.forcing_gram)
@@ -571,10 +560,9 @@ def mll_and_gradient(
             box = box + series @ ebm.lag_sums(response) + 0.5 * sigma**2 * noise
         grad["equilibrium_responses"], grad["timescales"] = box
     if "forcing" in geometry.free:
-        grad["forcing"] = geometry.forcing_units @ prior.apply_response(alpha, transpose=True)
-    return mll, np.concatenate(
-        [np.asarray(grad[row.name], dtype=float) for row in PARAMETERS if row.name in free]
-    )
+        grad["forcing"] = geometry.forcing_operator.T @ alpha_t
+    return conditioned.log_likelihood, np.array(
+        [g for row in PARAMETERS if row.name in geometry.free for g in grad[row.name]])
 
 
 def fit_hyperparameters(
@@ -602,7 +590,7 @@ def fit_hyperparameters(
     if not free:
         try:
             with np.errstate(over="raise", invalid="raise"):
-                mll = condition(build_prior(scenarios, model), train).log_likelihood
+                mll = mll_and_gradient(FitGeometry(scenarios, train, model, free), model)[0]
         except FloatingPointError:
             mll = np.nan
         if not np.isfinite(mll):
@@ -620,8 +608,7 @@ def fit_hyperparameters(
         evaluations += 1
         try:
             with np.errstate(over="raise", invalid="raise"):
-                mll, grad = mll_and_gradient(scenarios, train, params.apply(theta), free,
-                                             geometry.jitter, geometry)
+                mll, grad = mll_and_gradient(geometry, params.apply(theta))
         except SingularGram:
             if geometry.jitter is None:
                 raise  # the start block is singular on every rung

@@ -137,7 +137,7 @@ def cell_posterior(
     residual = np.asarray(local_observations, dtype=float)[:, i, j] - cell.mean[pos]
     k = cell.physics_gram
     block = k[np.ix_(pos, pos)] + (cell.sigma**2 * cell.variability(pos) + np.diag(noise[pos]))
-    conditioned = Conditioned(cell, pos, residual, *factorise(block, residual))
+    conditioned = Conditioned(cell, pos, *factorise(block, residual))
     return conditioned.posterior(
         test_rows, cell.mean[test_rows], k[np.ix_(test_rows, test_rows)], k[np.ix_(test_rows, pos)]
     )

@@ -177,12 +177,12 @@ class TrainingSet:
 def read_table(path, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Line numbers and named float columns of a CSV file's data rows.
 
-    ``columns`` maps the stripped header to the names of the columns to
-    parse, raising SchemaError when the header is not acceptable.  Blank
-    rows are skipped; a row whose field count differs from the header's is
-    a ParseError.  Values parse as Python's ``float`` does (``year`` as
-    ``int``) and must be finite; the first bad value in file order is a
-    ParseError naming its line and column.
+    ``columns`` maps the stripped header (a repeated name is a SchemaError)
+    to the names of the columns to parse, raising SchemaError when the
+    header is not acceptable.  Blank rows are skipped; a row whose field
+    count differs from the header's is a ParseError.  Values parse as
+    Python's ``float`` does (``year`` as ``int``) and must be finite; the
+    first bad value in file order is a ParseError naming its line and column.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -190,6 +190,9 @@ def read_table(path, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         if header is None:
             raise SchemaError(f"{path}: file is empty")
         header = [h.strip() for h in header]
+        repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
+        if repeated is not None:
+            raise SchemaError(f"{path}: column '{repeated}' appears more than once")
         names = columns(header)
         lines, rows = [], []
         for line_no, row in enumerate(reader, start=2):

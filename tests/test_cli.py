@@ -416,6 +416,20 @@ class TestInputValidation:
         assert self.emulate(workspace) == 2
         assert "hist.csv: line 4, column 'tas_global'" in capsys.readouterr().err
 
+    def test_repeated_column(self, workspace, capsys):
+        """A second column of the same name is an error, not a silent
+        replacement of the first."""
+        tmp, _, _ = workspace
+        path = tmp / "hist.csv"
+        rows = [row.split(",") for row in path.read_text().splitlines()]
+        name = rows[0][1]
+        rows[0].append(name)
+        for row in rows[1:]:
+            row.append(repr(10.0 * float(row[1])))
+        path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        assert self.emulate(workspace) == 2
+        assert f"hist.csv: column '{name}' appears more than once" in capsys.readouterr().err
+
     def test_nonfinite_model_value(self, workspace, capsys):
         _, config, _ = workspace
         config.write_text(config.read_text().replace("variance = 0.2", "variance = nan"))

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import block_diag
 from scipy.stats import multivariate_normal
 
+from conftest import frozen_objective
 from ebgp.ebm import AgentForcing, ImpulseParams, TimeGrid
 from ebgp.errors import GridMismatch, SingularGram
 from ebgp.inference import (
@@ -209,9 +210,6 @@ class TestBlockedPrior:
         assert np.max(np.abs(prior.physics_gram - dense)) <= 1e-14 * np.max(np.abs(dense))
         x = np.random.default_rng(2).normal(size=(prior.n, 3))
         np.testing.assert_allclose(prior.apply_response(x), op @ x, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(
-            prior.apply_response(x, transpose=True), op.T @ x, rtol=0, atol=1e-14
-        )
 
     def test_variability_rows_match_dense(self, blocked):
         _, prior, _, gamma = blocked
@@ -256,13 +254,13 @@ class TestBlockedPrior:
         )
 
         def mll(theta):
-            return mll_and_gradient(scenarios, train, params.apply(theta), jitter=jitter)
+            return frozen_objective(scenarios, train, params.apply(theta), jitter=jitter)
 
         _, grad = mll(params.theta0)
         fd = finite_difference_gradient(lambda t: mll(t)[0], params.theta0)
         assert np.all(np.abs(grad - fd) <= 1e-4 * (np.abs(fd) + 1e-6))
         # at the prior's own parameters it is the conditioning's likelihood
-        value, _ = mll_and_gradient(scenarios, train, model, jitter=jitter)
+        value, _ = frozen_objective(scenarios, train, model, jitter=jitter)
         assert value == condition(prior, train, jitter).log_likelihood
 
 
@@ -335,13 +333,13 @@ class TestSharedHistory:
         prior = build_prior(scenarios, model)
         assert train.n < prior.n
         jitter = condition(prior, train).jitter
-        value, _ = mll_and_gradient(scenarios, train, model, jitter=jitter)
+        value, _ = frozen_objective(scenarios, train, model, jitter=jitter)
         assert value == condition(prior, train, jitter).log_likelihood
 
         params = FreeParameters(model, PARAMETER_NAMES)
 
         def mll(theta):
-            return mll_and_gradient(scenarios, train, params.apply(theta), jitter=jitter)
+            return frozen_objective(scenarios, train, params.apply(theta), jitter=jitter)
 
         rng = np.random.default_rng(8)
         for _ in range(2):
@@ -364,11 +362,12 @@ class TestSharedHistory:
         jitter = condition(build_prior(scenarios, model), train).jitter
         params = FreeParameters(model, free)
         geometry = FitGeometry(scenarios, train, model, free)
+        geometry.jitter = jitter
         rng = np.random.default_rng(9)
         for _ in range(3):
             moved = params.apply(params.theta0 + rng.normal(scale=0.3, size=params.theta0.size))
-            reused = mll_and_gradient(scenarios, train, moved, free, jitter, geometry)
-            fresh = mll_and_gradient(scenarios, train, moved, free, jitter)
+            reused = mll_and_gradient(geometry, moved)
+            fresh = frozen_objective(scenarios, train, moved, free, jitter)
             assert reused[0] == fresh[0] and np.array_equal(reused[1], fresh[1])
 
 
@@ -653,15 +652,30 @@ class TestFit:
         )
         return model, [s1, s2], train
 
-    def test_all_fixed_returns_input(self, toy_impulse, toy_forcing, toy_kernel, toy_agents):
+    def test_all_fixed_returns_input(
+        self, toy_impulse, toy_forcing, toy_kernel, toy_agents, monkeypatch
+    ):
+        """The all-fixed likelihood comes from one ``condition``, through the
+        fit's geometry: no separate prior is built."""
+        from ebgp import inference
+
         model, scenarios, train = self._model_and_scenarios(
             toy_impulse, toy_forcing, toy_kernel, toy_agents
         )
+        calls = {"condition": 0, "build_prior": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _original=getattr(inference, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(inference, name, counted)
         fixed = dataclasses.replace(model, fit=FitSettings(free=()))
         result = fit_hyperparameters(scenarios, train, fixed)
         assert result.evaluations == 0
         assert result.model is fixed
         assert len(result.trace) == 1
+        assert calls == {"condition": 1, "build_prior": 0}
 
     def test_trace_nondecreasing_and_final_at_least_initial(
         self, toy_impulse, toy_forcing, toy_kernel, toy_agents
@@ -694,9 +708,9 @@ class TestFit:
             theta = theta0 + rng.normal(scale=0.3, size=theta0.size)
 
             def objective(t):
-                return mll_and_gradient(scenarios, train, apply(t), jitter=jitter)[0]
+                return frozen_objective(scenarios, train, apply(t), jitter=jitter)[0]
 
-            _, grad = mll_and_gradient(scenarios, train, apply(theta), jitter=jitter)
+            _, grad = frozen_objective(scenarios, train, apply(theta), jitter=jitter)
             fd = finite_difference_gradient(objective, theta)
             assert np.all(np.abs(grad - fd) <= 1e-4 * (np.abs(fd) + 1e-6))
 
@@ -732,16 +746,18 @@ class TestFit:
     ):
         """With only kernel rows and sigma free, the box-model blocks are
         built once per training scenario per fit, and each objective
-        evaluation factorises once: the start rung is the first
-        evaluation's own."""
+        evaluation is one ``condition`` that factorises once: the start rung
+        is the first evaluation's own."""
         from ebgp import ebm, inference, kernels
 
         model, scenarios, train = self._model_and_scenarios(
             toy_impulse, toy_forcing, toy_kernel, toy_agents
         )
-        calls = {"temperature_operator": 0, "internal_variability_gram": 0, "cholesky": 0}
+        calls = {"temperature_operator": 0, "internal_variability_gram": 0, "cholesky": 0,
+                 "condition": 0}
         for module, name in ((ebm, "temperature_operator"),
-                             (kernels, "internal_variability_gram"), (inference, "cholesky")):
+                             (kernels, "internal_variability_gram"), (inference, "cholesky"),
+                             (inference, "condition")):
 
             def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
                 calls[_name] += 1
@@ -755,7 +771,7 @@ class TestFit:
         assert result.evaluations > 2
         assert calls["temperature_operator"] == len(scenarios)
         assert calls["internal_variability_gram"] == len(scenarios)
-        assert calls["cholesky"] == result.evaluations
+        assert calls["cholesky"] == result.evaluations == calls["condition"]
 
     def test_rejected_evaluations_are_counted(
         self, toy_impulse, toy_forcing, toy_kernel, toy_agents, monkeypatch

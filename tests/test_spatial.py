@@ -247,7 +247,7 @@ class TestSpatialPosterior:
             y = local[:, 0, j] - cell.mean
             k = cell.physics_gram
             block = k + (cell.sigma**2 * cell.variability(np.arange(cell.n)) + np.diag(noise))
-            reference = Conditioned(cell, rows, y, *factorise(block, y)).posterior(
+            reference = Conditioned(cell, rows, *factorise(block, y)).posterior(
                 rows, cell.mean, k, k
             )
             np.testing.assert_allclose(field[(0, j)].mean, reference.mean, atol=0)
