@@ -275,7 +275,7 @@ def cmd_evaluate(args) -> int:
     known = np.logical_and.reduce([hit for _, hit in found])
     if not np.all(known):
         k = int(np.argmin(known))
-        key = (*(float(column[k]) for column in coords), int(year[k]))
+        key = (*(float(c[k]) for c in coords), int(year[k])) if spatial else f"year {int(year[k])}"
         raise SchemaError(f"truth has no value for {key} inside the requested period")
     table["truth"] = truth[tuple(index for index, _ in found)]
 

@@ -8,12 +8,13 @@ quasi-Newton ascent on log-parameters.
 
 Inference is one exact Gaussian conditioning on the noisy training block
 (Rasmussen & Williams, GPML, Algorithm 2.1): ``condition`` is the only caller
-of ``factorise``, the one Cholesky routine, which owns the jitter ladder.
-The posteriors take the ``Conditioned`` value it returns, and each fit
-objective evaluation is one ``condition``: its ``log_likelihood`` is the
-value, its factor and alpha give the gradient.  The kernel is evaluated on
-the distinct emission rows and expanded by index; a fit's evaluations share
-one ``FitGeometry`` and the first one's jitter rung.
+of ``factorise`` (the one Cholesky routine, which owns the jitter ladder)
+and the only code that assembles the noisy training block.  The posteriors
+take the ``Conditioned`` value it returns, and each fit objective evaluation
+is one ``condition``: its ``log_likelihood`` is the value, its factor and
+alpha give the gradient.  The kernel is evaluated on the distinct emission
+rows and expanded by index; a fit's evaluations share one ``FitGeometry``
+and the first one's jitter rung.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class GPPrior:
     ``apply_response`` and ``variability`` read them.  ``forcing_gram`` is
     the kernel matrix K of the forcing path ``forcing_mean`` over the
     (standardized) emission rows; ``physics_gram`` is the temperature
-    covariance L K L^T, propagated from K when not given.
+    covariance L K L^T, always propagated from the fields above.
     """
 
     mean: np.ndarray
@@ -58,12 +59,11 @@ class GPPrior:
     forcing_gram: np.ndarray
     response_blocks: list[np.ndarray]
     variability_blocks: list[np.ndarray]
-    physics_gram: np.ndarray | None = None
+    physics_gram: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.physics_gram is None:
-            physics = self.apply_response(self.apply_response(self.forcing_gram).T).T
-            self.physics_gram = 0.5 * (physics + physics.T)
+        physics = self.apply_response(self.apply_response(self.forcing_gram).T).T
+        self.physics_gram = 0.5 * (physics + physics.T)
 
     @property
     def n(self) -> int:
@@ -475,13 +475,13 @@ BOX_MODEL = frozenset({"timescales", "equilibrium_responses"})
 
 class FitGeometry:
     """What one fit's objective evaluations share, built once: the
-    ``_prior_fields`` at the start model, and from the first ``prior`` the
-    training ``positions``, Gamma at them, M = (L S)[positions], where the
-    N x m selection S picks each row's distinct input, and with a free
-    forcing row (L dF)[positions] for the forcing path's derivatives dF.
-    ``prior`` rebuilds L, Gamma, M and L dF only with a free box-model row,
-    and the mean and forcing paths only with a free box-model or forcing
-    row.  ``jitter`` is the rung the first factorisation through it found."""
+    ``_prior_fields`` at the start model and its distinct kernel inputs, with
+    a free forcing row the forcing paths dF at unit coefficients, and from
+    the first ``prior`` M = (L S) at the training rows, where the N x m
+    selection S picks each row's distinct input.  ``prior`` rebuilds L, Gamma
+    and M only with a free box-model row, and the mean and forcing paths only
+    with a free box-model or forcing row.  ``jitter`` is the rung the first
+    factorisation through it found; only ``condition`` reads the training block."""
 
     def __init__(self, scenarios: list[Scenario], train: TrainingSet, model: EmulatorModel,
                  free: Sequence[str] = PARAMETER_NAMES):
@@ -505,12 +505,8 @@ class FitGeometry:
             fields.update(_response_blocks(self.scenarios, model.impulse))
         prior = GPPrior(**fields, forcing_gram=k_u[self.inv][:, self.inv])
         if self.operator is None or self.free & BOX_MODEL:
-            self.positions = locate_rows(prior, self.train.index)
             selection = np.eye(len(self.x_u))[self.inv]
-            self.operator = prior.apply_response(selection)[self.positions]
-            self.gamma = prior.variability(self.positions)
-            if "forcing" in self.free:
-                self.forcing_operator = prior.apply_response(self.forcing_units)[self.positions]
+            self.operator = prior.apply_response(selection)[locate_rows(prior, self.train.index)]
         return prior
 
 
@@ -519,31 +515,33 @@ def mll_and_gradient(geometry: FitGeometry, model: EmulatorModel) -> tuple[float
     ``model``'s prior, and its gradient over the geometry's free rows of
     ``PARAMETERS``, in table order and the optimizer's coordinates.
 
-    Both come from one ``condition`` at the geometry's jitter: the value is
+    Both come from one ``condition`` at the geometry's jitter j: the value is
     its ``log_likelihood``, and the gradient takes its factor L_A of the noisy
-    block A and its alpha through the trace identities of GPML section 5.4.1
-    with W = alpha alpha^T - A^{-1}: the kernel rows <B_u, dK_u> / 2 with the
-    m x m B_u = M^T W M = (M^T alpha) (M^T alpha)^T - V^T V, V = L_A^{-1} M;
-    sigma^2 tr(W Gamma) for sigma; with W scattered to the prior's rows, the
-    sum over scenarios s of <(W L K)_ss + alpha_s F_s^T, dL_s> + sigma^2
-    <W_ss, dGamma_s> / 2 for the box model; (L dF)^T alpha for ``forcing``.
+    block A = M K_u M^T + sigma^2 Gamma + j I, alpha = A^{-1} r, through GPML
+    section 5.4.1 with W = alpha alpha^T - A^{-1}: the kernel rows <B_u,
+    dK_u> / 2 with the m x m B_u = M^T W M = (M^T alpha) (M^T alpha)^T - V^T V,
+    V = L_A^{-1} M; sigma^2 tr(W Gamma) = alpha^T r - n - <B_u, K_u> - j
+    (alpha^T alpha - tr A^{-1}) for sigma; with W scattered to the prior's
+    rows, the sum over scenarios s of <(W L K)_ss + alpha_s F_s^T, dL_s> +
+    sigma^2 <W_ss, dGamma_s> / 2 for the box model; (L dF)^T alpha for ``forcing``.
     """
     impulse, sigma = model.impulse, model.impulse.variability_amplitude
     k_u, dk_u = kernels.forcing_gram_gradients(geometry.x_u, model.kernel)
     conditioned = condition(geometry.prior(model, k_u), geometry.train, geometry.jitter)
     geometry.jitter = conditioned.jitter
     prior, factor, alpha_t = conditioned.prior, conditioned.factor, conditioned.alpha
-    pos, gamma, operator = geometry.positions, geometry.gamma, geometry.operator
+    pos, operator = conditioned.positions, geometry.operator
 
     beta = operator.T @ alpha_t
     v = solve_triangular(factor, operator, lower=True, check_finite=False)
     b = np.outer(beta, beta) - v.T @ v
     # dpotri fills the lower triangle of A^{-1} and keeps the factor's zero upper one
     inv = lapack.dpotri(factor, lower=True)[0]
-    trace_inv_gamma = 2.0 * np.einsum("ij,ij->", inv, gamma) - np.diag(inv) @ np.diag(gamma)
+    variance = 0.5 * np.sum(b * k_u)
     grad = {"lengthscales": [0.5 * np.sum(b * g) for g in dk_u],
-            "variance": [0.5 * np.sum(b * k_u)],
-            "sigma": [sigma**2 * (alpha_t @ gamma @ alpha_t - trace_inv_gamma)]}
+            "variance": [variance],
+            "sigma": [alpha_t @ (geometry.train.temperatures - prior.mean[pos]) - pos.size
+                      - 2.0 * variance - conditioned.jitter * (alpha_t @ alpha_t - np.trace(inv))]}
     if geometry.free & BOX_MODEL:
         alpha = np.zeros(prior.n)
         alpha[pos] = alpha_t
@@ -560,7 +558,7 @@ def mll_and_gradient(geometry: FitGeometry, model: EmulatorModel) -> tuple[float
             box = box + series @ ebm.lag_sums(response) + 0.5 * sigma**2 * noise
         grad["equilibrium_responses"], grad["timescales"] = box
     if "forcing" in geometry.free:
-        grad["forcing"] = geometry.forcing_operator.T @ alpha_t
+        grad["forcing"] = prior.apply_response(geometry.forcing_units)[pos].T @ alpha_t
     return conditioned.log_likelihood, np.array(
         [g for row in PARAMETERS if row.name in geometry.free for g in grad[row.name]])
 
@@ -581,22 +579,13 @@ def fit_hyperparameters(
     raises ``SingularGram``, ``ValueError`` or ``FloatingPointError``, or is
     not finite, is rejected and counted against its start.  The trace
     records the best marginal log-likelihood seen after each evaluation, so
-    it never decreases.
+    it never decreases.  With nothing free, the objective runs once, at the
+    model, and a rejected evaluation there raises ``NonFinite``.
     """
     # Imported here: of all the commands only ``fit`` needs the optimizer.
     from scipy.optimize import minimize
 
     free = model.fit.free
-    if not free:
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                mll = mll_and_gradient(FitGeometry(scenarios, train, model, free), model)[0]
-        except FloatingPointError:
-            mll = np.nan
-        if not np.isfinite(mll):
-            raise NonFinite("marginal log-likelihood is not finite at the fixed parameters")
-        return FitResult(model=model, trace=[mll], evaluations=0, mll=mll)
-
     params = FreeParameters(model, free)
     geometry = FitGeometry(scenarios, train, model, free)
     trace: list[float] = []
@@ -622,6 +611,12 @@ def fit_hyperparameters(
         best = max(best, mll)
         trace.append(best)
         return -mll, -grad
+
+    if not free:
+        mll = -objective(params.theta0)[0]
+        if not np.isfinite(mll):
+            raise NonFinite("marginal log-likelihood is not finite at the fixed parameters")
+        return FitResult(model=model, trace=trace, evaluations=0, mll=mll)
 
     rng = np.random.default_rng(seed)
     theta0 = params.theta0

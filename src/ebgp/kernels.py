@@ -2,9 +2,9 @@
 
 Matérn kernels with automatic relevance determination over emission inputs
 and the stationary internal-variability covariance.  The physics-propagated
-Grams are assembled in ``inference.build_prior(scenarios, model)`` from the
-model's kernel configuration; their reference forms, and the exact
-start-from-rest variability covariance, live in ``oracles``.
+Grams are assembled by ``inference.build_prior`` for queries and by
+``inference.FitGeometry.prior`` once per fit evaluation; their reference
+forms, and the exact start-from-rest variability covariance, live in ``oracles``.
 """
 
 from __future__ import annotations

@@ -119,7 +119,7 @@ def cell_prior(
     cell = dataclasses.replace(
         prior,
         mean=beta * prior.mean + float(pattern.intercept[i, j]),
-        physics_gram=beta**2 * prior.physics_gram,
+        forcing_gram=beta**2 * prior.forcing_gram,
         variability_blocks=[beta**2 * block for block in prior.variability_blocks],
     )
     return cell, np.full(prior.n, float(pattern.residual_variance[i, j]))

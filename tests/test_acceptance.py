@@ -234,11 +234,10 @@ def _degenerate_prior(cov):
     n = cov.shape[0]
     return GPPrior(
         mean=np.zeros(n),
-        physics_gram=cov,
         sigma=0.0,
         index=[("x", 2000 + i) for i in range(n)],
         forcing_mean=np.zeros(n),
-        forcing_gram=np.eye(n),
+        forcing_gram=cov,
         response_blocks=[np.eye(n)],
         variability_blocks=[np.zeros((n, n))],
     )

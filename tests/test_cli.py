@@ -753,6 +753,19 @@ class TestEvaluate:
                    "--period", "2200:2300", "--out", str(out)])
         assert rc == 2
 
+    def test_missing_global_truth_year_is_named(self, workspace, capsys):
+        tmp, config, paths = workspace
+        truth = read_csv(tmp / "target.csv")
+        years = [int(r["year"]) for r in truth] + [2010, 2011]
+        values = [float(r["tas_global"]) for r in truth] + [1.0, 1.0]
+        pred = tmp / "p.csv"
+        self._write_predictions(pred, years, values, [0.1] * len(years))
+        rc = main(["evaluate", "--predictions", str(pred),
+                   "--scenario", str(tmp / "target.csv"),
+                   "--period", "2000:2011", "--out", str(tmp / "s.csv")])
+        assert rc == 2
+        assert "truth has no value for year 2010 inside" in capsys.readouterr().err
+
     def test_bad_period_syntax(self, workspace):
         tmp, config, paths = workspace
         rc = main(["evaluate", "--predictions", str(tmp / "target.csv"),

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, cho_solve
 from scipy.stats import multivariate_normal
 
 from conftest import frozen_objective
@@ -370,6 +370,34 @@ class TestSharedHistory:
             fresh = frozen_objective(scenarios, train, moved, free, jitter)
             assert reused[0] == fresh[0] and np.array_equal(reused[1], fresh[1])
 
+    @pytest.mark.parametrize("frozen", ["ladder", 0.05])
+    @pytest.mark.parametrize("free", [PARAMETER_NAMES, ("lengthscales", "variance", "sigma")])
+    def test_sigma_row_is_the_variability_trace(
+        self, toy_impulse, toy_forcing, toy_agents, free, frozen
+    ):
+        """The sigma row, taken from the noisy block without Gamma, equals
+        sigma^2 (alpha^T Gamma alpha - tr(A^{-1} Gamma)) with Gamma at the
+        training rows, at the ladder's rung and at a large frozen jitter."""
+        scenarios, train, model = shared_history_setup(
+            toy_impulse, toy_forcing, toy_agents, "matern32"
+        )
+        jitter = condition(build_prior(scenarios, model), train).jitter
+        jitter = jitter if frozen == "ladder" else frozen
+        params = FreeParameters(model, free)
+        names = [row.name for row in params.rows]
+        row = sum(r.get(model).size for r in params.rows[:names.index("sigma")])
+        rng = np.random.default_rng(10)
+        for _ in range(3):
+            moved = params.apply(params.theta0 + rng.normal(scale=0.3, size=params.theta0.size))
+            prior = build_prior(scenarios, moved)
+            conditioned = condition(prior, train, jitter)
+            gamma = prior.variability(conditioned.positions)
+            inverse = cho_solve((conditioned.factor, True), np.eye(train.n))
+            alpha = conditioned.alpha
+            want = prior.sigma**2 * (alpha @ gamma @ alpha - np.sum(inverse * gamma))
+            got = frozen_objective(scenarios, train, moved, free, jitter)[1][row]
+            assert got == pytest.approx(want, rel=1e-9, abs=0)
+
 
 class TestPosteriorTemperature:
     def test_empty_training_returns_prior(self, setup):
@@ -520,11 +548,10 @@ class TestMarginalLogLikelihood:
         index = [("x", 2000 + i) for i in range(n)]
         return GPPrior(
             mean=np.zeros(n) if mean is None else mean,
-            physics_gram=cov,
             sigma=sigma,
             index=index,
             forcing_mean=np.zeros(n),
-            forcing_gram=np.eye(n),
+            forcing_gram=cov,
             response_blocks=[np.eye(n)],
             variability_blocks=[np.zeros((n, n))],
         )
@@ -870,6 +897,48 @@ class TestFit:
         )
         with pytest.raises(NonFinite):
             fit_hyperparameters(scenarios, broken, model, seed=0)
+
+    def test_nonfinite_data_raises_when_all_fixed(
+        self, toy_impulse, toy_forcing, toy_kernel, toy_agents
+    ):
+        """An all-fixed fit is one evaluation of the free fit's objective, so
+        a NaN training temperature is the same NonFinite error."""
+        from ebgp.errors import NonFinite
+
+        model, scenarios, train = self._model_and_scenarios(
+            toy_impulse, toy_forcing, toy_kernel, toy_agents
+        )
+        temperatures = train.temperatures.copy()
+        temperatures[3] = np.nan
+        broken = dataclasses.replace(train, temperatures=temperatures)
+        model = dataclasses.replace(model, fit=FitSettings(free=()))
+        with pytest.raises(NonFinite):
+            fit_hyperparameters(scenarios, broken, model)
+
+    @pytest.mark.parametrize(
+        "free", [("lengthscales", "variance", "sigma"), ("timescales", "sigma")]
+    )
+    def test_variability_at_training_rows_once_per_evaluation(
+        self, toy_impulse, toy_forcing, toy_kernel, toy_agents, monkeypatch, free
+    ):
+        """Gamma at the training rows is assembled only inside ``condition``:
+        once per objective evaluation, whichever rows are free."""
+        model, scenarios, train = self._model_and_scenarios(
+            toy_impulse, toy_forcing, toy_kernel, toy_agents
+        )
+        calls = []
+
+        def counted(self, rows, _original=GPPrior.variability):
+            calls.append(1)
+            return _original(self, rows)
+
+        monkeypatch.setattr(GPPrior, "variability", counted)
+        model = dataclasses.replace(
+            model, fit=FitSettings(free=free, restarts=0, max_iterations=5)
+        )
+        result = fit_hyperparameters(scenarios, train, model, seed=0)
+        assert result.evaluations > 1
+        assert len(calls) == result.evaluations
 
 
 class TestCholeskyLadder:
