@@ -409,7 +409,7 @@ def main(argv=None) -> int:
     except (NonFinite, SingularGram) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OPTIMIZATION
-    except (EmulatorError, FileNotFoundError, ValueError) as exc:
+    except (EmulatorError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -91,14 +91,22 @@ class GPPrior:
         edges = np.cumsum([0] + [len(block) for block in self.variability_blocks])
         for block, start, stop in zip(self.variability_blocks, edges, edges[1:]):
             mine = np.flatnonzero((rows >= start) & (rows < stop))
-            local = rows[mine] - start
-            out[np.ix_(mine, mine)] = block[np.ix_(local, local)]
+            out[_square(mine)] = block[_square(rows[mine] - start)]
         return out
 
     def noisy_block(self, pos: np.ndarray) -> np.ndarray:
         """Covariance of noisy observations at rows ``pos``: the physics
         block plus sigma^2 times the variability block."""
-        return self.physics_gram[np.ix_(pos, pos)] + self.sigma**2 * self.variability(pos)
+        return self.physics_gram[_square(pos)] + self.sigma**2 * self.variability(pos)
+
+
+def _square(index: np.ndarray):
+    """Index of the square block at rows and columns ``index``: slices, which
+    gather nothing, when ``index`` is one ascending run, else ``np.ix_``."""
+    if index.size and np.all(np.diff(index) == 1):
+        run = slice(index[0], index[-1] + 1)
+        return run, run
+    return np.ix_(index, index)
 
 
 @dataclass

@@ -16,11 +16,16 @@ live in a companion long-format CSV ``<stem>_spatial.csv`` with columns
 lat, lon, year, tas; ``load_scenario`` reads the main file only, and
 ``read_spatial`` reads a companion for the commands that use one.  Floats are
 written with full round-trip precision.
+
+``read_table`` parses a clean file's data rows in one C-level ``np.loadtxt``
+pass; a file that pass declines is read again row by row, and only that pass
+skips blank rows or reports a bad file, naming its line and column.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from math import isfinite
 from operator import itemgetter
@@ -174,6 +179,38 @@ class TrainingSet:
         return self.temperatures.size
 
 
+def _line_count(path) -> int | None:
+    """Number of lines in the file at ``path``; None when one ends in a bare
+    carriage return."""
+    lines, chunk = 0, b""
+    with open(path, "rb") as handle:
+        while block := handle.read(1 << 20):
+            chunk = block + handle.read(1) if block.endswith(b"\r") else block
+            if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
+                return None
+            lines += chunk.count(b"\n")
+    return lines + (not chunk.endswith(b"\n"))
+
+
+def _parse_data_rows(path, header, names) -> tuple[np.ndarray, dict[str, np.ndarray]] | None:
+    """``read_table``'s result from one ``np.loadtxt`` pass over all header
+    columns, or None where the row pass must decide: the parse raised or warned
+    (numpy 1.23-1.26 warn on a ``year`` such as 2019.0, then truncate it), skipped
+    a blank line, or met a bare carriage return or a non-finite requested value."""
+    fields = [(f"f{i}", np.int64 if h == "year" else np.float64) for i, h in enumerate(header)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(path, dtype=fields, delimiter=",", comments=None, skiprows=1,
+                              encoding="utf-8", ndmin=1)
+    except Exception:  # a warning too, or numpy's decompressor for a path ending in .gz or .xz
+        return None
+    table = {name: data[f"f{header.index(name)}"].astype(float) for name in names}
+    if data.size + 1 != _line_count(path) or not all(np.isfinite(c).all() for c in table.values()):
+        return None
+    return np.arange(2, 2 + data.size), table
+
+
 def read_table(path, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Line numbers and named float columns of a CSV file's data rows.
 
@@ -183,6 +220,10 @@ def read_table(path, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     count differs from the header's is a ParseError.  Values parse as
     Python's ``float`` does (``year`` as ``int``) and must be finite; the
     first bad value in file order is a ParseError naming its line and column.
+
+    ``_parse_data_rows`` parses a clean file in C, to the same values.  The row
+    pass below decides every file it declines: blank rows, forms only Python
+    accepts (``1_000``, a quoted ``"1.5"``) and every bad file.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -194,6 +235,9 @@ def read_table(path, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         if repeated is not None:
             raise SchemaError(f"{path}: column '{repeated}' appears more than once")
         names = columns(header)
+        parsed = _parse_data_rows(path, header, names)
+        if parsed is not None:
+            return parsed
         lines, rows = [], []
         for line_no, row in enumerate(reader, start=2):
             if not "".join(row).strip():

@@ -430,6 +430,25 @@ class TestInputValidation:
         assert self.emulate(workspace) == 2
         assert f"hist.csv: column '{name}' appears more than once" in capsys.readouterr().err
 
+    def test_directory_as_scenario(self, workspace, capsys):
+        """A path that cannot be read as a file is a data error, not a traceback."""
+        tmp, config, paths = workspace
+        (tmp / "folder.csv").mkdir()
+        rc = main(["emulate", "--model", str(config), "--scenario", *paths,
+                   str(tmp / "folder.csv"), "--holdout", "target", "--out", str(tmp / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "folder.csv" in err
+
+    def test_directory_as_predictions(self, workspace, capsys):
+        tmp, _, _ = workspace
+        (tmp / "folder.csv").mkdir()
+        rc = main(["evaluate", "--predictions", str(tmp / "folder.csv"),
+                   "--scenario", str(tmp / "target.csv"), "--out", str(tmp / "s.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "folder.csv" in err
+
     def test_nonfinite_model_value(self, workspace, capsys):
         _, config, _ = workspace
         config.write_text(config.read_text().replace("variance = 0.2", "variance = nan"))

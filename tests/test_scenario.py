@@ -1,8 +1,14 @@
+import csv
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ebgp import scenario
+from ebgp.cli import main
 from ebgp.ebm import TimeGrid
 from ebgp.errors import GridError, ParseError, SchemaError, UnknownScenario
 from ebgp.scenario import (
@@ -13,6 +19,7 @@ from ebgp.scenario import (
     assemble_training_set,
     load_scenario,
     read_spatial,
+    read_table,
     save_scenario,
 )
 
@@ -221,3 +228,108 @@ class TestAssemble:
         np.testing.assert_array_equal(t1.standardization.mean, t2.standardization.mean)
         np.testing.assert_array_equal(t1.standardization.std, t2.standardization.std)
         assert t1.index == t2.index
+
+
+# Files whose data rows both ``read_table`` passes must treat alike: header
+# year,a,b with year and a requested, b not.
+HEADER = "year,a,b\n"
+CORPUS = {
+    "extreme values": HEADER + "2019,-0.0,5e-324\n2020,1.7976931348623157e308,-0.0\n",
+    "overflow": HEADER + "2019,1e400,1\n",
+    "nan requested": HEADER + "2019,1,1\n2020,nan,1\n",
+    "inf requested": HEADER + "2019,-inf,1\n",
+    "nan unrequested": HEADER + "2019,1,nan\n",
+    "inf unrequested": HEADER + "2019,1,inf\n",
+    "underscore": HEADER + "2019,1_000,1\n",
+    "quoted": HEADER + '2019,"1.5",1\n',
+    "padded value": HEADER + "2019, 1.5 ,1\n",
+    "signed year": HEADER + "+2019,1,1\n",
+    "padded year": HEADER + " 2019 ,1,1\n",
+    "float year": HEADER + "2019.0,1,1\n",
+    "fractional year": HEADER + "2019.5,1,1\n",
+    "exponent year": HEADER + "1e3,1,1\n",
+    "comment character": HEADER + "2019,1.5#3,1\n",
+    "comment in last column": "year,b,a\n2019,1,1.5#3\n",
+    "blank row": HEADER + "2019,1,1\n\n2020,2,2\n",
+    "whitespace row": HEADER + "2019,1,1\n  \t\n2020,2,2\n",
+    "trailing blank row": HEADER + "2019,1,1\n\n",
+    "short row": HEADER + "2019,1,1\n2020,2\n",
+    "long row": HEADER + "2019,1,1\n2020,2,2,2\n",
+    "missing cell": HEADER + "2019,,1\n",
+    "crlf": "year,a,b\r\n2019,1,1\r\n2020,2,2\r\n",
+    "bare cr": "year,a,b\r2019,1,1\r2020,2,2\r",
+    "mixed endings": HEADER + "2019,1,1\r\n\r2020,2,2\n",
+    "no trailing newline": HEADER + "2019,1,1\n2020,2,2",
+    "header only": HEADER,
+    "text column": "year,a,name\n2019,1,x\n",
+}
+
+
+def outcome(path):
+    """``read_table``'s line numbers and column bytes, or its error."""
+    try:
+        lines, table = read_table(path, lambda header: ["year", "a"])
+    except (ParseError, SchemaError) as exc:
+        return type(exc), str(exc)
+    return lines.tolist(), {name: (c.dtype.str, c.tobytes()) for name, c in table.items()}
+
+
+class TestReadTable:
+    """``read_table`` parses a clean file in one ``np.loadtxt`` pass; the
+    row-by-row pass decides every file that pass declines."""
+
+    @pytest.mark.parametrize("text", CORPUS.values(), ids=CORPUS.keys())
+    def test_fast_parse_agrees_with_row_pass(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        either = outcome(path)
+
+        def declined(*args, **kwargs):
+            raise ValueError("declined")
+
+        monkeypatch.setattr(scenario.np, "loadtxt", declined)
+        assert outcome(path) == either
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+    def test_plain_file_with_a_compression_suffix(self, tmp_path, suffix):
+        """numpy opens such a path through a decompressor; it is read as text."""
+        text = HEADER + "2019,1,1\n2020,2,2\n"
+        plain = outcome(write(tmp_path / "t.csv", text))
+        assert outcome(write(tmp_path / f"t.csv{suffix}", text)) == plain
+
+    def test_warning_parse_is_declined(self, tmp_path, monkeypatch):
+        """numpy 1.23-1.26 warn on a float-formatted integer, then truncate
+        it: the warning declines the parse even where warnings are ignored."""
+        path = write(tmp_path / "t.csv", HEADER + "2019.5,1,1\n")
+
+        def truncating(*args, dtype, **kwargs):
+            warnings.warn("parsing an integer via a float is deprecated", DeprecationWarning)
+            return np.array([(2019, 1.0, 1.0)], dtype=dtype)
+
+        monkeypatch.setattr(scenario.np, "loadtxt", truncating)
+        with warnings.catch_warnings(), pytest.raises(
+            ParseError, match="line 2, column 'year': cannot parse '2019.5'"
+        ):
+            warnings.simplefilter("ignore")
+            read_table(path, lambda header: ["year", "a"])
+
+    def test_clean_files_take_the_fast_parse(self, tmp_path, monkeypatch):
+        """No data row of a bundled scenario, its spatial companion or a
+        ``spatial-emulate`` output goes through the row pass."""
+        data = Path(__file__).resolve().parents[1] / "data" / "synthetic"
+        paths = [str(data / f"{name}.csv") for name in ("historical", "ssp_low", "ssp_mid")]
+        out = tmp_path / "spatial.csv"
+        opened = []
+
+        def header_only(handle, _reader=csv.reader):
+            opened.append(Path(handle.name).name)
+            rows = _reader(handle)
+            yield next(rows)
+            raise AssertionError(f"{handle.name}: data rows went through the row pass")
+
+        monkeypatch.setattr(scenario.csv, "reader", header_only)
+        assert main(["spatial-emulate", "--model", str(data / "model_config.txt"),
+                     "--scenario", *paths, "--holdout", "ssp_mid", "--out", str(out)]) == 0
+        assert main(["evaluate", "--predictions", str(out), "--scenario", paths[-1],
+                     "--out", str(tmp_path / "scores.csv")]) == 0
+        assert {"historical_spatial.csv", "ssp_mid.csv", "spatial.csv"} <= set(opened)
