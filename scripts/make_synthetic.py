@@ -33,7 +33,7 @@ from ebgp.ebm import AgentForcing, ImpulseParams, TimeGrid, thermal_response
 from ebgp.inference import EmulatorModel, FitSettings, build_prior
 from ebgp.kernels import KernelConfig
 from ebgp.model_io import save_model
-from ebgp.scenario import AgentSpec, Scenario, SpatialGrid, save_scenario
+from ebgp.scenario import AgentSpec, Scenario, SpatialGrid, save_scenario, save_spatial
 
 SEED = 20240817
 OUT = ROOT / "data" / "synthetic"
@@ -195,7 +195,7 @@ def main() -> None:
     root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
     forcing_texture = root @ rng.standard_normal(true_prior.n)
 
-    cursor = 0
+    cursor, cubes = 0, []
     for scen in scenarios:
         n = scen.grid.n_steps
         total_forcing = (
@@ -211,14 +211,13 @@ def main() -> None:
         beta0 = 0.1 * np.sin(np.radians(SPATIAL.latitudes))[:, None] \
             + np.zeros((1, SPATIAL.longitudes.size))
         cube = beta[None, :, :] * temperature[:, None, None] + beta0[None, :, :]
-        cube = cube + LOCAL_NOISE * rng.standard_normal(cube.shape)
-        scen.spatial_temperature = cube
-        scen.spatial_grid = SPATIAL
+        cubes.append(cube + LOCAL_NOISE * rng.standard_normal(cube.shape))
         cursor += n
 
     OUT.mkdir(parents=True, exist_ok=True)
-    for scen in scenarios:
+    for scen, cube in zip(scenarios, cubes):
         save_scenario(scen, OUT / f"{scen.name}.csv", AGENTS)
+        save_spatial(OUT / f"{scen.name}.csv", scen.grid, SPATIAL, cube)
 
     model = EmulatorModel(
         agents=AGENTS,

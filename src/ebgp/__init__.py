@@ -39,6 +39,7 @@ from .scenario import (
     assemble_training_set,
     load_scenario,
     save_scenario,
+    save_spatial,
 )
 from .spatial import (
     PatternScalingMap,

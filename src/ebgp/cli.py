@@ -192,18 +192,18 @@ def cmd_query(args) -> int:
 def cmd_spatial_emulate(args) -> int:
     scenarios, train, prior, rows = _load_holdout(args)
 
-    # Only the training scenarios' companions are read.
-    training = [(scen, *read_spatial(path, scen.grid))
+    # Only the training scenarios' companions are read, in train.index order.
+    training = [read_spatial(path, scen.grid)
                 for path, scen in zip(args.scenario, scenarios) if scen.name != args.holdout]
     if not training:
         raise SchemaError("spatial-emulate needs at least one training scenario")
-    train_scenarios, grids, cubes = zip(*training)
+    grids, cubes = zip(*training)
     if len({(tuple(g.latitudes), tuple(g.longitudes)) for g in grids}) > 1:
         raise SchemaError("training scenarios live on different spatial grids")
     sgrid = grids[0]
 
-    pattern = fit_pattern_scaling([s.global_temperature for s in train_scenarios], cubes, sgrid)
     local = np.concatenate(cubes, axis=0)
+    pattern = fit_pattern_scaling(train.temperatures, local, sgrid)
     mean, variance = spatial_posterior(pattern, prior, train, local, rows)
 
     slope = pattern.slope[..., None]

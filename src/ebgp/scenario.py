@@ -13,13 +13,14 @@ cumulative are accumulated at ingestion.  ``cumulative_emission:`` columns
 are stored as-is, and are what ``save_scenario`` writes for cumulative
 agents so that a save/load round trip is exact.  Spatial temperature cubes
 live in a companion long-format CSV ``<stem>_spatial.csv`` with columns
-lat, lon, year, tas; ``load_scenario`` reads the main file only, and
-``read_spatial`` reads a companion for the commands that use one.  Floats are
-written with full round-trip precision.
+lat, lon, year, tas, which ``save_spatial`` writes; ``load_scenario`` reads
+the main file only, and ``read_spatial`` reads a companion for the commands
+that use one.  Floats are written with full round-trip precision.
 
 ``read_table`` parses a clean file's data rows in one C-level ``np.loadtxt``
 pass; a file that pass declines is read again row by row, and only that pass
-skips blank rows or reports a bad file, naming its line and column.
+skips interior blank rows or reports a bad file, naming its line and column.
+Both passes read ``year`` as an int64 integer.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ class Scenario:
     """One named emission/temperature record on an annual grid.
 
     ``emissions`` holds model-ready series: agents with cumulative input mode
-    store accumulated emissions.  Temperatures are anomalies in kelvin.
-    ``spatial_temperature`` has shape (n_steps, n_lat, n_lon).
+    store accumulated emissions.  Temperatures are anomalies in kelvin.  The
+    spatial cube is in the companion file (``read_spatial``, ``save_spatial``).
     """
 
     name: str
@@ -100,8 +101,8 @@ class Scenario:
     emissions: dict[str, np.ndarray]
     concentrations: dict[str, np.ndarray] | None = None
     global_temperature: np.ndarray | None = None
-    spatial_temperature: np.ndarray | None = None
-    spatial_grid: SpatialGrid | None = None
+    # Not a field, and always None: ``perfbench/spans.py``'s load counter reads it.
+    spatial_temperature = None
 
     def __post_init__(self):
         n = self.grid.n_steps
@@ -116,14 +117,6 @@ class Scenario:
                     )
         if self.global_temperature is not None and np.asarray(self.global_temperature).size != n:
             raise GridMismatch("global temperature series does not match the grid")
-        if self.spatial_temperature is not None:
-            if self.spatial_grid is None:
-                raise GridMismatch("spatial temperature requires a spatial grid")
-            expected = (n, *self.spatial_grid.shape)
-            if self.spatial_temperature.shape != expected:
-                raise GridMismatch(
-                    f"spatial cube has shape {self.spatial_temperature.shape}, expected {expected}"
-                )
 
     @property
     def agent_names(self) -> list[str]:
@@ -180,23 +173,27 @@ class TrainingSet:
 
 
 def _line_count(path) -> int | None:
-    """Number of lines in the file at ``path``; None when one ends in a bare
-    carriage return."""
-    lines, chunk = 0, b""
+    """Number of lines in the file at ``path`` up to its last nonempty one
+    (``np.loadtxt`` skips the empty lines after it); None when a line ends in
+    a bare carriage return."""
+    lines = run = 0
     with open(path, "rb") as handle:
         while block := handle.read(1 << 20):
             chunk = block + handle.read(1) if block.endswith(b"\r") else block
             if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
                 return None
             lines += chunk.count(b"\n")
-    return lines + (not chunk.endswith(b"\n"))
+            end = len(chunk.rstrip(b"\r\n"))  # where the chunk's trailing line endings start
+            run = chunk.count(b"\n", end) + (run if end == 0 else 0)
+    return lines - run + 1
 
 
 def _parse_data_rows(path, header, names) -> tuple[np.ndarray, dict[str, np.ndarray]] | None:
     """``read_table``'s result from one ``np.loadtxt`` pass over all header
     columns, or None where the row pass must decide: the parse raised or warned
     (numpy 1.23-1.26 warn on a ``year`` such as 2019.0, then truncate it), skipped
-    a blank line, or met a bare carriage return or a non-finite requested value."""
+    a blank line before the last data row, or met a bare carriage return or a
+    non-finite requested value."""
     fields = [(f"f{i}", np.int64 if h == "year" else np.float64) for i, h in enumerate(header)]
     try:
         with warnings.catch_warnings():
@@ -218,12 +215,14 @@ def read_table(path, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     to the names of the columns to parse, raising SchemaError when the
     header is not acceptable.  Blank rows are skipped; a row whose field
     count differs from the header's is a ParseError.  Values parse as
-    Python's ``float`` does (``year`` as ``int``) and must be finite; the
-    first bad value in file order is a ParseError naming its line and column.
+    Python's ``float`` does (``year`` as an int64 integer) and must be finite;
+    the first bad value in file order is a ParseError naming its line (where
+    its record ends) and column.
 
-    ``_parse_data_rows`` parses a clean file in C, to the same values.  The row
-    pass below decides every file it declines: blank rows, forms only Python
-    accepts (``1_000``, a quoted ``"1.5"``) and every bad file.
+    ``_parse_data_rows`` parses a clean file in C, to the same values; blank
+    lines at the end keep a file clean.  The row pass below decides every file
+    it declines: other blank rows, forms only Python accepts (``1_000``, a
+    quoted ``"1.5"``) and every bad file.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -239,18 +238,18 @@ def read_table(path, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         if parsed is not None:
             return parsed
         lines, rows = [], []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if not "".join(row).strip():
                 continue
             if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: line {line_no}: expected {len(header)} fields, found {len(row)}"
-                )
-            lines.append(line_no)
+                raise ParseError(f"{path}: line {reader.line_num}: "
+                                 f"expected {len(header)} fields, found {len(row)}")
+            lines.append(reader.line_num)
             rows.append(row)
     col_of = {h: i for i, h in enumerate(header)}
     parsers = {
-        name: (int, "an integer") if name == "year" else (float, "a number") for name in names
+        name: (np.int64, "a 64-bit integer") if name == "year" else (float, "a number")
+        for name in names
     }
     try:
         table = {
@@ -258,7 +257,7 @@ def read_table(path, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
             for name, (parse, _) in parsers.items()
         }
         sound = all(np.all(np.isfinite(column)) for column in table.values())
-    except ValueError:
+    except (ValueError, OverflowError):  # np.int64 overflows outside its range
         sound = False
     if not sound:
         # Find and report the first bad value in file order.
@@ -267,7 +266,7 @@ def read_table(path, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
                 text, where = row[col_of[name]], f"{path}: line {line_no}, column '{name}'"
                 try:
                     value = parse(text)
-                except ValueError:
+                except (ValueError, OverflowError):
                     raise ParseError(f"{where}: cannot parse '{text}' as {kind}") from None
                 if not isfinite(value):
                     raise ParseError(f"{where}: value '{text}' is not finite")
@@ -439,9 +438,7 @@ def read_truth(path, spatial: bool) -> tuple[list[np.ndarray], np.ndarray, np.nd
 
 
 def save_scenario(scenario: Scenario, path, agents: list[AgentSpec]) -> None:
-    """Write a scenario back to CSV, and its spatial cube to the companion;
-    exact inverse of load_scenario and read_spatial."""
-    path = Path(path)
+    """Write a scenario to CSV; exact inverse of load_scenario."""
     header = ["year"]
     for spec in agents:
         prefix = "cumulative_emission" if spec.input_mode == "cumulative_emission" else "emission"
@@ -465,21 +462,24 @@ def save_scenario(scenario: Scenario, path, agents: list[AgentSpec]) -> None:
                 row.append(repr(float(scenario.global_temperature[a])))
             writer.writerow(row)
 
-    if scenario.spatial_temperature is not None:
-        with open(spatial_companion_path(path), "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["lat", "lon", "year", "tas"])
-            for i, lat in enumerate(scenario.spatial_grid.latitudes):
-                for j, lon in enumerate(scenario.spatial_grid.longitudes):
-                    for a, year in enumerate(years):
-                        writer.writerow(
-                            [
-                                repr(float(lat)),
-                                repr(float(lon)),
-                                str(int(year)),
-                                repr(float(scenario.spatial_temperature[a, i, j])),
-                            ]
-                        )
+
+def save_spatial(path, grid: TimeGrid, sgrid: SpatialGrid, cube: np.ndarray) -> None:
+    """Write the (year, lat, lon) cube on ``grid`` and ``sgrid`` to the
+    ``<stem>_spatial.csv`` companion of the scenario at ``path``; exact
+    inverse of read_spatial."""
+    expected = (grid.n_steps, *sgrid.shape)
+    if cube.shape != expected:
+        raise GridMismatch(f"spatial cube has shape {cube.shape}, expected {expected}")
+    years = grid.years().astype(int)
+    with open(spatial_companion_path(path), "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["lat", "lon", "year", "tas"])
+        for i, lat in enumerate(sgrid.latitudes):
+            for j, lon in enumerate(sgrid.longitudes):
+                cell = (repr(float(lat)), repr(float(lon)))
+                writer.writerows(
+                    (*cell, str(year), repr(float(t))) for year, t in zip(years, cube[:, i, j])
+                )
 
 
 def assemble_training_set(

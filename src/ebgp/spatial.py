@@ -1,18 +1,17 @@
 """Pattern scaling and per-location inference.
 
-Local temperature at each grid cell is modelled as an affine function of
-global temperature; the fitted map turns the global prior into independent
-per-cell priors.  Every cell's noisy training block is the global one scaled
-by the slope squared plus the cell's residual variance on the diagonal, so
-one eigendecomposition of the global block gives the exact posterior mean
-and marginal variance of all cells at once.  The per-cell Cholesky form of
-the same posterior is the reference in ``oracles``.
+Local temperature at each grid cell is an affine function of global
+temperature, fitted by least squares on the stacked training rows; the
+fitted map turns the global prior into independent per-cell priors.  Every
+cell's noisy training block is the global one scaled by the slope squared
+plus the cell's residual variance on the diagonal, so one eigendecomposition
+of the global block gives the exact posterior mean and marginal variance of
+all cells at once.  The per-cell Cholesky form is the reference in ``oracles``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,20 +41,17 @@ class PatternScalingMap:
 
 
 def fit_pattern_scaling(
-    global_series: Sequence[np.ndarray],
-    local_cubes: Sequence[np.ndarray],
-    grid: SpatialGrid,
+    global_temperatures: np.ndarray, local: np.ndarray, grid: SpatialGrid
 ) -> PatternScalingMap:
     """Ordinary least squares of local on global temperature, per cell.
 
-    ``global_series`` and ``local_cubes`` are parallel per-scenario lists;
-    cubes have shape (n_time, n_lat, n_lon).  Residual variance is the sum of
-    squared residuals over max(n - 2, 1), stored per cell.
+    ``global_temperatures`` holds the stacked (n,) training rows and ``local``
+    their (n, n_lat, n_lon) cube, row for row, as ``spatial_posterior`` takes
+    them.  Residual variance is the sum of squared residuals over
+    max(n - 2, 1), stored per cell.
     """
-    if len(global_series) != len(local_cubes) or not global_series:
-        raise DimensionMismatch("need matching, nonempty global and local inputs")
-    g = np.concatenate([np.asarray(s, dtype=float) for s in global_series])
-    local = np.concatenate([np.asarray(c, dtype=float) for c in local_cubes], axis=0)
+    g = np.asarray(global_temperatures, dtype=float)
+    local = np.asarray(local, dtype=float)
     if local.shape != (g.size, *grid.shape):
         raise GridMismatch(f"local cube has shape {local.shape}, expected {(g.size, *grid.shape)}")
     if g.size < 2:

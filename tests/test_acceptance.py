@@ -376,7 +376,7 @@ def test_criterion_09_spatial_reduction():
             + intercept[None]
             + 0.2 * rng.normal(size=(60, 2, 2))
         )
-        fitted = fit_pattern_scaling([g], [cube], grid)
+        fitted = fit_pattern_scaling(g, cube, grid)
         design = np.column_stack([g, np.ones(60)])
         for i in range(2):
             for j in range(2):

@@ -14,7 +14,7 @@ from ebgp.inference import EmulatorModel, FitSettings, build_prior
 from ebgp.kernels import KernelConfig
 from ebgp.metrics import SCORE_FIELDS, Z95, ScoreReport
 from ebgp.model_io import load_model, save_model, serialize_model
-from ebgp.scenario import AgentSpec, Scenario, SpatialGrid, save_scenario
+from ebgp.scenario import AgentSpec, Scenario, SpatialGrid, save_scenario, save_spatial
 
 AGENTS = [
     AgentSpec("co2", "cumulative_emission", "GtC"),
@@ -71,9 +71,9 @@ def workspace(tmp_path):
     for i, scen in enumerate(scenarios):
         scen.global_temperature = y[i * n : (i + 1) * n]
         cube = beta[None] * scen.global_temperature[:, None, None] + beta0[None]
-        scen.spatial_temperature = cube + 0.02 * rng.standard_normal(cube.shape)
-        scen.spatial_grid = SPATIAL
         save_scenario(scen, tmp_path / f"{scen.name}.csv", AGENTS)
+        save_spatial(tmp_path / f"{scen.name}.csv", scen.grid, SPATIAL,
+                     cube + 0.02 * rng.standard_normal(cube.shape))
 
     model = EmulatorModel(
         agents=AGENTS, impulse=IMPULSE, forcing=FORCING, kernel=KERNEL,
@@ -415,6 +415,16 @@ class TestInputValidation:
         _edit_csv(tmp / "hist.csv", 4, "tas_global", value)
         assert self.emulate(workspace) == 2
         assert "hist.csv: line 4, column 'tas_global'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("year", ["9" * 400, "10000000000000000000"], ids=["float", "int64"])
+    def test_year_too_large(self, workspace, capsys, year):
+        """A year outside the int64 range is a data error, not a traceback or
+        a grid error naming the wrong years."""
+        tmp, _, _ = workspace
+        _edit_csv(tmp / "hist.csv", 4, "year", year)
+        assert self.emulate(workspace) == 2
+        err = capsys.readouterr().err
+        assert f"hist.csv: line 4, column 'year': cannot parse '{year}' as a 64-bit integer" in err
 
     def test_repeated_column(self, workspace, capsys):
         """A second column of the same name is an error, not a silent

@@ -1,6 +1,7 @@
 import csv
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from ebgp import scenario
 from ebgp.cli import main
 from ebgp.ebm import TimeGrid
-from ebgp.errors import GridError, ParseError, SchemaError, UnknownScenario
+from ebgp.errors import GridError, GridMismatch, ParseError, SchemaError, UnknownScenario
 from ebgp.scenario import (
     AgentSpec,
     Scenario,
@@ -21,6 +22,7 @@ from ebgp.scenario import (
     read_spatial,
     read_table,
     save_scenario,
+    save_spatial,
 )
 
 AGENTS = [AgentSpec("co2", "cumulative_emission", "GtC"), AgentSpec("so2", "emission", "Mt")]
@@ -156,16 +158,21 @@ class TestRoundTrip:
             grid=grid,
             emissions={"co2": np.ones(3), "so2": np.ones(3)},
             global_temperature=np.zeros(3),
-            spatial_temperature=cube,
-            spatial_grid=sgrid,
         )
         path = tmp_path / "sp.csv"
         save_scenario(scen, path, AGENTS)
-        assert load_scenario(path, AGENTS).spatial_temperature is None
+        save_spatial(path, grid, sgrid, cube)
         back_grid, back_cube = read_spatial(path, grid)
         np.testing.assert_array_equal(back_cube, cube)
         np.testing.assert_array_equal(back_grid.latitudes, sgrid.latitudes)
         np.testing.assert_array_equal(back_grid.longitudes, sgrid.longitudes)
+
+    def test_spatial_cube_of_the_wrong_shape_rejected(self, tmp_path):
+        grid = TimeGrid(2000, 3)
+        sgrid = SpatialGrid([-30.0, 30.0], [0.0, 180.0])
+        with pytest.raises(GridMismatch, match=r"shape \(2, 2, 2\), expected \(3, 2, 2\)"):
+            save_spatial(tmp_path / "sp.csv", grid, sgrid, np.zeros((2, 2, 2)))
+        assert not (tmp_path / "sp_spatial.csv").exists()
 
 
 class TestAssemble:
@@ -262,7 +269,20 @@ CORPUS = {
     "no trailing newline": HEADER + "2019,1,1\n2020,2,2",
     "header only": HEADER,
     "text column": "year,a,name\n2019,1,x\n",
+    "year too large for a float": HEADER + "9" * 400 + ",1,1\n",
+    "year outside int64": HEADER + "2019,1,1\n10000000000000000000,2,2\n",
+    "multi-line field": HEADER + '2000,"1.5\n",1\n2001,2,2\n2002,x,3\n',
 }
+
+
+# Data rows for the property test: years and values in forms one pass or both
+# may reject, blank and whitespace-only rows, and short and long rows.
+YEARS = st.sampled_from(["2019", "+2019", " 2019 ", "2_019", "2019.0", "1e3", "9" * 400,
+                         "10000000000000000000", "-9223372036854775808"])
+VALUES = st.sampled_from(["1.5", "-0.0", "5e-324", "1e400", "nan", "inf", "-inf", "1_000",
+                          '"1.5"', " 1.5 ", "", "x"])
+ROWS = st.one_of(st.tuples(YEARS, VALUES, VALUES).map(",".join),
+                 st.sampled_from(["", "  ", "2019,1", "2019,1,1,1"]))
 
 
 def outcome(path):
@@ -289,6 +309,24 @@ class TestReadTable:
 
         monkeypatch.setattr(scenario.np, "loadtxt", declined)
         assert outcome(path) == either
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(ROWS, max_size=6), ending=st.sampled_from(["\n", "\r\n"]),
+           final=st.booleans())
+    def test_passes_agree_on_generated_files(self, tmp_path_factory, rows, ending, final):
+        """Any file of the ``ROWS`` grammar reads alike with and without the C pass."""
+        path = tmp_path_factory.mktemp("agree") / "t.csv"
+        path.write_bytes((ending.join([HEADER.strip(), *rows]) + ending * final).encode())
+        either = outcome(path)
+        with mock.patch.object(scenario.np, "loadtxt", side_effect=ValueError("declined")):
+            assert outcome(path) == either
+
+    def test_line_numbers_count_file_lines(self, tmp_path):
+        """A quoted field may span lines: a row is numbered by the file line
+        its record ends on, not by its count of records."""
+        path = write(tmp_path / "t.csv", CORPUS["multi-line field"])
+        with pytest.raises(ParseError, match="line 5, column 'a': cannot parse 'x'"):
+            read_table(path, lambda header: ["year", "a"])
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
     def test_plain_file_with_a_compression_suffix(self, tmp_path, suffix):
@@ -333,3 +371,22 @@ class TestReadTable:
         assert main(["evaluate", "--predictions", str(out), "--scenario", paths[-1],
                      "--out", str(tmp_path / "scores.csv")]) == 0
         assert {"historical_spatial.csv", "ssp_mid.csv", "spatial.csv"} <= set(opened)
+
+    @pytest.mark.parametrize("blank", [1, 2])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_trailing_blank_lines_take_the_fast_parse(self, tmp_path, monkeypatch, ending, blank):
+        """Blank lines after the last data row shift no line number, so the C
+        pass keeps the file."""
+        path = tmp_path / "t.csv"
+        text = ending.join(["year,a,b", "2019,1,1", "2020,2,2", *[""] * (blank + 1)])
+        path.write_bytes(text.encode())
+
+        def header_only(handle, _reader=csv.reader):
+            rows = _reader(handle)
+            yield next(rows)
+            raise AssertionError("data rows went through the row pass")
+
+        monkeypatch.setattr(scenario.csv, "reader", header_only)
+        lines, table = read_table(path, lambda header: ["year", "a"])
+        assert lines.tolist() == [2, 3]
+        assert table["a"].tolist() == [1.0, 2.0]

@@ -33,7 +33,7 @@ class TestPatternScaling:
     def test_identity_pattern(self):
         g = np.linspace(0.0, 2.0, 30)
         ones = np.ones(GRID.shape)
-        pattern = fit_pattern_scaling([g], [cube_from(g, ones, 0.0 * ones)], GRID)
+        pattern = fit_pattern_scaling(g, cube_from(g, ones, 0.0 * ones), GRID)
         np.testing.assert_allclose(pattern.slope, 1.0, atol=1e-12)
         np.testing.assert_allclose(pattern.intercept, 0.0, atol=1e-12)
         np.testing.assert_allclose(pattern.residual_variance, 0.0, atol=1e-20)
@@ -42,7 +42,7 @@ class TestPatternScaling:
         g = np.linspace(-1.0, 3.0, 25)
         slope = np.full(GRID.shape, 2.0)
         intercept = np.full(GRID.shape, 0.5)
-        pattern = fit_pattern_scaling([g], [cube_from(g, slope, intercept)], GRID)
+        pattern = fit_pattern_scaling(g, cube_from(g, slope, intercept), GRID)
         np.testing.assert_allclose(pattern.slope, 2.0, atol=1e-12)
         np.testing.assert_allclose(pattern.intercept, 0.5, atol=1e-12)
 
@@ -54,15 +54,11 @@ class TestPatternScaling:
         intercept = rng.normal(size=GRID.shape)
         noise1 = 0.3 * rng.normal(size=(40, *GRID.shape))
         noise2 = 0.3 * rng.normal(size=(30, *GRID.shape))
-        pattern = fit_pattern_scaling(
-            [g1, g2],
-            [cube_from(g1, slope, intercept, noise1), cube_from(g2, slope, intercept, noise2)],
-            GRID,
-        )
         g = np.concatenate([g1, g2])
         local = np.concatenate(
             [cube_from(g1, slope, intercept, noise1), cube_from(g2, slope, intercept, noise2)]
         )
+        pattern = fit_pattern_scaling(g, local, GRID)
         design = np.column_stack([g, np.ones(g.size)])
         for i in range(3):
             for j in range(3):
@@ -81,7 +77,7 @@ class TestPatternScaling:
             g, rng.normal(size=GRID.shape), rng.normal(size=GRID.shape),
             0.5 * rng.normal(size=(50, *GRID.shape)),
         )
-        pattern = fit_pattern_scaling([g], [local], GRID)
+        pattern = fit_pattern_scaling(g, local, GRID)
         fitted = (
             pattern.slope[None] * g[:, None, None] + pattern.intercept[None]
         )
@@ -95,11 +91,11 @@ class TestPatternScaling:
     def test_constant_global_rejected(self):
         g = np.full(20, 1.5)
         with pytest.raises(DegenerateRegressor):
-            fit_pattern_scaling([g], [cube_from(g, np.ones(GRID.shape), np.zeros(GRID.shape))], GRID)
+            fit_pattern_scaling(g, cube_from(g, np.ones(GRID.shape), np.zeros(GRID.shape)), GRID)
 
     def test_too_few_points(self):
         with pytest.raises(Exception):
-            fit_pattern_scaling([np.array([1.0])], [np.ones((1, 3, 3))], GRID)
+            fit_pattern_scaling(np.array([1.0]), np.ones((1, 3, 3)), GRID)
 
 
 def global_setup(scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents):
