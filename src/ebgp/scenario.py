@@ -19,8 +19,8 @@ that use one.  Floats are written with full round-trip precision.
 
 ``read_table`` parses a clean file's data rows in one C-level ``np.loadtxt``
 pass; a file that pass declines is read again row by row, and only that pass
-skips interior blank rows or reports a bad file, naming its line and column.
-Both passes read ``year`` as an int64 integer.
+skips blank rows or reports a bad file, naming its line and column.  Both
+passes take ``year`` as an integer a float holds exactly (magnitude below 2**53).
 """
 
 from __future__ import annotations
@@ -173,27 +173,32 @@ class TrainingSet:
 
 
 def _line_count(path) -> int | None:
-    """Number of lines in the file at ``path`` up to its last nonempty one
-    (``np.loadtxt`` skips the empty lines after it); None when a line ends in
-    a bare carriage return."""
-    lines = run = 0
+    """Number of lines in the file at ``path``; None when one ends in a bare
+    carriage return."""
+    lines, chunk = 0, b""
     with open(path, "rb") as handle:
         while block := handle.read(1 << 20):
             chunk = block + handle.read(1) if block.endswith(b"\r") else block
             if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
                 return None
             lines += chunk.count(b"\n")
-            end = len(chunk.rstrip(b"\r\n"))  # where the chunk's trailing line endings start
-            run = chunk.count(b"\n", end) + (run if end == 0 else 0)
-    return lines - run + 1
+    return lines + (not chunk.endswith(b"\n"))
+
+
+def _year(text: str) -> int:
+    """``text`` as Python's ``int`` reads it, if a float holds it exactly."""
+    year = int(text)
+    if abs(year) >= 2**53:
+        raise ValueError(text)
+    return year
 
 
 def _parse_data_rows(path, header, names) -> tuple[np.ndarray, dict[str, np.ndarray]] | None:
     """``read_table``'s result from one ``np.loadtxt`` pass over all header
     columns, or None where the row pass must decide: the parse raised or warned
     (numpy 1.23-1.26 warn on a ``year`` such as 2019.0, then truncate it), skipped
-    a blank line before the last data row, or met a bare carriage return or a
-    non-finite requested value."""
+    a blank line, or met a bare carriage return, a non-finite requested value or
+    a ``year`` of magnitude 2**53 or more."""
     fields = [(f"f{i}", np.int64 if h == "year" else np.float64) for i, h in enumerate(header)]
     try:
         with warnings.catch_warnings():
@@ -203,7 +208,8 @@ def _parse_data_rows(path, header, names) -> tuple[np.ndarray, dict[str, np.ndar
     except Exception:  # a warning too, or numpy's decompressor for a path ending in .gz or .xz
         return None
     table = {name: data[f"f{header.index(name)}"].astype(float) for name in names}
-    if data.size + 1 != _line_count(path) or not all(np.isfinite(c).all() for c in table.values()):
+    if (data.size + 1 != _line_count(path) or not all(np.isfinite(c).all() for c in table.values())
+            or np.any(np.abs(table.get("year", 0.0)) >= 2**53)):
         return None
     return np.arange(2, 2 + data.size), table
 
@@ -215,14 +221,13 @@ def read_table(path, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     to the names of the columns to parse, raising SchemaError when the
     header is not acceptable.  Blank rows are skipped; a row whose field
     count differs from the header's is a ParseError.  Values parse as
-    Python's ``float`` does (``year`` as an int64 integer) and must be finite;
-    the first bad value in file order is a ParseError naming its line (where
-    its record ends) and column.
+    Python's ``float`` does (``year`` as ``_year``) and must be finite; the
+    first bad value in file order is a ParseError naming its line (where its
+    record ends) and column.
 
-    ``_parse_data_rows`` parses a clean file in C, to the same values; blank
-    lines at the end keep a file clean.  The row pass below decides every file
-    it declines: other blank rows, forms only Python accepts (``1_000``, a
-    quoted ``"1.5"``) and every bad file.
+    ``_parse_data_rows`` parses a clean file in C, to the same values.  The row
+    pass below decides every file it declines: blank rows, forms only Python
+    accepts (``1_000``, a quoted ``"1.5"``) and every bad file.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -248,8 +253,8 @@ def read_table(path, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
             rows.append(row)
     col_of = {h: i for i, h in enumerate(header)}
     parsers = {
-        name: (np.int64, "a 64-bit integer") if name == "year" else (float, "a number")
-        for name in names
+        name: (_year, "an integer below 2**53 in magnitude") if name == "year"
+        else (float, "a number") for name in names
     }
     try:
         table = {
@@ -257,7 +262,7 @@ def read_table(path, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
             for name, (parse, _) in parsers.items()
         }
         sound = all(np.all(np.isfinite(column)) for column in table.values())
-    except (ValueError, OverflowError):  # np.int64 overflows outside its range
+    except ValueError:
         sound = False
     if not sound:
         # Find and report the first bad value in file order.
@@ -266,7 +271,7 @@ def read_table(path, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
                 text, where = row[col_of[name]], f"{path}: line {line_no}, column '{name}'"
                 try:
                     value = parse(text)
-                except (ValueError, OverflowError):
+                except ValueError:
                     raise ParseError(f"{where}: cannot parse '{text}' as {kind}") from None
                 if not isfinite(value):
                     raise ParseError(f"{where}: value '{text}' is not finite")

@@ -416,15 +416,17 @@ class TestInputValidation:
         assert self.emulate(workspace) == 2
         assert "hist.csv: line 4, column 'tas_global'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("year", ["9" * 400, "10000000000000000000"], ids=["float", "int64"])
+    @pytest.mark.parametrize("year", ["9" * 400, "10000000000000000000", "9223372036854775807"],
+                             ids=["float", "int64", "inexact"])
     def test_year_too_large(self, workspace, capsys, year):
-        """A year outside the int64 range is a data error, not a traceback or
-        a grid error naming the wrong years."""
+        """A year a float cannot hold exactly is a data error, not a traceback
+        or a grid error naming the wrong years."""
         tmp, _, _ = workspace
         _edit_csv(tmp / "hist.csv", 4, "year", year)
         assert self.emulate(workspace) == 2
         err = capsys.readouterr().err
-        assert f"hist.csv: line 4, column 'year': cannot parse '{year}' as a 64-bit integer" in err
+        assert (f"hist.csv: line 4, column 'year': cannot parse '{year}' as an integer "
+                "below 2**53 in magnitude") in err
 
     def test_repeated_column(self, workspace, capsys):
         """A second column of the same name is an error, not a silent

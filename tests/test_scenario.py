@@ -271,6 +271,8 @@ CORPUS = {
     "text column": "year,a,name\n2019,1,x\n",
     "year too large for a float": HEADER + "9" * 400 + ",1,1\n",
     "year outside int64": HEADER + "2019,1,1\n10000000000000000000,2,2\n",
+    "year beyond a float's integers": HEADER + "2019,1,1\n9007199254740993,2,2\n",
+    "largest year": HEADER + "-9007199254740991,1,1\n9007199254740991,2,2\n",
     "multi-line field": HEADER + '2000,"1.5\n",1\n2001,2,2\n2002,x,3\n',
 }
 
@@ -278,7 +280,8 @@ CORPUS = {
 # Data rows for the property test: years and values in forms one pass or both
 # may reject, blank and whitespace-only rows, and short and long rows.
 YEARS = st.sampled_from(["2019", "+2019", " 2019 ", "2_019", "2019.0", "1e3", "9" * 400,
-                         "10000000000000000000", "-9223372036854775808"])
+                         "10000000000000000000", "-9223372036854775808", "9007199254740991",
+                         "9007199254740992", "-9007199254740993"])
 VALUES = st.sampled_from(["1.5", "-0.0", "5e-324", "1e400", "nan", "inf", "-inf", "1_000",
                           '"1.5"', " 1.5 ", "", "x"])
 ROWS = st.one_of(st.tuples(YEARS, VALUES, VALUES).map(",".join),
@@ -371,22 +374,3 @@ class TestReadTable:
         assert main(["evaluate", "--predictions", str(out), "--scenario", paths[-1],
                      "--out", str(tmp_path / "scores.csv")]) == 0
         assert {"historical_spatial.csv", "ssp_mid.csv", "spatial.csv"} <= set(opened)
-
-    @pytest.mark.parametrize("blank", [1, 2])
-    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
-    def test_trailing_blank_lines_take_the_fast_parse(self, tmp_path, monkeypatch, ending, blank):
-        """Blank lines after the last data row shift no line number, so the C
-        pass keeps the file."""
-        path = tmp_path / "t.csv"
-        text = ending.join(["year,a,b", "2019,1,1", "2020,2,2", *[""] * (blank + 1)])
-        path.write_bytes(text.encode())
-
-        def header_only(handle, _reader=csv.reader):
-            rows = _reader(handle)
-            yield next(rows)
-            raise AssertionError("data rows went through the row pass")
-
-        monkeypatch.setattr(scenario.csv, "reader", header_only)
-        lines, table = read_table(path, lambda header: ["year", "a"])
-        assert lines.tolist() == [2, 3]
-        assert table["a"].tolist() == [1.0, 2.0]
