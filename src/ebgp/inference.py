@@ -14,12 +14,17 @@ take the ``Conditioned`` value it returns, and each fit objective evaluation
 is one ``condition``: its ``log_likelihood`` is the value, its factor and
 alpha give the gradient.  The kernel is evaluated on the distinct emission
 rows and expanded by index; a fit's evaluations share one ``FitGeometry``
-and the first one's jitter rung.
+and the first one's jitter rung.  That first evaluation stays in the parent
+process; the L-BFGS-B starts then run in up to min(starts, usable CPUs / BLAS
+threads) forked processes, which return only evaluation values and optimizer
+outcomes, so the result is identical to a serial run.  They run in-process
+with one start, BLAS on every CPU (its default) or no ``os.fork``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -571,6 +576,28 @@ def mll_and_gradient(geometry: FitGeometry, model: EmulatorModel) -> tuple[float
         [g for row in PARAMETERS if row.name in geometry.free for g in grad[row.name]])
 
 
+def _workers(starts: int) -> int:
+    """Processes for a fit's ``starts`` L-BFGS-B starts: one per start, up to
+    the usable CPUs over each process's BLAS threads (the first positive
+    OPENBLAS_NUM_THREADS, MKL_NUM_THREADS or OMP_NUM_THREADS, else BLAS's
+    default of one per CPU); 1 (in-process) where ``os`` has no ``fork`` or
+    ``sched_getaffinity``."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    pins = [os.environ.get(name, "")
+            for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")]
+    blas = next((int(v) for v in pins if v.isdigit() and int(v) > 0), cpus)
+    return max(1, min(starts, cpus // blas))
+
+
+_START: Callable | None = None  # the running fit's start runner, which forked workers inherit
+
+
+def _forked_start(i: int):
+    return _START(i)
+
+
 def fit_hyperparameters(
     scenarios: list[Scenario],
     train: TrainingSet,
@@ -582,49 +609,42 @@ def fit_hyperparameters(
     The prior covers ``scenarios``, which hold (at least) the training rows.
     Runs L-BFGS-B on log-transformed positive parameters, once from the
     supplied model and ``model.fit.restarts`` more times from perturbed
-    starts, all through one ``FitGeometry``; later evaluations reuse the
-    jitter rung the first one's factorisation found.  An evaluation that
-    raises ``SingularGram``, ``ValueError`` or ``FloatingPointError``, or is
-    not finite, is rejected and counted against its start.  The trace
-    records the best marginal log-likelihood seen after each evaluation, so
-    it never decreases.  With nothing free, the objective runs once, at the
-    model, and a rejected evaluation there raises ``NonFinite``.
+    starts, all through one ``FitGeometry``.  The first evaluation, start 0's
+    first point, is made here before any start runs (in ``_workers``
+    processes), and later evaluations reuse the jitter rung it found; without
+    a rung yet, the starts run in this process.  An evaluation that raises
+    ``SingularGram``, ``ValueError`` or ``FloatingPointError``, or is not
+    finite, is rejected and counted against its start.  The trace records
+    the best marginal log-likelihood seen after each evaluation, in start
+    order, so it never decreases.  With nothing free, the objective runs
+    once, at the model, and a rejected evaluation there raises ``NonFinite``.
     """
     # Imported here: of all the commands only ``fit`` needs the optimizer.
     from scipy.optimize import minimize
 
+    global _START
     free = model.fit.free
     params = FreeParameters(model, free)
     geometry = FitGeometry(scenarios, train, model, free)
-    trace: list[float] = []
-    best = -np.inf
-    evaluations = rejected = 0
 
-    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal best, evaluations, rejected
-        evaluations += 1
+    def evaluate(theta: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """The objective at ``theta``, or -inf and no gradient when rejected."""
         try:
             with np.errstate(over="raise", invalid="raise"):
                 mll, grad = mll_and_gradient(geometry, params.apply(theta))
         except SingularGram:
             if geometry.jitter is None:
                 raise  # the start block is singular on every rung
-            mll = -np.inf
+            return -np.inf, None
         except (ValueError, FloatingPointError):
-            mll = -np.inf
-        if not np.isfinite(mll):
-            rejected += 1
-            trace.append(best)
-            return np.inf, np.zeros_like(theta)
-        best = max(best, mll)
-        trace.append(best)
-        return -mll, -grad
+            return -np.inf, None
+        return (mll, grad) if np.isfinite(mll) else (-np.inf, None)
 
+    first = evaluate(params.theta0)
     if not free:
-        mll = -objective(params.theta0)[0]
-        if not np.isfinite(mll):
+        if not np.isfinite(first[0]):
             raise NonFinite("marginal log-likelihood is not finite at the fixed parameters")
-        return FitResult(model=model, trace=trace, evaluations=0, mll=mll)
+        return FitResult(model=model, trace=[first[0]], evaluations=0, mll=first[0])
 
     rng = np.random.default_rng(seed)
     theta0 = params.theta0
@@ -633,26 +653,42 @@ def fit_hyperparameters(
         theta0 + rng.normal(scale=0.5, size=theta0.size) for _ in range(model.fit.restarts)
     )
 
-    best_theta = theta0
-    best_value = -np.inf
-    outcomes = []
-    for start in starts:
-        before = rejected
-        result = minimize(
-            objective,
-            start,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": model.fit.max_iterations},
-        )
-        outcomes.append(
-            (bool(result.success), int(result.nit), str(result.message), rejected - before))
-        value = -result.fun if np.isfinite(result.fun) else -np.inf
-        if value > best_value:
-            best_value = value
-            best_theta = result.x
+    def run(i: int) -> tuple[list[float], tuple[bool, int, str, int], float, np.ndarray]:
+        """Start ``i``: each evaluation's value (-inf when rejected), the
+        start's outcome as ``FitResult.starts`` holds it, and its final
+        value (-inf when not finite) and point."""
+        values: list[float] = []
+
+        def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+            # L-BFGS-B's first call is at its start, so start 0's is ``first``
+            mll, grad = first if i == 0 and not values else evaluate(theta)
+            values.append(mll)
+            if not np.isfinite(mll):
+                return np.inf, np.zeros_like(theta)
+            return -mll, -grad
+
+        result = minimize(objective, starts[i], jac=True, method="L-BFGS-B",
+                          options={"maxiter": model.fit.max_iterations})
+        final = -result.fun if np.isfinite(result.fun) else -np.inf
+        return values, (bool(result.success), int(result.nit), str(result.message),
+                        values.count(-np.inf)), final, result.x
+
+    workers = _workers(len(starts)) if geometry.jitter is not None else 1
+    if workers > 1:
+        import multiprocessing  # only a pooled fit loads it
+
+        _START = run
+        try:
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                runs = pool.map(_forked_start, range(len(starts)), chunksize=1)
+        finally:
+            _START = None
+    else:
+        runs = [run(i) for i in range(len(starts))]
+
+    values = [v for run_values, *_ in runs for v in run_values]
+    _, _, best_value, best_theta = runs[int(np.argmax([final for _, _, final, _ in runs]))]
     if not np.isfinite(best_value):
         raise NonFinite("marginal log-likelihood is not finite anywhere the optimizer looked")
-
-    fitted = params.apply(best_theta)
-    return FitResult(fitted, trace, evaluations, best_value, outcomes)
+    return FitResult(params.apply(best_theta), np.maximum.accumulate(values).tolist(),
+                     len(values), best_value, [outcome for _, outcome, *_ in runs])

@@ -1,4 +1,5 @@
 import csv
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -203,6 +204,7 @@ class TestFit:
             return (np.nan if len(calls) == 3 else value), grad
 
         monkeypatch.setattr(inference, "mll_and_gradient", flaky)
+        monkeypatch.setattr(inference, "_workers", lambda starts: 1)  # count in this process
         rc = main(["fit", "--config", str(free_config), "--scenario", *paths,
                    "--holdout", "target", "--out", str(tmp / "m.txt")])
         assert rc == 0
@@ -886,6 +888,55 @@ def test_one_factorisation_per_command(tmp_path, monkeypatch, capsys):
         argv = ["fit", "--config", str(fixed), *query[2:]] if command == "fit" else [command, *query]
         assert main([*argv, "--out", str(tmp_path / f"{command}.out")]) == 0
         assert len(calls) == count, command
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool needs the fork start method")
+def test_pooled_fit_matches_in_process(tmp_path, monkeypatch, capsys):
+    """On the bundled data with more starts than workers, a fit whose starts
+    run in forked workers gives the same FitResult, output and model file as
+    one that runs them in this process.  Only the first objective evaluation
+    runs here, and no worker outlives the fit."""
+    from ebgp import cli, inference
+
+    data = Path(__file__).resolve().parents[1] / "data" / "synthetic"
+    model = load_model(data / "model_config.txt")
+    model.fit = FitSettings(free=model.fit.free, restarts=2, max_iterations=10)
+    config = tmp_path / "config.txt"
+    save_model(model, config)
+    results, calls = [], []
+
+    def recorded(*args, _fit=inference.fit_hyperparameters, **kwargs):
+        results.append(_fit(*args, **kwargs))
+        return results[-1]
+
+    def counted(*args, _original=inference.mll_and_gradient, **kwargs):
+        calls.append(1)
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_hyperparameters", recorded)
+    monkeypatch.setattr(inference, "mll_and_gradient", counted)
+    scenarios = [str(data / f"{name}.csv")
+                 for name in ("historical", "ssp_low", "ssp_mid", "ssp_high")]
+    outputs, here = [], []
+    for workers in (1, 2):
+        calls.clear()
+        monkeypatch.setattr(inference, "_workers", lambda starts, _workers=workers: _workers)
+        out = tmp_path / str(workers) / "model.txt"
+        out.parent.mkdir()
+        assert main(["fit", "--config", str(config), "--scenario", *scenarios,
+                     "--holdout", "ssp_mid", "--out", str(out), "--seed", "7"]) == 0
+        assert multiprocessing.active_children() == []
+        captured = capsys.readouterr()
+        stdout = captured.out.replace(str(out), "model.txt")
+        outputs.append((stdout, captured.err, out.read_bytes()))
+        here.append(len(calls))
+    serial, pooled = results
+    assert len(serial.starts) == 3
+    assert (pooled.trace, pooled.evaluations, pooled.starts, pooled.mll) == (
+        serial.trace, serial.evaluations, serial.starts, serial.mll)
+    assert outputs[0] == outputs[1]
+    assert here == [serial.evaluations, 1]
 
 
 def test_default_seed_documented():

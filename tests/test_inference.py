@@ -1,4 +1,6 @@
 import dataclasses
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -791,6 +793,7 @@ class TestFit:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(inference, "_workers", lambda starts: 1)  # count in this process
         model = dataclasses.replace(model, fit=FitSettings(
             free=("lengthscales", "variance", "sigma"), restarts=1, max_iterations=10
         ))
@@ -819,12 +822,64 @@ class TestFit:
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(inference, "cholesky", singular_second)
+        monkeypatch.setattr(inference, "_workers", lambda starts: 1)  # count in this process
         model = dataclasses.replace(
             model, fit=FitSettings(free=("variance", "sigma"), restarts=1, max_iterations=10)
         )
         result = fit_hyperparameters(scenarios, train, model, seed=0)
         assert [start[3] for start in result.starts] == [1, 0]
         assert np.isfinite(result.mll)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the pool needs the fork start method")
+    def test_worker_error_reraises_here(
+        self, toy_impulse, toy_forcing, toy_kernel, toy_agents, monkeypatch
+    ):
+        """An error raised inside a forked start re-raises in this process
+        with its type, and no worker outlives the fit."""
+        from ebgp import inference
+
+        model, scenarios, train = self._model_and_scenarios(
+            toy_impulse, toy_forcing, toy_kernel, toy_agents
+        )
+        here = os.getpid()
+
+        def failing_in_workers(*args, _original=inference.mll_and_gradient, **kwargs):
+            if os.getpid() != here:
+                raise GridMismatch("raised in a worker")
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "mll_and_gradient", failing_in_workers)
+        monkeypatch.setattr(inference, "_workers", lambda starts: 2)
+        model = dataclasses.replace(
+            model, fit=FitSettings(free=("variance", "sigma"), restarts=1, max_iterations=5)
+        )
+        with pytest.raises(GridMismatch, match="raised in a worker"):
+            fit_hyperparameters(scenarios, train, model, seed=0)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+                        reason="the starts run in this process on this platform")
+    @pytest.mark.parametrize("pins, starts, expected", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 6, 4),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 6, 2),
+        ({"MKL_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 6, 4),
+        ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "0"}, 6, 1),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 6, 1),
+        ({}, 6, 1),
+    ])
+    def test_workers_never_outnumber_the_cpus(self, monkeypatch, pins, starts, expected):
+        """The pool runs at most one BLAS thread per usable CPU: with BLAS
+        unpinned (one thread per CPU by default) the starts stay here."""
+        from ebgp import inference
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in pins.items():
+            monkeypatch.setenv(name, value)
+        assert inference._workers(starts) == expected
 
     def test_singular_start_block_raises(
         self, toy_impulse, toy_forcing, toy_kernel, toy_agents, monkeypatch
