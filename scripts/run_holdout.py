@@ -13,13 +13,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread: the three fits run in this process, and each one's forked
+# L-BFGS-B starts then get a CPU each instead of competing BLAS threads.  Set
+# before numpy is first imported; an explicit setting wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from ebgp.cli import main as cli_main
+from ebgp.cli import main as cli_main  # noqa: E402
 
 DATA = ROOT / "data" / "synthetic"
 SCENARIOS = ("historical", "ssp_low", "ssp_mid", "ssp_high")

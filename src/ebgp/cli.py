@@ -127,16 +127,17 @@ def cmd_fit(args) -> int:
 
 
 def _load_holdout(args):
-    """Load the model and scenarios and build the prior over all of them,
-    training on every scenario but the held-out one.  Returns the
+    """Load the model and scenarios and build the prior over the training
+    scenarios, in declared order, followed by the held-out one.  Returns the
     scenarios, the training set, the prior and the held-out prior rows."""
     model = load_model(args.model)
     scenarios = [load_scenario(path, model.agents) for path in args.scenario]
-    train, _ = assemble_training_set(
+    train, held = assemble_training_set(
         scenarios, holdout=(args.holdout,), agents=model.agent_names
     )
-    prior = build_prior(scenarios, _standardized(model, train))
-    return scenarios, train, prior, prior.rows_for_scenario(args.holdout)
+    kept = [s for s in scenarios if s.name != args.holdout]
+    prior = build_prior(kept + held, _standardized(model, train))
+    return scenarios, train, prior, slice(train.n, prior.n)
 
 
 def _temperature(conditioned, rows):
@@ -213,7 +214,7 @@ def cmd_spatial_emulate(args) -> int:
         + prior.sigma**2 * slope**2 * np.diag(prior.variability(rows))
         + pattern.residual_variance[..., None]
     )
-    years = [prior.index[r][1] for r in rows]
+    years = [year for _, year in prior.index[rows]]
     # Formatted cell by cell as the writer consumes them, so only one cell's
     # rows are held in memory.
     out_rows = (

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
+from scipy.linalg import block_diag, cho_solve, cholesky, lapack, solve_triangular
 
 from . import ebm, kernels
 from .ebm import ForcingParams, ImpulseParams
@@ -48,13 +48,14 @@ class GPPrior:
     """Prior over the stacked multi-scenario grid, scenario by scenario.
 
     ``mean`` is the box-model temperature path; ``index`` locates each row
-    as a (scenario name, year) pair.  The response operator L and the
-    variability covariance Gamma (without sigma^2) are block diagonal across
-    scenarios: only their blocks are kept, in row order, and only
-    ``apply_response`` and ``variability`` read them.  ``forcing_gram`` is
-    the kernel matrix K of the forcing path ``forcing_mean`` over the
-    (standardized) emission rows; ``physics_gram`` is the temperature
-    covariance L K L^T, always propagated from the fields above.
+    as a (scenario name, year) pair, and a training set is always the first
+    ``train.n`` rows, in order.  The response operator L and the variability
+    covariance Gamma (without sigma^2) are block diagonal across scenarios:
+    only their blocks are kept, in row order, and only ``apply_response`` and
+    ``variability`` read them.  ``forcing_gram`` is the kernel matrix K of
+    the forcing path ``forcing_mean`` over the (standardized) emission rows;
+    ``physics_gram`` is the temperature covariance L K L^T, always propagated
+    from the fields above.
     """
 
     mean: np.ndarray
@@ -74,12 +75,6 @@ class GPPrior:
     def n(self) -> int:
         return self.mean.size
 
-    def rows_for_scenario(self, name: str) -> np.ndarray:
-        rows = np.array([i for i, (scen, _) in enumerate(self.index) if scen == name])
-        if rows.size == 0:
-            raise GridMismatch(f"scenario '{name}' is not part of this prior")
-        return rows
-
     def apply_response(self, x: np.ndarray) -> np.ndarray:
         """L x for an array with one row per prior row, one scenario block at a time."""
         edges = np.cumsum([len(block) for block in self.response_blocks])
@@ -88,30 +83,26 @@ class GPPrior:
         parts = zip(self.response_blocks, np.split(x, edges[:-1]))
         return np.concatenate([block @ part for block, part in parts])
 
-    def variability(self, rows: np.ndarray) -> np.ndarray:
-        """Gamma restricted to prior rows ``rows``, in their order: zero
-        between rows of different scenarios."""
-        rows = np.asarray(rows, dtype=int)
-        out = np.zeros((rows.size, rows.size))
-        edges = np.cumsum([0] + [len(block) for block in self.variability_blocks])
-        for block, start, stop in zip(self.variability_blocks, edges, edges[1:]):
-            mine = np.flatnonzero((rows >= start) & (rows < stop))
-            out[_square(mine)] = block[_square(rows[mine] - start)]
-        return out
+    def variability(self, rows: slice) -> np.ndarray:
+        """Gamma at the prior rows ``rows``, a slice of whole scenarios: the
+        block diagonal of their blocks.  Raises GridMismatch on a slice that
+        cuts a scenario."""
+        edges = np.cumsum([0] + [len(block) for block in self.variability_blocks]).tolist()
+        start, stop, step = rows.indices(self.n)
+        if step != 1 or start not in edges or stop not in edges:
+            raise GridMismatch(f"prior rows {start}:{stop}:{step} cut a scenario")
+        blocks = self.variability_blocks[edges.index(start):edges.index(stop)]
+        return block_diag(*blocks) if blocks else np.empty((0, 0))
 
-    def noisy_block(self, pos: np.ndarray) -> np.ndarray:
-        """Covariance of noisy observations at rows ``pos``: the physics
-        block plus sigma^2 times the variability block."""
-        return self.physics_gram[_square(pos)] + self.sigma**2 * self.variability(pos)
-
-
-def _square(index: np.ndarray):
-    """Index of the square block at rows and columns ``index``: slices, which
-    gather nothing, when ``index`` is one ascending run, else ``np.ix_``."""
-    if index.size and np.all(np.diff(index) == 1):
-        run = slice(index[0], index[-1] + 1)
-        return run, run
-    return np.ix_(index, index)
+    def noisy_block(self, train: TrainingSet) -> np.ndarray:
+        """Covariance of the noisy observations ``train``: the physics block
+        plus sigma^2 times the variability block at the prior's first
+        ``train.n`` rows.  Raises GridMismatch unless those rows are
+        ``train.index``, in order."""
+        if self.index[:train.n] != train.index:
+            raise GridMismatch("the training rows are not the prior's leading rows, in order")
+        rows = slice(0, train.n)
+        return self.physics_gram[rows, rows] + self.sigma**2 * self.variability(rows)
 
 
 @dataclass
@@ -250,15 +241,6 @@ def build_prior(scenarios: list[Scenario], model: EmulatorModel) -> GPPrior:
     return GPPrior(**fields, forcing_gram=k_u[inv][:, inv])
 
 
-def locate_rows(prior: GPPrior, index: Sequence[tuple[str, int]]) -> np.ndarray:
-    """Positions of (scenario, year) pairs within the prior index."""
-    lookup = {pair: i for i, pair in enumerate(prior.index)}
-    try:
-        return np.array([lookup[pair] for pair in index], dtype=int)
-    except KeyError as missing:
-        raise GridMismatch(f"row {missing.args[0]} is not in the prior index") from None
-
-
 def factorise(
     block: np.ndarray,
     residual: np.ndarray,
@@ -297,7 +279,8 @@ def factorise(
 
 @dataclass
 class Conditioned:
-    """A prior conditioned on observed temperatures at rows ``positions``.
+    """A prior conditioned on observed temperatures at its first
+    ``alpha.size`` rows.
 
     ``factor`` is the lower Cholesky factor of the noisy block at those
     rows, ``alpha`` its solve against the observations minus the prior mean,
@@ -306,61 +289,56 @@ class Conditioned:
     """
 
     prior: GPPrior
-    positions: np.ndarray
     factor: np.ndarray
     alpha: np.ndarray
     jitter: float
     log_likelihood: float
 
     def posterior(
-        self, rows: np.ndarray, mean: np.ndarray, covariance: np.ndarray, cross: np.ndarray
+        self, rows: slice, mean: np.ndarray, covariance: np.ndarray, cross: np.ndarray
     ) -> PosteriorDistribution:
         """Gaussian update of a quantity with prior ``mean`` and
         ``covariance`` at prior rows ``rows``, whose covariance with the
-        observations is ``cross``."""
-        if self.positions.size:
+        observations is ``cross``.  The result shares no memory with the
+        prior, so callers may update it in place."""
+        if self.alpha.size:
             mean = mean + cross @ self.alpha
             v = solve_triangular(self.factor, cross.T, lower=True)
             covariance = covariance - v.T @ v
             covariance = 0.5 * (covariance + covariance.T)
-        return PosteriorDistribution(
-            mean=mean, covariance=covariance, index=[self.prior.index[i] for i in rows]
-        )
+        else:
+            mean, covariance = mean.copy(), covariance.copy()
+        return PosteriorDistribution(mean=mean, covariance=covariance, index=self.prior.index[rows])
 
 
 def condition(prior: GPPrior, train: TrainingSet, jitter: float | None = None) -> Conditioned:
-    """Condition the prior on the training temperatures: one factorization
-    of the noisy training block serves every query.  ``jitter`` is as in
-    ``factorise``."""
-    pos = locate_rows(prior, train.index)
-    residual = train.temperatures - prior.mean[pos]
-    return Conditioned(prior, pos, *factorise(prior.noisy_block(pos), residual, jitter))
+    """Condition the prior on the training temperatures, which must be its
+    leading rows (``GPPrior.noisy_block``): one factorization of the noisy
+    training block serves every query.  ``jitter`` is as in ``factorise``."""
+    residual = train.temperatures - prior.mean[:train.n]
+    return Conditioned(prior, *factorise(prior.noisy_block(train), residual, jitter))
 
 
-def posterior_temperature(conditioned: Conditioned, rows: np.ndarray) -> PosteriorDistribution:
-    """Exact posterior over the temperature process at prior rows ``rows``.
+def posterior_temperature(conditioned: Conditioned, rows: slice) -> PosteriorDistribution:
+    """Exact posterior over the temperature process at the prior slice ``rows``.
 
     The covariance is the posterior of the smooth (epistemic) temperature
     component; the predictive distribution for noisy observations adds
     sigma^2 times ``GPPrior.variability(rows)``.
     """
-    rows = np.asarray(rows, dtype=int)
-    prior = conditioned.prior
+    prior, n = conditioned.prior, conditioned.alpha.size
     k = prior.physics_gram
-    return conditioned.posterior(
-        rows, prior.mean[rows], k[np.ix_(rows, rows)], k[np.ix_(rows, conditioned.positions)]
-    )
+    return conditioned.posterior(rows, prior.mean[rows], k[rows, rows], k[rows, :n])
 
 
-def posterior_forcing(conditioned: Conditioned, rows: np.ndarray) -> PosteriorDistribution:
-    """Exact posterior over the radiative forcing at prior rows ``rows``,
-    informed by temperature observations only."""
-    rows = np.asarray(rows, dtype=int)
-    prior = conditioned.prior
+def posterior_forcing(conditioned: Conditioned, rows: slice) -> PosteriorDistribution:
+    """Exact posterior over the radiative forcing at the prior slice
+    ``rows``, informed by temperature observations only."""
+    prior, n = conditioned.prior, conditioned.alpha.size
     k_f = prior.forcing_gram
     # Cov(F, T) = K_f L^T at (test, train) rows = (L K_f[:, test])[train]^T
-    cross = prior.apply_response(k_f[:, rows])[conditioned.positions].T
-    return conditioned.posterior(rows, prior.forcing_mean[rows], k_f[np.ix_(rows, rows)], cross)
+    cross = prior.apply_response(k_f[:, rows])[:n].T
+    return conditioned.posterior(rows, prior.forcing_mean[rows], k_f[rows, rows], cross)
 
 
 def sample_posterior(
@@ -490,16 +468,20 @@ class FitGeometry:
     """What one fit's objective evaluations share, built once: the
     ``_prior_fields`` at the start model and its distinct kernel inputs, with
     a free forcing row the forcing paths dF at unit coefficients, and from
-    the first ``prior`` M = (L S) at the training rows, where the N x m
-    selection S picks each row's distinct input.  ``prior`` rebuilds L, Gamma
-    and M only with a free box-model row, and the mean and forcing paths only
-    with a free box-model or forcing row.  ``jitter`` is the rung the first
-    factorisation through it found; only ``condition`` reads the training block."""
+    the first ``prior`` M = (L S), where the N x m selection S picks each
+    row's distinct input.  ``prior`` rebuilds L, Gamma and M only with a free
+    box-model row, and the mean and forcing paths only with a free box-model
+    or forcing row.  ``jitter`` is the rung the first factorisation through it
+    found; only ``condition`` reads the training block.  The prior covers
+    exactly the training rows: ``scenarios`` must stack to ``train.index``,
+    in order, or GridMismatch is raised."""
 
     def __init__(self, scenarios: list[Scenario], train: TrainingSet, model: EmulatorModel,
                  free: Sequence[str] = PARAMETER_NAMES):
         self.scenarios, self.train, self.free = scenarios, train, frozenset(free)
         self.fields, self.x_u, self.inv = _prior_fields(scenarios, model)
+        if self.fields["index"] != train.index:
+            raise GridMismatch("a fit's scenarios must stack to exactly its training rows")
         self.jitter = self.operator = None
         if "forcing" in self.free:
             # F is linear in the coefficients: dF along one is F at that unit vector
@@ -519,7 +501,7 @@ class FitGeometry:
         prior = GPPrior(**fields, forcing_gram=k_u[self.inv][:, self.inv])
         if self.operator is None or self.free & BOX_MODEL:
             selection = np.eye(len(self.x_u))[self.inv]
-            self.operator = prior.apply_response(selection)[locate_rows(prior, self.train.index)]
+            self.operator = prior.apply_response(selection)
         return prior
 
 
@@ -534,44 +516,40 @@ def mll_and_gradient(geometry: FitGeometry, model: EmulatorModel) -> tuple[float
     section 5.4.1 with W = alpha alpha^T - A^{-1}: the kernel rows <B_u,
     dK_u> / 2 with the m x m B_u = M^T W M = (M^T alpha) (M^T alpha)^T - V^T V,
     V = L_A^{-1} M; sigma^2 tr(W Gamma) = alpha^T r - n - <B_u, K_u> - j
-    (alpha^T alpha - tr A^{-1}) for sigma; with W scattered to the prior's
-    rows, the sum over scenarios s of <(W L K)_ss + alpha_s F_s^T, dL_s> +
-    sigma^2 <W_ss, dGamma_s> / 2 for the box model; (L dF)^T alpha for ``forcing``.
+    (alpha^T alpha - tr A^{-1}) for sigma; the sum over scenarios s of
+    <(W L K)_ss + alpha_s F_s^T, dL_s> + sigma^2 <W_ss, dGamma_s> / 2 for the
+    box model; (L dF)^T alpha for ``forcing``.
     """
     impulse, sigma = model.impulse, model.impulse.variability_amplitude
     k_u, dk_u = kernels.forcing_gram_gradients(geometry.x_u, model.kernel)
     conditioned = condition(geometry.prior(model, k_u), geometry.train, geometry.jitter)
     geometry.jitter = conditioned.jitter
-    prior, factor, alpha_t = conditioned.prior, conditioned.factor, conditioned.alpha
-    pos, operator = conditioned.positions, geometry.operator
+    prior, factor, alpha = conditioned.prior, conditioned.factor, conditioned.alpha
 
-    beta = operator.T @ alpha_t
-    v = solve_triangular(factor, operator, lower=True, check_finite=False)
+    beta = geometry.operator.T @ alpha
+    v = solve_triangular(factor, geometry.operator, lower=True, check_finite=False)
     b = np.outer(beta, beta) - v.T @ v
     # dpotri fills the lower triangle of A^{-1} and keeps the factor's zero upper one
     inv = lapack.dpotri(factor, lower=True)[0]
     variance = 0.5 * np.sum(b * k_u)
     grad = {"lengthscales": [0.5 * np.sum(b * g) for g in dk_u],
             "variance": [variance],
-            "sigma": [alpha_t @ (geometry.train.temperatures - prior.mean[pos]) - pos.size
-                      - 2.0 * variance - conditioned.jitter * (alpha_t @ alpha_t - np.trace(inv))]}
+            "sigma": [alpha @ (geometry.train.temperatures - prior.mean) - alpha.size
+                      - 2.0 * variance - conditioned.jitter * (alpha @ alpha - np.trace(inv))]}
     if geometry.free & BOX_MODEL:
-        alpha = np.zeros(prior.n)
-        alpha[pos] = alpha_t
-        scattered = np.zeros((prior.n, prior.n))
-        scattered[np.ix_(pos, pos)] = np.outer(alpha_t, alpha_t) - (inv + np.tril(inv, -1).T)
+        w = np.outer(alpha, alpha) - (inv + np.tril(inv, -1).T)
         lk = prior.apply_response(prior.forcing_gram)
         box = 0.0
         edges = np.cumsum([0] + [scen.grid.n_steps for scen in geometry.scenarios])
         for scen, rows in zip(geometry.scenarios, map(slice, edges, edges[1:])):
             # mode i's operator is linear in q_i, so mode_series holds both derivatives
             series = np.array(ebm.mode_series(impulse, scen.grid))
-            response = scattered[rows] @ lk[:, rows] + np.outer(alpha[rows], prior.forcing_mean[rows])
-            noise = kernels.variability_gradient(impulse, scen.grid, scattered[rows, rows])
+            response = w[rows] @ lk[:, rows] + np.outer(alpha[rows], prior.forcing_mean[rows])
+            noise = kernels.variability_gradient(impulse, scen.grid, w[rows, rows])
             box = box + series @ ebm.lag_sums(response) + 0.5 * sigma**2 * noise
         grad["equilibrium_responses"], grad["timescales"] = box
     if "forcing" in geometry.free:
-        grad["forcing"] = prior.apply_response(geometry.forcing_units)[pos].T @ alpha_t
+        grad["forcing"] = prior.apply_response(geometry.forcing_units).T @ alpha
     return conditioned.log_likelihood, np.array(
         [g for row in PARAMETERS if row.name in geometry.free for g in grad[row.name]])
 
@@ -606,7 +584,7 @@ def fit_hyperparameters(
 ) -> FitResult:
     """Maximise the marginal log-likelihood over the parameters ``model.fit`` frees.
 
-    The prior covers ``scenarios``, which hold (at least) the training rows.
+    The prior covers ``scenarios``, which stack to exactly the training rows.
     Runs L-BFGS-B on log-transformed positive parameters, once from the
     supplied model and ``model.fit.restarts`` more times from perturbed
     starts, all through one ``FitGeometry``.  The first evaluation, start 0's

@@ -25,7 +25,7 @@ from scipy.linalg import toeplitz
 from . import ebm, inference, kernels
 from .ebm import BoxModelParams, ImpulseParams, TimeGrid
 from .errors import DimensionMismatch, GridMismatch
-from .inference import Conditioned, GPPrior, PosteriorDistribution, factorise, locate_rows
+from .inference import Conditioned, GPPrior, PosteriorDistribution, factorise
 from .kernels import KernelConfig
 from .scenario import TrainingSet
 from .spatial import PatternScalingMap
@@ -127,20 +127,20 @@ def cell_prior(
 
 def cell_posterior(
     pattern: PatternScalingMap, prior: GPPrior, train: TrainingSet,
-    local_observations: np.ndarray, i: int, j: int, test_rows: np.ndarray,
+    local_observations: np.ndarray, i: int, j: int, test_rows: slice,
 ) -> PosteriorDistribution:
-    """Posterior of cell (i, j), full covariance, by a Cholesky factorization
-    of the cell's own block: the reference for ``spatial.spatial_posterior``."""
-    test_rows = np.asarray(test_rows, dtype=int)
+    """Posterior of cell (i, j) at the prior rows ``test_rows``, full
+    covariance, by a Cholesky factorization of the cell's own block: the
+    reference for ``spatial.spatial_posterior``.  The training rows must be
+    the prior's leading rows (``GPPrior.noisy_block``)."""
     cell, noise = cell_prior(pattern, prior, i, j)
-    pos = locate_rows(cell, train.index)
-    residual = np.asarray(local_observations, dtype=float)[:, i, j] - cell.mean[pos]
+    n = train.n
+    residual = np.asarray(local_observations, dtype=float)[:, i, j] - cell.mean[:n]
+    block = cell.noisy_block(train) + np.diag(noise[:n])
+    conditioned = Conditioned(cell, *factorise(block, residual))
     k = cell.physics_gram
-    block = k[np.ix_(pos, pos)] + (cell.sigma**2 * cell.variability(pos) + np.diag(noise[pos]))
-    conditioned = Conditioned(cell, pos, *factorise(block, residual))
-    return conditioned.posterior(
-        test_rows, cell.mean[test_rows], k[np.ix_(test_rows, test_rows)], k[np.ix_(test_rows, pos)]
-    )
+    return conditioned.posterior(test_rows, cell.mean[test_rows], k[test_rows, test_rows],
+                                 k[test_rows, :n])
 
 
 def predictive_log_density(
@@ -324,14 +324,14 @@ def quadrature_thermal_covariance(
     k_sub = kernels.forcing_gram(x_sub, x_sub, kernel)
 
     t = grid.response_times()
-    idx = (np.arange(n) + 1) * substeps
+    ends = slice(substeps, None, substeps)  # the substep nodes that end each step
     gram = np.zeros((n, n))
     d = impulse.timescales
     q = impulse.equilibrium_responses
     for i in range(impulse.n_boxes):
         for j in range(impulse.n_boxes):
             weighted = k_sub * np.exp(s / d[i])[:, None] * np.exp(s / d[j])[None, :]
-            integral = _cumtrapz2d(weighted, h)[np.ix_(idx, idx)]
+            integral = _cumtrapz2d(weighted, h)[ends, ends]
             damp = np.exp(-t / d[i])[:, None] * np.exp(-t / d[j])[None, :]
             gram += (q[i] * q[j] / (d[i] * d[j])) * damp * integral
     return gram

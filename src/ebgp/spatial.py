@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRegressor, DimensionMismatch, EmptyGrid, GridMismatch, SingularGram
-from .inference import JITTER_LADDER, GPPrior, locate_rows
+from .inference import JITTER_LADDER, GPPrior
 from .scenario import SpatialGrid, TrainingSet
 
 
@@ -78,10 +78,10 @@ def spatial_posterior(
     prior: GPPrior,
     train: TrainingSet,
     local_observations: np.ndarray,
-    test_rows: np.ndarray,
+    test_rows: slice,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact posterior mean and epistemic marginal variance of every cell,
-    each of shape (n_lat, n_lon, len(test_rows)).
+    """Exact posterior mean and epistemic marginal variance of every cell at
+    the prior rows ``test_rows``, each of shape (n_lat, n_lon, rows).
 
     A cell with slope b, intercept b0 and residual variance r has the noisy
     training block b^2 A + r I, A the global one.  So with A = V diag(lam) V^T,
@@ -90,10 +90,10 @@ def spatial_posterior(
     variance = b^2 diag K** - b^4 (P * P) (1 / D).  The jitter is the first
     ``JITTER_LADDER`` rung, times the cell block's mean diagonal (1 when that
     is not positive), that makes every D positive.  ``local_observations``
-    has shape (train.n, n_lat, n_lon), rows aligned to ``train.index``.
+    has shape (train.n, n_lat, n_lon), rows aligned to ``train.index``, which
+    must be the prior's leading rows (``GPPrior.noisy_block``).
     """
     local_observations = np.asarray(local_observations, dtype=float)
-    test_rows = np.asarray(test_rows, dtype=int)
     n_lat, n_lon = pattern.grid.shape
     if local_observations.shape != (train.n, n_lat, n_lon):
         raise GridMismatch(
@@ -105,25 +105,24 @@ def spatial_posterior(
     noise = pattern.residual_variance.ravel()
     scale = slope**2
 
-    pos = locate_rows(prior, train.index)
-    block = prior.noisy_block(pos)
+    block = prior.noisy_block(train)
     eigvals, eigvecs = np.linalg.eigh(block)
     jitter = np.zeros_like(noise)
-    if pos.size:
+    if train.n:
         diagonal = scale * np.mean(np.diag(block)) + noise
         diagonal[diagonal <= 0] = 1.0
         rungs = np.array(JITTER_LADDER)[:, None] * diagonal
         # b^2 lam_min + r + jitter is the smallest D of a cell
         positive = scale * eigvals[0] + noise + rungs > 0
         if not np.all(positive[-1]):
-            raise SingularGram(f"a cell block is singular at maximum jitter (n={pos.size})")
+            raise SingularGram(f"a cell block is singular at maximum jitter (n={train.n})")
         jitter = rungs[np.argmax(positive, axis=0), np.arange(slope.size)]
     d = scale * eigvals[:, None] + noise + jitter
 
     k = prior.physics_gram
-    proj = k[np.ix_(test_rows, pos)] @ eigvecs
+    proj = k[test_rows, :train.n] @ eigvecs
     residual = local_observations.reshape(train.n, slope.size) - (
-        slope * prior.mean[pos, None] + intercept
+        slope * prior.mean[:train.n, None] + intercept
     )
     mean = (
         slope * prior.mean[test_rows, None] + intercept

@@ -22,7 +22,6 @@ from ebgp.inference import (
     condition,
     factorise,
     fit_hyperparameters,
-    locate_rows,
     mll_and_gradient,
     posterior_forcing,
     posterior_temperature,
@@ -57,9 +56,7 @@ def two_scenario_setup(toy_impulse, toy_forcing, toy_kernel, toy_agents, n=40, s
     s1 = mk("a", lambda t: 1 + 0.1 * t, lambda t: 2 + np.sin(t / 8))
     s2 = mk("b", lambda t: 1 + 0.05 * t, lambda t: 1 + 0.02 * t)
     prior = build_prior([s1, s2], EmulatorModel(toy_agents, toy_impulse, toy_forcing, toy_kernel))
-    cov = prior.physics_gram + toy_impulse.variability_amplitude**2 * prior.variability(
-        np.arange(prior.n)
-    )
+    cov = prior.physics_gram + prior.sigma**2 * prior.variability(slice(None))
     y = prior.mean + np.linalg.cholesky(cov + 1e-10 * np.eye(2 * n)) @ rng.standard_normal(2 * n)
     s1.global_temperature = y[:n]
     s2.global_temperature = y[n:]
@@ -74,6 +71,23 @@ def setup(toy_impulse, toy_forcing, toy_kernel, toy_agents):
         toy_agents, toy_impulse, toy_forcing, toy_kernel, train.standardization
     ))
     return s1, s2, train, prior
+
+
+@pytest.fixture
+def one_row(setup, toy_impulse, toy_forcing, toy_kernel, toy_agents):
+    """A training set of one row, the first year of scenario a as a scenario
+    of its own, and the prior over it and scenario b, with a's constants."""
+    s1, s2, train, _ = setup
+    first = dataclasses.replace(
+        s1, name="a1", grid=TimeGrid(1900, 1),
+        emissions={name: series[:1] for name, series in s1.emissions.items()},
+        global_temperature=s1.global_temperature[:1],
+    )
+    one, _ = assemble_training_set([first, s2], holdout=("b",))
+    prior = build_prior([first, s2], EmulatorModel(
+        toy_agents, toy_impulse, toy_forcing, toy_kernel, train.standardization
+    ))
+    return one, prior
 
 
 class TestBuildPrior:
@@ -110,8 +124,7 @@ class TestBuildPrior:
         s1, _, _, prior = setup
         f = scenario_forcing(s1, toy_forcing, toy_agents)
         _, temp = thermal_response(f, toy_impulse, s1.grid)
-        rows = prior.rows_for_scenario("a")
-        np.testing.assert_array_equal(prior.mean[rows], temp)
+        np.testing.assert_array_equal(prior.mean[:40], temp)
 
     def test_zero_emissions_at_preindustrial_gives_zero_mean(
         self, toy_impulse, toy_forcing, toy_kernel, toy_agents
@@ -140,7 +153,7 @@ class TestBuildPrior:
 
     def test_variability_block_diagonal(self, setup):
         _, _, _, prior = setup
-        gamma = prior.variability(np.arange(prior.n))
+        gamma = prior.variability(slice(None))
         n = 40
         np.testing.assert_array_equal(gamma[:n, n:], 0.0)
         assert np.all(np.diag(gamma) > 0)
@@ -153,7 +166,7 @@ class TestBuildPrior:
 
     def test_gram_factorizable(self, setup):
         _, _, _, prior = setup
-        noisy = prior.physics_gram + prior.sigma**2 * prior.variability(np.arange(prior.n))
+        noisy = prior.physics_gram + prior.sigma**2 * prior.variability(slice(None))
         factorise(noisy, np.zeros(prior.n))
 
     def test_cross_scenario_blocks_match_joint_sampling(self, setup, toy_impulse):
@@ -214,38 +227,67 @@ class TestBlockedPrior:
         np.testing.assert_allclose(prior.apply_response(x), op @ x, rtol=0, atol=1e-14)
 
     def test_variability_rows_match_dense(self, blocked):
+        """Gamma at slices of whole scenarios: a (rows 0-29), b (30-74) and
+        c (75-94); a slice that cuts a scenario is an error."""
         _, prior, _, gamma = blocked
-        # unsorted, with gaps, spanning scenarios a (rows 0-29) and b (30-74)
-        rows = np.array([40, 3, 31, 7, 29, 60, 30])
-        np.testing.assert_array_equal(prior.variability(rows), gamma[np.ix_(rows, rows)])
-        everything = np.arange(prior.n)
-        np.testing.assert_array_equal(prior.variability(everything), gamma)
+        for rows in (slice(None), slice(0, 30), slice(30, 95), slice(75, 95), slice(30, 30)):
+            np.testing.assert_array_equal(prior.variability(rows), gamma[rows, rows])
+        for rows in (slice(0, 29), slice(31, 75), slice(0, 95, 2)):
+            with pytest.raises(GridMismatch):
+                prior.variability(rows)
 
     def test_forcing_cross_matches_dense(self, blocked):
         scenarios, prior, op, _ = blocked
-        train, _ = assemble_training_set(scenarios, holdout=("b",))
-        rows = prior.rows_for_scenario("b")
+        train, _ = assemble_training_set(scenarios, holdout=("c",))
+        rows = slice(train.n, prior.n)
         conditioned = condition(prior, train)
         k_f = prior.forcing_gram
         dense = conditioned.posterior(
-            rows, prior.forcing_mean[rows], k_f[np.ix_(rows, rows)],
-            k_f[rows, :] @ op[conditioned.positions, :].T,
+            rows, prior.forcing_mean[rows], k_f[rows, rows], k_f[rows, :] @ op[:train.n, :].T,
         )
         post = posterior_forcing(conditioned, rows)
         for got, want in [(post.mean, dense.mean), (post.covariance, dense.covariance)]:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_training_rows_must_lead_the_prior(self, blocked, toy_impulse, toy_forcing,
+                                               toy_kernel, toy_agents):
+        """Holding out the middle scenario b of a prior built in declared
+        order leaves training rows that do not lead it: conditioning, the
+        spatial posterior, its oracle and a fit's geometry all refuse them."""
+        from ebgp.oracles import cell_posterior
+        from ebgp.scenario import SpatialGrid
+        from ebgp.spatial import PatternScalingMap, spatial_posterior
+
+        scenarios, prior, _, _ = blocked
+        train, _ = assemble_training_set(scenarios, holdout=("b",))
+        grid = SpatialGrid([0.0], [0.0])
+        pattern = PatternScalingMap(np.ones((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), grid)
+        local = np.zeros((train.n, 1, 1))
+        model = EmulatorModel(toy_agents, toy_impulse, toy_forcing, toy_kernel)
+        with pytest.raises(GridMismatch):
+            condition(prior, train)
+        with pytest.raises(GridMismatch):
+            spatial_posterior(pattern, prior, train, local, slice(30, 75))
+        with pytest.raises(GridMismatch):
+            cell_posterior(pattern, prior, train, local, 0, 0, slice(30, 75))
+        with pytest.raises(GridMismatch):
+            FitGeometry(scenarios, train, model)
+        FitGeometry([s for s in scenarios if s.name != "b"], train, model)
+
     def test_gradient_on_training_subset(
         self, blocked, toy_impulse, toy_forcing, toy_kernel, toy_agents
     ):
-        """Training rows are a strict subset of the prior's: the gradient
-        contractions scatter onto the prior's rows, for every fittable row."""
-        scenarios, prior, _, _ = blocked
-        train, _ = assemble_training_set(scenarios, holdout=("b",))
+        """The training scenarios a and c are a strict subset of the
+        scenarios: the fit's prior covers them alone, every fittable row's
+        gradient matches central differences, and the value is the
+        conditioning of a prior that also covers the held-out b."""
+        scenarios, _, _, _ = blocked
+        train, held = assemble_training_set(scenarios, holdout=("b",))
+        scenarios = [s for s in scenarios if s.name != "b"]
+        model = EmulatorModel(toy_agents, toy_impulse, toy_forcing, toy_kernel,
+                              train.standardization)
+        prior = build_prior(scenarios + held, model)
         jitter = condition(prior, train).jitter
-        model = EmulatorModel(
-            agents=toy_agents, impulse=toy_impulse, forcing=toy_forcing, kernel=toy_kernel
-        )
         params = FreeParameters(
             dataclasses.replace(
                 model,
@@ -270,8 +312,8 @@ def shared_history_setup(toy_impulse, toy_forcing, toy_agents, family, seed=5):
     """A history and two futures that repeat its emissions bit for bit
     before they part, with temperatures drawn from the prior, so each
     future's history rows differ from the history's only in their weather.
-    The prior covers all three; the training rows hold out the second
-    future."""
+    The training rows hold out the second future, which comes last, so they
+    lead a prior over all three."""
     n_hist, n_future = 20, 35
     t = np.arange(n_future, dtype=float)
 
@@ -288,9 +330,7 @@ def shared_history_setup(toy_impulse, toy_forcing, toy_agents, family, seed=5):
     kernel = KernelConfig(family, [1.2, 0.7], 0.3)
     model = EmulatorModel(toy_agents, toy_impulse, toy_forcing, kernel)
     prior = build_prior(scenarios, model)
-    cov = prior.physics_gram + toy_impulse.variability_amplitude**2 * prior.variability(
-        np.arange(prior.n)
-    )
+    cov = prior.physics_gram + prior.sigma**2 * prior.variability(slice(None))
     rng = np.random.default_rng(seed)
     y = prior.mean + np.linalg.cholesky(cov + 1e-10 * np.eye(prior.n)) @ rng.standard_normal(prior.n)
     for scen, part in zip(scenarios, np.split(y, [n_hist, n_hist + n_future])):
@@ -313,7 +353,8 @@ class TestSharedHistory:
         x = model.standardization.apply(
             np.vstack([scen.emission_matrix(model.agent_names) for scen in scenarios])
         )
-        geometry = FitGeometry(scenarios, train, model)
+        everything, _ = assemble_training_set(scenarios)
+        geometry = FitGeometry(scenarios, everything, model)
         assert len(geometry.x_u) == 50 and len(x) == 90
         np.testing.assert_array_equal(geometry.x_u[geometry.inv], x)
         np.testing.assert_array_equal(
@@ -326,15 +367,16 @@ class TestSharedHistory:
 
     @pytest.mark.parametrize("family", KERNEL_FAMILIES)
     def test_objective_is_the_conditioning(self, toy_impulse, toy_forcing, toy_agents, family):
-        """The value is the conditioning's likelihood exactly, and every
-        fittable row's gradient matches central differences, on training
-        rows that are a strict subset of the prior's."""
+        """The value is the likelihood of conditioning a prior that also
+        covers the held-out future exactly, and every fittable row's
+        gradient matches central differences."""
         scenarios, train, model = shared_history_setup(
             toy_impulse, toy_forcing, toy_agents, family
         )
         prior = build_prior(scenarios, model)
         assert train.n < prior.n
         jitter = condition(prior, train).jitter
+        scenarios = scenarios[:-1]
         value, _ = frozen_objective(scenarios, train, model, jitter=jitter)
         assert value == condition(prior, train, jitter).log_likelihood
 
@@ -361,6 +403,7 @@ class TestSharedHistory:
         scenarios, train, model = shared_history_setup(
             toy_impulse, toy_forcing, toy_agents, "matern32"
         )
+        scenarios = scenarios[:-1]
         jitter = condition(build_prior(scenarios, model), train).jitter
         params = FreeParameters(model, free)
         geometry = FitGeometry(scenarios, train, model, free)
@@ -383,6 +426,7 @@ class TestSharedHistory:
         scenarios, train, model = shared_history_setup(
             toy_impulse, toy_forcing, toy_agents, "matern32"
         )
+        scenarios = scenarios[:-1]
         jitter = condition(build_prior(scenarios, model), train).jitter
         jitter = jitter if frozen == "ladder" else frozen
         params = FreeParameters(model, free)
@@ -393,7 +437,7 @@ class TestSharedHistory:
             moved = params.apply(params.theta0 + rng.normal(scale=0.3, size=params.theta0.size))
             prior = build_prior(scenarios, moved)
             conditioned = condition(prior, train, jitter)
-            gamma = prior.variability(conditioned.positions)
+            gamma = prior.variability(slice(None))
             inverse = cho_solve((conditioned.factor, True), np.eye(train.n))
             alpha = conditioned.alpha
             want = prior.sigma**2 * (alpha @ gamma @ alpha - np.sum(inverse * gamma))
@@ -405,12 +449,10 @@ class TestPosteriorTemperature:
     def test_empty_training_returns_prior(self, setup):
         _, s2, _, prior = setup
         empty = TrainingSet(temperatures=np.empty(0), index=[])
-        rows = prior.rows_for_scenario("b")
+        rows = slice(40, 80)
         post = posterior_temperature(condition(prior, empty), rows)
         np.testing.assert_array_equal(post.mean, prior.mean[rows])
-        np.testing.assert_array_equal(
-            post.covariance, prior.physics_gram[np.ix_(rows, rows)]
-        )
+        np.testing.assert_array_equal(post.covariance, prior.physics_gram[rows, rows])
 
     def test_noiseless_interpolation(self):
         imp = ImpulseParams([0.2], [0.5], variability_amplitude=0.0)
@@ -426,27 +468,18 @@ class TestPosteriorTemperature:
         kc = KernelConfig("matern12", [1.0], 1.0, standardize_inputs=False)
         train, _ = assemble_training_set([scen])
         prior = build_prior([scen], EmulatorModel(agents, imp, forcing, kc))
-        post = posterior_temperature(condition(prior, train), np.arange(n))
+        post = posterior_temperature(condition(prior, train), slice(None))
         assert np.max(np.abs(post.mean - scen.global_temperature)) <= 1e-6
         assert np.max(np.diag(post.covariance)) <= 1e-6
 
-    def test_single_point_scalar_algebra(self, setup):
+    def test_single_point_scalar_algebra(self, one_row):
         """One training row: the posterior must match the scalar update
         computed by hand from the Gram entries."""
-        _, _, train, prior = setup
-        one = TrainingSet(
-            temperatures=train.temperatures[:1], index=train.index[:1],
-            standardization=train.standardization,
-        )
-        test_row = prior.rows_for_scenario("b")[5:6]
-        post = posterior_temperature(condition(prior, one), test_row)
+        one, prior = one_row
+        pos, t = 0, 6
+        post = posterior_temperature(condition(prior, one), slice(t, t + 1))
         k = prior.physics_gram
-        pos = locate_rows(prior, one.index)[0]
-        t = int(test_row[0])
-        noisy = (
-            k[pos, pos]
-            + prior.sigma**2 * prior.variability([pos])[0, 0]
-        )
+        noisy = k[pos, pos] + prior.sigma**2 * prior.variability(slice(0, 1))[0, 0]
         jitter = 1e-6 * noisy  # first ladder rung, relative to the 1x1 diagonal
         noisy = noisy + jitter
         resid = one.temperatures[0] - prior.mean[pos]
@@ -457,30 +490,27 @@ class TestPosteriorTemperature:
 
     def test_posterior_variance_below_prior(self, setup):
         _, _, train, prior = setup
-        rows = prior.rows_for_scenario("b")
+        rows = slice(train.n, prior.n)
         post = posterior_temperature(condition(prior, train), rows)
-        prior_var = np.diag(prior.physics_gram[np.ix_(rows, rows)])
+        prior_var = np.diag(prior.physics_gram[rows, rows])
         assert np.all(np.diag(post.covariance) <= prior_var + 1e-9)
 
     def test_monotone_information(self, setup):
         """Conditioning on more observations never increases the variance."""
-        _, _, train, prior = setup
-        half = TrainingSet(
-            temperatures=train.temperatures[:20], index=train.index[:20],
-            standardization=train.standardization,
-        )
-        rows = prior.rows_for_scenario("b")
-        var_half = np.diag(posterior_temperature(condition(prior, half), rows).covariance)
-        var_full = np.diag(posterior_temperature(condition(prior, train), rows).covariance)
+        s1, s2, train, prior = setup
+        both, _ = assemble_training_set([s1, s2])
+        rows = slice(train.n, prior.n)
+        var_half = np.diag(posterior_temperature(condition(prior, train), rows).covariance)
+        var_full = np.diag(posterior_temperature(condition(prior, both), rows).covariance)
         assert np.all(var_full <= var_half + 1e-9)
 
     def test_data_fit_improves(self, setup):
         _, _, train, prior = setup
-        rows = locate_rows(prior, train.index)
+        rows = slice(0, train.n)
         post = posterior_temperature(condition(prior, train), rows)
         prior_dist = PosteriorDistribution(
             mean=prior.mean[rows],
-            covariance=prior.physics_gram[np.ix_(rows, rows)],
+            covariance=prior.physics_gram[rows, rows],
             index=train.index,
         )
         assert predictive_log_density(post, train.temperatures) >= predictive_log_density(
@@ -491,25 +521,44 @@ class TestPosteriorTemperature:
         _, _, train, prior = setup
         bad = dataclasses.replace(train, index=[("zz", 1900)] + train.index[1:])
         with pytest.raises(GridMismatch):
-            posterior_temperature(condition(prior, bad), np.arange(3))
+            condition(prior, bad)
+
+
+@pytest.mark.parametrize("trained", [False, True])
+def test_posteriors_share_no_memory_with_the_prior(setup, trained):
+    """Slices of the prior are views: a posterior must not hand one back,
+    with or without training rows, or an in-place update such as the CLI's
+    added variability would write into the prior."""
+    from ebgp.cli import _temperature
+
+    _, _, train, prior = setup
+    if not trained:
+        train = TrainingSet(temperatures=np.empty(0), index=[])
+    conditioned = condition(prior, train)
+    rows = slice(40, 80)
+    arrays = [prior.mean, prior.forcing_mean, prior.forcing_gram, prior.physics_gram,
+              *prior.response_blocks, *prior.variability_blocks]
+    for post in (posterior_temperature(conditioned, rows), posterior_forcing(conditioned, rows)):
+        for got in (post.mean, post.covariance):
+            assert not any(np.shares_memory(got, array) for array in arrays)
+    first = _temperature(conditioned, rows)[1].covariance.copy()
+    np.testing.assert_array_equal(_temperature(conditioned, rows)[1].covariance, first)
 
 
 class TestPosteriorForcing:
     def test_empty_training_returns_prior(self, setup):
         _, _, _, prior = setup
         empty = TrainingSet(temperatures=np.empty(0), index=[])
-        rows = prior.rows_for_scenario("b")
+        rows = slice(40, 80)
         post = posterior_forcing(condition(prior, empty), rows)
         np.testing.assert_array_equal(post.mean, prior.forcing_mean[rows])
-        np.testing.assert_array_equal(
-            post.covariance, prior.forcing_gram[np.ix_(rows, rows)]
-        )
+        np.testing.assert_array_equal(post.covariance, prior.forcing_gram[rows, rows])
 
     def test_consistency_with_temperature_posterior(self, setup):
         """Convolving the posterior forcing mean through the response
         operator must reproduce the posterior temperature mean."""
         _, _, train, prior = setup
-        rows = np.arange(prior.n)
+        rows = slice(None)
         post_f = posterior_forcing(condition(prior, train), rows)
         post_t = posterior_temperature(condition(prior, train), rows)
         convolved = prior.apply_response(post_f.mean)
@@ -517,30 +566,25 @@ class TestPosteriorForcing:
 
     def test_forcing_variance_below_prior(self, setup):
         _, _, train, prior = setup
-        rows = prior.rows_for_scenario("b")
+        rows = slice(train.n, prior.n)
         post = posterior_forcing(condition(prior, train), rows)
-        prior_var = np.diag(prior.forcing_gram[np.ix_(rows, rows)])
+        prior_var = np.diag(prior.forcing_gram[rows, rows])
         assert np.all(np.diag(post.covariance) <= prior_var + 1e-9)
 
-    def test_single_point_scalar_algebra(self, setup):
-        _, _, train, prior = setup
-        one = TrainingSet(
-            temperatures=train.temperatures[:1], index=train.index[:1],
-            standardization=train.standardization,
-        )
-        test_row = np.array([3])
-        post = posterior_forcing(condition(prior, one), test_row)
-        pos = locate_rows(prior, one.index)[0]
+    def test_single_point_scalar_algebra(self, one_row):
+        one, prior = one_row
+        pos, t = 0, 4
+        post = posterior_forcing(condition(prior, one), slice(t, t + 1))
         k = prior.physics_gram
-        cross = prior.apply_response(prior.forcing_gram[:, 3])[pos]
-        noisy = k[pos, pos] + prior.sigma**2 * prior.variability([pos])[0, 0]
+        cross = prior.apply_response(prior.forcing_gram[:, t])[pos]
+        noisy = k[pos, pos] + prior.sigma**2 * prior.variability(slice(0, 1))[0, 0]
         noisy = noisy * (1.0 + 1e-6)
         resid = one.temperatures[0] - prior.mean[pos]
         assert post.mean[0] == pytest.approx(
-            prior.forcing_mean[3] + cross / noisy * resid, rel=1e-12
+            prior.forcing_mean[t] + cross / noisy * resid, rel=1e-12
         )
         assert post.covariance[0, 0] == pytest.approx(
-            prior.forcing_gram[3, 3] - cross**2 / noisy, rel=1e-10
+            prior.forcing_gram[t, t] - cross**2 / noisy, rel=1e-10
         )
 
 
