@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag, cho_solve, cholesky, lapack, solve_triangular
+from scipy.linalg import blas, block_diag, cho_solve, cholesky, lapack, solve_triangular
 
 from . import ebm, kernels
 from .ebm import ForcingParams, ImpulseParams
@@ -51,11 +51,12 @@ class GPPrior:
     as a (scenario name, year) pair, and a training set is always the first
     ``train.n`` rows, in order.  The response operator L and the variability
     covariance Gamma (without sigma^2) are block diagonal across scenarios:
-    only their blocks are kept, in row order, and only ``apply_response`` and
-    ``variability`` read them.  ``forcing_gram`` is the kernel matrix K of
-    the forcing path ``forcing_mean`` over the (standardized) emission rows;
+    only their blocks are kept, in row order; each L_s is a causal
+    convolution, so lower triangular.  ``forcing_gram`` is the kernel matrix K
+    of the forcing path ``forcing_mean`` over the (standardized) emission rows;
     ``physics_gram`` is the temperature covariance L K L^T, always propagated
-    from the fields above.
+    from the fields above: its blocks L_a K_ab L_b^T on and below the block
+    diagonal are triangular products, mirrored above, so it is exactly symmetric.
     """
 
     mean: np.ndarray
@@ -68,26 +69,38 @@ class GPPrior:
     physics_gram: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        physics = self.apply_response(self.apply_response(self.forcing_gram).T).T
-        self.physics_gram = 0.5 * (physics + physics.T)
+        spans = list(zip(self.response_blocks, map(slice, self.edges, self.edges[1:])))
+        self.physics_gram = np.empty((self.n, self.n))
+        for a, (l_a, rows) in enumerate(spans):
+            strip = _lower_product(l_a, self.forcing_gram[rows, :rows.stop])  # L_a K[a, :end_a]
+            for l_b, cols in spans[:a + 1]:
+                block = _lower_product(l_b, strip[:, cols], right=True)
+                self.physics_gram[rows, cols] = block
+                self.physics_gram[cols, rows] = block.T
+            self.physics_gram[rows, rows] = 0.5 * (block + block.T)
 
     @property
     def n(self) -> int:
         return self.mean.size
 
+    @property
+    def edges(self) -> list[int]:
+        """First prior row of each scenario, then ``n``."""
+        return np.cumsum([0] + [len(block) for block in self.response_blocks]).tolist()
+
     def apply_response(self, x: np.ndarray) -> np.ndarray:
         """L x for an array with one row per prior row, one scenario block at a time."""
-        edges = np.cumsum([len(block) for block in self.response_blocks])
+        edges = self.edges
         if edges[-1] != len(x):
             raise DimensionMismatch(f"{len(x)} rows for a response operator of {edges[-1]} rows")
-        parts = zip(self.response_blocks, np.split(x, edges[:-1]))
-        return np.concatenate([block @ part for block, part in parts])
+        return np.concatenate([_lower_product(block, x[i:j])
+                               for block, i, j in zip(self.response_blocks, edges, edges[1:])])
 
     def variability(self, rows: slice) -> np.ndarray:
         """Gamma at the prior rows ``rows``, a slice of whole scenarios: the
         block diagonal of their blocks.  Raises GridMismatch on a slice that
         cuts a scenario."""
-        edges = np.cumsum([0] + [len(block) for block in self.variability_blocks]).tolist()
+        edges = self.edges
         start, stop, step = rows.indices(self.n)
         if step != 1 or start not in edges or stop not in edges:
             raise GridMismatch(f"prior rows {start}:{stop}:{step} cut a scenario")
@@ -98,11 +111,21 @@ class GPPrior:
         """Covariance of the noisy observations ``train``: the physics block
         plus sigma^2 times the variability block at the prior's first
         ``train.n`` rows.  Raises GridMismatch unless those rows are
-        ``train.index``, in order."""
+        ``train.index``, in order.  The block is a new array."""
         if self.index[:train.n] != train.index:
             raise GridMismatch("the training rows are not the prior's leading rows, in order")
         rows = slice(0, train.n)
-        return self.physics_gram[rows, rows] + self.sigma**2 * self.variability(rows)
+        block = self.variability(rows)
+        block *= self.sigma**2
+        block += self.physics_gram[rows, rows]
+        return block
+
+
+def _lower_product(lower: np.ndarray, x: np.ndarray, right: bool = False) -> np.ndarray:
+    """``lower @ x``, or ``x @ lower.T`` when ``right``, for a lower-triangular
+    ``lower`` and a 1-D or 2-D ``x``: one BLAS triangular product (trmm)."""
+    return blas.dtrmm(1.0, lower, x[:, None] if x.ndim == 1 else x, side=int(right),
+                      lower=1, trans_a=int(right)).reshape(x.shape)
 
 
 @dataclass
@@ -250,7 +273,9 @@ def factorise(
     """Factor, alpha, jitter and log-density of a zero-mean Gaussian with
     covariance ``block`` at ``residual`` (GPML Algorithm 2.1, lines 2-4).
 
-    The only caller of ``cholesky``.  ``jitter`` is a frozen absolute
+    The only caller of ``cholesky``, which each rung calls in place on a new
+    Fortran-ordered copy of ``block`` with the jitter added to its diagonal,
+    so ``block`` is left unchanged.  ``jitter`` is a frozen absolute
     diagonal regularizer; when None the ``ladder`` rungs, relative to the
     mean diagonal (1 when that is not positive), are tried in turn and the
     absolute jitter that succeeded returned.  Raises SingularGram when the
@@ -265,8 +290,10 @@ def factorise(
     else:
         rungs = [jitter]
     for jitter in rungs:
+        shifted = np.array(block, dtype=float, order="F")
+        np.fill_diagonal(shifted, np.diag(block) + jitter)
         try:
-            factor = cholesky(block + jitter * np.eye(n), lower=True)
+            factor = cholesky(shifted, lower=True, overwrite_a=True)
             break
         except np.linalg.LinAlgError:
             continue
@@ -540,7 +567,7 @@ def mll_and_gradient(geometry: FitGeometry, model: EmulatorModel) -> tuple[float
         w = np.outer(alpha, alpha) - (inv + np.tril(inv, -1).T)
         lk = prior.apply_response(prior.forcing_gram)
         box = 0.0
-        edges = np.cumsum([0] + [scen.grid.n_steps for scen in geometry.scenarios])
+        edges = prior.edges
         for scen, rows in zip(geometry.scenarios, map(slice, edges, edges[1:])):
             # mode i's operator is linear in q_i, so mode_series holds both derivatives
             series = np.array(ebm.mode_series(impulse, scen.grid))

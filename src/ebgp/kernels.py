@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from . import ebm
 from .errors import DimensionMismatch
@@ -102,16 +103,16 @@ def variability_weights(impulse: ebm.ImpulseParams) -> np.ndarray:
 
 def internal_variability_gram(impulse: ebm.ImpulseParams, grid: ebm.TimeGrid) -> np.ndarray:
     """Stationary internal-variability covariance on the grid, without the
-    sigma^2 factor: sum_i nu_i (q_i^2 / 2 d_i) exp(-|t-t'| / d_i)."""
+    sigma^2 factor: sum_i nu_i (q_i^2 / 2 d_i) exp(-|t-t'| / d_i), a
+    symmetric Toeplitz matrix built from its first column."""
     d = impulse.timescales
     q = impulse.equilibrium_responses
-    t = grid.response_times()
     nu = variability_weights(impulse)
-    lag = np.abs(t[:, None] - t[None, :])
-    gram = np.zeros((grid.n_steps, grid.n_steps))
+    lag = grid.step * np.arange(grid.n_steps)
+    column = np.zeros(grid.n_steps)
     for i in range(impulse.n_boxes):
-        gram += nu[i] * (q[i] ** 2 / (2.0 * d[i])) * np.exp(-lag / d[i])
-    return gram
+        column += nu[i] * (q[i] ** 2 / (2.0 * d[i])) * np.exp(-lag / d[i])
+    return toeplitz(column)
 
 
 def variability_gradient(

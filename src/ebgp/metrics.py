@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import LengthMismatch, NonPositiveVariance
 from .scenario import SpatialGrid
@@ -78,6 +77,9 @@ def gaussian_crps(mean: np.ndarray, std: np.ndarray, value: np.ndarray) -> np.nd
 
     Degenerate forecasts (std == 0) reduce to the absolute error.
     """
+    # Imported here: of all the commands only ``evaluate`` scores forecasts.
+    from scipy.special import ndtr
+
     mean, std, value = np.broadcast_arrays(
         np.atleast_1d(np.asarray(mean, dtype=float)),
         np.atleast_1d(np.asarray(std, dtype=float)),

@@ -952,3 +952,17 @@ def test_cli_import_leaves_the_optimizer_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_special_functions_and_optimizer_unloaded():
+    """Only ``evaluate`` uses scipy.special and only ``fit`` scipy.optimize;
+    importing the CLI in a fresh interpreter loads neither."""
+    import ebgp
+
+    src = str(Path(ebgp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, ebgp.cli; "
+            "print(sorted(m for m in ('scipy.special', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -4,11 +4,13 @@ import os
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, cho_solve
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag, cho_solve, cholesky
 from scipy.stats import multivariate_normal
 
-from conftest import frozen_objective
-from ebgp.ebm import AgentForcing, ImpulseParams, TimeGrid
+from conftest import frozen_objective, make_scenario
+from ebgp.ebm import AgentForcing, ImpulseParams, TimeGrid, temperature_operator
 from ebgp.errors import GridMismatch, SingularGram
 from ebgp.inference import (
     PARAMETER_NAMES,
@@ -27,7 +29,13 @@ from ebgp.inference import (
     posterior_temperature,
     sample_posterior,
 )
-from ebgp.kernels import KERNEL_FAMILIES, KernelConfig, forcing_gram, forcing_gram_gradients
+from ebgp.kernels import (
+    KERNEL_FAMILIES,
+    KernelConfig,
+    forcing_gram,
+    forcing_gram_gradients,
+    internal_variability_gram,
+)
 from ebgp.oracles import finite_difference_gradient, predictive_log_density
 from ebgp.scenario import (
     AgentSpec,
@@ -306,6 +314,68 @@ class TestBlockedPrior:
         # at the prior's own parameters it is the conditioning's likelihood
         value, _ = frozen_objective(scenarios, train, model, jitter=jitter)
         assert value == condition(prior, train, jitter).log_likelihood
+
+
+POSITIVE = st.floats(0.05, 5.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+    timescales=st.lists(st.floats(0.5, 300.0), min_size=1, max_size=3, unique=True),
+    responses=st.lists(POSITIVE, min_size=3, max_size=3),
+    sigma=st.floats(0.0, 0.5),
+    family=st.sampled_from(KERNEL_FAMILIES),
+    lengthscales=st.lists(POSITIVE, min_size=2, max_size=2),
+    variance=POSITIVE,
+    trained=st.integers(0, 5),
+)
+@example(lengths=[1], timescales=[4.0], responses=[0.5, 0.5, 0.5], sigma=0.1,
+         family="matern32", lengthscales=[1.0, 1.0], variance=0.3, trained=1)
+def test_triangular_assembly_and_noisy_block(lengths, timescales, responses, sigma, family,
+                                             lengthscales, variance, trained):
+    """The lower-block-triangle assembly of L K L^T against the dense
+    blkdiag(L) K blkdiag(L)^T, on random scenario sets that include
+    one-year scenarios; the noisy block is a fresh array each call, and
+    ``factorise`` leaves its block as it found it on the first rung and on an
+    escalated one."""
+    timescales = sorted(timescales)
+    impulse = ImpulseParams(timescales, responses[:len(timescales)], sigma)
+    agents = [AgentSpec("co2", "cumulative_emission", "GtC"), AgentSpec("so2", "emission", "Mt")]
+    forcing = {"co2": AgentForcing(alpha_log=5.35, c0=278.0, concentration_per_emission=0.47),
+               "so2": AgentForcing(alpha_lin=-0.02, c0=1.0, concentration_per_emission=1.0)}
+    scenarios = [make_scenario(f"s{k}", n, seed=k) for k, n in enumerate(lengths)]
+    model = EmulatorModel(agents, impulse, forcing,
+                          KernelConfig(family, lengthscales, variance))
+    prior = build_prior(scenarios, model)
+
+    op = block_diag(*(temperature_operator(impulse, s.grid) for s in scenarios))
+    dense = op @ prior.forcing_gram @ op.T
+    physics = prior.physics_gram
+    assert np.max(np.abs(physics - dense)) <= 1e-13 * np.max(np.abs(dense))
+    assert np.array_equal(physics, physics.T)
+
+    n = sum(lengths[:trained])
+    train = TrainingSet(temperatures=np.zeros(n), index=prior.index[:n])
+    block = prior.noisy_block(train)
+    fields = [prior.mean, prior.forcing_mean, prior.forcing_gram, physics,
+              *prior.response_blocks, *prior.variability_blocks]
+    assert not any(np.shares_memory(block, f) for f in fields)
+    assert np.array_equal(block, prior.noisy_block(train))
+    gamma = block_diag(*(internal_variability_gram(impulse, s.grid) for s in scenarios))
+    np.testing.assert_allclose(block, dense[:n, :n] + sigma**2 * gamma[:n, :n],
+                               rtol=0, atol=1e-13 * np.max(np.abs(dense)))
+
+    # 4 11^T fails the zero rung exactly, at its second pivot, and escalates
+    for gram, ladder in [(block, (1e-6,)), (np.full((n + 2, n + 2), 4.0), (0.0, 1e-3))]:
+        before = gram.copy()
+        factor, _, jitter, _ = factorise(gram, np.ones(len(gram)), ladder=ladder)
+        assert np.array_equal(gram, before)
+        if len(gram):
+            assert jitter == ladder[-1] * np.mean(np.diag(gram))
+            expected = cholesky(gram + jitter * np.eye(len(gram)), lower=True)
+            np.testing.assert_allclose(factor, expected, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(expected)))
 
 
 def shared_history_setup(toy_impulse, toy_forcing, toy_agents, family, seed=5):
