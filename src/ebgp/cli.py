@@ -66,10 +66,6 @@ EXIT_COMPAT = 4
 INTERVAL_HEADER = ["year", "prior_mean", "posterior_mean", "posterior_std", "lower95", "upper95"]
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _standardized(model, train, refit=False):
     """The model with input standardization fitted on the training rows when
     its kernel standardizes inputs.  Queries keep a stored standardization;
@@ -157,10 +153,8 @@ def _forcing(conditioned, rows):
 def _interval_rows(years, prior_mean, mean, std, prefix=()):
     """Output rows: year, prior mean, posterior mean and std, 95% bounds."""
     half = Z95 * std
-    return [
-        [*prefix, str(year), _fmt(p), _fmt(m), _fmt(s), _fmt(m - h), _fmt(m + h)]
-        for year, p, m, s, h in zip(years, prior_mean, mean, std, half)
-    ]
+    columns = (prior_mean, mean, std, mean - half, mean + half)
+    return [[*prefix, *row] for row in zip(years, *(c.tolist() for c in columns))]
 
 
 def _write_intervals(args, prior_mean, posterior):
@@ -173,10 +167,8 @@ def _write_intervals(args, prior_mean, posterior):
 def _write_samples(args, _, predictive):
     draws = sample_posterior(predictive, args.count, args.seed)
     header = ["year"] + [f"sample_{i:04d}" for i in range(args.count)]
-    rows = [
-        [str(year)] + [_fmt(value) for value in draws[:, a]]
-        for a, (_, year) in enumerate(predictive.index)
-    ]
+    # Built as the writer consumes them, so only one row's floats are held at a time.
+    rows = ([year, *values.tolist()] for (_, year), values in zip(predictive.index, draws.T))
     _write_csv(args.out, header, rows)
     print(f"sample: wrote {args.out} ({args.count} draws)")
 
@@ -215,14 +207,14 @@ def cmd_spatial_emulate(args) -> int:
         + pattern.residual_variance[..., None]
     )
     years = [year for _, year in prior.index[rows]]
-    # Formatted cell by cell as the writer consumes them, so only one cell's
+    # Built cell by cell as the writer consumes them, so only one cell's
     # rows are held in memory.
     out_rows = (
         row
-        for i, lat in enumerate(sgrid.latitudes)
-        for j, lon in enumerate(sgrid.longitudes)
+        for i, lat in enumerate(sgrid.latitudes.tolist())
+        for j, lon in enumerate(sgrid.longitudes.tolist())
         for row in _interval_rows(
-            years, prior_mean[i, j], mean[i, j], std[i, j], prefix=(_fmt(lat), _fmt(lon))
+            years, prior_mean[i, j], mean[i, j], std[i, j], prefix=(lat, lon)
         )
     )
     _write_csv(args.out, ["lat", "lon", *INTERVAL_HEADER], out_rows)
@@ -314,7 +306,7 @@ def cmd_verify(args) -> int:
         args.out,
         ["check", "statistic", "tolerance", "pass"],
         [
-            [c.name, _fmt(c.statistic), _fmt(c.tolerance), "true" if c.passed else "false"]
+            [c.name, float(c.statistic), float(c.tolerance), "true" if c.passed else "false"]
             for c in checks
         ],
     )

@@ -15,12 +15,14 @@ agents so that a save/load round trip is exact.  Spatial temperature cubes
 live in a companion long-format CSV ``<stem>_spatial.csv`` with columns
 lat, lon, year, tas, which ``save_spatial`` writes; ``load_scenario`` reads
 the main file only, and ``read_spatial`` reads a companion for the commands
-that use one.  Floats are written with full round-trip precision.
+that use one.  The writers hand Python floats to ``csv.writer``, which writes
+each with ``repr``, so every value round-trips exactly.
 
 ``read_table`` parses a clean file's data rows in one C-level ``np.loadtxt``
-pass; a file that pass declines is read again row by row, and only that pass
-skips blank rows or reports a bad file, naming its line and column.  Both
-passes take ``year`` as an integer a float holds exactly (magnitude below 2**53).
+pass; a file that pass declines is read again in one loop over its rows, and
+only that loop skips blank rows or reports a bad file: the first faulty row in
+file order, naming its line (and column).  Both passes take ``year`` as an
+integer a float holds exactly (magnitude below 2**53).
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import csv
 import warnings
 from dataclasses import dataclass
 from math import isfinite
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -219,15 +220,15 @@ def read_table(path, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
 
     ``columns`` maps the stripped header (a repeated name is a SchemaError)
     to the names of the columns to parse, raising SchemaError when the
-    header is not acceptable.  Blank rows are skipped; a row whose field
-    count differs from the header's is a ParseError.  Values parse as
-    Python's ``float`` does (``year`` as ``_year``) and must be finite; the
-    first bad value in file order is a ParseError naming its line (where its
-    record ends) and column.
+    header is not acceptable.  Blank rows are skipped.  Values parse as
+    Python's ``float`` does (``year`` as ``_year``) and must be finite.  The
+    first faulty row in file order is a ParseError naming its line (where its
+    record ends): its field count if that differs from the header's, else its
+    first bad value in ``columns`` order, with the column.
 
     ``_parse_data_rows`` parses a clean file in C, to the same values.  The row
-    pass below decides every file it declines: blank rows, forms only Python
-    accepts (``1_000``, a quoted ``"1.5"``) and every bad file.
+    loop below decides every file it declines: blank rows, forms only Python
+    accepts (``1_000``, a quoted ``"1.5"``) and every bad file, row by row.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -242,40 +243,28 @@ def read_table(path, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         parsed = _parse_data_rows(path, header, names)
         if parsed is not None:
             return parsed
-        lines, rows = [], []
+        kinds = {"year": (_year, "an integer below 2**53 in magnitude")}
+        parsers = [(name, header.index(name), *kinds.get(name, (float, "a number")))
+                   for name in names]
+        lines, table = [], {name: [] for name in names}
         for row in reader:
             if not "".join(row).strip():
                 continue
+            where = f"{path}: line {reader.line_num}"
             if len(row) != len(header):
-                raise ParseError(f"{path}: line {reader.line_num}: "
-                                 f"expected {len(header)} fields, found {len(row)}")
-            lines.append(reader.line_num)
-            rows.append(row)
-    col_of = {h: i for i, h in enumerate(header)}
-    parsers = {
-        name: (_year, "an integer below 2**53 in magnitude") if name == "year"
-        else (float, "a number") for name in names
-    }
-    try:
-        table = {
-            name: np.fromiter(map(parse, map(itemgetter(col_of[name]), rows)), float, len(rows))
-            for name, (parse, _) in parsers.items()
-        }
-        sound = all(np.all(np.isfinite(column)) for column in table.values())
-    except ValueError:
-        sound = False
-    if not sound:
-        # Find and report the first bad value in file order.
-        for line_no, row in zip(lines, rows):
-            for name, (parse, kind) in parsers.items():
-                text, where = row[col_of[name]], f"{path}: line {line_no}, column '{name}'"
+                raise ParseError(f"{where}: expected {len(header)} fields, found {len(row)}")
+            for name, column, parse, kind in parsers:
+                text = row[column]
                 try:
                     value = parse(text)
                 except ValueError:
-                    raise ParseError(f"{where}: cannot parse '{text}' as {kind}") from None
+                    raise ParseError(f"{where}, column '{name}': "
+                                     f"cannot parse '{text}' as {kind}") from None
                 if not isfinite(value):
-                    raise ParseError(f"{where}: value '{text}' is not finite")
-    return np.array(lines, dtype=int), table
+                    raise ParseError(f"{where}, column '{name}': value '{text}' is not finite")
+                table[name].append(value)
+            lines.append(reader.line_num)
+    return np.array(lines, dtype=int), {name: np.array(v, dtype=float) for name, v in table.items()}
 
 
 def _locate(values: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -444,28 +433,19 @@ def read_truth(path, spatial: bool) -> tuple[list[np.ndarray], np.ndarray, np.nd
 
 def save_scenario(scenario: Scenario, path, agents: list[AgentSpec]) -> None:
     """Write a scenario to CSV; exact inverse of load_scenario."""
-    header = ["year"]
-    for spec in agents:
-        prefix = "cumulative_emission" if spec.input_mode == "cumulative_emission" else "emission"
-        header.append(f"{prefix}:{spec.name}")
-    conc_agents = list(scenario.concentrations.keys()) if scenario.concentrations else []
-    header.extend(f"concentration:{name}" for name in conc_agents)
+    # Each agent's input mode names its emission column (EMISSION_MODES).
+    columns = {f"{spec.input_mode}:{spec.name}": scenario.emissions[spec.name] for spec in agents}
+    for name, series in (scenario.concentrations or {}).items():
+        columns[f"concentration:{name}"] = series
     if scenario.global_temperature is not None:
-        header.append("tas_global")
+        columns["tas_global"] = scenario.global_temperature
 
-    years = scenario.grid.years().astype(int)
+    years = scenario.grid.years().astype(int).tolist()
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(header)
-        for a, year in enumerate(years):
-            row = [str(int(year))]
-            row.extend(repr(float(scenario.emissions[s.name][a])) for s in agents)
-            row.extend(
-                repr(float(scenario.concentrations[name][a])) for name in conc_agents
-            )
-            if scenario.global_temperature is not None:
-                row.append(repr(float(scenario.global_temperature[a])))
-            writer.writerow(row)
+        writer.writerow(["year", *columns])
+        values = (np.asarray(c, dtype=float).tolist() for c in columns.values())
+        writer.writerows(zip(years, *values))
 
 
 def save_spatial(path, grid: TimeGrid, sgrid: SpatialGrid, cube: np.ndarray) -> None:
@@ -475,16 +455,14 @@ def save_spatial(path, grid: TimeGrid, sgrid: SpatialGrid, cube: np.ndarray) -> 
     expected = (grid.n_steps, *sgrid.shape)
     if cube.shape != expected:
         raise GridMismatch(f"spatial cube has shape {cube.shape}, expected {expected}")
-    years = grid.years().astype(int)
+    years = grid.years().astype(int).tolist()
     with open(spatial_companion_path(path), "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["lat", "lon", "year", "tas"])
-        for i, lat in enumerate(sgrid.latitudes):
-            for j, lon in enumerate(sgrid.longitudes):
-                cell = (repr(float(lat)), repr(float(lon)))
-                writer.writerows(
-                    (*cell, str(year), repr(float(t))) for year, t in zip(years, cube[:, i, j])
-                )
+        for i, lat in enumerate(sgrid.latitudes.tolist()):
+            for j, lon in enumerate(sgrid.longitudes.tolist()):
+                tas = cube[:, i, j].astype(float).tolist()
+                writer.writerows((lat, lon, year, t) for year, t in zip(years, tas))
 
 
 def assemble_training_set(

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRegressor, DimensionMismatch, EmptyGrid, GridMismatch, SingularGram
+from .errors import (DegenerateRegressor, DimensionMismatch, EmptyGrid, GridMismatch, NonFinite,
+                     SingularGram)
 from .inference import JITTER_LADDER, GPPrior
 from .scenario import SpatialGrid, TrainingSet
 
@@ -91,7 +92,8 @@ def spatial_posterior(
     ``JITTER_LADDER`` rung, times the cell block's mean diagonal (1 when that
     is not positive), that makes every D positive.  ``local_observations``
     has shape (train.n, n_lat, n_lon), rows aligned to ``train.index``, which
-    must be the prior's leading rows (``GPPrior.noisy_block``).
+    must be the prior's leading rows (``GPPrior.noisy_block``).  A cell whose
+    mean or variance overflows to a non-finite value is a NonFinite error.
     """
     local_observations = np.asarray(local_observations, dtype=float)
     n_lat, n_lon = pattern.grid.shape
@@ -124,11 +126,17 @@ def spatial_posterior(
     residual = local_observations.reshape(train.n, slope.size) - (
         slope * prior.mean[:train.n, None] + intercept
     )
-    mean = (
-        slope * prior.mean[test_rows, None] + intercept
-        + scale * (proj @ ((eigvecs.T @ residual) / d))
-    )
-    variance = scale * np.diag(k)[test_rows, None] - scale**2 * ((proj * proj) @ (1.0 / d))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        mean = (
+            slope * prior.mean[test_rows, None] + intercept
+            + scale * (proj @ ((eigvecs.T @ residual) / d))
+        )
+        variance = scale * np.diag(k)[test_rows, None] - scale**2 * ((proj * proj) @ (1.0 / d))
+    finite = np.isfinite(mean) & np.isfinite(variance)
+    if not np.all(finite):
+        i, j = np.unravel_index(np.argmin(finite.all(axis=0)), (n_lat, n_lon))
+        cell = (float(pattern.grid.latitudes[i]), float(pattern.grid.longitudes[j]))
+        raise NonFinite(f"spatial posterior mean or variance of cell {cell} is not finite")
     return mean.T.reshape(n_lat, n_lon, -1), variance.T.reshape(n_lat, n_lon, -1)
 
 

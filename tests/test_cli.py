@@ -888,6 +888,54 @@ def test_one_factorisation_per_command(tmp_path, monkeypatch, capsys):
         assert len(calls) == count, command
 
 
+def test_outputs_are_written_with_repr(tmp_path):
+    """On the bundled data every number each command writes is the ``repr`` of
+    its float and every year the ``str`` of its int, so reading a file back
+    gives the values the command computed."""
+    data = Path(__file__).resolve().parents[1] / "data" / "synthetic"
+    scenarios = [str(data / f"{name}.csv") for name in ("historical", "ssp_low", "ssp_mid")]
+    query = ["--model", str(data / "model_config.txt"), "--scenario", *scenarios,
+             "--holdout", "ssp_mid"]
+    runs = {
+        "emulate": ["emulate", *query],
+        "forcing": ["forcing", *query],
+        "sample": ["sample", *query, "--count", "3", "--seed", "7"],
+        "spatial": ["spatial-emulate", *query],
+        "scores": ["evaluate", "--predictions", str(tmp_path / "emulate.csv"),
+                   "--scenario", scenarios[-1]],
+        "spatial_scores": ["evaluate", "--predictions", str(tmp_path / "spatial.csv"),
+                           "--scenario", scenarios[-1], "--period", "2015:2050"],
+        "verify": ["verify", "--seed", "0"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.csv"
+        assert main([*argv, "--out", str(out)]) == 0, name
+        rows = read_csv(out)
+        assert rows, name
+        for row in rows:
+            for column, field in row.items():
+                if column == "year":
+                    assert field == str(int(field)), (name, column, field)
+                elif column not in ("label", "check", "pass") and field != "":
+                    assert field == repr(float(field)), (name, column, field)
+
+
+def test_spatial_overflow_exits_3(tmp_path, capsys):
+    """A kernel variance whose spatial posterior variance overflows is a
+    numerical failure, not a clipped zero variance and a warning."""
+    data = Path(__file__).resolve().parents[1] / "data" / "synthetic"
+    text = (data / "model_config.txt").read_text()
+    assert "variance = 0.25\n" in text
+    config = tmp_path / "model.txt"
+    config.write_text(text.replace("variance = 0.25\n", "variance = 1e305\n"))
+    out = tmp_path / "spatial.csv"
+    scenarios = [str(data / f"{name}.csv") for name in ("historical", "ssp_low", "ssp_mid")]
+    assert main(["spatial-emulate", "--model", str(config), "--scenario", *scenarios,
+                 "--holdout", "ssp_mid", "--out", str(out)]) == 3
+    assert "error: spatial posterior mean or variance of cell" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the pool needs the fork start method")
 def test_pooled_fit_matches_in_process(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import csv
+import re
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -12,6 +13,7 @@ from ebgp import scenario
 from ebgp.cli import main
 from ebgp.ebm import TimeGrid
 from ebgp.errors import GridError, GridMismatch, ParseError, SchemaError, UnknownScenario
+from ebgp.model_io import load_model
 from ebgp.scenario import (
     AgentSpec,
     Scenario,
@@ -26,6 +28,7 @@ from ebgp.scenario import (
 )
 
 AGENTS = [AgentSpec("co2", "cumulative_emission", "GtC"), AgentSpec("so2", "emission", "Mt")]
+DATA = Path(__file__).resolve().parents[1] / "data" / "synthetic"
 
 
 def write(path, text):
@@ -166,6 +169,17 @@ class TestRoundTrip:
         np.testing.assert_array_equal(back_cube, cube)
         np.testing.assert_array_equal(back_grid.latitudes, sgrid.latitudes)
         np.testing.assert_array_equal(back_grid.longitudes, sgrid.longitudes)
+
+    @pytest.mark.parametrize("name", ["historical", "ssp_low"])
+    def test_bundled_files_are_rewritten_byte_for_byte(self, tmp_path, name):
+        """Both writers reproduce the bundled main file and its companion."""
+        agents = load_model(DATA / "model_config.txt").agents
+        scen = load_scenario(DATA / f"{name}.csv", agents)
+        save_scenario(scen, tmp_path / f"{name}.csv", agents)
+        spatial = read_spatial(DATA / f"{name}.csv", scen.grid)
+        save_spatial(tmp_path / f"{name}.csv", scen.grid, *spatial)
+        for stem in (name, f"{name}_spatial"):
+            assert (tmp_path / f"{stem}.csv").read_bytes() == (DATA / f"{stem}.csv").read_bytes()
 
     def test_spatial_cube_of_the_wrong_shape_rejected(self, tmp_path):
         grid = TimeGrid(2000, 3)
@@ -331,6 +345,19 @@ class TestReadTable:
         with pytest.raises(ParseError, match="line 5, column 'a': cannot parse 'x'"):
             read_table(path, lambda header: ["year", "a"])
 
+    @pytest.mark.parametrize("later", ["2021,2", "2021,2,2,2"], ids=["short row", "long row"])
+    @pytest.mark.parametrize("faulty, message", [
+        ("2020,x,1", "line 3, column 'a': cannot parse 'x' as a number"),
+        ("2020,nan,1", "line 3, column 'a': value 'nan' is not finite"),
+        ("2020.5,1,1", "line 3, column 'year': cannot parse '2020.5' as an integer"),
+    ], ids=["bad value", "non-finite value", "bad year"])
+    def test_first_faulty_row_in_file_order(self, tmp_path, faulty, message, later):
+        """A bad value is reported on its own line, not on a later row whose
+        field count is wrong."""
+        path = write(tmp_path / "t.csv", HEADER + f"2019,1,1\n{faulty}\n{later}\n")
+        with pytest.raises(ParseError, match=re.escape(message)):
+            read_table(path, lambda header: ["year", "a"])
+
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
     def test_plain_file_with_a_compression_suffix(self, tmp_path, suffix):
         """numpy opens such a path through a decompressor; it is read as text."""
@@ -355,10 +382,10 @@ class TestReadTable:
             read_table(path, lambda header: ["year", "a"])
 
     def test_clean_files_take_the_fast_parse(self, tmp_path, monkeypatch):
-        """No data row of a bundled scenario, its spatial companion or a
-        ``spatial-emulate`` output goes through the row pass."""
-        data = Path(__file__).resolve().parents[1] / "data" / "synthetic"
-        paths = [str(data / f"{name}.csv") for name in ("historical", "ssp_low", "ssp_mid")]
+        """No data row of a bundled scenario, its spatial companion, an
+        ``emulate``, ``forcing`` or ``spatial-emulate`` output, or a file that
+        ``save_scenario`` or ``save_spatial`` wrote goes through the row pass."""
+        paths = [str(DATA / f"{name}.csv") for name in ("historical", "ssp_low", "ssp_mid")]
         out = tmp_path / "spatial.csv"
         opened = []
 
@@ -369,8 +396,21 @@ class TestReadTable:
             raise AssertionError(f"{handle.name}: data rows went through the row pass")
 
         monkeypatch.setattr(scenario.csv, "reader", header_only)
-        assert main(["spatial-emulate", "--model", str(data / "model_config.txt"),
+        assert main(["spatial-emulate", "--model", str(DATA / "model_config.txt"),
                      "--scenario", *paths, "--holdout", "ssp_mid", "--out", str(out)]) == 0
         assert main(["evaluate", "--predictions", str(out), "--scenario", paths[-1],
                      "--out", str(tmp_path / "scores.csv")]) == 0
-        assert {"historical_spatial.csv", "ssp_mid.csv", "spatial.csv"} <= set(opened)
+        for command in ("emulate", "forcing"):
+            query = tmp_path / f"{command}.csv"
+            assert main([command, "--model", str(DATA / "model_config.txt"), "--scenario", *paths,
+                         "--holdout", "ssp_mid", "--out", str(query)]) == 0
+            assert main(["evaluate", "--predictions", str(query), "--scenario", paths[-1],
+                         "--out", str(tmp_path / "scores.csv")]) == 0
+        agents = load_model(DATA / "model_config.txt").agents
+        saved = tmp_path / "saved.csv"
+        scen = load_scenario(paths[0], agents)
+        save_scenario(scen, saved, agents)
+        save_spatial(saved, scen.grid, *read_spatial(paths[0], scen.grid))
+        read_spatial(saved, load_scenario(saved, agents).grid)
+        assert {"historical_spatial.csv", "ssp_mid.csv", "spatial.csv", "emulate.csv",
+                "forcing.csv", "saved.csv", "saved_spatial.csv"} <= set(opened)
