@@ -5,12 +5,9 @@ oracle suite."""
 
 from .ebm import (
     AgentForcing,
-    BoxModelParams,
     ForcingParams,
     ImpulseParams,
     TimeGrid,
-    build_feedback_matrix,
-    diagonalize,
     forcing_response,
     thermal_response,
 )

@@ -289,11 +289,10 @@ def cmd_evaluate(args) -> int:
     else:
         posterior, prior = ScoreReport(**posterior), ScoreReport(**prior)
 
-    _write_csv(
-        args.out,
-        ["label", *SCORE_FIELDS],
-        [["posterior", *posterior.csv_values()], ["prior", *prior.csv_values()]],
-    )
+    # csv.writer writes a Python float with repr and None as an empty cell.
+    rows = [[label, *(None if v is None else float(v) for v in dataclasses.astuple(report))]
+            for label, report in (("posterior", posterior), ("prior", prior))]
+    _write_csv(args.out, ["label", *SCORE_FIELDS], rows)
     print("evaluate: posterior scores")
     print(posterior.to_table())
     print(f"evaluate: wrote {args.out}")

@@ -1,9 +1,10 @@
-"""Deterministic k-box energy balance model.
+"""Impulse-response form of the k-box energy balance model.
 
-Box-form parameters, diagonalisation to the impulse-response form, the
-concentration-to-forcing model, and the discrete annual thermal-response
-solver.  Everything here is a pure function of its inputs; values are
-immutable after construction and safe to share between threads.
+The time grid, the per-mode timescales d_i and equilibrium responses q_i
+that the prior, the model file and the fit use, the concentration-to-forcing
+model, and the discrete annual thermal-response solver and its convolution
+operator.  Every function is a pure function of its inputs.  The box form
+that diagonalises to these modes is reference code in ``oracles``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Mapping
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .errors import DimensionMismatch, NonDiagonalizable, NonPositiveConcentration
+from .errors import DimensionMismatch, NonPositiveConcentration
 
 
 @dataclass
@@ -37,40 +38,6 @@ class TimeGrid:
 
     def years(self) -> np.ndarray:
         return self.start_year + self.step * np.arange(self.n_steps)
-
-    def response_times(self) -> np.ndarray:
-        """Elapsed time at the end of each step, measured from the grid start.
-
-        Entry a of a discrete response series is the state after forcing has
-        acted through step a, i.e. at elapsed time (a + 1) * step.
-        """
-        return self.step * (np.arange(self.n_steps) + 1.0)
-
-
-@dataclass
-class BoxModelParams:
-    """Box-form parameters: heat capacities C_i, transfer coefficients kappa_i
-    and the deep-ocean heat uptake efficacy."""
-
-    heat_capacities: np.ndarray
-    heat_transfer: np.ndarray
-    deep_ocean_efficacy: float = 1.0
-
-    def __post_init__(self):
-        self.heat_capacities = np.atleast_1d(np.asarray(self.heat_capacities, dtype=float))
-        self.heat_transfer = np.atleast_1d(np.asarray(self.heat_transfer, dtype=float))
-        if self.heat_capacities.size != self.heat_transfer.size:
-            raise ValueError("heat_capacities and heat_transfer must have equal length")
-        if self.heat_capacities.size < 1:
-            raise ValueError("at least one box is required")
-        if np.any(self.heat_capacities <= 0) or np.any(self.heat_transfer <= 0):
-            raise ValueError("heat capacities and transfer coefficients must be positive")
-        if self.deep_ocean_efficacy <= 0:
-            raise ValueError("deep_ocean_efficacy must be positive")
-
-    @property
-    def n_boxes(self) -> int:
-        return self.heat_capacities.size
 
 
 @dataclass
@@ -134,81 +101,6 @@ class AgentForcing:
 
 # Per-agent forcing coefficients, keyed by agent name.
 ForcingParams = dict[str, AgentForcing]
-
-
-def build_feedback_matrix(params: BoxModelParams) -> np.ndarray:
-    """Tridiagonal temperature feedback matrix of the k-box model.
-
-    Row i couples box i to its neighbours through kappa; the coupling between
-    the two deepest boxes is scaled by the deep-ocean efficacy on the
-    second-to-last row only.
-    """
-    k = params.n_boxes
-    c = params.heat_capacities
-    kap = params.heat_transfer
-    eps = params.deep_ocean_efficacy
-    a = np.zeros((k, k))
-    for i in range(k):
-        eff = eps if i == k - 2 else 1.0
-        down = eff * kap[i + 1] if i + 1 < k else 0.0
-        a[i, i] = -(kap[i] + down) / c[i]
-        if i + 1 < k:
-            a[i, i + 1] = down / c[i]
-        if i > 0:
-            a[i, i - 1] = kap[i] / c[i]
-    return a
-
-
-def forcing_feedback_vector(params: BoxModelParams) -> np.ndarray:
-    """Forcing enters the surface box only: [1/C_1, 0, ..., 0]."""
-    b = np.zeros(params.n_boxes)
-    b[0] = 1.0 / params.heat_capacities[0]
-    return b
-
-
-def diagonalization(matrix: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvector basis of a feedback matrix.
-
-    Eigenvalues come sorted most negative first (increasing timescale) and
-    eigenvectors are normalised to unit surface-box component, so that the
-    transformed mode responses sum to the surface temperature.  Raises
-    NonDiagonalizable when eigenvalues are complex or repeated within
-    ``tol`` (relative to the spectral scale), or when a mode does not couple
-    to the surface box.
-    """
-    a = np.asarray(matrix, dtype=float)
-    evals, evecs = np.linalg.eig(a)
-    scale = np.max(np.abs(evals))
-    if np.max(np.abs(evals.imag)) > tol * max(scale, 1.0):
-        raise NonDiagonalizable("feedback matrix has complex eigenvalues")
-    evals = evals.real
-    evecs = evecs.real
-    order = np.argsort(evals)  # most negative first -> increasing timescale
-    evals = evals[order]
-    evecs = evecs[:, order]
-    if np.any(np.diff(evals) <= tol * max(scale, 1.0)):
-        raise NonDiagonalizable("feedback matrix has repeated eigenvalues")
-    if np.any(evals >= 0):
-        raise NonDiagonalizable("feedback matrix has a non-negative eigenvalue")
-    surface = evecs[0, :]
-    if np.any(np.abs(surface) <= tol):
-        raise NonDiagonalizable("a mode does not couple to the surface box")
-    return evals, evecs / surface
-
-
-def diagonalize(params: BoxModelParams, tol: float = 1e-9) -> ImpulseParams:
-    """Convert box-form parameters to impulse-response form.
-
-    Mode timescales are the negated reciprocal eigenvalues of the feedback
-    matrix; equilibrium responses follow from the transformed forcing
-    vector.  The returned parameters carry zero variability amplitude.
-    """
-    evals, evecs = diagonalization(build_feedback_matrix(params), tol=tol)
-    b = forcing_feedback_vector(params)
-    d = -1.0 / evals
-    w = np.linalg.solve(evecs, b)
-    q = w * d
-    return ImpulseParams(timescales=d, equilibrium_responses=q)
 
 
 def forcing_response(

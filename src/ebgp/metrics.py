@@ -33,12 +33,6 @@ class ScoreReport:
     calib95: float | None = None
     crps: float | None = None
 
-    def csv_values(self) -> list[str]:
-        return [
-            "" if getattr(self, name) is None else repr(float(getattr(self, name)))
-            for name in SCORE_FIELDS
-        ]
-
     def to_table(self) -> str:
         lines = []
         for name in SCORE_FIELDS:

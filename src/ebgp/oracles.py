@@ -1,16 +1,20 @@
-"""Independent brute-force verifiers for the analytical machinery.
+"""Reference code that the tests and the ``verify`` command check the
+production modules against.
 
-Monte Carlo sampling of the forcing prior pushed through a fine-substep ODE
-integrator, Euler-Maruyama simulation of the noise responses, direct
-trapezoid quadrature of the covariance double integrals, a Monte Carlo CRPS
-estimator, a central finite-difference gradient checker, the per-mode
-convolution operators, reference forms of the kernel and propagated Grams,
-the exact start-from-rest variability covariance, the per-cell Cholesky
-form of the spatial posterior and the joint predictive log-density.
+The box form of the k-box model (heat capacities C_i, transfer coefficients
+kappa_i and the deep-ocean efficacy), its ODE and its diagonalisation to
+``ebm``'s impulse-response form; fine-step RK4 integrators of the box and
+mode ODEs; Monte Carlo sampling of the forcing prior, Euler-Maruyama
+simulation of the noise responses, direct trapezoid quadrature of the
+covariance double integrals, a Monte Carlo CRPS estimator, a central
+finite-difference gradient checker, the per-mode convolution operators,
+reference forms of the kernel and propagated Grams, the exact
+start-from-rest variability covariance, the per-cell Cholesky form of the
+spatial posterior and the joint predictive log-density.
 
-These routines back the test and acceptance suites and the ``verify`` CLI
-command; production inference never calls them.  Everything is
-deterministic for a fixed seed.
+Of the package's modules only ``cli`` imports this one, for ``verify``;
+production inference never calls it.  Everything is deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from . import ebm, inference, kernels
-from .ebm import BoxModelParams, ImpulseParams, TimeGrid
-from .errors import DimensionMismatch, GridMismatch
+from .ebm import ImpulseParams, TimeGrid
+from .errors import DimensionMismatch, GridMismatch, NonDiagonalizable
 from .inference import Conditioned, GPPrior, PosteriorDistribution, factorise
 from .kernels import KernelConfig
 from .scenario import TrainingSet
@@ -89,13 +93,22 @@ def forcing_temperature_cross_gram(
     return k_block @ op.T
 
 
+def response_times(grid: TimeGrid) -> np.ndarray:
+    """Elapsed time at the end of each step of ``grid``, from its start.
+
+    Entry a of a discrete response series is the state after forcing has
+    acted through step a, i.e. at elapsed time (a + 1) * step.
+    """
+    return grid.step * (np.arange(grid.n_steps) + 1.0)
+
+
 def exact_variability_gram(impulse: ImpulseParams, grid: TimeGrid) -> np.ndarray:
     """Covariance of the noise responses started from rest at the grid start,
     without sigma^2, transient term included; it converges to the stationary
     ``kernels.internal_variability_gram`` once both times exceed every timescale."""
     d = impulse.timescales
     q = impulse.equilibrium_responses
-    t = grid.response_times()
+    t = response_times(grid)
     ti = t[:, None]
     tj = t[None, :]
     lag = np.abs(ti - tj)
@@ -160,6 +173,103 @@ def predictive_log_density(
     return factorise(cov, values - posterior.mean, ladder=(0.0, *inference.JITTER_LADDER))[3]
 
 
+@dataclass
+class BoxModelParams:
+    """Box-form parameters: heat capacities C_i, transfer coefficients kappa_i
+    and the deep-ocean heat uptake efficacy."""
+
+    heat_capacities: np.ndarray
+    heat_transfer: np.ndarray
+    deep_ocean_efficacy: float = 1.0
+
+    def __post_init__(self):
+        self.heat_capacities = np.atleast_1d(np.asarray(self.heat_capacities, dtype=float))
+        self.heat_transfer = np.atleast_1d(np.asarray(self.heat_transfer, dtype=float))
+        if self.heat_capacities.size != self.heat_transfer.size:
+            raise ValueError("heat_capacities and heat_transfer must have equal length")
+        if self.heat_capacities.size < 1:
+            raise ValueError("at least one box is required")
+        if np.any(self.heat_capacities <= 0) or np.any(self.heat_transfer <= 0):
+            raise ValueError("heat capacities and transfer coefficients must be positive")
+        if self.deep_ocean_efficacy <= 0:
+            raise ValueError("deep_ocean_efficacy must be positive")
+
+    @property
+    def n_boxes(self) -> int:
+        return self.heat_capacities.size
+
+
+def box_ode(box: BoxModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The box temperatures' ODE s' = A s + b F as the pair (A, b).
+
+    A is the tridiagonal feedback matrix: row i couples box i to its
+    neighbours through kappa; the coupling between the two deepest boxes is
+    scaled by the deep-ocean efficacy on the second-to-last row only.
+    Forcing enters the surface box only: b = [1/C_1, 0, ..., 0].
+    """
+    k = box.n_boxes
+    c = box.heat_capacities
+    kap = box.heat_transfer
+    eps = box.deep_ocean_efficacy
+    a = np.zeros((k, k))
+    for i in range(k):
+        eff = eps if i == k - 2 else 1.0
+        down = eff * kap[i + 1] if i + 1 < k else 0.0
+        a[i, i] = -(kap[i] + down) / c[i]
+        if i + 1 < k:
+            a[i, i + 1] = down / c[i]
+        if i > 0:
+            a[i, i - 1] = kap[i] / c[i]
+    b = np.zeros(k)
+    b[0] = 1.0 / c[0]
+    return a, b
+
+
+def diagonalization(matrix: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvector basis of a feedback matrix.
+
+    Eigenvalues come sorted most negative first (increasing timescale) and
+    eigenvectors are normalised to unit surface-box component, so that the
+    transformed mode responses sum to the surface temperature.  Raises
+    NonDiagonalizable when eigenvalues are complex or repeated within
+    ``tol`` (relative to the spectral scale), or when a mode does not couple
+    to the surface box.
+    """
+    a = np.asarray(matrix, dtype=float)
+    evals, evecs = np.linalg.eig(a)
+    scale = np.max(np.abs(evals))
+    if np.max(np.abs(evals.imag)) > tol * max(scale, 1.0):
+        raise NonDiagonalizable("feedback matrix has complex eigenvalues")
+    evals = evals.real
+    evecs = evecs.real
+    order = np.argsort(evals)  # most negative first -> increasing timescale
+    evals = evals[order]
+    evecs = evecs[:, order]
+    if np.any(np.diff(evals) <= tol * max(scale, 1.0)):
+        raise NonDiagonalizable("feedback matrix has repeated eigenvalues")
+    if np.any(evals >= 0):
+        raise NonDiagonalizable("feedback matrix has a non-negative eigenvalue")
+    surface = evecs[0, :]
+    if np.any(np.abs(surface) <= tol):
+        raise NonDiagonalizable("a mode does not couple to the surface box")
+    return evals, evecs / surface
+
+
+def diagonalize(params: BoxModelParams, tol: float = 1e-9) -> ImpulseParams:
+    """Convert box-form parameters to impulse-response form.
+
+    Mode timescales are the negated reciprocal eigenvalues of the feedback
+    matrix; equilibrium responses follow from the transformed forcing
+    vector.  The returned parameters carry zero variability amplitude.
+    """
+    a, b = box_ode(params)
+    evals, evecs = diagonalization(a, tol=tol)
+    d = -1.0 / evals
+    w = np.linalg.solve(evecs, b)
+    q = w * d
+    return ImpulseParams(timescales=d, equilibrium_responses=q)
+
+
 def rk4_box_temperature(
     box: BoxModelParams, forcing: np.ndarray, grid: TimeGrid, substeps: int = 100
 ) -> np.ndarray:
@@ -170,8 +280,7 @@ def rk4_box_temperature(
     polynomials in hA; a grid step is that map composed ``substeps`` times.
     Returns the surface temperature at the end of every step, from rest.
     """
-    a = ebm.build_feedback_matrix(box)
-    b = ebm.forcing_feedback_vector(box)
+    a, b = box_ode(box)
     h = grid.step / substeps
     eye = np.eye(box.n_boxes)
     poly = eye + (h * a) @ (eye / 2 + (h * a) @ (eye / 6 + h * a / 24))
@@ -323,7 +432,7 @@ def quadrature_thermal_covariance(
     )
     k_sub = kernels.forcing_gram(x_sub, x_sub, kernel)
 
-    t = grid.response_times()
+    t = response_times(grid)
     ends = slice(substeps, None, substeps)  # the substep nodes that end each step
     gram = np.zeros((n, n))
     d = impulse.timescales
@@ -419,9 +528,8 @@ def default_verification(seed: int = 0) -> list[VerificationCheck]:
             heat_transfer=rng.uniform(0.4, 3.0, size=k),
             deep_ocean_efficacy=float(rng.uniform(0.6, 1.6)),
         )
-        impulse = ebm.diagonalize(box)
-        a = ebm.build_feedback_matrix(box)
-        b = ebm.forcing_feedback_vector(box)
+        impulse = diagonalize(box)
+        a, b = box_ode(box)
         gain = np.linalg.solve(a, -b)[0]
         worst = max(worst, abs(impulse.equilibrium_responses.sum() - gain) / abs(gain))
     checks.append(VerificationCheck("steady_state_gain", worst, 1e-10))
@@ -436,7 +544,7 @@ def default_verification(seed: int = 0) -> list[VerificationCheck]:
             heat_transfer=rng.uniform(0.4, 3.0, size=2),
             deep_ocean_efficacy=float(rng.uniform(0.6, 1.6)),
         )
-        impulse = ebm.diagonalize(box)
+        impulse = diagonalize(box)
         _, temp = ebm.thermal_response(forcing, impulse, grid)
         reference = rk4_box_temperature(box, forcing, grid, substeps=100)
         worst = max(worst, np.max(np.abs(temp - reference)) / np.max(np.abs(reference)))
@@ -484,7 +592,7 @@ def default_verification(seed: int = 0) -> list[VerificationCheck]:
     tail_grid = TimeGrid(1900, 120)
     exact = exact_variability_gram(two, tail_grid)
     stationary = kernels.internal_variability_gram(two, tail_grid)
-    times = tail_grid.response_times()
+    times = response_times(tail_grid)
     late = np.minimum(times[:, None], times[None, :]) > 10.0 * two.timescales.max()
     tail = np.max(np.abs((exact - stationary)[late])) / np.max(np.abs(stationary))
     checks.append(VerificationCheck("exact_vs_long_time_tail", tail, 0.01))

@@ -312,20 +312,20 @@ def cube_order(path, lines, coords, year, years) -> tuple[list[np.ndarray], np.n
     return axes, order
 
 
-def _grid_from_years(years: list[int], path) -> TimeGrid:
+def _grid_from_years(years: list[int], lines, path) -> TimeGrid:
+    """The uniform grid of a file's years; a year that breaks it is a
+    GridError naming the year's line (``lines`` from ``read_table``)."""
     if not years:
         raise SchemaError(f"{path}: file contains no data rows")
-    if len(years) > 1:
-        steps = np.diff(years)
-        if np.any(steps != steps[0]) or steps[0] <= 0:
-            bad = int(np.argmax(steps != steps[0])) if np.any(steps != steps[0]) else 0
-            raise GridError(
-                f"{path}: years are not uniformly spaced "
-                f"(gap between {years[bad]} and {years[bad + 1]})"
-            )
-        step = float(steps[0])
-    else:
-        step = 1.0
+    steps = np.diff(years)
+    broken = (steps <= 0) | (steps != steps[:1])
+    if np.any(broken):
+        bad = int(np.argmax(broken))
+        raise GridError(
+            f"{path}: years are not uniformly spaced "
+            f"(gap between {years[bad]} and {years[bad + 1]} at line {lines[bad + 1]})"
+        )
+    step = float(steps[0]) if steps.size else 1.0
     return TimeGrid(start_year=years[0], n_steps=len(years), step=step)
 
 
@@ -365,8 +365,8 @@ def load_scenario(path, agents: list[AgentSpec]) -> Scenario:
             raise SchemaError(f"{path}: unknown columns {unknown}")
         return ["year", *(h for h in header if h != "year")]
 
-    _, data = read_table(path, columns)
-    grid = _grid_from_years(data["year"].astype(int).tolist(), path)
+    lines, data = read_table(path, columns)
+    grid = _grid_from_years(data["year"].astype(int).tolist(), lines, path)
 
     emissions: dict[str, np.ndarray] = {}
     for spec in agents:
@@ -423,8 +423,8 @@ def read_truth(path, spatial: bool) -> tuple[list[np.ndarray], np.ndarray, np.nd
             raise SchemaError(f"{path}: truth scenario needs columns {', '.join(needed)}")
         return needed
 
-    _, data = read_table(path, columns)
-    grid = _grid_from_years(data["year"].astype(int).tolist(), path)
+    lines, data = read_table(path, columns)
+    grid = _grid_from_years(data["year"].astype(int).tolist(), lines, path)
     if not spatial:
         return [], data["year"], data["tas_global"]
     sgrid, cube = read_spatial(path, grid)

@@ -5,20 +5,24 @@ from hypothesis import given, settings
 
 from ebgp.ebm import (
     AgentForcing,
-    BoxModelParams,
     ImpulseParams,
     TimeGrid,
-    build_feedback_matrix,
-    diagonalization,
-    diagonalize,
-    forcing_feedback_vector,
     forcing_response,
     linear_concentrations,
     temperature_operator,
     thermal_response,
 )
 from ebgp.errors import NonDiagonalizable, NonPositiveConcentration
-from ebgp.oracles import convolution_operator, rk4_box_temperature, rk4_impulse_temperature
+from ebgp.oracles import (
+    BoxModelParams,
+    box_ode,
+    convolution_operator,
+    diagonalization,
+    diagonalize,
+    response_times,
+    rk4_box_temperature,
+    rk4_impulse_temperature,
+)
 
 def _random_box(rng, k=None):
     k = k if k is not None else int(rng.integers(1, 4))
@@ -31,12 +35,12 @@ def _random_box(rng, k=None):
 
 class TestFeedbackMatrix:
     def test_single_box(self):
-        a = build_feedback_matrix(BoxModelParams([5.0], [1.0]))
+        a = box_ode(BoxModelParams([5.0], [1.0]))[0]
         assert a.shape == (1, 1)
         assert a[0, 0] == pytest.approx(-0.2, abs=0)
 
     def test_two_box_upper_entry(self):
-        a = build_feedback_matrix(BoxModelParams([5.0, 20.0], [1.0, 0.5], 1.0))
+        a = box_ode(BoxModelParams([5.0, 20.0], [1.0, 0.5], 1.0))[0]
         assert a[0, 1] == pytest.approx(0.1, abs=0)
 
     def test_three_box_matches_transcription(self):
@@ -54,11 +58,11 @@ class TestFeedbackMatrix:
                     [0.0, kap[2] / c[2], -kap[2] / c[2]],
                 ]
             )
-            got = build_feedback_matrix(BoxModelParams(c, kap, eps))
+            got = box_ode(BoxModelParams(c, kap, eps))[0]
             np.testing.assert_allclose(got, expected, rtol=0, atol=0)
 
     def test_two_box_efficacy_modifies_first_row(self):
-        a = build_feedback_matrix(BoxModelParams([5.0, 20.0], [1.0, 0.5], 1.3))
+        a = box_ode(BoxModelParams([5.0, 20.0], [1.0, 0.5], 1.3))[0]
         assert a[0, 1] == pytest.approx(1.3 * 0.5 / 5.0)
         assert a[0, 0] == pytest.approx(-(1.0 + 1.3 * 0.5) / 5.0)
         # the last row never carries the efficacy
@@ -96,15 +100,14 @@ class TestDiagonalize:
         for _ in range(50):
             box = _random_box(rng)
             imp = diagonalize(box)
-            a = build_feedback_matrix(box)
-            b = forcing_feedback_vector(box)
+            a, b = box_ode(box)
             gain = np.linalg.solve(a, -b)[0]
             assert imp.equilibrium_responses.sum() == pytest.approx(gain, rel=1e-10)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            a = build_feedback_matrix(_random_box(rng))
+            a = box_ode(_random_box(rng))[0]
             evals, evecs = diagonalization(a)
             rebuilt = evecs @ np.diag(evals) @ np.linalg.inv(evecs)
             assert np.linalg.norm(rebuilt - a) <= 1e-10 * np.linalg.norm(a)
@@ -176,7 +179,7 @@ class TestThermalResponse:
         grid = TimeGrid(1850, 120)
         f0 = 3.0
         responses, _ = thermal_response(np.full(120, f0), toy_impulse, grid)
-        t = grid.response_times()
+        t = response_times(grid)
         for i in range(toy_impulse.n_boxes):
             expected = (
                 toy_impulse.equilibrium_responses[i]
@@ -303,7 +306,6 @@ class TestValidation:
 def test_gain_identity_property(capacities, transfers, efficacy):
     box = BoxModelParams(capacities, transfers, efficacy)
     imp = diagonalize(box)
-    a = build_feedback_matrix(box)
-    b = forcing_feedback_vector(box)
+    a, b = box_ode(box)
     gain = np.linalg.solve(a, -b)[0]
     assert imp.equilibrium_responses.sum() == pytest.approx(gain, rel=1e-9)

@@ -19,6 +19,7 @@ from ebgp.oracles import (
     forcing_temperature_cross_gram,
     matern,
     quadrature_thermal_covariance,
+    response_times,
     scaled_frobenius_distance,
     temperature_gram,
     thermal_cross_gram,
@@ -199,7 +200,7 @@ class TestVariabilityGram:
         grid = TimeGrid(1900, 120)
         exact = exact_variability_gram(imp, grid)
         stationary = internal_variability_gram(imp, grid)
-        t = grid.response_times()
+        t = response_times(grid)
         late = np.minimum(t[:, None], t[None, :]) > 10.0 * imp.timescales.max()
         gap = np.max(np.abs((exact - stationary)[late]))
         assert gap <= 0.01 * np.max(np.abs(stationary))

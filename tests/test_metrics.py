@@ -1,3 +1,7 @@
+import csv
+import dataclasses
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +27,15 @@ def parse_report(values):
     """A ScoreReport from its CSV cells: an empty cell is None."""
     return ScoreReport(**{name: float(text) if text.strip() else None
                           for name, text in zip(SCORE_FIELDS, values)})
+
+
+def csv_cells(report):
+    """A report's cells as ``evaluate`` writes them, read back: it hands
+    ``csv.writer`` each score as a Python float, or None for an empty cell."""
+    out = io.StringIO()
+    csv.writer(out).writerow(None if v is None else float(v)
+                             for v in dataclasses.astuple(report))
+    return next(csv.reader(io.StringIO(out.getvalue())))
 
 
 class TestDeterministic:
@@ -136,14 +149,14 @@ class TestProbabilistic:
 
 class TestScoreReport:
     def test_csv_round_trip(self):
-        report = ScoreReport(rmse=0.1, mae=0.08, bias=-0.01, log_likelihood=0.5,
+        report = ScoreReport(rmse=np.float64(0.1), mae=0.08, bias=-0.01, log_likelihood=0.5,
                              calib95=0.95, crps=0.06)
-        back = parse_report(report.csv_values())
+        back = parse_report(csv_cells(report))
         assert back == report
 
     def test_partial_report_round_trip(self):
         report = ScoreReport(rmse=0.25, mae=0.2, bias=0.1)
-        back = parse_report(report.csv_values())
+        back = parse_report(csv_cells(report))
         assert back == report
         assert back.log_likelihood is None
 

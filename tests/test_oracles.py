@@ -1,15 +1,21 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ebgp.ebm import BoxModelParams, ImpulseParams, TimeGrid, diagonalize, thermal_response
+from ebgp.ebm import ImpulseParams, TimeGrid, thermal_response
 from ebgp.kernels import KernelConfig, forcing_gram, internal_variability_gram
 from ebgp.oracles import (
+    BoxModelParams,
     VerificationCheck,
+    diagonalize,
     exact_variability_gram,
     finite_difference_gradient,
     mc_crps,
     mc_temperature_covariance,
     quadrature_thermal_covariance,
+    response_times,
     rk4_box_temperature,
     rk4_impulse_temperature,
     scaled_frobenius_distance,
@@ -131,7 +137,7 @@ class TestQuadrature:
         const = np.ones((GRID.n_steps, 1))
         cfg = KernelConfig("matern32", [1.0], 0.7, standardize_inputs=False)
         quad = quadrature_thermal_covariance(cfg, const, IMPULSE, GRID, substeps=64)
-        t = GRID.response_times()
+        t = response_times(GRID)
         expected = np.zeros((GRID.n_steps, GRID.n_steps))
         d = IMPULSE.timescales
         q = IMPULSE.equilibrium_responses
@@ -178,3 +184,21 @@ class TestSmallOracles:
     def test_verification_check_pass(self):
         assert VerificationCheck("x", 0.01, 0.05).passed
         assert not VerificationCheck("x", 0.06, 0.05).passed
+
+
+def test_only_cli_imports_oracles():
+    """Reference code never becomes a production dependency: of the
+    package's modules only ``cli`` (for ``verify``) imports ``oracles``."""
+    package = Path(__file__).resolve().parents[1] / "src" / "ebgp"
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                targets = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any("oracles" in target.split(".") for target in targets):
+                importers.add(path.name)
+    assert importers == {"cli.py"}

@@ -66,6 +66,21 @@ class TestLoad:
         with pytest.raises(GridError, match="2001 and 2003"):
             load_scenario(path, AGENTS)
 
+    @pytest.mark.parametrize("rows, line", [
+        ("2000,1,1\n\n2001,1,1\n2003,1,1\n", 5),  # a gap, after a blank line
+        ("2000,1,1\n2001,1,1\n2001,1,1\n2002,1,1\n", 4),  # a repeated year
+        ("2002,1,1\n2001,1,1\n2000,1,1\n", 3),  # descending years
+    ])
+    def test_broken_year_grid_names_line(self, tmp_path, rows, line):
+        """A scenario or truth file whose years are not a uniform grid is
+        reported at the line of the row whose year breaks it."""
+        path = write(tmp_path / "s.csv", "year,emission:co2,emission:so2\n" + rows)
+        with pytest.raises(GridError, match=f"at line {line}\\)"):
+            load_scenario(path, AGENTS)
+        truth = write(tmp_path / "t.csv", "year,tas_global,other\n" + rows)
+        with pytest.raises(GridError, match=f"at line {line}\\)"):
+            scenario.read_truth(truth, spatial=False)
+
     def test_missing_agent_column(self, tmp_path):
         path = write(tmp_path / "s.csv", "year,emission:co2\n2000,1.0\n")
         with pytest.raises(SchemaError, match="so2"):
