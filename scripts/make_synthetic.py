@@ -191,7 +191,7 @@ def main() -> None:
     # stochastic texture correlated across scenarios through emissions.
     truth = EmulatorModel(agents=AGENTS, impulse=IMPULSE, forcing=TRUE_FORCING, kernel=TEXTURE)
     true_prior = build_prior(scenarios, truth)
-    eigvals, eigvecs = np.linalg.eigh(true_prior.forcing_gram)
+    eigvals, eigvecs = np.linalg.eigh(true_prior.forcing_gram())
     root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
     forcing_texture = root @ rng.standard_normal(true_prior.n)
 

@@ -12,8 +12,8 @@ of ``factorise`` (the one Cholesky routine, which owns the jitter ladder)
 and the only code that assembles the noisy training block.  The posteriors
 take the ``Conditioned`` value it returns, and each fit objective evaluation
 is one ``condition``: its ``log_likelihood`` is the value, its factor and
-alpha give the gradient.  The kernel is evaluated on the distinct emission
-rows and expanded by index; a fit's evaluations share one ``FitGeometry``
+alpha give the gradient.  The kernel is kept on the distinct emission rows,
+with a map from each row to them; a fit's evaluations share one ``FitGeometry``
 and the first one's jitter rung.  That first evaluation stays in the parent
 process; the L-BFGS-B starts then run in up to min(starts, usable CPUs / BLAS
 threads) forked processes, which return only evaluation values and optimizer
@@ -52,8 +52,10 @@ class GPPrior:
     ``train.n`` rows, in order.  The response operator L and the variability
     covariance Gamma (without sigma^2) are block diagonal across scenarios:
     only their blocks are kept, in row order; each L_s is a causal
-    convolution, so lower triangular.  ``forcing_gram`` is the kernel matrix K
-    of the forcing path ``forcing_mean`` over the (standardized) emission rows;
+    convolution, so lower triangular.  The kernel matrix K of the forcing path
+    ``forcing_mean`` over the (standardized) emission rows is kept once, as
+    ``kernel_gram`` over their distinct rows, and ``kernel_rows`` maps each
+    prior row to its row there (``forcing_gram`` expands it);
     ``physics_gram`` is the temperature covariance L K L^T, always propagated
     from the fields above: its blocks L_a K_ab L_b^T on and below the block
     diagonal are triangular products, mirrored above, so it is exactly symmetric.
@@ -63,7 +65,8 @@ class GPPrior:
     sigma: float
     index: list[tuple[str, int]]
     forcing_mean: np.ndarray
-    forcing_gram: np.ndarray
+    kernel_gram: np.ndarray
+    kernel_rows: np.ndarray
     response_blocks: list[np.ndarray]
     variability_blocks: list[np.ndarray]
     physics_gram: np.ndarray = field(init=False)
@@ -72,7 +75,7 @@ class GPPrior:
         spans = list(zip(self.response_blocks, map(slice, self.edges, self.edges[1:])))
         self.physics_gram = np.empty((self.n, self.n))
         for a, (l_a, rows) in enumerate(spans):
-            strip = _lower_product(l_a, self.forcing_gram[rows, :rows.stop])  # L_a K[a, :end_a]
+            strip = _lower_product(l_a, self.forcing_gram(rows, slice(rows.stop)))  # L_a K[a, :end_a]
             for l_b, cols in spans[:a + 1]:
                 block = _lower_product(l_b, strip[:, cols], right=True)
                 self.physics_gram[rows, cols] = block
@@ -82,6 +85,10 @@ class GPPrior:
     @property
     def n(self) -> int:
         return self.mean.size
+
+    def forcing_gram(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """K at the prior rows ``rows`` and columns ``cols``, a new array."""
+        return self.kernel_gram[self.kernel_rows[rows]][:, self.kernel_rows[cols]]
 
     @property
     def edges(self) -> list[int]:
@@ -223,14 +230,13 @@ def _response_blocks(scenarios: list[Scenario], impulse: ImpulseParams) -> dict:
     )
 
 
-def _prior_fields(
-    scenarios: list[Scenario], model: EmulatorModel
-) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Every ``GPPrior`` field but the kernel matrix, scenario by scenario,
+def _prior_fields(scenarios: list[Scenario], model: EmulatorModel) -> tuple[dict, np.ndarray]:
+    """Every ``GPPrior`` field but ``kernel_gram``, scenario by scenario,
     and the kernel inputs: the distinct rows ``x_u`` of the stacked emission
     rows x, standardized when the kernel asks for it with the model's
-    constants, or with constants fitted on x when the model has none, and
-    the row map ``inv`` with x = x_u[inv] (futures repeat history rows)."""
+    constants, or with constants fitted on x when the model has none.  The
+    row map ``kernel_rows`` has x = x_u[kernel_rows] (futures repeat history
+    rows)."""
     if not scenarios:
         raise GridMismatch("at least one scenario is required")
     steps = {s.grid.step for s in scenarios}
@@ -246,8 +252,8 @@ def _prior_fields(
     if model.kernel.standardize_inputs:
         st = model.standardization
         x = (st if st is not None else Standardization.from_rows(x)).apply(x)
-    x_u, inv = np.unique(x, axis=0, return_inverse=True)
-    return fields, x_u, inv.reshape(-1)
+    x_u, kernel_rows = np.unique(x, axis=0, return_inverse=True)
+    return dict(fields, kernel_rows=kernel_rows.reshape(-1)), x_u
 
 
 def build_prior(scenarios: list[Scenario], model: EmulatorModel) -> GPPrior:
@@ -259,9 +265,8 @@ def build_prior(scenarios: list[Scenario], model: EmulatorModel) -> GPPrior:
     the variability covariance has one block per scenario because
     internal-variability realizations of distinct runs are independent.
     """
-    fields, x_u, inv = _prior_fields(scenarios, model)
-    k_u = kernels.forcing_gram(x_u, x_u, model.kernel)
-    return GPPrior(**fields, forcing_gram=k_u[inv][:, inv])
+    fields, x_u = _prior_fields(scenarios, model)
+    return GPPrior(**fields, kernel_gram=kernels.forcing_gram(x_u, x_u, model.kernel))
 
 
 def factorise(
@@ -362,10 +367,10 @@ def posterior_forcing(conditioned: Conditioned, rows: slice) -> PosteriorDistrib
     """Exact posterior over the radiative forcing at the prior slice
     ``rows``, informed by temperature observations only."""
     prior, n = conditioned.prior, conditioned.alpha.size
-    k_f = prior.forcing_gram
     # Cov(F, T) = K_f L^T at (test, train) rows = (L K_f[:, test])[train]^T
-    cross = prior.apply_response(k_f[:, rows])[:n].T
-    return conditioned.posterior(rows, prior.forcing_mean[rows], k_f[rows, rows], cross)
+    cross = prior.apply_response(prior.forcing_gram(cols=rows))[:n].T
+    covariance = prior.forcing_gram(rows, rows)
+    return conditioned.posterior(rows, prior.forcing_mean[rows], covariance, cross)
 
 
 def sample_posterior(
@@ -506,7 +511,7 @@ class FitGeometry:
     def __init__(self, scenarios: list[Scenario], train: TrainingSet, model: EmulatorModel,
                  free: Sequence[str] = PARAMETER_NAMES):
         self.scenarios, self.train, self.free = scenarios, train, frozenset(free)
-        self.fields, self.x_u, self.inv = _prior_fields(scenarios, model)
+        self.fields, self.x_u = _prior_fields(scenarios, model)
         if self.fields["index"] != train.index:
             raise GridMismatch("a fit's scenarios must stack to exactly its training rows")
         self.jitter = self.operator = None
@@ -525,9 +530,9 @@ class FitGeometry:
             fields.update(_mean_paths(self.scenarios, model))
         if self.free & BOX_MODEL:
             fields.update(_response_blocks(self.scenarios, model.impulse))
-        prior = GPPrior(**fields, forcing_gram=k_u[self.inv][:, self.inv])
+        prior = GPPrior(**fields, kernel_gram=k_u)
         if self.operator is None or self.free & BOX_MODEL:
-            selection = np.eye(len(self.x_u))[self.inv]
+            selection = np.eye(len(self.x_u))[prior.kernel_rows]
             self.operator = prior.apply_response(selection)
         return prior
 
@@ -565,7 +570,7 @@ def mll_and_gradient(geometry: FitGeometry, model: EmulatorModel) -> tuple[float
                       - 2.0 * variance - conditioned.jitter * (alpha @ alpha - np.trace(inv))]}
     if geometry.free & BOX_MODEL:
         w = np.outer(alpha, alpha) - (inv + np.tril(inv, -1).T)
-        lk = prior.apply_response(prior.forcing_gram)
+        lk = prior.apply_response(prior.forcing_gram())
         box = 0.0
         edges = prior.edges
         for scen, rows in zip(geometry.scenarios, map(slice, edges, edges[1:])):

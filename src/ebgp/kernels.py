@@ -1,10 +1,11 @@
 """Covariance functions.
 
 Matérn kernels with automatic relevance determination over emission inputs
-and the stationary internal-variability covariance.  The physics-propagated
-Grams are assembled by ``inference.build_prior`` for queries and by
-``inference.FitGeometry.prior`` once per fit evaluation; their reference
-forms, and the exact start-from-rest variability covariance, live in ``oracles``.
+and the stationary internal-variability covariance.  A prior keeps the
+forcing kernel once, evaluated on its distinct emission rows
+(``inference.GPPrior.kernel_gram``), and propagates it to L K L^T; the
+reference forms of the propagated Grams, and the exact start-from-rest
+variability covariance, live in ``oracles``.
 """
 
 from __future__ import annotations

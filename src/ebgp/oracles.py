@@ -132,7 +132,7 @@ def cell_prior(
     cell = dataclasses.replace(
         prior,
         mean=beta * prior.mean + float(pattern.intercept[i, j]),
-        forcing_gram=beta**2 * prior.forcing_gram,
+        kernel_gram=beta**2 * prior.kernel_gram,
         variability_blocks=[beta**2 * block for block in prior.variability_blocks],
     )
     return cell, np.full(prior.n, float(pattern.residual_variance[i, j]))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
@@ -314,11 +315,14 @@ def cube_order(path, lines, coords, year, years) -> tuple[list[np.ndarray], np.n
 
 def _grid_from_years(years: list[int], lines, path) -> TimeGrid:
     """The uniform grid of a file's years; a year that breaks it is a
-    GridError naming the year's line (``lines`` from ``read_table``)."""
+    GridError naming the year's line (``lines`` from ``read_table``).  The
+    grid's step is the positive step most rows agree on, the earlier one on
+    a tie; with no positive step the first step breaks the grid."""
     if not years:
         raise SchemaError(f"{path}: file contains no data rows")
     steps = np.diff(years)
-    broken = (steps <= 0) | (steps != steps[:1])
+    agreed = Counter(steps[steps > 0].tolist()).most_common(1)
+    broken = (steps <= 0) | (steps != (agreed[0][0] if agreed else 0))
     if np.any(broken):
         bad = int(np.argmax(broken))
         raise GridError(

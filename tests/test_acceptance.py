@@ -228,7 +228,8 @@ def _degenerate_prior(cov):
         sigma=0.0,
         index=[("x", 2000 + i) for i in range(n)],
         forcing_mean=np.zeros(n),
-        forcing_gram=cov,
+        kernel_gram=cov,
+        kernel_rows=np.arange(n),
         response_blocks=[np.eye(n)],
         variability_blocks=[np.zeros((n, n))],
     )

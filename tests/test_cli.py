@@ -1014,3 +1014,47 @@ def test_cli_import_leaves_special_functions_and_optimizer_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_scenario_import_leaves_inference_unloaded():
+    """The package exports nothing itself, so importing one module loads
+    only what that module imports: reading scenarios needs no inference."""
+    import ebgp
+
+    src = str(Path(ebgp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, ebgp.scenario; print('ebgp.inference' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+# Span targets in perfbench/spans.py whose functions were deleted or renamed
+# before this check existed; every other target must still resolve.
+STALE_SPAN_TARGETS = {
+    "inference._train_factor", "spatial.spatial_prior", "cli._read_prediction_csv",
+    "cli._read_truth_global", "cli._read_truth_spatial",
+}
+
+
+def test_benchmark_span_targets_resolve():
+    """The benchmark's traced run wraps functions by module and name; a
+    renamed function would silently zero its per-layer metric.  After the
+    CLI import, installing the span recorder finds every target but the
+    known-stale ones, and removing it restores the originals."""
+    import importlib.util
+
+    from ebgp import inference, kernels
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    originals = (kernels.forcing_gram, inference.build_prior, inference.cholesky)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.remove()
+    assert set(tracer.missing) <= STALE_SPAN_TARGETS
+    assert (kernels.forcing_gram, inference.build_prior, inference.cholesky) == originals

@@ -122,7 +122,7 @@ class TestBuildPrior:
         model = EmulatorModel(toy_agents, toy_impulse, toy_forcing, kernel, stored)
         prior = build_prior([s1, s2], model)
         np.testing.assert_allclose(
-            prior.forcing_gram, forcing_gram(x, x, kernel), rtol=1e-13, atol=0
+            prior.forcing_gram(), forcing_gram(x, x, kernel), rtol=1e-13, atol=0
         )
 
     def test_mean_matches_standalone_run(self, setup, toy_impulse, toy_forcing, toy_agents):
@@ -185,7 +185,7 @@ class TestBuildPrior:
 
         _, _, _, prior = setup
         n = prior.n // 2
-        eigvals, eigvecs = np.linalg.eigh(prior.forcing_gram)
+        eigvals, eigvecs = np.linalg.eigh(prior.forcing_gram())
         root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
         rng = np.random.default_rng(12)
         paths = rng.standard_normal((3000, prior.n)) @ root.T
@@ -229,7 +229,7 @@ class TestBlockedPrior:
 
     def test_physics_gram_matches_dense(self, blocked):
         _, prior, op, _ = blocked
-        dense = op @ prior.forcing_gram @ op.T
+        dense = op @ prior.forcing_gram() @ op.T
         assert np.max(np.abs(prior.physics_gram - dense)) <= 1e-14 * np.max(np.abs(dense))
         x = np.random.default_rng(2).normal(size=(prior.n, 3))
         np.testing.assert_allclose(prior.apply_response(x), op @ x, rtol=0, atol=1e-14)
@@ -249,7 +249,7 @@ class TestBlockedPrior:
         train, _ = assemble_training_set(scenarios, holdout=("c",))
         rows = slice(train.n, prior.n)
         conditioned = condition(prior, train)
-        k_f = prior.forcing_gram
+        k_f = prior.forcing_gram()
         dense = conditioned.posterior(
             rows, prior.forcing_mean[rows], k_f[rows, rows], k_f[rows, :] @ op[:train.n, :].T,
         )
@@ -329,14 +329,23 @@ POSITIVE = st.floats(0.05, 5.0)
     lengthscales=st.lists(POSITIVE, min_size=2, max_size=2),
     variance=POSITIVE,
     trained=st.integers(0, 5),
+    shared=st.lists(st.integers(0, 40), min_size=4, max_size=4),
+    cuts=st.lists(st.integers(0, 5), min_size=4, max_size=4),
 )
 @example(lengths=[1], timescales=[4.0], responses=[0.5, 0.5, 0.5], sigma=0.1,
-         family="matern32", lengthscales=[1.0, 1.0], variance=0.3, trained=1)
+         family="matern32", lengthscales=[1.0, 1.0], variance=0.3, trained=1,
+         shared=[0, 0, 0, 0], cuts=[0, 1, 0, 1])
+@example(lengths=[30, 40, 25, 1], timescales=[4.0, 60.0], responses=[0.5, 0.3, 0.5], sigma=0.1,
+         family="matern12", lengthscales=[1.0, 2.0], variance=0.3, trained=2,
+         shared=[30, 10, 1, 0], cuts=[1, 3, 0, 4])
 def test_triangular_assembly_and_noisy_block(lengths, timescales, responses, sigma, family,
-                                             lengthscales, variance, trained):
+                                             lengthscales, variance, trained, shared, cuts):
     """The lower-block-triangle assembly of L K L^T against the dense
     blkdiag(L) K blkdiag(L)^T, on random scenario sets that include
-    one-year scenarios; the noisy block is a fresh array each call, and
+    one-year scenarios and futures that repeat the first scenario's leading
+    emission rows, so the kernel is kept on fewer rows than the prior has;
+    K expanded by the row map is the kernel on the stacked rows, bit for bit,
+    at whole-scenario slices; the noisy block is a fresh array each call, and
     ``factorise`` leaves its block as it found it on the first rung and on an
     escalated one."""
     timescales = sorted(timescales)
@@ -345,12 +354,24 @@ def test_triangular_assembly_and_noisy_block(lengths, timescales, responses, sig
     forcing = {"co2": AgentForcing(alpha_log=5.35, c0=278.0, concentration_per_emission=0.47),
                "so2": AgentForcing(alpha_lin=-0.02, c0=1.0, concentration_per_emission=1.0)}
     scenarios = [make_scenario(f"s{k}", n, seed=k) for k, n in enumerate(lengths)]
+    prefixes = [min(p, n, lengths[0]) for p, n in zip(shared, lengths[1:])]
+    for scen, p in zip(scenarios[1:], prefixes):
+        for name, series in scen.emissions.items():
+            series[:p] = scenarios[0].emissions[name][:p]
     model = EmulatorModel(agents, impulse, forcing,
                           KernelConfig(family, lengthscales, variance))
     prior = build_prior(scenarios, model)
 
+    raw = np.vstack([s.emission_matrix(model.agent_names) for s in scenarios])
+    x = Standardization.from_rows(raw).apply(raw)
+    assert prior.kernel_gram.shape[0] <= prior.n - sum(prefixes)
+    i, j, k, m = (prior.edges[min(c, len(scenarios))] for c in cuts)
+    rows, cols = slice(min(i, j), max(i, j)), slice(min(k, m), max(k, m))
+    assert np.array_equal(prior.forcing_gram(rows, cols),
+                          forcing_gram(x[rows], x[cols], model.kernel))
+
     op = block_diag(*(temperature_operator(impulse, s.grid) for s in scenarios))
-    dense = op @ prior.forcing_gram @ op.T
+    dense = op @ prior.forcing_gram() @ op.T
     physics = prior.physics_gram
     assert np.max(np.abs(physics - dense)) <= 1e-13 * np.max(np.abs(dense))
     assert np.array_equal(physics, physics.T)
@@ -358,7 +379,7 @@ def test_triangular_assembly_and_noisy_block(lengths, timescales, responses, sig
     n = sum(lengths[:trained])
     train = TrainingSet(temperatures=np.zeros(n), index=prior.index[:n])
     block = prior.noisy_block(train)
-    fields = [prior.mean, prior.forcing_mean, prior.forcing_gram, physics,
+    fields = [prior.mean, prior.forcing_mean, prior.kernel_gram, physics,
               *prior.response_blocks, *prior.variability_blocks]
     assert not any(np.shares_memory(block, f) for f in fields)
     assert np.array_equal(block, prior.noisy_block(train))
@@ -426,14 +447,15 @@ class TestSharedHistory:
         everything, _ = assemble_training_set(scenarios)
         geometry = FitGeometry(scenarios, everything, model)
         assert len(geometry.x_u) == 50 and len(x) == 90
-        np.testing.assert_array_equal(geometry.x_u[geometry.inv], x)
+        rows = geometry.fields["kernel_rows"]
+        np.testing.assert_array_equal(geometry.x_u[rows], x)
         np.testing.assert_array_equal(
-            build_prior(scenarios, model).forcing_gram, forcing_gram(x, x, model.kernel)
+            build_prior(scenarios, model).forcing_gram(), forcing_gram(x, x, model.kernel)
         )
         k, dk = forcing_gram_gradients(x, model.kernel)
         k_u, dk_u = forcing_gram_gradients(geometry.x_u, model.kernel)
         for got, want in zip([k_u, *dk_u], [k, *dk]):
-            np.testing.assert_array_equal(got[geometry.inv][:, geometry.inv], want)
+            np.testing.assert_array_equal(got[rows][:, rows], want)
 
     @pytest.mark.parametrize("family", KERNEL_FAMILIES)
     def test_objective_is_the_conditioning(self, toy_impulse, toy_forcing, toy_agents, family):
@@ -606,7 +628,7 @@ def test_posteriors_share_no_memory_with_the_prior(setup, trained):
         train = TrainingSet(temperatures=np.empty(0), index=[])
     conditioned = condition(prior, train)
     rows = slice(40, 80)
-    arrays = [prior.mean, prior.forcing_mean, prior.forcing_gram, prior.physics_gram,
+    arrays = [prior.mean, prior.forcing_mean, prior.kernel_gram, prior.physics_gram,
               *prior.response_blocks, *prior.variability_blocks]
     for post in (posterior_temperature(conditioned, rows), posterior_forcing(conditioned, rows)):
         for got in (post.mean, post.covariance):
@@ -622,7 +644,7 @@ class TestPosteriorForcing:
         rows = slice(40, 80)
         post = posterior_forcing(condition(prior, empty), rows)
         np.testing.assert_array_equal(post.mean, prior.forcing_mean[rows])
-        np.testing.assert_array_equal(post.covariance, prior.forcing_gram[rows, rows])
+        np.testing.assert_array_equal(post.covariance, prior.forcing_gram(rows, rows))
 
     def test_consistency_with_temperature_posterior(self, setup):
         """Convolving the posterior forcing mean through the response
@@ -638,7 +660,7 @@ class TestPosteriorForcing:
         _, _, train, prior = setup
         rows = slice(train.n, prior.n)
         post = posterior_forcing(condition(prior, train), rows)
-        prior_var = np.diag(prior.forcing_gram[rows, rows])
+        prior_var = np.diag(prior.forcing_gram(rows, rows))
         assert np.all(np.diag(post.covariance) <= prior_var + 1e-9)
 
     def test_single_point_scalar_algebra(self, one_row):
@@ -646,7 +668,7 @@ class TestPosteriorForcing:
         pos, t = 0, 4
         post = posterior_forcing(condition(prior, one), slice(t, t + 1))
         k = prior.physics_gram
-        cross = prior.apply_response(prior.forcing_gram[:, t])[pos]
+        cross = prior.apply_response(prior.forcing_gram()[:, t])[pos]
         noisy = k[pos, pos] + prior.sigma**2 * prior.variability(slice(0, 1))[0, 0]
         noisy = noisy * (1.0 + 1e-6)
         resid = one.temperatures[0] - prior.mean[pos]
@@ -654,7 +676,7 @@ class TestPosteriorForcing:
             prior.forcing_mean[t] + cross / noisy * resid, rel=1e-12
         )
         assert post.covariance[0, 0] == pytest.approx(
-            prior.forcing_gram[t, t] - cross**2 / noisy, rel=1e-10
+            prior.forcing_gram()[t, t] - cross**2 / noisy, rel=1e-10
         )
 
 
@@ -667,7 +689,8 @@ class TestMarginalLogLikelihood:
             sigma=sigma,
             index=index,
             forcing_mean=np.zeros(n),
-            forcing_gram=cov,
+            kernel_gram=cov,
+            kernel_rows=np.arange(n),
             response_blocks=[np.eye(n)],
             variability_blocks=[np.zeros((n, n))],
         )

@@ -70,6 +70,7 @@ class TestLoad:
         ("2000,1,1\n\n2001,1,1\n2003,1,1\n", 5),  # a gap, after a blank line
         ("2000,1,1\n2001,1,1\n2001,1,1\n2002,1,1\n", 4),  # a repeated year
         ("2002,1,1\n2001,1,1\n2000,1,1\n", 3),  # descending years
+        ("2000,1,1\n2002,1,1\n2003,1,1\n2004,1,1\n", 3),  # the first step is the odd one
     ])
     def test_broken_year_grid_names_line(self, tmp_path, rows, line):
         """A scenario or truth file whose years are not a uniform grid is
