@@ -55,10 +55,9 @@ class GPPrior:
     convolution, so lower triangular.  The kernel matrix K of the forcing path
     ``forcing_mean`` over the (standardized) emission rows is kept once, as
     ``kernel_gram`` over their distinct rows, and ``kernel_rows`` maps each
-    prior row to its row there (``forcing_gram`` expands it);
-    ``physics_gram`` is the temperature covariance L K L^T, always propagated
-    from the fields above: its blocks L_a K_ab L_b^T on and below the block
-    diagonal are triangular products, mirrored above, so it is exactly symmetric.
+    prior row to its row there (``forcing_gram`` expands it).  No field is
+    N x N: the temperature covariance L K L^T is formed from the fields above
+    only at the scenarios a caller asks for (``physics_gram``).
     """
 
     mean: np.ndarray
@@ -69,18 +68,6 @@ class GPPrior:
     kernel_rows: np.ndarray
     response_blocks: list[np.ndarray]
     variability_blocks: list[np.ndarray]
-    physics_gram: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        spans = list(zip(self.response_blocks, map(slice, self.edges, self.edges[1:])))
-        self.physics_gram = np.empty((self.n, self.n))
-        for a, (l_a, rows) in enumerate(spans):
-            strip = _lower_product(l_a, self.forcing_gram(rows, slice(rows.stop)))  # L_a K[a, :end_a]
-            for l_b, cols in spans[:a + 1]:
-                block = _lower_product(l_b, strip[:, cols], right=True)
-                self.physics_gram[rows, cols] = block
-                self.physics_gram[cols, rows] = block.T
-            self.physics_gram[rows, rows] = 0.5 * (block + block.T)
 
     @property
     def n(self) -> int:
@@ -88,12 +75,21 @@ class GPPrior:
 
     def forcing_gram(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
         """K at the prior rows ``rows`` and columns ``cols``, a new array."""
-        return self.kernel_gram[self.kernel_rows[rows]][:, self.kernel_rows[cols]]
+        return self.kernel_gram.take(self.kernel_rows[rows], 0).take(self.kernel_rows[cols], 1)
 
     @property
     def edges(self) -> list[int]:
         """First prior row of each scenario, then ``n``."""
         return np.cumsum([0] + [len(block) for block in self.response_blocks]).tolist()
+
+    def scenarios(self, rows: slice, whole: bool = True) -> range:
+        """The scenarios that hold the prior rows ``rows``.  Raises GridMismatch
+        on a step other than 1 and, when ``whole``, on a slice that cuts one."""
+        edges, (start, stop, step) = self.edges, rows.indices(self.n)
+        first, last = np.searchsorted(edges, start, "right") - 1, np.searchsorted(edges, stop)
+        if step != 1 or whole and (edges[first] != start or edges[last] != max(start, stop)):
+            raise GridMismatch(f"prior rows {start}:{stop}:{step} cut a scenario")
+        return range(first, max(first, last))
 
     def apply_response(self, x: np.ndarray) -> np.ndarray:
         """L x for an array with one row per prior row, one scenario block at a time."""
@@ -107,24 +103,44 @@ class GPPrior:
         """Gamma at the prior rows ``rows``, a slice of whole scenarios: the
         block diagonal of their blocks.  Raises GridMismatch on a slice that
         cuts a scenario."""
-        edges = self.edges
-        start, stop, step = rows.indices(self.n)
-        if step != 1 or start not in edges or stop not in edges:
-            raise GridMismatch(f"prior rows {start}:{stop}:{step} cut a scenario")
-        blocks = self.variability_blocks[edges.index(start):edges.index(stop)]
+        blocks = [self.variability_blocks[s] for s in self.scenarios(rows)]
         return block_diag(*blocks) if blocks else np.empty((0, 0))
+
+    def physics_gram(self, rows=slice(None), cols=slice(None), order="C") -> np.ndarray:
+        """L K L^T at the prior rows ``rows`` and columns ``cols``, slices of
+        whole scenarios (else GridMismatch), a new array in ``order``.  Block
+        (a, b), b <= a, is L_b from the right on the strip L_a K[a, :end_a],
+        symmetrised when b = a and transposed into (b, a), so the square matrix
+        is exactly symmetric and each block is the same bits at every slice."""
+        edges, blocks = self.edges, self.response_blocks
+        r, c = self.scenarios(rows), self.scenarios(cols)
+        at_r, at_c = (np.subtract(edges, edges[span.start]) for span in (r, c))
+        out = np.empty((at_r[r.stop], at_c[c.stop]), order=order)
+        for a, (i, j) in enumerate(zip(edges, edges[1:])):
+            lower = [b for b in range(a + 1) if a in r and b in c or b in r and a in c]
+            if lower:  # L_a K[a, :end_a]
+                strip = _lower_product(blocks[a], self.forcing_gram(slice(i, j), slice(j)))
+            for b in lower:
+                block = _lower_product(blocks[b], strip[:, edges[b]:edges[b + 1]], right=True)
+                if b == a:
+                    block = 0.5 * (block + block.T)
+                for x, y, part in ((a, b, block), (b, a, block.T)):
+                    if x in r and y in c:
+                        out[at_r[x]:at_r[x + 1], at_c[y]:at_c[y + 1]] = part
+        return out
 
     def noisy_block(self, train: TrainingSet) -> np.ndarray:
         """Covariance of the noisy observations ``train``: the physics block
-        plus sigma^2 times the variability block at the prior's first
-        ``train.n`` rows.  Raises GridMismatch unless those rows are
-        ``train.index``, in order.  The block is a new array."""
+        plus sigma^2 times the variability block at the prior's first ``train.n``
+        rows, a new Fortran-ordered array (``factorise`` copies it as it is).
+        Raises GridMismatch unless those rows are ``train.index``, in order."""
         if self.index[:train.n] != train.index:
             raise GridMismatch("the training rows are not the prior's leading rows, in order")
-        rows = slice(0, train.n)
-        block = self.variability(rows)
-        block *= self.sigma**2
-        block += self.physics_gram[rows, rows]
+        rows, edges = slice(0, train.n), self.edges
+        block = self.physics_gram(rows, rows, order="F")
+        for s in self.scenarios(rows):
+            i, j = edges[s:s + 2]
+            block[i:j, i:j] += self.sigma**2 * self.variability_blocks[s]
         return block
 
 
@@ -352,15 +368,18 @@ def condition(prior: GPPrior, train: TrainingSet, jitter: float | None = None) -
 
 
 def posterior_temperature(conditioned: Conditioned, rows: slice) -> PosteriorDistribution:
-    """Exact posterior over the temperature process at the prior slice ``rows``.
+    """Exact posterior over the temperature process at the unit-step prior slice ``rows``.
 
     The covariance is the posterior of the smooth (epistemic) temperature
     component; the predictive distribution for noisy observations adds
     sigma^2 times ``GPPrior.variability(rows)``.
     """
     prior, n = conditioned.prior, conditioned.alpha.size
-    k = prior.physics_gram
-    return conditioned.posterior(rows, prior.mean[rows], k[rows, rows], k[rows, :n])
+    (start, stop, _), held = rows.indices(prior.n), prior.scenarios(rows, whole=False)
+    first, last = prior.edges[held.start], prior.edges[held.stop]
+    # L K L^T at the whole scenarios that hold ``rows``, then at ``rows``
+    k = prior.physics_gram(slice(first, last))[start - first:max(start, stop) - first]
+    return conditioned.posterior(rows, prior.mean[rows], k[:, rows], k[:, :n])
 
 
 def posterior_forcing(conditioned: Conditioned, rows: slice) -> PosteriorDistribution:

@@ -151,9 +151,8 @@ def cell_posterior(
     residual = np.asarray(local_observations, dtype=float)[:, i, j] - cell.mean[:n]
     block = cell.noisy_block(train) + np.diag(noise[:n])
     conditioned = Conditioned(cell, *factorise(block, residual))
-    k = cell.physics_gram
-    return conditioned.posterior(test_rows, cell.mean[test_rows], k[test_rows, test_rows],
-                                 k[test_rows, :n])
+    k = cell.physics_gram(test_rows)
+    return conditioned.posterior(test_rows, cell.mean[test_rows], k[:, test_rows], k[:, :n])
 
 
 def predictive_log_density(

@@ -121,8 +121,8 @@ def spatial_posterior(
         jitter = rungs[np.argmax(positive, axis=0), np.arange(slope.size)]
     d = scale * eigvals[:, None] + noise + jitter
 
-    k = prior.physics_gram
-    proj = k[test_rows, :train.n] @ eigvecs
+    k = prior.physics_gram(test_rows)
+    proj = k[:, :train.n] @ eigvecs
     residual = local_observations.reshape(train.n, slope.size) - (
         slope * prior.mean[:train.n, None] + intercept
     )
@@ -131,7 +131,7 @@ def spatial_posterior(
             slope * prior.mean[test_rows, None] + intercept
             + scale * (proj @ ((eigvecs.T @ residual) / d))
         )
-        variance = scale * np.diag(k)[test_rows, None] - scale**2 * ((proj * proj) @ (1.0 / d))
+        variance = scale * np.diag(k[:, test_rows])[:, None] - scale**2 * ((proj * proj) @ (1.0 / d))
     finite = np.isfinite(mean) & np.isfinite(variance)
     if not np.all(finite):
         i, j = np.unravel_index(np.argmin(finite.all(axis=0)), (n_lat, n_lon))

@@ -173,7 +173,7 @@ def _posterior_setup():
     s2 = Scenario("b", TimeGrid(1900, n), {"co2": np.cumsum(1 + 0.05 * t), "so2": 1 + 0.02 * t})
     prior0 = build_prior([s1, s2], EmulatorModel(agents, impulse, forcing, kernel))
     rng = np.random.default_rng(3)
-    cov = prior0.physics_gram + impulse.variability_amplitude**2 * prior0.variability(slice(None))
+    cov = prior0.physics_gram() + impulse.variability_amplitude**2 * prior0.variability(slice(None))
     y = prior0.mean + np.linalg.cholesky(cov + 1e-10 * np.eye(2 * n)) @ rng.standard_normal(2 * n)
     s1.global_temperature = y[:n]
     s2.global_temperature = y[n:]
@@ -192,7 +192,7 @@ def test_criterion_05_posterior_exactness():
         rows = slice(train.n, prior.n)
         post = posterior_temperature(condition(prior, empty), rows)
         assert np.max(np.abs(post.mean - prior.mean[rows])) <= 1e-12
-        assert np.max(np.abs(post.covariance - prior.physics_gram[rows, rows])) <= 1e-12
+        assert np.max(np.abs(post.covariance - prior.physics_gram()[rows, rows])) <= 1e-12
 
         # noiseless interpolation reproduces the training values
         imp0 = ImpulseParams([0.2], [0.5], variability_amplitude=0.0)
@@ -286,7 +286,7 @@ def test_criterion_07_hyperparameter_recovery():
         truth = EmulatorModel(agents=agents, impulse=impulse_true, forcing=forcing,
                               kernel=kernel_true)
         prior = build_prior([s1, s2], truth)
-        cov = prior.physics_gram + true_sigma**2 * prior.variability(slice(None))
+        cov = prior.physics_gram() + true_sigma**2 * prior.variability(slice(None))
         rng = np.random.default_rng(123)
         y = np.linalg.cholesky(cov + 1e-10 * np.eye(2 * n)) @ rng.standard_normal(2 * n)
         s1.global_temperature = y[:n]

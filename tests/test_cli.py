@@ -63,7 +63,7 @@ def workspace(tmp_path):
             Scenario(name=name, grid=grid, emissions=emissions, concentrations=conc)
         )
     prior = build_prior(scenarios, EmulatorModel(AGENTS, IMPULSE, FORCING, KERNEL))
-    cov = prior.physics_gram + IMPULSE.variability_amplitude**2 * prior.variability(slice(None))
+    cov = prior.physics_gram() + IMPULSE.variability_amplitude**2 * prior.variability(slice(None))
     y = prior.mean + np.linalg.cholesky(cov + 1e-9 * np.eye(prior.n)) @ rng.standard_normal(prior.n)
     beta = np.array([[0.8, 1.1], [1.0, 1.3]])
     beta0 = np.array([[0.05, -0.05], [0.0, 0.1]])

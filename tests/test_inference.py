@@ -1,6 +1,7 @@
 import dataclasses
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def two_scenario_setup(toy_impulse, toy_forcing, toy_kernel, toy_agents, n=40, s
     s1 = mk("a", lambda t: 1 + 0.1 * t, lambda t: 2 + np.sin(t / 8))
     s2 = mk("b", lambda t: 1 + 0.05 * t, lambda t: 1 + 0.02 * t)
     prior = build_prior([s1, s2], EmulatorModel(toy_agents, toy_impulse, toy_forcing, toy_kernel))
-    cov = prior.physics_gram + prior.sigma**2 * prior.variability(slice(None))
+    cov = prior.physics_gram() + prior.sigma**2 * prior.variability(slice(None))
     y = prior.mean + np.linalg.cholesky(cov + 1e-10 * np.eye(2 * n)) @ rng.standard_normal(2 * n)
     s1.global_temperature = y[:n]
     s2.global_temperature = y[n:]
@@ -156,7 +157,7 @@ class TestBuildPrior:
         model = EmulatorModel(toy_agents, toy_impulse, toy_forcing, toy_kernel)
         prior = build_prior([s1, twin], model)
         n = s1.grid.n_steps
-        k = prior.physics_gram
+        k = prior.physics_gram()
         np.testing.assert_allclose(k[:n, n:], k[:n, :n], atol=1e-12)
 
     def test_variability_block_diagonal(self, setup):
@@ -174,7 +175,7 @@ class TestBuildPrior:
 
     def test_gram_factorizable(self, setup):
         _, _, _, prior = setup
-        noisy = prior.physics_gram + prior.sigma**2 * prior.variability(slice(None))
+        noisy = prior.physics_gram() + prior.sigma**2 * prior.variability(slice(None))
         factorise(noisy, np.zeros(prior.n))
 
     def test_cross_scenario_blocks_match_joint_sampling(self, setup, toy_impulse):
@@ -198,10 +199,10 @@ class TestBuildPrior:
             axis=1,
         )
         empirical = np.cov(temps, rowvar=False, ddof=1)
-        assert scaled_frobenius_distance(empirical, prior.physics_gram) <= 0.05
+        assert scaled_frobenius_distance(empirical, prior.physics_gram()) <= 0.05
         # the cross block itself is well estimated too
         assert scaled_frobenius_distance(
-            empirical[:n, n:], prior.physics_gram[:n, n:]
+            empirical[:n, n:], prior.physics_gram()[:n, n:]
         ) <= 0.1
 
 
@@ -230,7 +231,7 @@ class TestBlockedPrior:
     def test_physics_gram_matches_dense(self, blocked):
         _, prior, op, _ = blocked
         dense = op @ prior.forcing_gram() @ op.T
-        assert np.max(np.abs(prior.physics_gram - dense)) <= 1e-14 * np.max(np.abs(dense))
+        assert np.max(np.abs(prior.physics_gram() - dense)) <= 1e-14 * np.max(np.abs(dense))
         x = np.random.default_rng(2).normal(size=(prior.n, 3))
         np.testing.assert_allclose(prior.apply_response(x), op @ x, rtol=0, atol=1e-14)
 
@@ -344,10 +345,12 @@ def test_triangular_assembly_and_noisy_block(lengths, timescales, responses, sig
     blkdiag(L) K blkdiag(L)^T, on random scenario sets that include
     one-year scenarios and futures that repeat the first scenario's leading
     emission rows, so the kernel is kept on fewer rows than the prior has;
-    K expanded by the row map is the kernel on the stacked rows, bit for bit,
-    at whole-scenario slices; the noisy block is a fresh array each call, and
-    ``factorise`` leaves its block as it found it on the first rung and on an
-    escalated one."""
+    K expanded by the row map is the kernel on the stacked rows, and L K L^T
+    at whole-scenario slices is the same slice of the whole matrix, bit for
+    bit, while a slice that cuts a scenario is an error; the noisy block is a
+    fresh Fortran-ordered array each call, bit for bit the physics block plus
+    sigma^2 Gamma, and ``factorise`` leaves its block as it found it on the
+    first rung and on an escalated one."""
     timescales = sorted(timescales)
     impulse = ImpulseParams(timescales, responses[:len(timescales)], sigma)
     agents = [AgentSpec("co2", "cumulative_emission", "GtC"), AgentSpec("so2", "emission", "Mt")]
@@ -372,17 +375,25 @@ def test_triangular_assembly_and_noisy_block(lengths, timescales, responses, sig
 
     op = block_diag(*(temperature_operator(impulse, s.grid) for s in scenarios))
     dense = op @ prior.forcing_gram() @ op.T
-    physics = prior.physics_gram
+    physics = prior.physics_gram()
     assert np.max(np.abs(physics - dense)) <= 1e-13 * np.max(np.abs(dense))
     assert np.array_equal(physics, physics.T)
+    part = prior.physics_gram(rows, cols)
+    assert part.flags.c_contiguous and np.array_equal(part, physics[rows, cols])
+    longest = int(np.argmax(lengths))
+    cut = slice(prior.edges[longest] + 1, None) if lengths[longest] > 1 else slice(None, None, 2)
+    with pytest.raises(GridMismatch):
+        prior.physics_gram(cols=cut)
 
     n = sum(lengths[:trained])
     train = TrainingSet(temperatures=np.zeros(n), index=prior.index[:n])
     block = prior.noisy_block(train)
-    fields = [prior.mean, prior.forcing_mean, prior.kernel_gram, physics,
+    fields = [prior.mean, prior.forcing_mean, prior.kernel_gram, prior.kernel_rows,
               *prior.response_blocks, *prior.variability_blocks]
     assert not any(np.shares_memory(block, f) for f in fields)
     assert np.array_equal(block, prior.noisy_block(train))
+    assert block.flags.f_contiguous
+    assert np.array_equal(block, physics[:n, :n] + sigma**2 * prior.variability(slice(0, n)))
     gamma = block_diag(*(internal_variability_gram(impulse, s.grid) for s in scenarios))
     np.testing.assert_allclose(block, dense[:n, :n] + sigma**2 * gamma[:n, :n],
                                rtol=0, atol=1e-13 * np.max(np.abs(dense)))
@@ -397,6 +408,71 @@ def test_triangular_assembly_and_noisy_block(lengths, timescales, responses, sig
             expected = cholesky(gram + jitter * np.eye(len(gram)), lower=True)
             np.testing.assert_allclose(factor, expected, rtol=0,
                                        atol=1e-13 * np.max(np.abs(expected)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(3, 12), min_size=2, max_size=4),
+    shared=st.lists(st.integers(0, 12), min_size=3, max_size=3),
+    timescales=st.lists(st.floats(0.5, 20.0), min_size=1, max_size=3, unique=True),
+    responses=st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3),
+    sigma=st.floats(0.3, 1.0),
+    family=st.sampled_from(KERNEL_FAMILIES),
+    lengthscales=st.lists(st.floats(0.5, 5.0), min_size=2, max_size=2),
+    variance=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_posteriors_match_a_dense_gp(lengths, shared, timescales, responses, sigma, family,
+                                     lengthscales, variance, seed):
+    """``condition``'s temperature and forcing posteriors at the held-out
+    last scenario against a dense GP written out here: L and Gamma as block
+    diagonals, K on the stacked standardized rows, one dense solve with the
+    noisy training block at the jitter ``condition`` found.  Futures share a
+    prefix of the first scenario's emissions, so the kernel keeps fewer rows
+    than the prior, and temperatures are drawn from the dense prior."""
+    impulse = ImpulseParams(sorted(timescales), responses[:len(timescales)], sigma)
+    agents = [AgentSpec("co2", "cumulative_emission", "GtC"), AgentSpec("so2", "emission", "Mt")]
+    forcing = {"co2": AgentForcing(alpha_log=5.35, c0=278.0, concentration_per_emission=0.47),
+               "so2": AgentForcing(alpha_lin=-0.02, c0=1.0, concentration_per_emission=1.0)}
+    scenarios = [make_scenario(f"s{k}", n, seed=k) for k, n in enumerate(lengths)]
+    for scen, p in zip(scenarios[1:], shared):
+        p = min(p, scen.grid.n_steps, lengths[0])
+        for name, series in scen.emissions.items():
+            series[:p] = scenarios[0].emissions[name][:p]
+    model = EmulatorModel(agents, impulse, forcing, KernelConfig(family, lengthscales, variance))
+    raw = np.vstack([s.emission_matrix(model.agent_names) for s in scenarios])
+    op = block_diag(*(temperature_operator(impulse, s.grid) for s in scenarios))
+    gamma = block_diag(*(internal_variability_gram(impulse, s.grid) for s in scenarios))
+
+    def dense_prior(standardization):
+        x = standardization.apply(raw)
+        k = forcing_gram(x, x, model.kernel)
+        return k, op @ k @ op.T
+
+    mean = build_prior(scenarios, model).mean
+    _, physics = dense_prior(Standardization.from_rows(raw))
+    noise = np.linalg.cholesky(physics + sigma**2 * gamma + 1e-9 * np.eye(len(raw)))
+    draw = mean + noise @ np.random.default_rng(seed).standard_normal(len(raw))
+    for scen, part in zip(scenarios, np.split(draw, np.cumsum(lengths)[:-1])):
+        scen.global_temperature = part
+
+    train, _ = assemble_training_set(scenarios, holdout=(scenarios[-1].name,))
+    model = dataclasses.replace(model, standardization=train.standardization)
+    prior = build_prior(scenarios, model)
+    conditioned = condition(prior, train)
+    k, physics = dense_prior(train.standardization)
+    n, rows = train.n, slice(train.n, len(raw))
+    noisy = physics[:n, :n] + sigma**2 * gamma[:n, :n] + conditioned.jitter * np.eye(n)
+    residual = train.temperatures - prior.mean[:n]
+    cases = [(posterior_temperature, prior.mean, physics, physics[:n]),
+             (posterior_forcing, prior.forcing_mean, k, (op @ k)[:n])]
+    for posterior, prior_mean, covariance, cross in cases:
+        got = posterior(conditioned, rows)
+        cross = cross[:, rows].T
+        mean = prior_mean[rows] + cross @ np.linalg.solve(noisy, residual)
+        cov = covariance[rows, rows] - cross @ np.linalg.solve(noisy, cross.T)
+        assert np.max(np.abs(got.mean - mean)) <= 1e-12 * np.max(np.abs(mean))
+        assert np.max(np.abs(got.covariance - cov)) <= 1e-12 * np.max(np.abs(cov))
 
 
 def shared_history_setup(toy_impulse, toy_forcing, toy_agents, family, seed=5):
@@ -421,7 +497,7 @@ def shared_history_setup(toy_impulse, toy_forcing, toy_agents, family, seed=5):
     kernel = KernelConfig(family, [1.2, 0.7], 0.3)
     model = EmulatorModel(toy_agents, toy_impulse, toy_forcing, kernel)
     prior = build_prior(scenarios, model)
-    cov = prior.physics_gram + prior.sigma**2 * prior.variability(slice(None))
+    cov = prior.physics_gram() + prior.sigma**2 * prior.variability(slice(None))
     rng = np.random.default_rng(seed)
     y = prior.mean + np.linalg.cholesky(cov + 1e-10 * np.eye(prior.n)) @ rng.standard_normal(prior.n)
     for scen, part in zip(scenarios, np.split(y, [n_hist, n_hist + n_future])):
@@ -544,7 +620,7 @@ class TestPosteriorTemperature:
         rows = slice(40, 80)
         post = posterior_temperature(condition(prior, empty), rows)
         np.testing.assert_array_equal(post.mean, prior.mean[rows])
-        np.testing.assert_array_equal(post.covariance, prior.physics_gram[rows, rows])
+        np.testing.assert_array_equal(post.covariance, prior.physics_gram()[rows, rows])
 
     def test_noiseless_interpolation(self):
         imp = ImpulseParams([0.2], [0.5], variability_amplitude=0.0)
@@ -570,7 +646,7 @@ class TestPosteriorTemperature:
         one, prior = one_row
         pos, t = 0, 6
         post = posterior_temperature(condition(prior, one), slice(t, t + 1))
-        k = prior.physics_gram
+        k = prior.physics_gram()
         noisy = k[pos, pos] + prior.sigma**2 * prior.variability(slice(0, 1))[0, 0]
         jitter = 1e-6 * noisy  # first ladder rung, relative to the 1x1 diagonal
         noisy = noisy + jitter
@@ -584,7 +660,7 @@ class TestPosteriorTemperature:
         _, _, train, prior = setup
         rows = slice(train.n, prior.n)
         post = posterior_temperature(condition(prior, train), rows)
-        prior_var = np.diag(prior.physics_gram[rows, rows])
+        prior_var = np.diag(prior.physics_gram()[rows, rows])
         assert np.all(np.diag(post.covariance) <= prior_var + 1e-9)
 
     def test_monotone_information(self, setup):
@@ -602,7 +678,7 @@ class TestPosteriorTemperature:
         post = posterior_temperature(condition(prior, train), rows)
         prior_dist = PosteriorDistribution(
             mean=prior.mean[rows],
-            covariance=prior.physics_gram[rows, rows],
+            covariance=prior.physics_gram()[rows, rows],
             index=train.index,
         )
         assert predictive_log_density(post, train.temperatures) >= predictive_log_density(
@@ -614,6 +690,35 @@ class TestPosteriorTemperature:
         bad = dataclasses.replace(train, index=[("zz", 1900)] + train.index[1:])
         with pytest.raises(GridMismatch):
             condition(prior, bad)
+
+
+def test_query_memory_stays_near_the_training_blocks(toy_impulse, toy_forcing, toy_kernel,
+                                                     toy_agents):
+    """No prior field holds N x N values, and building a prior of N = 700
+    rows, conditioning it on its n = 550 training rows and querying the
+    held-out scenario's temperature peaks below 4 n x n float arrays
+    (traced): two for the noisy block and the factor's copy of it, about one
+    for the prior's fields.  A prior that kept L K L^T whole peaked at 4.7."""
+    history = make_scenario("h", 100, temperature=np.zeros(100))
+    scenarios = [history]
+    for k in range(1, 5):
+        future = make_scenario(f"f{k}", 150, seed=k, temperature=np.zeros(150))
+        for name, series in future.emissions.items():
+            series[:100] = history.emissions[name]
+        scenarios.append(future)
+    train, _ = assemble_training_set(scenarios, holdout=("f4",))
+    model = EmulatorModel(toy_agents, toy_impulse, toy_forcing, toy_kernel, train.standardization)
+    tracemalloc.start()
+    try:
+        prior = build_prior(scenarios, model)
+        posterior_temperature(condition(prior, train), slice(train.n, prior.n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (prior.n, train.n) == (700, 550)
+    for value in vars(prior).values():
+        assert all(np.size(v) < prior.n**2 for v in (value if isinstance(value, list) else [value]))
+    assert peak < 4 * train.n**2 * 8
 
 
 @pytest.mark.parametrize("trained", [False, True])
@@ -628,7 +733,7 @@ def test_posteriors_share_no_memory_with_the_prior(setup, trained):
         train = TrainingSet(temperatures=np.empty(0), index=[])
     conditioned = condition(prior, train)
     rows = slice(40, 80)
-    arrays = [prior.mean, prior.forcing_mean, prior.kernel_gram, prior.physics_gram,
+    arrays = [prior.mean, prior.forcing_mean, prior.kernel_gram, prior.kernel_rows,
               *prior.response_blocks, *prior.variability_blocks]
     for post in (posterior_temperature(conditioned, rows), posterior_forcing(conditioned, rows)):
         for got in (post.mean, post.covariance):
@@ -667,7 +772,7 @@ class TestPosteriorForcing:
         one, prior = one_row
         pos, t = 0, 4
         post = posterior_forcing(condition(prior, one), slice(t, t + 1))
-        k = prior.physics_gram
+        k = prior.physics_gram()
         cross = prior.apply_response(prior.forcing_gram()[:, t])[pos]
         noisy = k[pos, pos] + prior.sigma**2 * prior.variability(slice(0, 1))[0, 0]
         noisy = noisy * (1.0 + 1e-6)
@@ -1113,24 +1218,25 @@ class TestFit:
     def test_variability_at_training_rows_once_per_evaluation(
         self, toy_impulse, toy_forcing, toy_kernel, toy_agents, monkeypatch, free
     ):
-        """Gamma at the training rows is assembled only inside ``condition``:
-        once per objective evaluation, whichever rows are free."""
+        """Gamma at the training rows is assembled only inside ``condition``,
+        in its noisy block: once per objective evaluation, whichever rows are
+        free, and never as a block-diagonal Gamma of its own."""
         model, scenarios, train = self._model_and_scenarios(
             toy_impulse, toy_forcing, toy_kernel, toy_agents
         )
         calls = []
+        for name in ("variability", "noisy_block"):
+            def counted(self, *args, _original=getattr(GPPrior, name), _name=name):
+                calls.append(_name)
+                return _original(self, *args)
 
-        def counted(self, rows, _original=GPPrior.variability):
-            calls.append(1)
-            return _original(self, rows)
-
-        monkeypatch.setattr(GPPrior, "variability", counted)
+            monkeypatch.setattr(GPPrior, name, counted)
         model = dataclasses.replace(
             model, fit=FitSettings(free=free, restarts=0, max_iterations=5)
         )
         result = fit_hyperparameters(scenarios, train, model, seed=0)
         assert result.evaluations > 1
-        assert len(calls) == result.evaluations
+        assert calls == ["noisy_block"] * result.evaluations
 
 
 class TestCholeskyLadder:

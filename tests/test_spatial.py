@@ -123,7 +123,7 @@ class TestSpatialPrior:
         _, _, prior = global_setup(scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents)
         cell, _ = cell_prior(self.pattern(0.0, 0.7), prior, 1, 1)
         np.testing.assert_allclose(cell.mean, 0.7)
-        np.testing.assert_array_equal(cell.physics_gram, 0.0)
+        np.testing.assert_array_equal(cell.physics_gram(), 0.0)
 
     def test_unit_slope_is_global_prior(
         self, scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents
@@ -131,7 +131,7 @@ class TestSpatialPrior:
         _, _, prior = global_setup(scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents)
         cell, _ = cell_prior(self.pattern(1.0, 0.0), prior, 0, 2)
         np.testing.assert_array_equal(cell.mean, prior.mean)
-        np.testing.assert_array_equal(cell.physics_gram, prior.physics_gram)
+        np.testing.assert_array_equal(cell.physics_gram(), prior.physics_gram())
 
     def test_negative_slope_scales_quadratically(
         self, scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents
@@ -140,11 +140,11 @@ class TestSpatialPrior:
         cell, _ = cell_prior(self.pattern(-0.5, 0.2), prior, 2, 0)
         np.testing.assert_allclose(cell.mean, -0.5 * prior.mean + 0.2)
         np.testing.assert_allclose(
-            cell.physics_gram, 0.25 * prior.physics_gram
+            cell.physics_gram(), 0.25 * prior.physics_gram()
         )
         np.testing.assert_allclose(
-            np.diag(cell.physics_gram),
-            0.25 * np.diag(prior.physics_gram),
+            np.diag(cell.physics_gram()),
+            0.25 * np.diag(prior.physics_gram()),
             atol=0,
         )
 
@@ -188,12 +188,12 @@ class TestSpatialPosterior:
         local = np.empty((0, *GRID.shape))
         for cell in oracle_field(pattern, prior, empty, local, rows).values():
             np.testing.assert_allclose(cell.mean, 0.8 * prior.mean + 0.1)
-            np.testing.assert_allclose(cell.covariance, 0.64 * prior.physics_gram)
+            np.testing.assert_allclose(cell.covariance, 0.64 * prior.physics_gram())
         mean, variance = spatial_posterior(pattern, prior, empty, local, rows)
         for cell_mean, cell_variance in zip(mean.reshape(-1, prior.n),
                                             variance.reshape(-1, prior.n)):
             np.testing.assert_allclose(cell_mean, 0.8 * prior.mean + 0.1)
-            np.testing.assert_allclose(cell_variance, 0.64 * np.diag(prior.physics_gram))
+            np.testing.assert_allclose(cell_variance, 0.64 * np.diag(prior.physics_gram()))
 
     def test_identity_pattern_reduces_to_global(
         self, scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents
@@ -241,7 +241,7 @@ class TestSpatialPosterior:
         for j in range(2):
             cell, noise = cell_prior(pattern, prior, 0, j)
             y = local[:, 0, j] - cell.mean
-            k = cell.physics_gram
+            k = cell.physics_gram()
             block = k + (cell.sigma**2 * cell.variability(rows) + np.diag(noise))
             reference = Conditioned(cell, *factorise(block, y)).posterior(
                 rows, cell.mean, k, k
@@ -326,7 +326,7 @@ class TestSpatialPosterior:
         _, variance = spatial_posterior(pattern, prior, train, local, rows)
         for i in range(GRID.shape[0]):
             for j in range(GRID.shape[1]):
-                prior_var = np.diag(cell_prior(pattern, prior, i, j)[0].physics_gram)
+                prior_var = np.diag(cell_prior(pattern, prior, i, j)[0].physics_gram())
                 assert np.all(variance[i, j] <= prior_var + 1e-9)
 
     def test_shape_mismatch(self, scenario_factory, toy_impulse, toy_forcing, toy_kernel, toy_agents):
