@@ -37,9 +37,9 @@ from .inference import (
 from .metrics import (
     SCORE_FIELDS,
     Z95,
-    ScoreReport,
     deterministic_scores,
     probabilistic_scores,
+    score_table,
     spatial_scores,
 )
 from .model_io import load_model, save_model
@@ -244,11 +244,11 @@ def cmd_evaluate(args) -> int:
     path = args.predictions
 
     def columns(header):
-        spatial = header[:3] == ["lat", "lon", "year"]
-        for needed in ("year", *PREDICTED):
+        coords = ("lat", "lon") if "lat" in header or "lon" in header else ()
+        for needed in ("year", *coords, *PREDICTED):
             if needed not in header:
                 raise SchemaError(f"{path}: missing column '{needed}'")
-        return ["year", *(("lat", "lon") if spatial else ()), *PREDICTED]
+        return ["year", *coords, *PREDICTED]
 
     lines, table = read_table(path, columns)
     if period is not None:
@@ -286,15 +286,13 @@ def cmd_evaluate(args) -> int:
     if spatial:
         grid = SpatialGrid(*axes)
         posterior, prior = spatial_scores(posterior, grid), spatial_scores(prior, grid)
-    else:
-        posterior, prior = ScoreReport(**posterior), ScoreReport(**prior)
 
     # csv.writer writes a Python float with repr and None as an empty cell.
-    rows = [[label, *(None if v is None else float(v) for v in dataclasses.astuple(report))]
-            for label, report in (("posterior", posterior), ("prior", prior))]
+    rows = [[label, *(float(scores[name]) if name in scores else None for name in SCORE_FIELDS)]
+            for label, scores in (("posterior", posterior), ("prior", prior))]
     _write_csv(args.out, ["label", *SCORE_FIELDS], rows)
     print("evaluate: posterior scores")
-    print(posterior.to_table())
+    print(score_table(posterior))
     print(f"evaluate: wrote {args.out}")
     return EXIT_OK
 

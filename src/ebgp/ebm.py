@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import DimensionMismatch, NonPositiveConcentration
 
@@ -169,6 +168,8 @@ def mode_series(impulse: ImpulseParams, grid: TimeGrid) -> tuple[np.ndarray, np.
 
 def temperature_operator(impulse: ImpulseParams, grid: TimeGrid) -> np.ndarray:
     """Sum of the per-mode convolution operators: maps forcing to temperature."""
+    # Imported here, so reading scenarios and scoring load no scipy.linalg.
+    from scipy.linalg import toeplitz
     col = mode_series(impulse, grid)[0].sum(axis=0)
     return toeplitz(col, np.zeros_like(col))
 

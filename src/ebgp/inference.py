@@ -8,11 +8,12 @@ quasi-Newton ascent on log-parameters.
 
 Inference is one exact Gaussian conditioning on the noisy training block
 (Rasmussen & Williams, GPML, Algorithm 2.1): ``condition`` is the only caller
-of ``factorise`` (the one Cholesky routine, which owns the jitter ladder)
-and the only code that assembles the noisy training block.  The posteriors
-take the ``Conditioned`` value it returns, and each fit objective evaluation
-is one ``condition``: its ``log_likelihood`` is the value, its factor and
-alpha give the gradient.  The kernel is kept on the distinct emission rows,
+of ``factorise`` (the one Cholesky routine, which climbs the jitter ladder
+that ``jitter_rungs`` sets for it and for ``spatial``) and the only code
+that assembles the noisy training block.  The posteriors take the
+``Conditioned`` value it returns, with one update for every training set,
+the empty one included; each fit objective evaluation is one ``condition``:
+its ``log_likelihood`` is the value, its factor and alpha give the gradient.  The kernel is kept on the distinct emission rows,
 with a map from each row to them; a fit's evaluations share one ``FitGeometry``
 and the first one's jitter rung.  That first evaluation stays in the parent
 process; the L-BFGS-B starts then run in up to min(starts, usable CPUs / BLAS
@@ -82,12 +83,12 @@ class GPPrior:
         """First prior row of each scenario, then ``n``."""
         return np.cumsum([0] + [len(block) for block in self.response_blocks]).tolist()
 
-    def scenarios(self, rows: slice, whole: bool = True) -> range:
+    def scenarios(self, rows: slice) -> range:
         """The scenarios that hold the prior rows ``rows``.  Raises GridMismatch
-        on a step other than 1 and, when ``whole``, on a slice that cuts one."""
+        on a step other than 1 or a slice that cuts one."""
         edges, (start, stop, step) = self.edges, rows.indices(self.n)
         first, last = np.searchsorted(edges, start, "right") - 1, np.searchsorted(edges, stop)
-        if step != 1 or whole and (edges[first] != start or edges[last] != max(start, stop)):
+        if step != 1 or edges[first] != start or edges[last] != max(start, stop):
             raise GridMismatch(f"prior rows {start}:{stop}:{step} cut a scenario")
         return range(first, max(first, last))
 
@@ -285,6 +286,14 @@ def build_prior(scenarios: list[Scenario], model: EmulatorModel) -> GPPrior:
     return GPPrior(**fields, kernel_gram=kernels.forcing_gram(x_u, x_u, model.kernel))
 
 
+def jitter_rungs(mean_diagonal: float | np.ndarray,
+                 ladder: Sequence[float] = JITTER_LADDER) -> np.ndarray:
+    """The absolute jitter of each ``ladder`` rung, one row per rung: the
+    rung times ``mean_diagonal`` (a block's mean diagonal, or an array of
+    them), or times 1 where that is not positive."""
+    return np.multiply.outer(ladder, np.where(mean_diagonal > 0, mean_diagonal, 1.0))
+
+
 def factorise(
     block: np.ndarray,
     residual: np.ndarray,
@@ -297,19 +306,14 @@ def factorise(
     The only caller of ``cholesky``, which each rung calls in place on a new
     Fortran-ordered copy of ``block`` with the jitter added to its diagonal,
     so ``block`` is left unchanged.  ``jitter`` is a frozen absolute
-    diagonal regularizer; when None the ``ladder`` rungs, relative to the
-    mean diagonal (1 when that is not positive), are tried in turn and the
-    absolute jitter that succeeded returned.  Raises SingularGram when the
-    last rung fails.
+    diagonal regularizer; when None the ``jitter_rungs`` of the ``ladder`` at
+    the block's mean diagonal are tried in turn and the absolute jitter that
+    succeeded returned.  Raises SingularGram when the last rung fails.
     """
     n = residual.size
     if n == 0:
         return np.empty((0, 0)), residual.copy(), 0.0, 0.0
-    if jitter is None:
-        scale = float(np.mean(np.diag(block)))
-        rungs = [rel * (scale if scale > 0 else 1.0) for rel in ladder]
-    else:
-        rungs = [jitter]
+    rungs = [jitter] if jitter is not None else jitter_rungs(np.mean(np.diag(block)), ladder)
     for jitter in rungs:
         shifted = np.array(block, dtype=float, order="F")
         np.fill_diagonal(shifted, np.diag(block) + jitter)
@@ -349,14 +353,11 @@ class Conditioned:
         ``covariance`` at prior rows ``rows``, whose covariance with the
         observations is ``cross``.  The result shares no memory with the
         prior, so callers may update it in place."""
-        if self.alpha.size:
-            mean = mean + cross @ self.alpha
-            v = solve_triangular(self.factor, cross.T, lower=True)
-            covariance = covariance - v.T @ v
-            covariance = 0.5 * (covariance + covariance.T)
-        else:
-            mean, covariance = mean.copy(), covariance.copy()
-        return PosteriorDistribution(mean=mean, covariance=covariance, index=self.prior.index[rows])
+        v = solve_triangular(self.factor, cross.T, lower=True)
+        covariance = covariance - v.T @ v
+        return PosteriorDistribution(mean=mean + cross @ self.alpha,
+                                     covariance=0.5 * (covariance + covariance.T),
+                                     index=self.prior.index[rows])
 
 
 def condition(prior: GPPrior, train: TrainingSet, jitter: float | None = None) -> Conditioned:
@@ -368,17 +369,15 @@ def condition(prior: GPPrior, train: TrainingSet, jitter: float | None = None) -
 
 
 def posterior_temperature(conditioned: Conditioned, rows: slice) -> PosteriorDistribution:
-    """Exact posterior over the temperature process at the unit-step prior slice ``rows``.
+    """Exact posterior over the temperature process at the prior rows
+    ``rows``, a slice of whole scenarios (else GridMismatch).
 
     The covariance is the posterior of the smooth (epistemic) temperature
     component; the predictive distribution for noisy observations adds
     sigma^2 times ``GPPrior.variability(rows)``.
     """
     prior, n = conditioned.prior, conditioned.alpha.size
-    (start, stop, _), held = rows.indices(prior.n), prior.scenarios(rows, whole=False)
-    first, last = prior.edges[held.start], prior.edges[held.stop]
-    # L K L^T at the whole scenarios that hold ``rows``, then at ``rows``
-    k = prior.physics_gram(slice(first, last))[start - first:max(start, stop) - first]
+    k = prior.physics_gram(rows)
     return conditioned.posterior(rows, prior.mean[rows], k[:, rows], k[:, :n])
 
 

@@ -4,17 +4,16 @@ Probabilistic scores evaluate the marginal (per-point) predictive Gaussians:
 the reported log-likelihood is the mean per-point log-density, which keeps
 values comparable across series lengths.  The joint log-density of a full
 posterior is available separately via ``oracles.predictive_log_density``.
+Scores are dicts keyed by ``SCORE_FIELDS`` names, without those that do not
+apply; gridded scores reduce to one number with cos(latitude) area weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import LengthMismatch, NonPositiveVariance
+from .errors import EmptyGrid, GridMismatch, LengthMismatch, NonPositiveVariance
 from .scenario import SpatialGrid
-from .spatial import area_weighted_mean
 
 # Two-sided 95% normal quantile used for credible intervals everywhere.
 Z95 = 1.959964
@@ -22,24 +21,10 @@ Z95 = 1.959964
 SCORE_FIELDS = ("rmse", "mae", "bias", "log_likelihood", "calib95", "crps")
 
 
-@dataclass
-class ScoreReport:
-    """Flat bundle of scores; fields are None when not applicable."""
-
-    rmse: float | None = None
-    mae: float | None = None
-    bias: float | None = None
-    log_likelihood: float | None = None
-    calib95: float | None = None
-    crps: float | None = None
-
-    def to_table(self) -> str:
-        lines = []
-        for name in SCORE_FIELDS:
-            value = getattr(self, name)
-            shown = "-" if value is None else f"{value:.6f}"
-            lines.append(f"{name:>14}  {shown}")
-        return "\n".join(lines)
+def score_table(scores: dict) -> str:
+    """One line per ``SCORE_FIELDS`` name: its score to six decimals, or ``-``."""
+    return "\n".join(f"{name:>14}  " + ("-" if scores.get(name) is None else f"{scores[name]:.6f}")
+                     for name in SCORE_FIELDS)
 
 
 def deterministic_scores(prediction: np.ndarray, truth: np.ndarray) -> tuple[float, float, float]:
@@ -123,10 +108,20 @@ def probabilistic_scores(
     return mean_ll, calib, crps
 
 
-def spatial_scores(cells: dict[str, np.ndarray], grid: SpatialGrid) -> ScoreReport:
+def area_weighted_mean(field: np.ndarray, grid: SpatialGrid) -> float:
+    """Mean over the grid with cos(latitude) row weights."""
+    field = np.asarray(field, dtype=float)
+    if field.size == 0:
+        raise EmptyGrid("cannot average an empty field")
+    if field.shape != grid.shape:
+        raise GridMismatch(f"field has shape {field.shape}, grid is {grid.shape}")
+    weights = np.cos(np.radians(grid.latitudes))
+    n_lon = grid.longitudes.size
+    return float(np.sum(weights[:, None] * field) / (n_lon * np.sum(weights)))
+
+
+def spatial_scores(cells: dict[str, np.ndarray], grid: SpatialGrid) -> dict[str, float]:
     """Aggregate per-cell score arrays, keyed by score name and each shaped
-    like the grid, with cos-latitude area weights.  Scores not given stay
-    None."""
-    return ScoreReport(
-        **{name: area_weighted_mean(values, grid) for name, values in cells.items()}
-    )
+    like the grid, with cos-latitude area weights, into scores under the
+    same names."""
+    return {name: area_weighted_mean(values, grid) for name, values in cells.items()}

@@ -6,7 +6,8 @@ fitted map turns the global prior into independent per-cell priors.  Every
 cell's noisy training block is the global one scaled by the slope squared
 plus the cell's residual variance on the diagonal, so one eigendecomposition
 of the global block gives the exact posterior mean and marginal variance of
-all cells at once.  The per-cell Cholesky form is the reference in ``oracles``.
+all cells at once, with ``factorise``'s jitter rule (``jitter_rungs``) per
+cell.  The per-cell Cholesky form is the reference in ``oracles``.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateRegressor, DimensionMismatch, EmptyGrid, GridMismatch, NonFinite,
-                     SingularGram)
-from .inference import JITTER_LADDER, GPPrior
+from .errors import DegenerateRegressor, DimensionMismatch, GridMismatch, NonFinite, SingularGram
+from .inference import GPPrior, jitter_rungs
 from .scenario import SpatialGrid, TrainingSet
 
 
@@ -89,11 +89,11 @@ def spatial_posterior(
     D = b^2 lam + r + jitter, P = K[test, train] V and y the cell's
     residuals, mean = b m* + b0 + b^2 P ((V^T y) / D) and
     variance = b^2 diag K** - b^4 (P * P) (1 / D).  The jitter is the first
-    ``JITTER_LADDER`` rung, times the cell block's mean diagonal (1 when that
-    is not positive), that makes every D positive.  ``local_observations``
-    has shape (train.n, n_lat, n_lon), rows aligned to ``train.index``, which
-    must be the prior's leading rows (``GPPrior.noisy_block``).  A cell whose
-    mean or variance overflows to a non-finite value is a NonFinite error.
+    of the ``jitter_rungs`` at the cell block's mean diagonal that makes
+    every D positive.  ``local_observations`` has shape (train.n, n_lat,
+    n_lon), rows aligned to ``train.index``, which must be the prior's
+    leading rows (``GPPrior.noisy_block``).  A cell whose mean or variance
+    overflows to a non-finite value is a NonFinite error.
     """
     local_observations = np.asarray(local_observations, dtype=float)
     n_lat, n_lon = pattern.grid.shape
@@ -111,9 +111,7 @@ def spatial_posterior(
     eigvals, eigvecs = np.linalg.eigh(block)
     jitter = np.zeros_like(noise)
     if train.n:
-        diagonal = scale * np.mean(np.diag(block)) + noise
-        diagonal[diagonal <= 0] = 1.0
-        rungs = np.array(JITTER_LADDER)[:, None] * diagonal
+        rungs = jitter_rungs(scale * np.mean(np.diag(block)) + noise)
         # b^2 lam_min + r + jitter is the smallest D of a cell
         positive = scale * eigvals[0] + noise + rungs > 0
         if not np.all(positive[-1]):
@@ -138,15 +136,3 @@ def spatial_posterior(
         cell = (float(pattern.grid.latitudes[i]), float(pattern.grid.longitudes[j]))
         raise NonFinite(f"spatial posterior mean or variance of cell {cell} is not finite")
     return mean.T.reshape(n_lat, n_lon, -1), variance.T.reshape(n_lat, n_lon, -1)
-
-
-def area_weighted_mean(field: np.ndarray, grid: SpatialGrid) -> float:
-    """Mean over the grid with cos(latitude) row weights."""
-    field = np.asarray(field, dtype=float)
-    if field.size == 0:
-        raise EmptyGrid("cannot average an empty field")
-    if field.shape != grid.shape:
-        raise GridMismatch(f"field has shape {field.shape}, grid is {grid.shape}")
-    weights = np.cos(np.radians(grid.latitudes))
-    n_lon = grid.longitudes.size
-    return float(np.sum(weights[:, None] * field) / (n_lon * np.sum(weights)))

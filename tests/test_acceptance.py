@@ -27,7 +27,12 @@ from ebgp.inference import (
     posterior_temperature,
 )
 from ebgp.kernels import KernelConfig, forcing_gram, internal_variability_gram
-from ebgp.metrics import deterministic_scores, gaussian_crps, probabilistic_scores
+from ebgp.metrics import (
+    area_weighted_mean,
+    deterministic_scores,
+    gaussian_crps,
+    probabilistic_scores,
+)
 from ebgp.oracles import (
     BoxModelParams,
     box_ode,
@@ -52,12 +57,7 @@ from ebgp.scenario import (
     TrainingSet,
     assemble_training_set,
 )
-from ebgp.spatial import (
-    PatternScalingMap,
-    area_weighted_mean,
-    fit_pattern_scaling,
-    spatial_posterior,
-)
+from ebgp.spatial import PatternScalingMap, fit_pattern_scaling, spatial_posterior
 
 
 @contextmanager

@@ -13,7 +13,7 @@ from ebgp.cli import DEFAULT_SEED, main
 from ebgp.ebm import AgentForcing, ImpulseParams, TimeGrid
 from ebgp.inference import EmulatorModel, FitSettings, build_prior
 from ebgp.kernels import KernelConfig
-from ebgp.metrics import SCORE_FIELDS, Z95, ScoreReport
+from ebgp.metrics import SCORE_FIELDS, Z95
 from ebgp.model_io import load_model, save_model, serialize_model
 from ebgp.scenario import AgentSpec, Scenario, SpatialGrid, save_scenario, save_spatial
 
@@ -36,9 +36,8 @@ def read_csv(path):
 
 
 def parse_report(row):
-    """A ScoreReport from one row of an evaluate file: an empty cell is None."""
-    return ScoreReport(**{name: float(row[name]) if row[name].strip() else None
-                          for name in SCORE_FIELDS})
+    """Scores from one row of an evaluate file: an empty cell is an absent score."""
+    return {name: float(row[name]) for name in SCORE_FIELDS if row[name].strip()}
 
 
 @pytest.fixture
@@ -765,8 +764,8 @@ class TestEvaluate:
         rows = read_csv(out)
         posterior = parse_report(rows[0])
         prior = parse_report(rows[1])
-        assert posterior.rmse == pytest.approx(0.1)
-        assert prior.log_likelihood is None
+        assert posterior["rmse"] == pytest.approx(0.1)
+        assert "log_likelihood" not in prior
 
     def test_period_filter_and_mismatch(self, workspace):
         tmp, config, paths = workspace
@@ -819,6 +818,32 @@ class TestEvaluate:
         rows = read_csv(out)
         assert rows[0]["label"] == "posterior"
         assert float(rows[0]["rmse"]) > 0
+
+    def test_spatial_columns_are_found_by_name(self, workspace, capsys):
+        """A spatial prediction file is known by its lat and lon columns, in
+        any position: reordered, it scores byte for byte as written, and
+        without one of them it is a schema error that names the column."""
+        tmp, config, paths = workspace
+        pred = tmp / "spred.csv"
+        assert main(["spatial-emulate", "--model", str(config), "--scenario", *paths,
+                     "--holdout", "target", "--out", str(pred)]) == 0
+        with pred.open(newline="") as handle:
+            table = list(csv.reader(handle))
+
+        def score(order):
+            path, out = tmp / "edited.csv", tmp / "edited_scores.csv"
+            with path.open("w", newline="") as handle:
+                csv.writer(handle).writerows([[row[i] for i in order] for row in table])
+            rc = main(["evaluate", "--predictions", str(path),
+                       "--scenario", str(tmp / "target.csv"), "--out", str(out)])
+            return rc, out.read_bytes() if rc == 0 else None
+
+        written = score(range(8))
+        assert written[0] == 0
+        assert score([2, 0, 1, *range(3, 8)]) == written
+        assert score([2, 7, 3, 1, 4, 0, 5, 6]) == written
+        assert score([2, 1, *range(3, 8)])[0] == 2
+        assert "missing column 'lat'" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -1016,17 +1041,20 @@ def test_cli_import_leaves_special_functions_and_optimizer_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-def test_scenario_import_leaves_inference_unloaded():
+@pytest.mark.parametrize("module", ["ebgp.scenario", "ebgp.metrics"])
+def test_scenario_import_leaves_inference_unloaded(module):
     """The package exports nothing itself, so importing one module loads
-    only what that module imports: reading scenarios needs no inference."""
+    only what that module imports: reading scenarios and scoring need no
+    inference, no spatial posterior and no scipy.linalg."""
     import ebgp
 
     src = str(Path(ebgp.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, ebgp.scenario; print('ebgp.inference' in sys.modules)"
+    code = (f"import sys, {module}; print(sorted(m for m in "
+            "('ebgp.inference', 'ebgp.spatial', 'scipy.linalg') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 # Span targets in perfbench/spans.py whose functions were deleted or renamed

@@ -347,10 +347,11 @@ def test_triangular_assembly_and_noisy_block(lengths, timescales, responses, sig
     emission rows, so the kernel is kept on fewer rows than the prior has;
     K expanded by the row map is the kernel on the stacked rows, and L K L^T
     at whole-scenario slices is the same slice of the whole matrix, bit for
-    bit, while a slice that cuts a scenario is an error; the noisy block is a
-    fresh Fortran-ordered array each call, bit for bit the physics block plus
-    sigma^2 Gamma, and ``factorise`` leaves its block as it found it on the
-    first rung and on an escalated one."""
+    bit, while a slice that cuts a scenario is an error, to the temperature
+    posterior too; the noisy block is a fresh Fortran-ordered array each
+    call, bit for bit the physics block plus sigma^2 Gamma, and
+    ``factorise`` leaves its block as it found it on the first rung and on
+    an escalated one."""
     timescales = sorted(timescales)
     impulse = ImpulseParams(timescales, responses[:len(timescales)], sigma)
     agents = [AgentSpec("co2", "cumulative_emission", "GtC"), AgentSpec("so2", "emission", "Mt")]
@@ -384,6 +385,8 @@ def test_triangular_assembly_and_noisy_block(lengths, timescales, responses, sig
     cut = slice(prior.edges[longest] + 1, None) if lengths[longest] > 1 else slice(None, None, 2)
     with pytest.raises(GridMismatch):
         prior.physics_gram(cols=cut)
+    with pytest.raises(GridMismatch):
+        posterior_temperature(condition(prior, TrainingSet(np.empty(0), [])), cut)
 
     n = sum(lengths[:trained])
     train = TrainingSet(temperatures=np.zeros(n), index=prior.index[:n])
@@ -473,6 +476,62 @@ def test_posteriors_match_a_dense_gp(lengths, shared, timescales, responses, sig
         cov = covariance[rows, rows] - cross @ np.linalg.solve(noisy, cross.T)
         assert np.max(np.abs(got.mean - mean)) <= 1e-12 * np.max(np.abs(mean))
         assert np.max(np.abs(got.covariance - cov)) <= 1e-12 * np.max(np.abs(cov))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    lengths=st.lists(st.integers(3, 12), min_size=2, max_size=4),
+    shared=st.lists(st.integers(0, 12), min_size=3, max_size=3),
+    fastest=st.floats(0.5, 2.5),
+    ratios=st.lists(st.floats(1.5, 2.8), max_size=2),
+    responses=st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3),
+    sigma=st.floats(0.3, 1.0),
+    family=st.sampled_from(KERNEL_FAMILIES),
+    lengthscales=st.lists(st.floats(0.5, 5.0), min_size=2, max_size=2),
+    variance=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_gradient_matches_finite_differences_on_random_setups(
+        lengths, shared, fastest, ratios, responses, sigma, family, lengthscales, variance, seed):
+    """``mll_and_gradient`` against central differences of its own value,
+    rung frozen, with every row of ``PARAMETER_NAMES`` free (the box model
+    and the forcing coefficients included), on scenario sets whose futures
+    share a prefix of the first scenario's emissions and whose temperatures
+    are drawn from the prior; the ranges keep the noisy block well
+    conditioned and the timescales apart, as in the dense-GP check.  The
+    tolerance is the toy check's 1e-4 relative, with an absolute floor of
+    1e-8: central differences of an objective of up to about 100 nats at
+    step 1e-5 carry rounding errors near 1e-9, which a random set-up with a
+    gradient entry near zero exposes (4e-10 at an entry of 9e-7)."""
+    timescales = fastest * np.cumprod([1.0, *ratios])
+    impulse = ImpulseParams(timescales, responses[:len(timescales)], sigma)
+    agents = [AgentSpec("co2", "cumulative_emission", "GtC"), AgentSpec("so2", "emission", "Mt")]
+    forcing = {"co2": AgentForcing(alpha_log=5.35, c0=278.0, concentration_per_emission=0.47),
+               "so2": AgentForcing(alpha_lin=-0.02, c0=1.0, concentration_per_emission=1.0)}
+    scenarios = [make_scenario(f"s{k}", n, seed=k) for k, n in enumerate(lengths)]
+    for scen, p in zip(scenarios[1:], shared):
+        p = min(p, scen.grid.n_steps, lengths[0])
+        for name, series in scen.emissions.items():
+            series[:p] = scenarios[0].emissions[name][:p]
+    model = EmulatorModel(agents, impulse, forcing, KernelConfig(family, lengthscales, variance))
+    prior = build_prior(scenarios, model)
+    cov = prior.physics_gram() + sigma**2 * prior.variability(slice(None))
+    noise = np.linalg.cholesky(cov + 1e-9 * np.eye(prior.n))
+    draw = prior.mean + noise @ np.random.default_rng(seed).standard_normal(prior.n)
+    for scen, part in zip(scenarios, np.split(draw, np.cumsum(lengths)[:-1])):
+        scen.global_temperature = part
+
+    train, _ = assemble_training_set(scenarios)
+    model = dataclasses.replace(model, standardization=train.standardization)
+    jitter = condition(build_prior(scenarios, model), train).jitter
+    params = FreeParameters(model, PARAMETER_NAMES)
+
+    def objective(theta):
+        return frozen_objective(scenarios, train, params.apply(theta), jitter=jitter)[0]
+
+    _, grad = frozen_objective(scenarios, train, model, jitter=jitter)
+    fd = finite_difference_gradient(objective, params.theta0)
+    assert np.all(np.abs(grad - fd) <= 1e-4 * (np.abs(fd) + 1e-4))
 
 
 def shared_history_setup(toy_impulse, toy_forcing, toy_agents, family, seed=5):
@@ -645,7 +704,7 @@ class TestPosteriorTemperature:
         computed by hand from the Gram entries."""
         one, prior = one_row
         pos, t = 0, 6
-        post = posterior_temperature(condition(prior, one), slice(t, t + 1))
+        post = posterior_temperature(condition(prior, one), slice(one.n, prior.n))
         k = prior.physics_gram()
         noisy = k[pos, pos] + prior.sigma**2 * prior.variability(slice(0, 1))[0, 0]
         jitter = 1e-6 * noisy  # first ladder rung, relative to the 1x1 diagonal
@@ -653,8 +712,8 @@ class TestPosteriorTemperature:
         resid = one.temperatures[0] - prior.mean[pos]
         expected_mean = prior.mean[t] + k[t, pos] / noisy * resid
         expected_var = k[t, t] - k[t, pos] ** 2 / noisy
-        assert post.mean[0] == pytest.approx(expected_mean, rel=1e-12)
-        assert post.covariance[0, 0] == pytest.approx(expected_var, rel=1e-10)
+        assert post.mean[t - one.n] == pytest.approx(expected_mean, rel=1e-12)
+        assert post.covariance[t - one.n, t - one.n] == pytest.approx(expected_var, rel=1e-10)
 
     def test_posterior_variance_below_prior(self, setup):
         _, _, train, prior = setup

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 
 import numpy as np
@@ -11,10 +10,10 @@ from ebgp.errors import GridMismatch, LengthMismatch, NonPositiveVariance
 from ebgp.metrics import (
     SCORE_FIELDS,
     Z95,
-    ScoreReport,
     deterministic_scores,
     gaussian_crps,
     probabilistic_scores,
+    score_table,
     spatial_scores,
 )
 from ebgp.oracles import mc_crps
@@ -24,17 +23,16 @@ LOG_2PI = np.log(2.0 * np.pi)
 
 
 def parse_report(values):
-    """A ScoreReport from its CSV cells: an empty cell is None."""
-    return ScoreReport(**{name: float(text) if text.strip() else None
-                          for name, text in zip(SCORE_FIELDS, values)})
+    """Scores from their CSV cells: an empty cell is an absent score."""
+    return {name: float(text) for name, text in zip(SCORE_FIELDS, values) if text.strip()}
 
 
-def csv_cells(report):
-    """A report's cells as ``evaluate`` writes them, read back: it hands
-    ``csv.writer`` each score as a Python float, or None for an empty cell."""
+def csv_cells(scores):
+    """Scores' cells as ``evaluate`` writes them, read back: it hands
+    ``csv.writer`` each score as a Python float, or None for an absent one."""
     out = io.StringIO()
-    csv.writer(out).writerow(None if v is None else float(v)
-                             for v in dataclasses.astuple(report))
+    csv.writer(out).writerow(float(scores[name]) if name in scores else None
+                             for name in SCORE_FIELDS)
     return next(csv.reader(io.StringIO(out.getvalue())))
 
 
@@ -148,21 +146,29 @@ class TestProbabilistic:
 
 
 class TestScoreReport:
+    """Scores are a dict keyed by ``SCORE_FIELDS`` names, as ``evaluate``
+    builds them, without the scores that do not apply."""
+
     def test_csv_round_trip(self):
-        report = ScoreReport(rmse=np.float64(0.1), mae=0.08, bias=-0.01, log_likelihood=0.5,
-                             calib95=0.95, crps=0.06)
+        report = dict(rmse=np.float64(0.1), mae=0.08, bias=-0.01, log_likelihood=0.5,
+                      calib95=0.95, crps=0.06)
         back = parse_report(csv_cells(report))
         assert back == report
 
     def test_partial_report_round_trip(self):
-        report = ScoreReport(rmse=0.25, mae=0.2, bias=0.1)
-        back = parse_report(csv_cells(report))
+        report = dict(rmse=0.25, mae=0.2, bias=0.1)
+        cells = csv_cells(report)
+        assert cells[3:] == ["", "", ""]
+        back = parse_report(cells)
         assert back == report
-        assert back.log_likelihood is None
+        assert "log_likelihood" not in back
 
     def test_table_rendering(self):
-        table = ScoreReport(rmse=0.5).to_table()
-        assert "rmse" in table and "0.500000" in table and "-" in table
+        table = score_table(dict(rmse=np.float64(0.5), crps=0.25)).splitlines()
+        assert table[0] == "          rmse  0.500000"
+        assert table[1] == "           mae  -"
+        assert table[5] == "          crps  0.250000"
+        assert len(table) == len(SCORE_FIELDS)
 
 
 class TestSpatialScores:
@@ -172,12 +178,12 @@ class TestSpatialScores:
         values = dict(rmse=0.3, mae=0.2, bias=0.0, log_likelihood=1.0, calib95=0.9, crps=0.1)
         out = spatial_scores({k: np.full((2, 2), v) for k, v in values.items()}, self.grid)
         for name in SCORE_FIELDS:
-            assert getattr(out, name) == pytest.approx(values[name], abs=1e-12)
+            assert out[name] == pytest.approx(values[name], abs=1e-12)
 
     def test_two_row_cosine_weights(self):
         out = spatial_scores({"rmse": np.array([[1.0, 1.0], [0.0, 0.0]])}, self.grid)
-        assert out.rmse == pytest.approx(1.0 / 1.5, rel=1e-12)
-        assert out.mae is None
+        assert out["rmse"] == pytest.approx(1.0 / 1.5, rel=1e-12)
+        assert "mae" not in out
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
@@ -187,7 +193,7 @@ class TestSpatialScores:
             weights[i] * values[i, j] for i in range(2) for j in range(2)
         ) / (2 * weights.sum())
         out = spatial_scores({"crps": values}, self.grid)
-        assert out.crps == pytest.approx(expected, abs=1e-12)
+        assert out["crps"] == pytest.approx(expected, abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(GridMismatch):

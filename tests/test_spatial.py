@@ -10,14 +10,10 @@ from ebgp.inference import (
     factorise,
     posterior_temperature,
 )
+from ebgp.metrics import area_weighted_mean
 from ebgp.oracles import cell_posterior, cell_prior
 from ebgp.scenario import SpatialGrid, TrainingSet, assemble_training_set
-from ebgp.spatial import (
-    PatternScalingMap,
-    area_weighted_mean,
-    fit_pattern_scaling,
-    spatial_posterior,
-)
+from ebgp.spatial import PatternScalingMap, fit_pattern_scaling, spatial_posterior
 
 GRID = SpatialGrid([-45.0, 0.0, 45.0], [0.0, 120.0, 240.0])
 
