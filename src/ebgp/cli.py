@@ -251,6 +251,11 @@ def cmd_evaluate(args) -> int:
         return ["year", *coords, *PREDICTED]
 
     lines, table = read_table(path, columns)
+    negative = table["posterior_std"] < 0
+    if np.any(negative):
+        k = int(np.argmax(negative))
+        raise ParseError(f"{path}: line {lines[k]}, column 'posterior_std': "
+                         f"value {float(table['posterior_std'][k])!r} is negative")
     if period is not None:
         keep = (table["year"] >= period[0]) & (table["year"] <= period[1])
         lines = lines[keep]

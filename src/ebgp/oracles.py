@@ -3,14 +3,14 @@ production modules against.
 
 The box form of the k-box model (heat capacities C_i, transfer coefficients
 kappa_i and the deep-ocean efficacy), its ODE and its diagonalisation to
-``ebm``'s impulse-response form; fine-step RK4 integrators of the box and
-mode ODEs; Monte Carlo sampling of the forcing prior, Euler-Maruyama
-simulation of the noise responses, direct trapezoid quadrature of the
-covariance double integrals, a Monte Carlo CRPS estimator, a central
-finite-difference gradient checker, the per-mode convolution operators,
-reference forms of the kernel and propagated Grams, the exact
-start-from-rest variability covariance, the per-cell Cholesky form of the
-spatial posterior and the joint predictive log-density.
+``ebm``'s impulse-response form; one fine-step RK4 of s' = A s + b F for the
+box and the mode ODEs alike; Monte Carlo sampling of the forcing prior with
+``inference.sample_posterior``, Euler-Maruyama simulation of the noise
+responses, direct trapezoid quadrature of the covariance double integrals, a
+Monte Carlo CRPS estimator, a central finite-difference gradient checker, the
+per-mode convolution operators, reference forms of the kernel and propagated
+Grams, the exact start-from-rest variability covariance, the per-cell
+Cholesky form of the spatial posterior and the joint predictive log-density.
 
 Of the package's modules only ``cli`` imports this one, for ``verify``;
 production inference never calls it.  Everything is deterministic for a
@@ -269,67 +269,45 @@ def diagonalize(params: BoxModelParams, tol: float = 1e-9) -> ImpulseParams:
     return ImpulseParams(timescales=d, equilibrium_responses=q)
 
 
-def rk4_box_temperature(
-    box: BoxModelParams, forcing: np.ndarray, grid: TimeGrid, substeps: int = 100
-) -> np.ndarray:
-    """Surface-box temperature from fine-step RK4 of the coupled box ODE.
-
-    Forcing is held constant within each grid step, so one RK4 substep of
+def _rk4(a: np.ndarray, b: np.ndarray, forcing, grid: TimeGrid, substeps: int) -> np.ndarray:
+    """States of s' = A s + b F at the end of every step, from rest, by
+    fine-step RK4 with F constant within each step: one substep of
     s' = A s + d is the affine map s -> R s + Q d, with R and Q RK4's
-    polynomials in hA; a grid step is that map composed ``substeps`` times.
-    Returns the surface temperature at the end of every step, from rest.
-    """
-    a, b = box_ode(box)
+    polynomials in hA, composed ``substeps`` times per step.  ``forcing`` is
+    (..., n_steps) and the states (..., n_steps, k)."""
     h = grid.step / substeps
-    eye = np.eye(box.n_boxes)
+    eye = np.eye(b.size)
     poly = eye + (h * a) @ (eye / 2 + (h * a) @ (eye / 6 + h * a / 24))
     r, q = eye + (h * a) @ poly, h * poly
     step, drive = eye, np.zeros_like(eye)
     for _ in range(substeps):
         step, drive = r @ step, r @ drive + q
-    state = np.zeros(box.n_boxes)
-    out = np.empty(grid.n_steps)
+    forcing = np.asarray(forcing, dtype=float)
+    states = np.empty((*forcing.shape, b.size))
+    state = np.zeros(b.size)
     for i in range(grid.n_steps):
-        state = step @ state + drive @ (b * forcing[i])
-        out[i] = state[0]
-    return out
+        state = state @ step.T + (forcing[..., i, None] * b) @ drive.T
+        states[..., i, :] = state
+    return states
+
+
+def rk4_box_temperature(
+    box: BoxModelParams, forcing: np.ndarray, grid: TimeGrid, substeps: int = 100
+) -> np.ndarray:
+    """Surface-box temperature from fine-step RK4 of the coupled box ODE,
+    from rest, at the end of every step."""
+    return _rk4(*box_ode(box), forcing, grid, substeps)[..., 0]
 
 
 def rk4_impulse_temperature(
     impulse: ImpulseParams, forcing: np.ndarray, grid: TimeGrid, substeps: int = 20
 ) -> np.ndarray:
-    """Temperature from fine-step RK4 of the uncoupled mode ODEs.
-
-    ``forcing`` may be a single series (n_steps,) or a batch
-    (n_paths, n_steps); forcing is constant within each step.  Returns end
-    of step temperatures with matching leading shape.
-    """
-    f = np.atleast_2d(np.asarray(forcing, dtype=float))
-    n_paths = f.shape[0]
+    """Temperature from fine-step RK4 of the mode ODEs s' = (q F - s) / d,
+    from rest, at the end of every step; ``forcing`` is a single series
+    (n_steps,) or a batch (n_paths, n_steps)."""
     d = impulse.timescales
-    q = impulse.equilibrium_responses
-    h = grid.step / substeps
-    state = np.zeros((n_paths, impulse.n_boxes))
-    out = np.empty((n_paths, grid.n_steps))
-    for step in range(grid.n_steps):
-        drive = q[None, :] * f[:, step, None]
-
-        def rate(s):
-            return (drive - s) / d[None, :]
-
-        for _ in range(substeps):
-            k1 = rate(state)
-            k2 = rate(state + 0.5 * h * k1)
-            k3 = rate(state + 0.5 * h * k2)
-            k4 = rate(state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[:, step] = state.sum(axis=1)
-    return out if np.asarray(forcing).ndim > 1 else out[0]
-
-
-def _psd_root(matrix: np.ndarray) -> np.ndarray:
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
-    return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+    return _rk4(np.diag(-1.0 / d), impulse.equilibrium_responses / d, forcing, grid,
+                substeps).sum(-1)
 
 
 def mc_temperature_covariance(
@@ -350,12 +328,9 @@ def mc_temperature_covariance(
     covariance of the resulting temperatures estimates the propagated Gram.
     """
     x = np.atleast_2d(np.asarray(emissions, dtype=float))
-    k = kernels.forcing_gram(x, x, kernel)
-    root = _psd_root(k)
-    rng = np.random.default_rng(seed)
-    paths = rng.standard_normal((n_samples, grid.n_steps)) @ root.T
-    if forcing_mean is not None:
-        paths = paths + np.asarray(forcing_mean, dtype=float)
+    mean = np.zeros(grid.n_steps) if forcing_mean is None else forcing_mean
+    prior = PosteriorDistribution(mean, kernels.forcing_gram(x, x, kernel), [])
+    paths = inference.sample_posterior(prior, n_samples, seed)
     temps = rk4_impulse_temperature(impulse, paths, grid, substeps=substeps)
     return np.cov(temps, rowvar=False, ddof=1)
 
@@ -504,6 +479,16 @@ class VerificationCheck:
         return self.statistic <= self.tolerance
 
 
+def _random_box(rng: np.random.Generator, k: int | None = None) -> BoxModelParams:
+    """A random box model of ``k`` boxes (1-3 drawn from ``rng`` if None)."""
+    k = int(rng.integers(1, 4)) if k is None else k
+    return BoxModelParams(
+        heat_capacities=rng.uniform(3.0, 120.0, size=k),
+        heat_transfer=rng.uniform(0.4, 3.0, size=k),
+        deep_ocean_efficacy=float(rng.uniform(0.6, 1.6)),
+    )
+
+
 def _toy_setup():
     impulse = ImpulseParams([3.5, 80.0], [0.45, 0.30])
     grid = TimeGrid(2000, 20)
@@ -521,12 +506,7 @@ def default_verification(seed: int = 0) -> list[VerificationCheck]:
     # Steady-state gain of the diagonalized system matches the box form.
     worst = 0.0
     for _ in range(100):
-        k = int(rng.integers(1, 4))
-        box = BoxModelParams(
-            heat_capacities=rng.uniform(3.0, 120.0, size=k),
-            heat_transfer=rng.uniform(0.4, 3.0, size=k),
-            deep_ocean_efficacy=float(rng.uniform(0.6, 1.6)),
-        )
+        box = _random_box(rng)
         impulse = diagonalize(box)
         a, b = box_ode(box)
         gain = np.linalg.solve(a, -b)[0]
@@ -538,11 +518,7 @@ def default_verification(seed: int = 0) -> list[VerificationCheck]:
     grid = TimeGrid(1850, 120)
     forcing = np.full(grid.n_steps, 3.0)
     for _ in range(3):
-        box = BoxModelParams(
-            heat_capacities=rng.uniform(3.0, 120.0, size=2),
-            heat_transfer=rng.uniform(0.4, 3.0, size=2),
-            deep_ocean_efficacy=float(rng.uniform(0.6, 1.6)),
-        )
+        box = _random_box(rng, k=2)
         impulse = diagonalize(box)
         _, temp = ebm.thermal_response(forcing, impulse, grid)
         reference = rk4_box_temperature(box, forcing, grid, substeps=100)

@@ -359,9 +359,9 @@ def load_scenario(path, agents: list[AgentSpec]) -> Scenario:
         for spec in agents:
             raw = f"emission:{spec.name}"
             cum = f"cumulative_emission:{spec.name}"
-            if raw not in header and cum not in header:
+            if (raw in header) == (cum in header):
                 raise SchemaError(
-                    f"{path}: missing column '{raw}' (or '{cum}') for agent '{spec.name}'"
+                    f"{path}: agent '{spec.name}' needs exactly one of '{raw}' and '{cum}'"
                 )
             known.update({raw, cum, f"concentration:{spec.name}"})
         unknown = [h for h in header if h not in known]

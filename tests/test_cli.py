@@ -539,6 +539,14 @@ class TestInputValidation:
         assert self.evaluate_edited(workspace, poison) == 2
         assert "x.csv: line 3, column 'posterior_mean'" in capsys.readouterr().err
 
+        # A negative std is an error too, not scored as its absolute value.
+        def negate(rows):
+            rows[6][rows[0].index("posterior_std")] = "-0.25"
+
+        assert self.evaluate_edited(workspace, negate) == 2
+        assert ("x.csv: line 7, column 'posterior_std': value -0.25 is negative"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("column", ["year", "prior_mean", "posterior_std"])
     def test_unparseable_prediction_value(self, workspace, capsys, column):
         def garble(rows):

@@ -1,7 +1,5 @@
-import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
 
 from ebgp.ebm import (
     AgentForcing,
@@ -12,117 +10,15 @@ from ebgp.ebm import (
     temperature_operator,
     thermal_response,
 )
-from ebgp.errors import NonDiagonalizable, NonPositiveConcentration
+from ebgp.errors import NonPositiveConcentration
 from ebgp.oracles import (
-    BoxModelParams,
-    box_ode,
+    _random_box,
     convolution_operator,
-    diagonalization,
     diagonalize,
     response_times,
     rk4_box_temperature,
     rk4_impulse_temperature,
 )
-
-def _random_box(rng, k=None):
-    k = k if k is not None else int(rng.integers(1, 4))
-    return BoxModelParams(
-        heat_capacities=rng.uniform(3.0, 120.0, size=k),
-        heat_transfer=rng.uniform(0.4, 3.0, size=k),
-        deep_ocean_efficacy=float(rng.uniform(0.6, 1.6)),
-    )
-
-
-class TestFeedbackMatrix:
-    def test_single_box(self):
-        a = box_ode(BoxModelParams([5.0], [1.0]))[0]
-        assert a.shape == (1, 1)
-        assert a[0, 0] == pytest.approx(-0.2, abs=0)
-
-    def test_two_box_upper_entry(self):
-        a = box_ode(BoxModelParams([5.0, 20.0], [1.0, 0.5], 1.0))[0]
-        assert a[0, 1] == pytest.approx(0.1, abs=0)
-
-    def test_three_box_matches_transcription(self):
-        """Entry-by-entry transcription of the printed tridiagonal pattern,
-        written independently of the production row loop."""
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            c = rng.uniform(2.0, 150.0, size=3)
-            kap = rng.uniform(0.3, 3.0, size=3)
-            eps = float(rng.uniform(0.5, 2.0))
-            expected = np.array(
-                [
-                    [-(kap[0] + kap[1]) / c[0], kap[1] / c[0], 0.0],
-                    [kap[1] / c[1], -(kap[1] + eps * kap[2]) / c[1], eps * kap[2] / c[1]],
-                    [0.0, kap[2] / c[2], -kap[2] / c[2]],
-                ]
-            )
-            got = box_ode(BoxModelParams(c, kap, eps))[0]
-            np.testing.assert_allclose(got, expected, rtol=0, atol=0)
-
-    def test_two_box_efficacy_modifies_first_row(self):
-        a = box_ode(BoxModelParams([5.0, 20.0], [1.0, 0.5], 1.3))[0]
-        assert a[0, 1] == pytest.approx(1.3 * 0.5 / 5.0)
-        assert a[0, 0] == pytest.approx(-(1.0 + 1.3 * 0.5) / 5.0)
-        # the last row never carries the efficacy
-        assert a[1, 0] == pytest.approx(0.5 / 20.0)
-
-
-class TestDiagonalize:
-    def test_single_box(self):
-        imp = diagonalize(BoxModelParams([5.0], [1.0]))
-        assert imp.timescales[0] == pytest.approx(5.0, rel=1e-12)
-        assert imp.equilibrium_responses[0] == pytest.approx(1.0, rel=1e-12)
-
-    def test_two_box_against_eigendecomposition_oracle(self):
-        # Frozen output of a scipy.linalg.eig run on the transcribed matrix.
-        imp = diagonalize(BoxModelParams([8.0, 100.0], [1.7, 0.6], 1.0))
-        np.testing.assert_allclose(
-            imp.timescales, [3.4591351284216985, 226.7369433029509], rtol=1e-8
-        )
-        np.testing.assert_allclose(
-            imp.equilibrium_responses,
-            [0.4299774845584793, 0.15825780955916796],
-            rtol=1e-8,
-        )
-
-    def test_timescales_sorted(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            imp = diagonalize(_random_box(rng))
-            assert np.all(np.diff(imp.timescales) > 0)
-
-    def test_gain_identity(self):
-        """Sum of equilibrium responses equals the steady-state gain of the
-        box system, obtained from the independent linear solve."""
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            box = _random_box(rng)
-            imp = diagonalize(box)
-            a, b = box_ode(box)
-            gain = np.linalg.solve(a, -b)[0]
-            assert imp.equilibrium_responses.sum() == pytest.approx(gain, rel=1e-10)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            a = box_ode(_random_box(rng))[0]
-            evals, evecs = diagonalization(a)
-            rebuilt = evecs @ np.diag(evals) @ np.linalg.inv(evecs)
-            assert np.linalg.norm(rebuilt - a) <= 1e-10 * np.linalg.norm(a)
-
-    def test_repeated_eigenvalues_rejected(self):
-        with pytest.raises(NonDiagonalizable):
-            diagonalization(np.array([[-1.0, 1.0], [0.0, -1.0]]))
-
-    def test_complex_eigenvalues_rejected(self):
-        with pytest.raises(NonDiagonalizable):
-            diagonalization(np.array([[0.0, -1.0], [1.0, 0.0]]))
-
-    def test_surface_decoupled_mode_rejected(self):
-        with pytest.raises(NonDiagonalizable):
-            diagonalization(np.array([[-1.0, 0.0], [0.0, -2.0]]))
 
 
 class TestForcingResponse:
@@ -276,12 +172,6 @@ class TestConvolutionOperator:
 
 
 class TestValidation:
-    def test_invalid_box_params(self):
-        with pytest.raises(ValueError):
-            BoxModelParams([1.0, -1.0], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            BoxModelParams([1.0], [1.0], deep_ocean_efficacy=0.0)
-
     def test_impulse_ordering_required(self):
         with pytest.raises(ValueError):
             ImpulseParams([5.0, 3.0], [0.4, 0.3])
@@ -295,17 +185,3 @@ class TestValidation:
             TimeGrid(1850, 0)
         with pytest.raises(ValueError):
             TimeGrid(1850, 5, step=0.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    capacities=st.lists(st.floats(2.0, 150.0), min_size=2, max_size=2),
-    transfers=st.lists(st.floats(0.3, 3.0), min_size=2, max_size=2),
-    efficacy=st.floats(0.5, 2.0),
-)
-def test_gain_identity_property(capacities, transfers, efficacy):
-    box = BoxModelParams(capacities, transfers, efficacy)
-    imp = diagonalize(box)
-    a, b = box_ode(box)
-    gain = np.linalg.solve(a, -b)[0]
-    assert imp.equilibrium_responses.sum() == pytest.approx(gain, rel=1e-9)

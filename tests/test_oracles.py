@@ -1,14 +1,19 @@
 import ast
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ebgp.ebm import ImpulseParams, TimeGrid, thermal_response
+from ebgp.errors import NonDiagonalizable
 from ebgp.kernels import KernelConfig, forcing_gram, internal_variability_gram
 from ebgp.oracles import (
     BoxModelParams,
     VerificationCheck,
+    box_ode,
+    diagonalization,
     diagonalize,
     exact_variability_gram,
     finite_difference_gradient,
@@ -22,13 +27,127 @@ from ebgp.oracles import (
     sde_variability_covariance,
     temperature_gram,
 )
-from ebgp.oracles import _cumtrapz2d
+from ebgp.oracles import _cumtrapz2d, _random_box
 
 IMPULSE = ImpulseParams([3.5, 80.0], [0.45, 0.30])
 GRID = TimeGrid(2000, 20)
 T = np.arange(20, dtype=float)
 EMISSIONS = np.column_stack([T / 10.0, np.sin(T / 9.0)])
 KERNEL = KernelConfig("matern32", [3.0, 4.0], 0.5, standardize_inputs=False)
+
+
+class TestFeedbackMatrix:
+    def test_single_box(self):
+        a = box_ode(BoxModelParams([5.0], [1.0]))[0]
+        assert a.shape == (1, 1)
+        assert a[0, 0] == pytest.approx(-0.2, abs=0)
+
+    def test_two_box_upper_entry(self):
+        a = box_ode(BoxModelParams([5.0, 20.0], [1.0, 0.5], 1.0))[0]
+        assert a[0, 1] == pytest.approx(0.1, abs=0)
+
+    def test_three_box_matches_transcription(self):
+        """Entry-by-entry transcription of the printed tridiagonal pattern,
+        written independently of the production row loop."""
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            c = rng.uniform(2.0, 150.0, size=3)
+            kap = rng.uniform(0.3, 3.0, size=3)
+            eps = float(rng.uniform(0.5, 2.0))
+            expected = np.array(
+                [
+                    [-(kap[0] + kap[1]) / c[0], kap[1] / c[0], 0.0],
+                    [kap[1] / c[1], -(kap[1] + eps * kap[2]) / c[1], eps * kap[2] / c[1]],
+                    [0.0, kap[2] / c[2], -kap[2] / c[2]],
+                ]
+            )
+            got = box_ode(BoxModelParams(c, kap, eps))[0]
+            np.testing.assert_allclose(got, expected, rtol=0, atol=0)
+
+    def test_two_box_efficacy_modifies_first_row(self):
+        a = box_ode(BoxModelParams([5.0, 20.0], [1.0, 0.5], 1.3))[0]
+        assert a[0, 1] == pytest.approx(1.3 * 0.5 / 5.0)
+        assert a[0, 0] == pytest.approx(-(1.0 + 1.3 * 0.5) / 5.0)
+        # the last row never carries the efficacy
+        assert a[1, 0] == pytest.approx(0.5 / 20.0)
+
+
+class TestDiagonalize:
+    def test_single_box(self):
+        imp = diagonalize(BoxModelParams([5.0], [1.0]))
+        assert imp.timescales[0] == pytest.approx(5.0, rel=1e-12)
+        assert imp.equilibrium_responses[0] == pytest.approx(1.0, rel=1e-12)
+
+    def test_two_box_against_eigendecomposition_oracle(self):
+        # Frozen output of a scipy.linalg.eig run on the transcribed matrix.
+        imp = diagonalize(BoxModelParams([8.0, 100.0], [1.7, 0.6], 1.0))
+        np.testing.assert_allclose(
+            imp.timescales, [3.4591351284216985, 226.7369433029509], rtol=1e-8
+        )
+        np.testing.assert_allclose(
+            imp.equilibrium_responses,
+            [0.4299774845584793, 0.15825780955916796],
+            rtol=1e-8,
+        )
+
+    def test_timescales_sorted(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            imp = diagonalize(_random_box(rng))
+            assert np.all(np.diff(imp.timescales) > 0)
+
+    def test_gain_identity(self):
+        """Sum of equilibrium responses equals the steady-state gain of the
+        box system, obtained from the independent linear solve."""
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            box = _random_box(rng)
+            imp = diagonalize(box)
+            a, b = box_ode(box)
+            gain = np.linalg.solve(a, -b)[0]
+            assert imp.equilibrium_responses.sum() == pytest.approx(gain, rel=1e-10)
+
+    def test_reconstruction(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            a = box_ode(_random_box(rng))[0]
+            evals, evecs = diagonalization(a)
+            rebuilt = evecs @ np.diag(evals) @ np.linalg.inv(evecs)
+            assert np.linalg.norm(rebuilt - a) <= 1e-10 * np.linalg.norm(a)
+
+    def test_repeated_eigenvalues_rejected(self):
+        with pytest.raises(NonDiagonalizable):
+            diagonalization(np.array([[-1.0, 1.0], [0.0, -1.0]]))
+
+    def test_complex_eigenvalues_rejected(self):
+        with pytest.raises(NonDiagonalizable):
+            diagonalization(np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+    def test_surface_decoupled_mode_rejected(self):
+        with pytest.raises(NonDiagonalizable):
+            diagonalization(np.array([[-1.0, 0.0], [0.0, -2.0]]))
+
+
+class TestValidation:
+    def test_invalid_box_params(self):
+        with pytest.raises(ValueError):
+            BoxModelParams([1.0, -1.0], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            BoxModelParams([1.0], [1.0], deep_ocean_efficacy=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    capacities=st.lists(st.floats(2.0, 150.0), min_size=2, max_size=2),
+    transfers=st.lists(st.floats(0.3, 3.0), min_size=2, max_size=2),
+    efficacy=st.floats(0.5, 2.0),
+)
+def test_gain_identity_property(capacities, transfers, efficacy):
+    box = BoxModelParams(capacities, transfers, efficacy)
+    imp = diagonalize(box)
+    a, b = box_ode(box)
+    gain = np.linalg.solve(a, -b)[0]
+    assert imp.equilibrium_responses.sum() == pytest.approx(gain, rel=1e-9)
 
 
 class TestRungeKutta:
@@ -46,6 +165,22 @@ class TestRungeKutta:
         _, temp = thermal_response(forcing, IMPULSE, GRID)
         oracle = rk4_impulse_temperature(IMPULSE, forcing, GRID, substeps=40)
         assert np.max(np.abs(temp - oracle)) <= 1e-6 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("integrator", ["box", "impulse"])
+    def test_fourth_order_convergence(self, integrator):
+        """``thermal_response`` is exact for forcing held constant over each
+        step, so each halving of the substep must cut the error about 2**4."""
+        box = BoxModelParams([8.0, 100.0], [1.7, 0.6], 1.0)
+        forcing = np.random.default_rng(0).normal(size=GRID.n_steps)
+        impulse = diagonalize(box)
+        exact = thermal_response(forcing, impulse, GRID)[1]
+        params, integrate = {
+            "box": (box, rk4_box_temperature), "impulse": (impulse, rk4_impulse_temperature)
+        }[integrator]
+        errors = [np.max(np.abs(integrate(params, forcing, GRID, substeps=s) - exact))
+                  for s in (2, 4, 8)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 14.0 <= coarse / fine <= 20.0
 
     def test_batch_shape(self):
         paths = np.zeros((7, GRID.n_steps))

@@ -87,6 +87,14 @@ class TestLoad:
         with pytest.raises(SchemaError, match="so2"):
             load_scenario(path, AGENTS)
 
+    def test_flux_and_cumulative_columns_of_one_agent_rejected(self, tmp_path):
+        path = write(
+            tmp_path / "s.csv",
+            "year,cumulative_emission:co2,emission:co2,emission:so2\n2000,5,1,1\n",
+        )
+        with pytest.raises(SchemaError, match="'emission:co2' and 'cumulative_emission:co2'"):
+            load_scenario(path, AGENTS)
+
     def test_unknown_column_rejected(self, tmp_path):
         path = write(
             tmp_path / "s.csv",
