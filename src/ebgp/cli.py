@@ -11,7 +11,6 @@ Exit codes: 0 ok, 2 data error, 3 optimization/numerical failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 
@@ -52,6 +51,8 @@ from .scenario import (
     read_spatial,
     read_table,
     read_truth,
+    spatial_rows,
+    write_csv as _write_csv,  # the name perfbench/spans.py wraps
 )
 from .spatial import fit_pattern_scaling, spatial_posterior
 
@@ -73,13 +74,6 @@ def _standardized(model, train, refit=False):
     if model.kernel.standardize_inputs and (refit or model.standardization is None):
         model = dataclasses.replace(model, standardization=train.standardization)
     return model
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def cmd_fit(args) -> int:
@@ -150,24 +144,23 @@ def _forcing(conditioned, rows):
     return conditioned.prior.forcing_mean[rows], posterior_forcing(conditioned, rows)
 
 
-def _interval_rows(years, prior_mean, mean, std, prefix=()):
-    """Output rows: year, prior mean, posterior mean and std, 95% bounds."""
+def _intervals(prior_mean, mean, std):
+    """Output columns after the year: prior mean, posterior mean and std, 95% bounds."""
     half = Z95 * std
-    columns = (prior_mean, mean, std, mean - half, mean + half)
-    return [[*prefix, *row] for row in zip(years, *(c.tolist() for c in columns))]
+    return prior_mean, mean, std, mean - half, mean + half
 
 
 def _write_intervals(args, prior_mean, posterior):
     years = [year for _, year in posterior.index]
-    rows = _interval_rows(years, prior_mean, posterior.mean, posterior.std())
-    _write_csv(args.out, INTERVAL_HEADER, rows)
-    print(f"{args.command}: wrote {args.out} ({len(rows)} rows)")
+    columns = _intervals(prior_mean, posterior.mean, posterior.std())
+    _write_csv(args.out, INTERVAL_HEADER, zip(years, *(c.tolist() for c in columns)))
+    print(f"{args.command}: wrote {args.out} ({len(years)} rows)")
 
 
 def _write_samples(args, _, predictive):
     draws = sample_posterior(predictive, args.count, args.seed)
     header = ["year"] + [f"sample_{i:04d}" for i in range(args.count)]
-    # Built as the writer consumes them, so only one row's floats are held at a time.
+    # Built as the writer consumes them, so only one batch of rows is held at a time.
     rows = ([year, *values.tolist()] for (_, year), values in zip(predictive.index, draws.T))
     _write_csv(args.out, header, rows)
     print(f"sample: wrote {args.out} ({args.count} draws)")
@@ -207,16 +200,7 @@ def cmd_spatial_emulate(args) -> int:
         + pattern.residual_variance[..., None]
     )
     years = [year for _, year in prior.index[rows]]
-    # Built cell by cell as the writer consumes them, so only one cell's
-    # rows are held in memory.
-    out_rows = (
-        row
-        for i, lat in enumerate(sgrid.latitudes.tolist())
-        for j, lon in enumerate(sgrid.longitudes.tolist())
-        for row in _interval_rows(
-            years, prior_mean[i, j], mean[i, j], std[i, j], prefix=(lat, lon)
-        )
-    )
+    out_rows = spatial_rows(sgrid, years, *_intervals(prior_mean, mean, std))
     _write_csv(args.out, ["lat", "lon", *INTERVAL_HEADER], out_rows)
     print(f"spatial-emulate: wrote {args.out} ({mean.size} rows)")
     return EXIT_OK
@@ -292,8 +276,8 @@ def cmd_evaluate(args) -> int:
         grid = SpatialGrid(*axes)
         posterior, prior = spatial_scores(posterior, grid), spatial_scores(prior, grid)
 
-    # csv.writer writes a Python float with repr and None as an empty cell.
-    rows = [[label, *(float(scores[name]) if name in scores else None for name in SCORE_FIELDS)]
+    # A score a label lacks (the prior has no probabilistic ones) is an empty cell.
+    rows = [[label, *(float(scores[name]) if name in scores else "" for name in SCORE_FIELDS)]
             for label, scores in (("posterior", posterior), ("prior", prior))]
     _write_csv(args.out, ["label", *SCORE_FIELDS], rows)
     print("evaluate: posterior scores")
@@ -304,14 +288,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_verify(args) -> int:
     checks = oracles.default_verification(seed=args.seed)
-    _write_csv(
-        args.out,
-        ["check", "statistic", "tolerance", "pass"],
-        [
-            [c.name, float(c.statistic), float(c.tolerance), "true" if c.passed else "false"]
-            for c in checks
-        ],
-    )
+    rows = [[c.name, float(c.statistic), float(c.tolerance), "true" if c.passed else "false"]
+            for c in checks]
+    _write_csv(args.out, ["check", "statistic", "tolerance", "pass"], rows)
     failures = [c for c in checks if not c.passed]
     for check in checks:
         status = "ok" if check.passed else "FAIL"

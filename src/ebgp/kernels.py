@@ -21,6 +21,7 @@ from .errors import DimensionMismatch
 KERNEL_FAMILIES = ("matern12", "matern32")
 
 SQRT3 = np.sqrt(3.0)
+BIG = np.finfo(float).max
 
 
 @dataclass
@@ -46,8 +47,10 @@ class KernelConfig:
         return self.lengthscales.size
 
 
-def _sq_diffs(xa: np.ndarray, xb: np.ndarray, config: KernelConfig) -> list[np.ndarray]:
-    """Squared scaled differences, one (n, m) array per input dimension."""
+def _sq_diffs(xa: np.ndarray, xb: np.ndarray, config: KernelConfig) -> tuple[list, np.ndarray]:
+    """Squared scaled differences, one (n, m) array per input dimension, and the scaled
+    distance r.  Where r overflows, both stand at the top of the float range instead, where
+    every kernel and derivative reaches its limit 0; finite values keep their bits."""
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
     if xa.shape[1] != xb.shape[1]:
@@ -58,13 +61,18 @@ def _sq_diffs(xa: np.ndarray, xb: np.ndarray, config: KernelConfig) -> list[np.n
         raise DimensionMismatch(
             f"{xa.shape[1]} input dimensions for {config.n_dims} lengthscales"
         )
-    return [((a[:, None] - b[None, :]) / ell) ** 2
-            for a, b, ell in zip(xa.T, xb.T, config.lengthscales)]
+    with np.errstate(over="ignore"):
+        sq = [((a[:, None] - b[None, :]) / ell) ** 2
+              for a, b, ell in zip(xa.T, xb.T, config.lengthscales)]
+        r = np.sqrt(sum(sq))
+    if np.isinf(r.max(initial=0.0)):
+        sq, r = [np.minimum(s, BIG) for s in sq], np.minimum(r, np.sqrt(BIG))
+    return sq, r
 
 
 def forcing_gram(xa: np.ndarray, xb: np.ndarray, config: KernelConfig) -> np.ndarray:
     """Kernel matrix between two sets of emission input rows."""
-    r = np.sqrt(sum(_sq_diffs(xa, xb, config)))
+    r = _sq_diffs(xa, xb, config)[1]
     if config.family == "matern12":
         return config.variance * np.exp(-r)
     u = SQRT3 * r
@@ -80,8 +88,7 @@ def forcing_gram_gradients(
     marginal-likelihood optimizer; the derivative with respect to the log
     variance is K itself.
     """
-    sq = _sq_diffs(x, x, config)
-    r = np.sqrt(sum(sq))
+    sq, r = _sq_diffs(x, x, config)
     v = config.variance
     if config.family == "matern12":
         k = v * np.exp(-r)

@@ -211,6 +211,10 @@ def parse_model(text: str, where: str = "<model>") -> EmulatorModel:
         else:
             fields[section.field][agent] = value
 
+    # sigma, the only log-scale row whose section allows 0, cannot be fit from 0.
+    if (parser.has_option("fit", "free") and "sigma" in fields["fit"].free
+            and fields["impulse"].variability_amplitude <= 0):
+        raise SchemaError(f"{where}: [fit] free: sigma needs [response] variability_amplitude > 0")
     # Unknown names come last, so a missing section or bad value is named first.
     for header in parser.sections():
         if header not in declared:

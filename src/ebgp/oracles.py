@@ -318,7 +318,6 @@ def mc_temperature_covariance(
     n_samples: int,
     seed: int,
     substeps: int = 20,
-    forcing_mean: np.ndarray | None = None,
 ) -> np.ndarray:
     """Empirical temperature covariance from sampled forcing paths.
 
@@ -328,8 +327,7 @@ def mc_temperature_covariance(
     covariance of the resulting temperatures estimates the propagated Gram.
     """
     x = np.atleast_2d(np.asarray(emissions, dtype=float))
-    mean = np.zeros(grid.n_steps) if forcing_mean is None else forcing_mean
-    prior = PosteriorDistribution(mean, kernels.forcing_gram(x, x, kernel), [])
+    prior = PosteriorDistribution(np.zeros(grid.n_steps), kernels.forcing_gram(x, x, kernel), [])
     paths = inference.sample_posterior(prior, n_samples, seed)
     temps = rk4_impulse_temperature(impulse, paths, grid, substeps=substeps)
     return np.cov(temps, rowvar=False, ddof=1)

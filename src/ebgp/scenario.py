@@ -15,8 +15,8 @@ agents so that a save/load round trip is exact.  Spatial temperature cubes
 live in a companion long-format CSV ``<stem>_spatial.csv`` with columns
 lat, lon, year, tas, which ``save_spatial`` writes; ``load_scenario`` reads
 the main file only, and ``read_spatial`` reads a companion for the commands
-that use one.  The writers hand Python floats to ``csv.writer``, which writes
-each with ``repr``, so every value round-trips exactly.
+that use one.  Every CSV the package writes goes through ``write_csv``,
+which writes each float with ``repr``, so every value round-trips exactly.
 
 ``read_table`` parses a clean file's data rows in one C-level ``np.loadtxt``
 pass; a file that pass declines is read again in one loop over its rows, and
@@ -31,6 +31,7 @@ import csv
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice, product, repeat
 from math import isfinite
 from pathlib import Path
 
@@ -435,6 +436,36 @@ def read_truth(path, spatial: bool) -> tuple[list[np.ndarray], np.ndarray, np.nd
     return [sgrid.latitudes, sgrid.longitudes], data["year"], np.moveaxis(cube, 0, -1)
 
 
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as ``csv.writer``'s excel dialect does for str, int and
+    float fields (``str(float) == repr(float)``): ``",".join(map(str, row))`` plus CRLF per
+    row.  A str field it would quote (holding , " CR or LF, or empty and alone) is a ValueError."""
+    rows = chain([header], rows)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        while batch := list(islice(rows, 512)):
+            try:  # rows of strings join as they are
+                lines = [",".join(row) for row in batch]
+            except TypeError:
+                lines = [",".join(map(str, row)) for row in batch]
+            text = "\r\n".join(lines) + "\r\n"
+            # Each row adds len(row) - 1 commas and one CRLF: any more are a field's.
+            seps = text.count(",") + text.count("\r") + text.count("\n")
+            if seps != sum(map(len, batch)) + len(batch) or '"' in text or "" in lines:
+                raise ValueError(f"{path}: a row holds a field CSV would quote")
+            handle.write(text)
+
+
+def spatial_rows(sgrid: SpatialGrid, years, *cubes):
+    """Rows of strings, made cell by cell in (lat, lon) order as they are consumed: lat, lon,
+    year and each (lat, lon, year) cube's value, each column formatted once (floats by repr)."""
+    years = [str(year) for year in years]
+    cells = product(map(repr, sgrid.latitudes.tolist()), map(repr, sgrid.longitudes.tolist()))
+    series = zip(*(np.reshape(cube, (-1, len(years))) for cube in cubes))
+    return chain.from_iterable(
+        zip(repeat(lat), repeat(lon), years, *(map(repr, s.tolist()) for s in cell))
+        for (lat, lon), cell in zip(cells, series))
+
+
 def save_scenario(scenario: Scenario, path, agents: list[AgentSpec]) -> None:
     """Write a scenario to CSV; exact inverse of load_scenario."""
     # Each agent's input mode names its emission column (EMISSION_MODES).
@@ -444,12 +475,8 @@ def save_scenario(scenario: Scenario, path, agents: list[AgentSpec]) -> None:
     if scenario.global_temperature is not None:
         columns["tas_global"] = scenario.global_temperature
 
-    years = scenario.grid.years().astype(int).tolist()
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["year", *columns])
-        values = (np.asarray(c, dtype=float).tolist() for c in columns.values())
-        writer.writerows(zip(years, *values))
+    values = (np.asarray(c, dtype=float).tolist() for c in columns.values())
+    write_csv(path, ["year", *columns], zip(scenario.grid.years().astype(int).tolist(), *values))
 
 
 def save_spatial(path, grid: TimeGrid, sgrid: SpatialGrid, cube: np.ndarray) -> None:
@@ -459,14 +486,8 @@ def save_spatial(path, grid: TimeGrid, sgrid: SpatialGrid, cube: np.ndarray) -> 
     expected = (grid.n_steps, *sgrid.shape)
     if cube.shape != expected:
         raise GridMismatch(f"spatial cube has shape {cube.shape}, expected {expected}")
-    years = grid.years().astype(int).tolist()
-    with open(spatial_companion_path(path), "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["lat", "lon", "year", "tas"])
-        for i, lat in enumerate(sgrid.latitudes.tolist()):
-            for j, lon in enumerate(sgrid.longitudes.tolist()):
-                tas = cube[:, i, j].astype(float).tolist()
-                writer.writerows((lat, lon, year, t) for year, t in zip(years, tas))
+    rows = spatial_rows(sgrid, grid.years().astype(int).tolist(), np.moveaxis(cube, 0, -1))
+    write_csv(spatial_companion_path(path), ["lat", "lon", "year", "tas"], rows)
 
 
 def assemble_training_set(

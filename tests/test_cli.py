@@ -1,4 +1,5 @@
 import csv
+import io
 import multiprocessing
 import os
 import subprocess
@@ -239,6 +240,22 @@ class TestFit:
                    "--holdout", "target", "--out", str(tmp / "m.txt")])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    def test_free_sigma_at_zero_names_the_config(self, workspace, capsys):
+        """sigma is fit on the log scale, so a config that frees it at 0 is a
+        data error naming the file, [fit] free and the key that holds it."""
+        tmp, config, paths = workspace
+        model = load_model(config)
+        model.impulse = ImpulseParams([3.5, 80.0], [0.45, 0.30], variability_amplitude=0.0)
+        model.fit = FitSettings(free=("variance", "sigma"), restarts=0, max_iterations=5)
+        zero = tmp / "config_zero.txt"
+        save_model(model, zero)
+        rc = main(["fit", "--config", str(zero), "--scenario", *paths,
+                   "--holdout", "target", "--out", str(tmp / "m.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: {zero}: [fit] free: sigma needs "
+                                           "[response] variability_amplitude > 0\n")
+        assert not (tmp / "m.txt").exists()
 
 
 class TestEmulate:
@@ -921,10 +938,26 @@ def test_one_factorisation_per_command(tmp_path, monkeypatch, capsys):
         assert len(calls) == count, command
 
 
+def csv_writer_bytes(path):
+    """The file at ``path`` as ``csv.writer`` writes its parsed cells: years as
+    ints, other numbers as Python floats, labels and empty cells as strings."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    text = ("label", "check", "pass")
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows([cell if column in text or cell == "" else
+                      int(cell) if column == "year" else float(cell)
+                      for column, cell in zip(header, row)] for row in rows)
+    return buffer.getvalue().encode("utf-8")
+
+
 def test_outputs_are_written_with_repr(tmp_path):
     """On the bundled data every number each command writes is the ``repr`` of
     its float and every year the ``str`` of its int, so reading a file back
-    gives the values the command computed."""
+    gives the values the command computed; and each file holds the bytes
+    ``csv.writer`` writes for its parsed cells."""
     data = Path(__file__).resolve().parents[1] / "data" / "synthetic"
     scenarios = [str(data / f"{name}.csv") for name in ("historical", "ssp_low", "ssp_mid")]
     query = ["--model", str(data / "model_config.txt"), "--scenario", *scenarios,
@@ -951,6 +984,30 @@ def test_outputs_are_written_with_repr(tmp_path):
                     assert field == str(int(field)), (name, column, field)
                 elif column not in ("label", "check", "pass") and field != "":
                     assert field == repr(float(field)), (name, column, field)
+        assert out.read_bytes() == csv_writer_bytes(out), name
+
+
+def test_overflowing_kernel_distance_is_the_kernel_limit(tmp_path, capsys):
+    """A lengthscale so small that scaled distances overflow gives the kernel's
+    limit 0 there: each query command on the bundled data exits 0 with finite
+    values and no warning."""
+    data = Path(__file__).resolve().parents[1] / "data" / "synthetic"
+    text = (data / "model_config.txt").read_text()
+    assert "lengthscales = 1.0, 1.0, 1.0\n" in text
+    config = tmp_path / "model.txt"
+    config.write_text(text.replace("lengthscales = 1.0, 1.0, 1.0\n",
+                                   "lengthscales = 1e-200, 1.0, 1.0\n"))
+    scenarios = [str(data / f"{name}.csv") for name in ("historical", "ssp_low", "ssp_mid")]
+    for command in ("emulate", "forcing", "sample", "spatial-emulate"):
+        out = tmp_path / f"{command}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--model", str(config), "--scenario", *scenarios,
+                         "--holdout", "ssp_mid", "--out", str(out)]) == 0, command
+        assert capsys.readouterr().err == ""
+        rows = read_csv(out)
+        values = [float(v) for row in rows for k, v in row.items() if k not in ("year", "lat", "lon")]
+        assert rows and np.all(np.isfinite(values)), command
 
 
 def test_spatial_overflow_exits_3(tmp_path, capsys):

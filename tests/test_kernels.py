@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -5,14 +7,16 @@ from hypothesis import given, settings
 
 from ebgp.ebm import ImpulseParams, TimeGrid, temperature_operator
 from ebgp.errors import DimensionMismatch
-from ebgp.inference import factorise
+from ebgp.inference import _prior_fields, factorise
 from ebgp.kernels import (
+    SQRT3,
     KernelConfig,
     forcing_gram,
     forcing_gram_gradients,
     internal_variability_gram,
     variability_weights,
 )
+from ebgp.model_io import load_model
 from ebgp.oracles import (
     convolution_operator,
     exact_variability_gram,
@@ -24,6 +28,17 @@ from ebgp.oracles import (
     temperature_gram,
     thermal_cross_gram,
 )
+from ebgp.scenario import load_scenario
+
+DATA = Path(__file__).resolve().parents[1] / "data" / "synthetic"
+
+
+def bundled_kernel_inputs():
+    """The distinct standardized emission rows of the bundled scenarios."""
+    model = load_model(DATA / "model_config.txt")
+    scenarios = [load_scenario(DATA / f"{name}.csv", model.agents)
+                 for name in ("historical", "ssp_low", "ssp_mid", "ssp_high")]
+    return model.kernel, _prior_fields(scenarios, model)[1]
 
 
 class TestMatern:
@@ -114,6 +129,50 @@ class TestForcingGram:
                 - forcing_gram(x, x, KernelConfig(family, cfg.lengthscales, 0.8 * np.exp(-h)))
             ) / (2 * h)
             np.testing.assert_allclose(grad_v, fd_v, atol=1e-8)
+
+
+class TestKernelOverflow:
+    """A scaled distance past the float range gives each kernel and
+    derivative its limit 0; every other entry keeps the plain formula's bits."""
+
+    @staticmethod
+    def plain(x, config):
+        """Both Matérn families and their log-lengthscale derivatives, written
+        out with no overflow handling."""
+        sq = [((a[:, None] - a[None, :]) / ell) ** 2 for a, ell in zip(x.T, config.lengthscales)]
+        r, v = np.sqrt(sum(sq)), config.variance
+        if config.family == "matern12":
+            k = v * np.exp(-r)
+            safe_r = np.where(r > 0, r, 1.0)
+            return k, [np.where(r > 0, k * s / safe_r, 0.0) for s in sq]
+        e = np.exp(-SQRT3 * r)
+        return v * (1.0 + SQRT3 * r) * e, [3.0 * v * e * s for s in sq]
+
+    @pytest.mark.parametrize("family", ["matern12", "matern32"])
+    @pytest.mark.parametrize("scale", [1.0, 0.05, 7.0])
+    def test_bundled_inputs_keep_their_bits(self, family, scale):
+        kernel, x = bundled_kernel_inputs()
+        config = KernelConfig(family, kernel.lengthscales * scale, kernel.variance)
+        k, grads = self.plain(x, config)
+        assert np.array_equal(forcing_gram(x, x, config), k)
+        k_again, grads_again = forcing_gram_gradients(x, config)
+        assert np.array_equal(k_again, k)
+        assert all(np.array_equal(a, b) for a, b in zip(grads_again, grads))
+
+    @pytest.mark.parametrize("family", ["matern12", "matern32"])
+    def test_overflowing_distance_gives_zero(self, family):
+        """With one lengthscale at 1e-200 every pair of rows that differs in
+        that input is at infinite distance: no warning, no NaN, exactly 0."""
+        kernel, x = bundled_kernel_inputs()
+        config = KernelConfig(family, [1e-200, 1.0, 1.0], kernel.variance)
+        apart = x[:, 0][:, None] != x[:, 0][None, :]
+        k = forcing_gram(x, x, config)
+        k_again, grads = forcing_gram_gradients(x, config)
+        assert apart.any() and np.all(k[apart] == 0.0)
+        assert np.array_equal(k_again, k)
+        assert np.all(np.diag(k) == kernel.variance)
+        for grad in grads:
+            assert np.all(np.isfinite(grad)) and np.all(grad[apart] == 0.0)
 
 
 class TestThermalGrams:

@@ -159,6 +159,18 @@ class TestFitSection:
             load_model(path)
 
 
+    def test_sigma_at_zero_loads_unless_named_free(self):
+        """A zero variability amplitude is a valid model; only a [fit] free
+        list that names sigma, fit on the log scale, rejects it."""
+        zero = ImpulseParams([4.1, 239.0], [0.41, 0.33], variability_amplitude=0.0)
+        text = serialize_model(example_model(impulse=zero))
+        with pytest.raises(SchemaError, match=r"<model>: \[fit\] free: sigma needs "
+                                              r"\[response\] variability_amplitude > 0"):
+            parse_model(text)
+        for old, new in (("free = lengthscales, sigma", "free = lengthscales"),
+                         ("free = lengthscales, sigma\n", "")):
+            assert parse_model(text.replace(old, new)).impulse.variability_amplitude == 0.0
+
 class TestRejectedWhereRead:
     """Anything the layout does not declare, a repeated name and a number
     that is not finite are rejected naming the file, section and key."""

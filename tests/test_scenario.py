@@ -1,4 +1,5 @@
 import csv
+import io
 import re
 import warnings
 from pathlib import Path
@@ -25,6 +26,7 @@ from ebgp.scenario import (
     read_table,
     save_scenario,
     save_spatial,
+    write_csv,
 )
 
 AGENTS = [AgentSpec("co2", "cumulative_emission", "GtC"), AgentSpec("so2", "emission", "Mt")]
@@ -211,6 +213,64 @@ class TestRoundTrip:
         with pytest.raises(GridMismatch, match=r"shape \(2, 2, 2\), expected \(3, 2, 2\)"):
             save_spatial(tmp_path / "sp.csv", grid, sgrid, np.zeros((2, 2, 2)))
         assert not (tmp_path / "sp_spatial.csv").exists()
+
+
+def csv_writer_bytes(header, rows):
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_:.-]*", fullmatch=True)
+FIELDS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e22, float("inf"), float("-inf")]),
+    st.integers(),
+    NAMES,
+    st.just(""),
+)
+# A string csv.writer quotes: one holding a separator or a quote.
+QUOTED = st.tuples(st.text(max_size=3), st.sampled_from(',"\r\n'), st.text(max_size=3)).map("".join)
+
+
+class TestWriteCsv:
+    @settings(max_examples=100, deadline=None)
+    @given(header=st.lists(NAMES, min_size=2, max_size=6),
+           rows=st.lists(st.lists(FIELDS, min_size=2, max_size=8), max_size=12),
+           strings=st.booleans())
+    def test_same_bytes_as_csv_writer(self, tmp_path_factory, header, rows, strings):
+        """Python floats (``repr``), ints, identifiers and empty strings are
+        written byte for byte as ``csv.writer`` writes them, whether a row
+        holds numbers or only strings."""
+        if strings:
+            rows = [[f if isinstance(f, str) else repr(f) for f in row] for row in rows]
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        write_csv(path, header, rows)
+        assert path.read_bytes() == csv_writer_bytes(header, rows)
+
+    def test_rows_past_one_batch(self, tmp_path):
+        rows = [[i, float(i) / 7, f"r{i}"] for i in range(1500)]
+        write_csv(tmp_path / "out.csv", ["n", "x", "name"], rows)
+        assert (tmp_path / "out.csv").read_bytes() == csv_writer_bytes(["n", "x", "name"], rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(field=QUOTED, before=st.integers(0, 2), rows_before=st.integers(0, 600))
+    def test_field_csv_would_quote_is_rejected(self, tmp_path_factory, field, before,
+                                               rows_before):
+        row = [1.5] * before + [field, "x"]
+        assert '"' in csv_writer_bytes(["a"], [row]).decode("utf-8")
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        with pytest.raises(ValueError, match="a row holds a field CSV would quote"):
+            write_csv(path, ["a", "b"], [["1", 2.0]] * rows_before + [row])
+
+    @pytest.mark.parametrize("row", [[""], [], ["a,b"], ['"'], ["a\rb", 1.0], [1.0, "\n"]])
+    def test_lines_csv_writer_would_write_otherwise_are_rejected(self, tmp_path, row):
+        """A lone empty field, which csv.writer writes as "", and an empty row
+        are rejected with the separators and quotes."""
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "out.csv", ["a", "b"], [row])
 
 
 class TestAssemble:
