@@ -442,7 +442,7 @@ def write_csv(path, header, rows) -> None:
     row.  A str field it would quote (holding , " CR or LF, or empty and alone) is a ValueError."""
     rows = chain([header], rows)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        while batch := list(islice(rows, 512)):
+        while batch := list(islice(rows, 128)):
             try:  # rows of strings join as they are
                 lines = [",".join(row) for row in batch]
             except TypeError:
