@@ -200,8 +200,8 @@ def cmd_spatial_emulate(args) -> int:
         + pattern.residual_variance[..., None]
     )
     years = [year for _, year in prior.index[rows]]
-    out_rows = spatial_rows(sgrid, years, *_intervals(prior_mean, mean, std))
-    _write_csv(args.out, ["lat", "lon", *INTERVAL_HEADER], out_rows)
+    cells = map(_intervals, *(np.reshape(c, (-1, len(years))) for c in (prior_mean, mean, std)))
+    _write_csv(args.out, ["lat", "lon", *INTERVAL_HEADER], spatial_rows(sgrid, years, cells))
     print(f"spatial-emulate: wrote {args.out} ({mean.size} rows)")
     return EXIT_OK
 

@@ -455,15 +455,14 @@ def write_csv(path, header, rows) -> None:
             handle.write(text)
 
 
-def spatial_rows(sgrid: SpatialGrid, years, *cubes):
-    """Rows of strings, made cell by cell in (lat, lon) order as they are consumed: lat, lon,
-    year and each (lat, lon, year) cube's value, each column formatted once (floats by repr)."""
+def spatial_rows(sgrid: SpatialGrid, years, cells):
+    """Rows of strings, made cell by cell as consumed and each column formatted once: lat, lon,
+    year, then ``cells``' values (per cell, in (lat, lon) order, its series over ``years``)."""
     years = [str(year) for year in years]
-    cells = product(map(repr, sgrid.latitudes.tolist()), map(repr, sgrid.longitudes.tolist()))
-    series = zip(*(np.reshape(cube, (-1, len(years))) for cube in cubes))
+    coords = product(map(repr, sgrid.latitudes.tolist()), map(repr, sgrid.longitudes.tolist()))
     return chain.from_iterable(
-        zip(repeat(lat), repeat(lon), years, *(map(repr, s.tolist()) for s in cell))
-        for (lat, lon), cell in zip(cells, series))
+        zip(repeat(lat), repeat(lon), years, *(map(repr, s.tolist()) for s in series))
+        for (lat, lon), series in zip(coords, cells))
 
 
 def save_scenario(scenario: Scenario, path, agents: list[AgentSpec]) -> None:
@@ -486,7 +485,8 @@ def save_spatial(path, grid: TimeGrid, sgrid: SpatialGrid, cube: np.ndarray) -> 
     expected = (grid.n_steps, *sgrid.shape)
     if cube.shape != expected:
         raise GridMismatch(f"spatial cube has shape {cube.shape}, expected {expected}")
-    rows = spatial_rows(sgrid, grid.years().astype(int).tolist(), np.moveaxis(cube, 0, -1))
+    cells = ([tas] for tas in np.moveaxis(cube, 0, -1).reshape(-1, grid.n_steps))
+    rows = spatial_rows(sgrid, grid.years().astype(int).tolist(), cells)
     write_csv(spatial_companion_path(path), ["lat", "lon", "year", "tas"], rows)
 
 
