@@ -47,6 +47,7 @@ from .scenario import (
     _locate,
     assemble_training_set,
     cube_order,
+    line_of,
     load_scenario,
     read_spatial,
     read_table,
@@ -234,17 +235,17 @@ def cmd_evaluate(args) -> int:
                 raise SchemaError(f"{path}: missing column '{needed}'")
         return ["year", *coords, *PREDICTED]
 
-    lines, table = read_table(path, columns)
+    table = read_table(path, columns)
     negative = table["posterior_std"] < 0
     if np.any(negative):
         k = int(np.argmax(negative))
-        raise ParseError(f"{path}: line {lines[k]}, column 'posterior_std': "
+        raise ParseError(f"{path}: line {line_of(path, k)}, column 'posterior_std': "
                          f"value {float(table['posterior_std'][k])!r} is negative")
+    rows = np.arange(table["year"].size)  # data-row numbers, for cube_order's errors
     if period is not None:
-        keep = (table["year"] >= period[0]) & (table["year"] <= period[1])
-        lines = lines[keep]
-        table = {name: column[keep] for name, column in table.items()}
-    if lines.size == 0:
+        rows = rows[(table["year"] >= period[0]) & (table["year"] <= period[1])]
+        table = {name: column[rows] for name, column in table.items()}
+    if rows.size == 0:
         raise SchemaError("no prediction rows fall inside the requested period")
     spatial = "lat" in table
     year = table["year"]
@@ -263,7 +264,7 @@ def cmd_evaluate(args) -> int:
 
     # (lat, lon, year) cubes, or single series for a global file; scores
     # reduce over the year axis.
-    axes, order = cube_order(path, lines, coords, year, np.unique(year))
+    axes, order = cube_order(path, coords, year, np.unique(year), rows)
     shape = (*(axis.size for axis in axes), -1)
     prior_mean, mean, std, truth = (
         table[name][order].reshape(shape) for name in (*PREDICTED, "truth")

@@ -19,10 +19,10 @@ that use one.  Every CSV the package writes goes through ``write_csv``,
 which writes each float with ``repr``, so every value round-trips exactly.
 
 ``read_table`` parses a clean file's data rows in one C-level ``np.loadtxt``
-pass; a file that pass declines is read again in one loop over its rows, and
-only that loop skips blank rows or reports a bad file: the first faulty row in
-file order, naming its line (and column).  Both passes take ``year`` as an
-integer a float holds exactly (magnitude below 2**53).
+pass, and reads a file that pass declines in one loop over its rows, which
+reports a bad file's first faulty row in file order by line (and column).
+Both skip blank rows and take ``year`` as an integer a float holds exactly
+(magnitude below 2**53).  ``line_of`` finds a data row's line for later errors.
 """
 
 from __future__ import annotations
@@ -175,17 +175,18 @@ class TrainingSet:
         return self.temperatures.size
 
 
-def _line_count(path) -> int | None:
-    """Number of lines in the file at ``path``; None when one ends in a bare
-    carriage return."""
-    lines, chunk = 0, b""
-    with open(path, "rb") as handle:
-        while block := handle.read(1 << 20):
-            chunk = block + handle.read(1) if block.endswith(b"\r") else block
-            if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
-                return None
-            lines += chunk.count(b"\n")
-    return lines + (not chunk.endswith(b"\n"))
+def _data_rows(reader):
+    """The rows ``reader`` yields that are not blank (every field whitespace)."""
+    return (row for row in reader if "".join(row).strip())
+
+
+def line_of(path, row: int) -> int:
+    """The file line on which data row ``row`` (from 0, as ``read_table`` counts
+    them) of the CSV file at ``path`` ends; its header, never blank, is row -1."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        next(islice(_data_rows(reader), row + 1, None))
+        return reader.line_num
 
 
 def _year(text: str) -> int:
@@ -196,12 +197,12 @@ def _year(text: str) -> int:
     return year
 
 
-def _parse_data_rows(path, header, names) -> tuple[np.ndarray, dict[str, np.ndarray]] | None:
+def _parse_data_rows(path, header, names) -> dict[str, np.ndarray] | None:
     """``read_table``'s result from one ``np.loadtxt`` pass over all header
     columns, or None where the row pass must decide: the parse raised or warned
-    (numpy 1.23-1.26 warn on a ``year`` such as 2019.0, then truncate it), skipped
-    a blank line, or met a bare carriage return, a non-finite requested value or
-    a ``year`` of magnitude 2**53 or more."""
+    (numpy 1.23-1.26 warn on a ``year`` such as 2019.0, then truncate it), or met
+    a non-finite requested value or a ``year`` of magnitude 2**53 or more.  Like
+    the row pass, it skips empty lines and reads any line ending."""
     fields = [(f"f{i}", np.int64 if h == "year" else np.float64) for i, h in enumerate(header)]
     try:
         with warnings.catch_warnings():
@@ -211,26 +212,24 @@ def _parse_data_rows(path, header, names) -> tuple[np.ndarray, dict[str, np.ndar
     except Exception:  # a warning too, or numpy's decompressor for a path ending in .gz or .xz
         return None
     table = {name: data[f"f{header.index(name)}"].astype(float) for name in names}
-    if (data.size + 1 != _line_count(path) or not all(np.isfinite(c).all() for c in table.values())
-            or np.any(np.abs(table.get("year", 0.0)) >= 2**53)):
-        return None
-    return np.arange(2, 2 + data.size), table
+    huge_year = np.any(np.abs(table.get("year", 0.0)) >= 2**53)
+    return None if huge_year or not all(np.isfinite(c).all() for c in table.values()) else table
 
 
-def read_table(path, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Line numbers and named float columns of a CSV file's data rows.
+def read_table(path, columns) -> dict[str, np.ndarray]:
+    """Named float columns of a CSV file's data rows.
 
     ``columns`` maps the stripped header (a repeated name is a SchemaError)
     to the names of the columns to parse, raising SchemaError when the
-    header is not acceptable.  Blank rows are skipped.  Values parse as
-    Python's ``float`` does (``year`` as ``_year``) and must be finite.  The
-    first faulty row in file order is a ParseError naming its line (where its
-    record ends): its field count if that differs from the header's, else its
-    first bad value in ``columns`` order, with the column.
+    header is not acceptable.  Blank rows are skipped (``_data_rows``).  Values
+    parse as Python's ``float`` does (``year`` as ``_year``) and must be finite.
+    The first faulty row in file order is a ParseError naming its line (where
+    its record ends): its field count if that differs from the header's, else
+    its first bad value in ``columns`` order, with the column.
 
     ``_parse_data_rows`` parses a clean file in C, to the same values.  The row
-    loop below decides every file it declines: blank rows, forms only Python
-    accepts (``1_000``, a quoted ``"1.5"``) and every bad file, row by row.
+    loop below decides every file it declines: whitespace-only rows, forms only
+    Python accepts (``1_000``, a quoted ``"1.5"``) and every bad file, row by row.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -248,10 +247,8 @@ def read_table(path, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         kinds = {"year": (_year, "an integer below 2**53 in magnitude")}
         parsers = [(name, header.index(name), *kinds.get(name, (float, "a number")))
                    for name in names]
-        lines, table = [], {name: [] for name in names}
-        for row in reader:
-            if not "".join(row).strip():
-                continue
+        table = {name: [] for name in names}
+        for row in _data_rows(reader):
             where = f"{path}: line {reader.line_num}"
             if len(row) != len(header):
                 raise ParseError(f"{where}: expected {len(header)} fields, found {len(row)}")
@@ -265,8 +262,7 @@ def read_table(path, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
                 if not isfinite(value):
                     raise ParseError(f"{where}, column '{name}': value '{text}' is not finite")
                 table[name].append(value)
-            lines.append(reader.line_num)
-    return np.array(lines, dtype=int), {name: np.array(v, dtype=float) for name, v in table.items()}
+    return {name: np.array(v, dtype=float) for name, v in table.items()}
 
 
 def _locate(values: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,14 +271,15 @@ def _locate(values: np.ndarray, axis: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return index, axis[index] == values
 
 
-def cube_order(path, lines, coords, year, years) -> tuple[list[np.ndarray], np.ndarray]:
+def cube_order(path, coords, year, years, rows=None) -> tuple[list[np.ndarray], np.ndarray]:
     """Axes of the dense cube the data rows fill, and the permutation that
     puts the rows in the cube's C order.
 
     The axes are the sorted unique values of each coordinate column in
     ``coords`` (none for a single series), then ``years`` (sorted).  A year
     not in ``years`` and a repeated row are SchemaErrors naming the first
-    offending line; a cell no row fills is one naming the first such cell.
+    offending row's line (``rows``: their data-row numbers, by default their
+    positions); a cell no row fills is one naming the first such cell.
     """
     axes, index = [], []
     for column in coords:
@@ -298,13 +295,12 @@ def cube_order(path, lines, coords, year, years) -> tuple[list[np.ndarray], np.n
     bad = ~on_grid | repeated
     if np.any(bad):
         k = int(np.argmax(bad))
+        where = f"{path}: line {line_of(path, k if rows is None else int(rows[k]))}"
         if not on_grid[k]:
-            raise SchemaError(
-                f"{path}: line {lines[k]}: year {int(year[k])} is not on the scenario's grid "
-                f"{int(years[0])}-{int(years[-1])}"
-            )
+            raise SchemaError(f"{where}: year {int(year[k])} is not on the scenario's grid "
+                              f"{int(years[0])}-{int(years[-1])}")
         key = (*(float(column[k]) for column in coords), int(year[k]))
-        raise SchemaError(f"{path}: line {lines[k]}: duplicate row for {key}")
+        raise SchemaError(f"{where}: duplicate row for {key}")
     if flat.size < np.prod(shape):
         filled = np.zeros(shape, dtype=bool)
         filled.flat[flat] = True
@@ -314,9 +310,9 @@ def cube_order(path, lines, coords, year, years) -> tuple[list[np.ndarray], np.n
     return axes, order
 
 
-def _grid_from_years(years: list[int], lines, path) -> TimeGrid:
-    """The uniform grid of a file's years; a year that breaks it is a
-    GridError naming the year's line (``lines`` from ``read_table``).  The
+def _grid_from_years(years: list[int], path) -> TimeGrid:
+    """The uniform grid of a file's years, one per data row; a year that
+    breaks it is a GridError naming the year's line.  The
     grid's step is the positive step most rows agree on, the earlier one on
     a tie; with no positive step the first step breaks the grid."""
     if not years:
@@ -328,7 +324,7 @@ def _grid_from_years(years: list[int], lines, path) -> TimeGrid:
         bad = int(np.argmax(broken))
         raise GridError(
             f"{path}: years are not uniformly spaced "
-            f"(gap between {years[bad]} and {years[bad + 1]} at line {lines[bad + 1]})"
+            f"(gap between {years[bad]} and {years[bad + 1]} at line {line_of(path, bad + 1)})"
         )
     step = float(steps[0]) if steps.size else 1.0
     return TimeGrid(start_year=years[0], n_steps=len(years), step=step)
@@ -370,8 +366,8 @@ def load_scenario(path, agents: list[AgentSpec]) -> Scenario:
             raise SchemaError(f"{path}: unknown columns {unknown}")
         return ["year", *(h for h in header if h != "year")]
 
-    lines, data = read_table(path, columns)
-    grid = _grid_from_years(data["year"].astype(int).tolist(), lines, path)
+    data = read_table(path, columns)
+    grid = _grid_from_years(data["year"].astype(int).tolist(), path)
 
     emissions: dict[str, np.ndarray] = {}
     for spec in agents:
@@ -409,10 +405,10 @@ def read_spatial(path, grid: TimeGrid) -> tuple[SpatialGrid, np.ndarray]:
             raise SchemaError(f"{companion}: expected columns lat, lon, year, tas")
         return header
 
-    lines, data = read_table(companion, columns)
+    data = read_table(companion, columns)
     years = grid.years().astype(int)
     coords = (data["lat"], data["lon"])
-    (lats, lons), order = cube_order(companion, lines, coords, data["year"], years)
+    (lats, lons), order = cube_order(companion, coords, data["year"], years)
     cube = data["tas"][order].reshape(lats.size, lons.size, years.size)
     return SpatialGrid(lats, lons), np.ascontiguousarray(np.moveaxis(cube, -1, 0))
 
@@ -428,8 +424,8 @@ def read_truth(path, spatial: bool) -> tuple[list[np.ndarray], np.ndarray, np.nd
             raise SchemaError(f"{path}: truth scenario needs columns {', '.join(needed)}")
         return needed
 
-    lines, data = read_table(path, columns)
-    grid = _grid_from_years(data["year"].astype(int).tolist(), lines, path)
+    data = read_table(path, columns)
+    grid = _grid_from_years(data["year"].astype(int).tolist(), path)
     if not spatial:
         return [], data["year"], data["tas_global"]
     sgrid, cube = read_spatial(path, grid)

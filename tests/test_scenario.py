@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebgp import scenario
-from ebgp.cli import main
+from ebgp.cli import INTERVAL_HEADER, main
 from ebgp.ebm import TimeGrid
 from ebgp.errors import GridError, GridMismatch, ParseError, SchemaError, UnknownScenario
 from ebgp.model_io import load_model
@@ -387,12 +387,12 @@ ROWS = st.one_of(st.tuples(YEARS, VALUES, VALUES).map(",".join),
 
 
 def outcome(path):
-    """``read_table``'s line numbers and column bytes, or its error."""
+    """``read_table``'s column bytes, or its error."""
     try:
-        lines, table = read_table(path, lambda header: ["year", "a"])
+        table = read_table(path, lambda header: ["year", "a"])
     except (ParseError, SchemaError) as exc:
         return type(exc), str(exc)
-    return lines.tolist(), {name: (c.dtype.str, c.tobytes()) for name, c in table.items()}
+    return {name: (c.dtype.str, c.tobytes()) for name, c in table.items()}
 
 
 class TestReadTable:
@@ -498,3 +498,95 @@ class TestReadTable:
         read_spatial(saved, load_scenario(saved, agents).grid)
         assert {"historical_spatial.csv", "ssp_mid.csv", "spatial.csv", "emulate.csv",
                 "forcing.csv", "saved.csv", "saved_spatial.csv"} <= set(opened)
+
+    @pytest.mark.parametrize("text", [
+        HEADER + "2019,1,1\n\n2020,2,2\n",
+        HEADER + "2019,1,1\n2020,2,2\n\n\n",
+        "year,a,b\r2019,1,1\r2020,2,2\r",
+        HEADER + "2019,1,1\r\n\r2020,2,2\n",
+    ], ids=["empty row", "trailing empty rows", "CR endings", "mixed endings"])
+    def test_empty_rows_and_any_line_ending_take_the_fast_parse(self, tmp_path, monkeypatch,
+                                                                text):
+        """``np.loadtxt`` skips empty lines and reads universal newlines, so
+        these files need no row pass."""
+        path = write(tmp_path / "t.csv", text)
+
+        def header_only(handle, _reader=csv.reader):
+            rows = _reader(handle)
+            yield next(rows)
+            raise AssertionError("data rows went through the row pass")
+
+        monkeypatch.setattr(scenario.csv, "reader", header_only)
+        table = read_table(path, lambda header: ["year", "a"])
+        assert table["year"].tolist() == [2019, 2020] and table["a"].tolist() == [1.0, 2.0]
+
+
+def lay_out(header, rows, form):
+    """CSV text of ``header`` and data ``rows`` (lists of fields) in a form
+    that puts data row k on another line than k + 2: a blank line before each
+    row, CR endings with one blank line after the header, or a first row whose
+    second field is quoted over two lines."""
+    lines = [",".join(row) for row in rows]
+    if form == "blank rows":  # row k on line 2k + 3
+        return "\n\n".join([header, *lines]) + "\n"
+    if form == "CR endings":  # row k on line k + 3
+        return "\r".join([header, "", *lines]) + "\r"
+    first, second, *rest = rows[0]  # row k ends on line k + 3
+    return "\n".join([header, ",".join([first, f'"\n{second}"', *rest]), *lines[1:]]) + "\n"
+
+
+FORMS = ["blank rows", "CR endings", "quoted field"]
+
+
+class TestErrorsNameTheLine:
+    """An error about a parsed data row names the line that row ends on,
+    whichever pass read the file."""
+
+    @pytest.mark.parametrize("form, line", zip(FORMS, [9, 6, 6]))
+    def test_broken_year_grid(self, tmp_path, form, line):
+        rows = [[str(year), "1", "1"] for year in (2000, 2001, 2002, 2004)]
+        path = write(tmp_path / "s.csv", lay_out("year,emission:co2,emission:so2", rows, form))
+        with pytest.raises(GridError, match=f"2002 and 2004 at line {line}\\)"):
+            load_scenario(path, AGENTS)
+
+    @pytest.mark.parametrize("form, line", zip(FORMS, [9, 6, 6]))
+    def test_off_grid_companion_year(self, tmp_path, form, line):
+        path = write(tmp_path / "s.csv", "year,tas_global\n2000,0\n2001,0\n2002,0\n")
+        rows = [["0", "0", str(year), "0.5"] for year in (2000, 2001, 2002, 2005)]
+        write(tmp_path / "s_spatial.csv", lay_out("lat,lon,year,tas", rows, form))
+        with pytest.raises(SchemaError, match=f"line {line}: year 2005 is not on"):
+            scenario.read_truth(path, spatial=True)
+
+    @pytest.mark.parametrize("form, line", zip(FORMS, [7, 5, 5]))
+    def test_duplicate_companion_row(self, tmp_path, form, line):
+        path = write(tmp_path / "s.csv", "year,tas_global\n2000,0\n2001,0\n2002,0\n")
+        rows = [["0", "0", str(year), "0.5"] for year in (2000, 2001, 2001, 2002)]
+        write(tmp_path / "s_spatial.csv", lay_out("lat,lon,year,tas", rows, form))
+        with pytest.raises(SchemaError, match=re.escape(f"line {line}: duplicate row for "
+                                                        "(0.0, 0.0, 2001)")):
+            scenario.read_truth(path, spatial=True)
+
+    def evaluate(self, tmp_path, capsys, years, stds, form, period=None):
+        """``evaluate``'s exit code and error on a global prediction file."""
+        truth = write(tmp_path / "truth.csv", "year,tas_global\n" + "".join(
+            f"{year},0.5\n" for year in range(1990, 2002)))
+        rows = [[str(year), "0", "0", std, "0", "0"] for year, std in zip(years, stds)]
+        predictions = write(tmp_path / "p.csv", lay_out(",".join(INTERVAL_HEADER), rows, form))
+        rc = main(["evaluate", "--predictions", str(predictions), "--scenario", str(truth),
+                   "--out", str(tmp_path / "scores.csv"),
+                   *(["--period", period] if period else [])])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("form, line", zip(FORMS, [11, 7, 7]))
+    def test_duplicate_prediction_row_after_rows_outside_the_period(self, tmp_path, capsys,
+                                                                     form, line):
+        years = [1990, 1991, 2000, 2001, 2001]
+        rc, err = self.evaluate(tmp_path, capsys, years, ["0.1"] * 5, form, "2000:2001")
+        assert rc == 2 and f"p.csv: line {line}: duplicate row for (2001,)" in err
+
+    @pytest.mark.parametrize("form, line", zip(FORMS, [7, 5, 5]))
+    def test_negative_posterior_std(self, tmp_path, capsys, form, line):
+        rc, err = self.evaluate(tmp_path, capsys, [1990, 1991, 1992], ["0.1", "0.1", "-0.5"],
+                                form)
+        assert rc == 2 and (f"p.csv: line {line}, column 'posterior_std': value -0.5 is "
+                            "negative") in err
