@@ -79,6 +79,9 @@ def _standardized(model, train, refit=False):
 
 def cmd_fit(args) -> int:
     model = load_model(args.config)
+    if "sigma" in model.fit.free and model.impulse.variability_amplitude <= 0:  # a default list
+        raise SchemaError(f"{args.config}: [fit] free: sigma needs [response] variability_amplitude "
+                          f"> 0 (with no free key, the default list {', '.join(model.fit.free)})")
     scenarios = [load_scenario(path, model.agents) for path in args.scenario]
     holdout = tuple(args.holdout)
     train, _ = assemble_training_set(scenarios, holdout=holdout, agents=model.agent_names)

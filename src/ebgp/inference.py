@@ -286,11 +286,16 @@ def build_prior(scenarios: list[Scenario], model: EmulatorModel) -> GPPrior:
     return GPPrior(**fields, kernel_gram=kernels.forcing_gram(x_u, x_u, model.kernel))
 
 
-def jitter_rungs(mean_diagonal: float | np.ndarray,
+def jitter_rungs(block: np.ndarray, scale=1.0, noise=0.0,
                  ladder: Sequence[float] = JITTER_LADDER) -> np.ndarray:
-    """The absolute jitter of each ``ladder`` rung, one row per rung: the
-    rung times ``mean_diagonal`` (a block's mean diagonal, or an array of
-    them), or times 1 where that is not positive."""
+    """The absolute jitter of each ``ladder`` rung, one row per rung: the rung
+    times m = ``scale`` * (the training ``block``'s mean diagonal) + ``noise``
+    (arrays: one column per cell), or times 1 where m is not positive.  A
+    block or m that is not finite (it overflowed) is NonFinite."""
+    with np.errstate(over="ignore"):
+        mean_diagonal = scale * np.mean(np.diag(block)) + noise
+    if not (np.all(np.isfinite(mean_diagonal)) and np.isfinite(block).all()):
+        raise NonFinite(f"the training block (n={len(block)}) or its jitter is not finite")
     return np.multiply.outer(ladder, np.where(mean_diagonal > 0, mean_diagonal, 1.0))
 
 
@@ -313,7 +318,7 @@ def factorise(
     n = residual.size
     if n == 0:
         return np.empty((0, 0)), residual.copy(), 0.0, 0.0
-    rungs = [jitter] if jitter is not None else jitter_rungs(np.mean(np.diag(block)), ladder)
+    rungs = [jitter] if jitter is not None else jitter_rungs(block, ladder=ladder)
     for jitter in rungs:
         shifted = np.array(block, dtype=float, order="F")
         np.fill_diagonal(shifted, np.diag(block) + jitter)
@@ -664,7 +669,7 @@ def fit_hyperparameters(
             if geometry.jitter is None:
                 raise  # the start block is singular on every rung
             return -np.inf, None
-        except (ValueError, FloatingPointError):
+        except (ValueError, FloatingPointError, NonFinite):
             return -np.inf, None
         return (mll, grad) if np.isfinite(mll) else (-np.inf, None)
 

@@ -71,12 +71,13 @@ def _sq_diffs(xa: np.ndarray, xb: np.ndarray, config: KernelConfig) -> tuple[lis
 
 
 def forcing_gram(xa: np.ndarray, xb: np.ndarray, config: KernelConfig) -> np.ndarray:
-    """Kernel matrix between two sets of emission input rows."""
+    """Kernel matrix between two sets of emission input rows (inf where it overflows)."""
     r = _sq_diffs(xa, xb, config)[1]
-    if config.family == "matern12":
-        return config.variance * np.exp(-r)
-    u = SQRT3 * r
-    return config.variance * (1.0 + u) * np.exp(-u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.family == "matern12":
+            return config.variance * np.exp(-r)
+        u = SQRT3 * r
+        return config.variance * (1.0 + u) * np.exp(-u)
 
 
 def forcing_gram_gradients(

@@ -224,16 +224,17 @@ def box_ode(box: BoxModelParams) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def diagonalization(matrix: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def diagonalization(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvector basis of a feedback matrix.
 
     Eigenvalues come sorted most negative first (increasing timescale) and
     eigenvectors are normalised to unit surface-box component, so that the
     transformed mode responses sum to the surface temperature.  Raises
     NonDiagonalizable when eigenvalues are complex or repeated within
-    ``tol`` (relative to the spectral scale), or when a mode does not couple
-    to the surface box.
+    ``tol`` (1e-9, relative to the spectral scale), or when a mode does not
+    couple to the surface box.
     """
+    tol = 1e-9
     a = np.asarray(matrix, dtype=float)
     evals, evecs = np.linalg.eig(a)
     scale = np.max(np.abs(evals))
@@ -254,7 +255,7 @@ def diagonalization(matrix: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, 
     return evals, evecs / surface
 
 
-def diagonalize(params: BoxModelParams, tol: float = 1e-9) -> ImpulseParams:
+def diagonalize(params: BoxModelParams) -> ImpulseParams:
     """Convert box-form parameters to impulse-response form.
 
     Mode timescales are the negated reciprocal eigenvalues of the feedback
@@ -262,7 +263,7 @@ def diagonalize(params: BoxModelParams, tol: float = 1e-9) -> ImpulseParams:
     vector.  The returned parameters carry zero variability amplitude.
     """
     a, b = box_ode(params)
-    evals, evecs = diagonalization(a, tol=tol)
+    evals, evecs = diagonalization(a)
     d = -1.0 / evals
     w = np.linalg.solve(evecs, b)
     q = w * d
@@ -317,7 +318,6 @@ def mc_temperature_covariance(
     grid: TimeGrid,
     n_samples: int,
     seed: int,
-    substeps: int = 20,
 ) -> np.ndarray:
     """Empirical temperature covariance from sampled forcing paths.
 
@@ -329,7 +329,7 @@ def mc_temperature_covariance(
     x = np.atleast_2d(np.asarray(emissions, dtype=float))
     prior = PosteriorDistribution(np.zeros(grid.n_steps), kernels.forcing_gram(x, x, kernel), [])
     paths = inference.sample_posterior(prior, n_samples, seed)
-    temps = rk4_impulse_temperature(impulse, paths, grid, substeps=substeps)
+    temps = rk4_impulse_temperature(impulse, paths, grid)
     return np.cov(temps, rowvar=False, ddof=1)
 
 
@@ -339,19 +339,17 @@ def sde_variability_covariance(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    substep: float | None = None,
 ) -> np.ndarray:
     """Empirical covariance of Euler-Maruyama noise-response paths.
 
     All modes share one Brownian path, so cross-mode covariances are
-    exercised.  The default substep is min(timescale)/50.  Paths start from
-    rest at the grid start and are recorded at end-of-step times.
+    exercised.  Each step splits into equal substeps of at most
+    min(timescale)/50.  Paths start from rest at the grid start and are
+    recorded at end-of-step times.
     """
     d = impulse.timescales
     q = impulse.equilibrium_responses
-    if substep is None:
-        substep = float(d.min()) / 50.0
-    per_step = max(int(np.ceil(grid.step / substep)), 1)
+    per_step = max(int(np.ceil(grid.step / (float(d.min()) / 50.0))), 1)
     h = grid.step / per_step
     rng = np.random.default_rng(seed)
     state = np.zeros((n_paths, impulse.n_boxes))
@@ -438,10 +436,9 @@ def mc_crps(mean: float, std: float, value: float, n_samples: int, seed: int) ->
     return float(term1 - term2)
 
 
-def finite_difference_gradient(
-    f: Callable[[np.ndarray], float], x: np.ndarray, step: float = 1e-5
-) -> np.ndarray:
-    """Central finite-difference gradient, one coordinate at a time."""
+def finite_difference_gradient(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
+    """Central finite-difference gradient, one coordinate at a time, with step 1e-5."""
+    step = 1e-5
     x = np.asarray(x, dtype=float)
     grad = np.empty_like(x)
     for i in range(x.size):

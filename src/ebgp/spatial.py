@@ -108,16 +108,15 @@ def spatial_posterior(
     scale = slope**2
 
     block = prior.noisy_block(train)
+    rungs = jitter_rungs(block, scale, noise) if train.n else None
     eigvals, eigvecs = np.linalg.eigh(block)
     jitter = np.zeros_like(noise)
     if train.n:
-        rungs = jitter_rungs(scale * np.mean(np.diag(block)) + noise)
         # b^2 lam_min + r + jitter is the smallest D of a cell
         positive = scale * eigvals[0] + noise + rungs > 0
         if not np.all(positive[-1]):
             raise SingularGram(f"a cell block is singular at maximum jitter (n={train.n})")
         jitter = rungs[np.argmax(positive, axis=0), np.arange(slope.size)]
-    d = scale * eigvals[:, None] + noise + jitter
 
     k = prior.physics_gram(test_rows)
     proj = k[:, :train.n] @ eigvecs
@@ -125,6 +124,7 @@ def spatial_posterior(
         slope * prior.mean[:train.n, None] + intercept
     )
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        d = scale * eigvals[:, None] + noise + jitter
         mean = (
             slope * prior.mean[test_rows, None] + intercept
             + scale * (proj @ ((eigvecs.T @ residual) / d))

@@ -181,6 +181,55 @@ class TestFit:
         assert not any("evaluations=" in line or "final_mll=" in line for line in err[1])
         assert err[200] == []
 
+    def test_free_sigma_at_zero_by_default_names_the_config(self, workspace, capsys):
+        """With no free key the default list frees sigma, so a config with
+        zero variability gets the message of an explicit key, which says the
+        list is the default; the model itself is valid for queries."""
+        tmp, config, paths = workspace
+        model = load_model(config)
+        model.impulse = ImpulseParams([3.5, 80.0], [0.45, 0.30], variability_amplitude=0.0)
+        zero = tmp / "config_zero.txt"
+        save_model(model, zero)
+        text = zero.read_text()
+        assert "free = " in text
+        zero.write_text("".join(line for line in text.splitlines(keepends=True)
+                                if not line.startswith("free = ")))
+        rc = main(["fit", "--config", str(zero), "--scenario", *paths,
+                   "--holdout", "target", "--out", str(tmp / "m.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {zero}: [fit] free: sigma needs [response] variability_amplitude > 0 "
+            "(with no free key, the default list lengthscales, variance, sigma)\n")
+        assert not (tmp / "m.txt").exists()
+        assert main(["emulate", "--model", str(zero), "--scenario", *paths,
+                     "--holdout", "target", "--out", str(tmp / "pred.csv")]) == 0
+
+    def test_non_finite_block_is_a_rejected_evaluation(self, workspace, capsys, monkeypatch):
+        """An evaluation whose training block overflows (NonFinite) is
+        rejected and counted like any other."""
+        from ebgp import inference
+        from ebgp.errors import NonFinite
+
+        tmp, config, paths = workspace
+        model = load_model(config)
+        model.fit = FitSettings(free=("variance", "sigma"), restarts=0, max_iterations=200)
+        free_config = tmp / "config_free.txt"
+        save_model(model, free_config)
+        calls = []
+
+        def overflowing(*args, _original=inference.mll_and_gradient, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NonFinite("the training block (n=60) or its jitter is not finite")
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "mll_and_gradient", overflowing)
+        rc = main(["fit", "--config", str(free_config), "--scenario", *paths,
+                   "--holdout", "target", "--out", str(tmp / "m.txt")])
+        assert rc == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "fit: start 0 rejected 1 objective evaluations (singular, overflowing or not finite)"]
+
     def test_rejected_evaluations_are_reported(self, workspace, capsys, monkeypatch):
         """One stderr line per L-BFGS-B start that rejected an objective
         evaluation (here one overflow and one non-finite value, both in
@@ -1008,6 +1057,31 @@ def test_overflowing_kernel_distance_is_the_kernel_limit(tmp_path, capsys):
         rows = read_csv(out)
         values = [float(v) for row in rows for k, v in row.items() if k not in ("year", "lat", "lon")]
         assert rows and np.all(np.isfinite(values)), command
+
+
+@pytest.mark.parametrize("variance", ["1e307", "1.7e308"])
+def test_overflowing_training_block_exits_3(tmp_path, capsys, variance):
+    """A kernel variance that overflows the training block (1.7e308) or its
+    mean diagonal (1e307) is a numerical failure: each query command exits 3
+    with one error line and no warning, and ``fit`` rejects every evaluation."""
+    data = Path(__file__).resolve().parents[1] / "data" / "synthetic"
+    text = (data / "model_config.txt").read_text()
+    assert "variance = 0.25\n" in text
+    config = tmp_path / "model.txt"
+    config.write_text(text.replace("variance = 0.25\n", f"variance = {variance}\n"))
+    scenarios = [str(data / f"{name}.csv") for name in ("historical", "ssp_low", "ssp_mid")]
+    for command in ("emulate", "forcing", "sample", "spatial-emulate"):
+        out = tmp_path / f"{command}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--model", str(config), "--scenario", *scenarios,
+                         "--holdout", "ssp_mid", "--out", str(out)]) == 3, command
+        assert capsys.readouterr().err == (
+            "error: the training block (n=366) or its jitter is not finite\n"), command
+        assert not out.exists()
+    assert main(["fit", "--config", str(config), "--scenario", *scenarios,
+                 "--holdout", "ssp_mid", "--out", str(tmp_path / "m.txt")]) == 3
+    assert "error: marginal log-likelihood is not finite" in capsys.readouterr().err
 
 
 def test_spatial_overflow_exits_3(tmp_path, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import multiprocessing
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy.stats import multivariate_normal
 
 from conftest import frozen_objective, make_scenario
 from ebgp.ebm import AgentForcing, ImpulseParams, TimeGrid, temperature_operator
-from ebgp.errors import GridMismatch, SingularGram
+from ebgp.errors import GridMismatch, NonFinite, SingularGram
 from ebgp.inference import (
     PARAMETER_NAMES,
     EmulatorModel,
@@ -1305,3 +1306,16 @@ class TestCholeskyLadder:
         assert jitter > 0
         with pytest.raises(SingularGram):
             factorise(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2), ladder=(1e-12,))
+
+    @pytest.mark.parametrize("block", [
+        np.array([[1e308, 0.0], [0.0, 1e308]]),  # the mean diagonal overflows
+        np.array([[1.0, np.inf], [np.inf, 1.0]]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    ], ids=["overflowing mean diagonal", "infinite entry", "nan entry"])
+    def test_non_finite_block_or_rung(self, block):
+        """A block, or a rung at its mean diagonal, that is not finite is
+        NonFinite, without a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match=r"training block \(n=2\)"):
+                factorise(block, np.zeros(2))
