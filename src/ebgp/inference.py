@@ -7,19 +7,20 @@ marginal log-likelihood and its gradients, and fits hyperparameters by
 quasi-Newton ascent on log-parameters.
 
 Inference is one exact Gaussian conditioning on the noisy training block
-(Rasmussen & Williams, GPML, Algorithm 2.1): ``condition`` is the only caller
-of ``factorise`` (the one Cholesky routine, which climbs the jitter ladder
-that ``jitter_rungs`` sets for it and for ``spatial``) and the only code
-that assembles the noisy training block.  The posteriors take the
-``Conditioned`` value it returns, with one update for every training set,
+(Rasmussen & Williams, GPML, Algorithm 2.1): ``condition`` is the only code
+that assembles that block, and factors it in place (``factorise`` factors a
+copy) through ``cholesky``, the one call of LAPACK's dpotrf, on the jitter
+ladder ``jitter_rungs`` sets for it and for ``spatial``.  The posteriors take
+the ``Conditioned`` value it returns, with one update for every training set,
 the empty one included; each fit objective evaluation is one ``condition``:
-its ``log_likelihood`` is the value, its factor and alpha give the gradient.  The kernel is kept on the distinct emission rows,
-with a map from each row to them; a fit's evaluations share one ``FitGeometry``
-and the first one's jitter rung.  That first evaluation stays in the parent
-process; the L-BFGS-B starts then run in up to min(starts, usable CPUs / BLAS
-threads) forked processes, which return only evaluation values and optimizer
-outcomes, so the result is identical to a serial run.  They run in-process
-with one start, BLAS on every CPU (its default) or no ``os.fork``.
+its ``log_likelihood`` is the value, its factor and alpha give the gradient.
+The kernel is kept on the distinct emission rows, with a map from each row to
+them; a fit's evaluations share one ``FitGeometry`` and the first one's
+jitter rung.  That first evaluation stays in the parent process; the L-BFGS-B
+starts then run in up to min(starts, usable CPUs / BLAS threads) forked
+processes, which return only evaluation values and optimizer outcomes, so the
+result is identical to a serial run.  They run in-process with one start,
+BLAS on every CPU (its default) or no ``os.fork``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import blas, block_diag, cho_solve, cholesky, lapack, solve_triangular
+from scipy.linalg import blas, block_diag, cho_solve, lapack, solve_triangular
 
 from . import ebm, kernels
 from .ebm import ForcingParams, ImpulseParams
@@ -75,8 +76,10 @@ class GPPrior:
         return self.mean.size
 
     def forcing_gram(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
-        """K at the prior rows ``rows`` and columns ``cols``, a new array."""
-        return self.kernel_gram.take(self.kernel_rows[rows], 0).take(self.kernel_rows[cols], 1)
+        """K at the prior rows ``rows`` and columns ``cols``, a new array,
+        gathered along the shorter index first."""
+        r, c, k = self.kernel_rows[rows], self.kernel_rows[cols], self.kernel_gram
+        return k.take(c, 1).take(r, 0) if r.size > c.size else k.take(r, 0).take(c, 1)
 
     @property
     def edges(self) -> list[int]:
@@ -93,12 +96,13 @@ class GPPrior:
         return range(first, max(first, last))
 
     def apply_response(self, x: np.ndarray) -> np.ndarray:
-        """L x for an array with one row per prior row, one scenario block at a time."""
+        """L x for an array with one row per prior row of the whole leading
+        scenarios it covers (else GridMismatch), one scenario block at a time."""
         edges = self.edges
-        if edges[-1] != len(x):
+        if edges[-1] < len(x):
             raise DimensionMismatch(f"{len(x)} rows for a response operator of {edges[-1]} rows")
-        return np.concatenate([_lower_product(block, x[i:j])
-                               for block, i, j in zip(self.response_blocks, edges, edges[1:])])
+        return np.concatenate([_lower_product(self.response_blocks[s], x[edges[s]:edges[s + 1]])
+                               for s in self.scenarios(slice(0, len(x)))] or [x])
 
     def variability(self, rows: slice) -> np.ndarray:
         """Gamma at the prior rows ``rows``, a slice of whole scenarios: the
@@ -133,7 +137,7 @@ class GPPrior:
     def noisy_block(self, train: TrainingSet) -> np.ndarray:
         """Covariance of the noisy observations ``train``: the physics block
         plus sigma^2 times the variability block at the prior's first ``train.n``
-        rows, a new Fortran-ordered array (``factorise`` copies it as it is).
+        rows, a new Fortran-ordered array (``condition`` factors it in place).
         Raises GridMismatch unless those rows are ``train.index``, in order."""
         if self.index[:train.n] != train.index:
             raise GridMismatch("the training rows are not the prior's leading rows, in order")
@@ -299,6 +303,16 @@ def jitter_rungs(block: np.ndarray, scale=1.0, noise=0.0,
     return np.multiply.outer(ladder, np.where(mean_diagonal > 0, mean_diagonal, 1.0))
 
 
+def cholesky(a: np.ndarray, lower: bool = True, overwrite_a: bool = True) -> np.ndarray:
+    """LAPACK ``dpotrf`` of ``a``, in place for a Fortran-ordered float
+    ``a``: the other strict triangle is neither read nor written, nor is
+    ``a`` checked finite.  Raises LinAlgError unless positive definite."""
+    factor, info = lapack.dpotrf(a, lower=lower, clean=0, overwrite_a=overwrite_a)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    return factor
+
+
 def factorise(
     block: np.ndarray,
     residual: np.ndarray,
@@ -306,30 +320,37 @@ def factorise(
     ladder: Sequence[float] = JITTER_LADDER,
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Factor, alpha, jitter and log-density of a zero-mean Gaussian with
-    covariance ``block`` at ``residual`` (GPML Algorithm 2.1, lines 2-4).
+    the exactly symmetric covariance ``block`` at ``residual`` (GPML
+    Algorithm 2.1, lines 2-4); the factor's strict upper triangle is 0.
 
-    The only caller of ``cholesky``, which each rung calls in place on a new
-    Fortran-ordered copy of ``block`` with the jitter added to its diagonal,
-    so ``block`` is left unchanged.  ``jitter`` is a frozen absolute
-    diagonal regularizer; when None the ``jitter_rungs`` of the ``ladder`` at
-    the block's mean diagonal are tried in turn and the absolute jitter that
-    succeeded returned.  Raises SingularGram when the last rung fails.
-    """
+    ``cholesky`` factors a copy of ``block``, which is left unchanged; a
+    failed rung restores the copy's lower triangle from its strict upper
+    one, which ``cholesky`` never touches.  ``jitter`` is a frozen absolute
+    diagonal regularizer, else the ``ladder``'s ``jitter_rungs`` are tried in
+    turn and the one that succeeded returned.  NonFinite on a block that is
+    not finite; SingularGram when the last rung fails."""
+    return _factorise_in_place(np.array(block, dtype=float, order="F"), residual, jitter, ladder)
+
+
+def _factorise_in_place(block, residual, jitter=None, ladder=JITTER_LADDER):
+    """``factorise`` writing the factor over the Fortran-ordered float ``block``."""
     n = residual.size
     if n == 0:
         return np.empty((0, 0)), residual.copy(), 0.0, 0.0
-    rungs = [jitter] if jitter is not None else jitter_rungs(block, ladder=ladder)
-    for jitter in rungs:
-        shifted = np.array(block, dtype=float, order="F")
-        np.fill_diagonal(shifted, np.diag(block) + jitter)
+    rungs, diagonal = jitter_rungs(block, ladder=ladder), np.diag(block).copy()  # checks finite
+    for jitter in rungs if jitter is None else [jitter]:
+        np.fill_diagonal(block, diagonal + jitter)
         try:
-            factor = cholesky(shifted, lower=True, overwrite_a=True)
+            factor = cholesky(block, lower=True, overwrite_a=True)
             break
         except np.linalg.LinAlgError:
-            continue
+            for j in range(n - 1):
+                block[j + 1:, j] = block[j, j + 1:]
     else:
         raise SingularGram(f"Cholesky failed at jitter {jitter:g} (n={n})")
-    alpha = cho_solve((factor, True), residual)
+    for i in range(1, n):
+        factor.T[i, :i] = 0.0
+    alpha = cho_solve((factor, True), residual, check_finite=False)
     logdet = 2.0 * np.sum(np.log(np.diag(factor)))
     return factor, alpha, jitter, -0.5 * (n * LOG_2PI + logdet + float(residual @ alpha))
 
@@ -357,20 +378,24 @@ class Conditioned:
         """Gaussian update of a quantity with prior ``mean`` and
         ``covariance`` at prior rows ``rows``, whose covariance with the
         observations is ``cross``.  The result shares no memory with the
-        prior, so callers may update it in place."""
-        v = solve_triangular(self.factor, cross.T, lower=True)
-        covariance = covariance - v.T @ v
-        return PosteriorDistribution(mean=mean + cross @ self.alpha,
-                                     covariance=0.5 * (covariance + covariance.T),
+        prior, so callers may update it in place.  A mean or covariance
+        that is not finite is NonFinite."""
+        v = solve_triangular(self.factor, cross.T, lower=True, check_finite=False)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+            covariance, mean = covariance - v.T @ v, mean + cross @ self.alpha
+        if not (np.isfinite(mean).all() and np.isfinite(covariance).all()):
+            raise NonFinite("the posterior at prior rows {}:{} is not finite".format(
+                *rows.indices(self.prior.n)))
+        return PosteriorDistribution(mean=mean, covariance=0.5 * (covariance + covariance.T),
                                      index=self.prior.index[rows])
 
 
 def condition(prior: GPPrior, train: TrainingSet, jitter: float | None = None) -> Conditioned:
     """Condition the prior on the training temperatures, which must be its
     leading rows (``GPPrior.noisy_block``): one factorization of the noisy
-    training block serves every query.  ``jitter`` is as in ``factorise``."""
+    training block, in place, serves every query; ``jitter`` as in ``factorise``."""
     residual = train.temperatures - prior.mean[:train.n]
-    return Conditioned(prior, *factorise(prior.noisy_block(train), residual, jitter))
+    return Conditioned(prior, *_factorise_in_place(prior.noisy_block(train), residual, jitter))
 
 
 def posterior_temperature(conditioned: Conditioned, rows: slice) -> PosteriorDistribution:
@@ -390,10 +415,10 @@ def posterior_forcing(conditioned: Conditioned, rows: slice) -> PosteriorDistrib
     """Exact posterior over the radiative forcing at the prior slice
     ``rows``, informed by temperature observations only."""
     prior, n = conditioned.prior, conditioned.alpha.size
-    # Cov(F, T) = K_f L^T at (test, train) rows = (L K_f[:, test])[train]^T
-    cross = prior.apply_response(prior.forcing_gram(cols=rows))[:n].T
+    # Cov(T, F) at (train, test) rows = L K_f, from the training scenarios' blocks of L
+    cross = prior.apply_response(prior.forcing_gram(slice(0, n), rows))
     covariance = prior.forcing_gram(rows, rows)
-    return conditioned.posterior(rows, prior.forcing_mean[rows], covariance, cross)
+    return conditioned.posterior(rows, prior.forcing_mean[rows], covariance, cross.T)
 
 
 def sample_posterior(

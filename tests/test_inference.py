@@ -1,8 +1,10 @@
+import ast
 import dataclasses
 import multiprocessing
 import os
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from ebgp.ebm import AgentForcing, ImpulseParams, TimeGrid, temperature_operator
 from ebgp.errors import GridMismatch, NonFinite, SingularGram
 from ebgp.inference import (
     PARAMETER_NAMES,
+    Conditioned,
     EmulatorModel,
     FitGeometry,
     FitSettings,
@@ -26,6 +29,7 @@ from ebgp.inference import (
     condition,
     factorise,
     fit_hyperparameters,
+    jitter_rungs,
     mll_and_gradient,
     posterior_forcing,
     posterior_temperature,
@@ -1307,15 +1311,93 @@ class TestCholeskyLadder:
         with pytest.raises(SingularGram):
             factorise(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2), ladder=(1e-12,))
 
-    @pytest.mark.parametrize("block", [
-        np.array([[1e308, 0.0], [0.0, 1e308]]),  # the mean diagonal overflows
-        np.array([[1.0, np.inf], [np.inf, 1.0]]),
-        np.array([[np.nan, 0.0], [0.0, 1.0]]),
-    ], ids=["overflowing mean diagonal", "infinite entry", "nan entry"])
-    def test_non_finite_block_or_rung(self, block):
+    @pytest.mark.parametrize("block, jitter", [
+        (np.array([[1e308, 0.0], [0.0, 1e308]]), None),  # the mean diagonal overflows
+        (np.array([[1.0, np.inf], [np.inf, 1.0]]), None),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), None),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), 1e-6),
+    ], ids=["overflowing mean diagonal", "infinite entry", "nan entry",
+            "nan entry at a frozen jitter"])
+    def test_non_finite_block_or_rung(self, block, jitter):
         """A block, or a rung at its mean diagonal, that is not finite is
-        NonFinite, without a warning."""
+        NonFinite, without a warning; a frozen jitter skips the ladder, not
+        the check."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFinite, match=r"training block \(n=2\)"):
-                factorise(block, np.zeros(2))
+                factorise(block, np.zeros(2), jitter)
+
+    def test_condition_factors_the_noisy_block_in_place(self, setup, monkeypatch):
+        _, _, train, prior = setup
+        blocks = []
+
+        def captured(self, train, _original=GPPrior.noisy_block):
+            blocks.append(_original(self, train))
+            return blocks[-1]
+
+        monkeypatch.setattr(GPPrior, "noisy_block", captured)
+        assert np.shares_memory(condition(prior, train).factor, blocks[0])
+
+    def test_failed_rung_restores_the_block_exactly(self, setup, monkeypatch):
+        """A rung that fails after writing its factor over the block leaves
+        the next rung the same block as ``factorise``'s copy; on every path
+        the factor's strict upper triangle is exactly 0."""
+        from ebgp import inference
+
+        _, _, train, prior = setup
+        block, residual = prior.noisy_block(train), train.temperatures - prior.mean[:train.n]
+        first, frozen = condition(prior, train), condition(prior, train, jitter=1e-3)
+        calls = []
+
+        def singular_first(*args, _original=inference.cholesky, **kwargs):
+            calls.append(1)
+            factor = _original(*args, **kwargs)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("2-th leading minor not positive definite")
+            return factor
+
+        monkeypatch.setattr(inference, "cholesky", singular_first)
+        escalated = condition(prior, train)
+        monkeypatch.undo()
+        expected = factorise(block, residual, jitter=jitter_rungs(block)[1])
+        got = (escalated.factor, escalated.alpha, escalated.jitter, escalated.log_likelihood)
+        assert len(calls) == 2 and all(map(np.array_equal, got, expected))
+        for factor in (first.factor, escalated.factor, frozen.factor, expected[0]):
+            assert not np.triu(factor, 1).any()
+
+    def test_posterior_that_is_not_finite(self, setup):
+        """An infinite residual or cross-covariance is NonFinite, naming the
+        queried rows, not a LAPACK or finite-check error."""
+        _, _, train, prior = setup
+        n, rows = train.n, slice(train.n, prior.n)
+        block, residual = prior.noisy_block(train), train.temperatures - prior.mean[:n]
+        cross = prior.physics_gram(rows, slice(0, n))
+        poisoned = [residual.copy(), cross.copy()]
+        poisoned[0][3] = poisoned[1][2, 5] = np.inf
+        for r, c in ((poisoned[0], cross), (residual, poisoned[1])):
+            conditioned = Conditioned(prior, *factorise(block, r))
+            with pytest.raises(NonFinite, match=f"prior rows {n}:{prior.n} is not finite"):
+                conditioned.posterior(rows, prior.mean[rows], prior.physics_gram(rows, rows), c)
+
+
+def test_one_cholesky_route():
+    """``inference.cholesky`` is the package's only route to a Cholesky
+    factorisation: no other code names scipy's ``cholesky`` or
+    ``cho_factor``, numpy's ``cholesky`` or LAPACK's ``dpotrf``."""
+    routines = {"cholesky", "cho_factor", "dpotrf"}
+    found = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, ast.Attribute) and node.attr in routines:
+            found.add(f"{module}.{scope}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(f"{module}.{alias.asname or alias.name}" for alias in node.names
+                         if alias.name.split(".")[-1] in routines)
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in (Path(__file__).resolve().parents[1] / "src" / "ebgp").glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+    assert found == {"inference.cholesky"}
