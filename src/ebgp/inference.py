@@ -303,11 +303,10 @@ def jitter_rungs(block: np.ndarray, scale=1.0, noise=0.0,
     return np.multiply.outer(ladder, np.where(mean_diagonal > 0, mean_diagonal, 1.0))
 
 
-def cholesky(a: np.ndarray, lower: bool = True, overwrite_a: bool = True) -> np.ndarray:
-    """LAPACK ``dpotrf`` of ``a``, in place for a Fortran-ordered float
-    ``a``: the other strict triangle is neither read nor written, nor is
-    ``a`` checked finite.  Raises LinAlgError unless positive definite."""
-    factor, info = lapack.dpotrf(a, lower=lower, clean=0, overwrite_a=overwrite_a)
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower LAPACK ``dpotrf`` of ``a``, unchecked, in place if ``a`` is Fortran-ordered
+    float; its strict upper triangle is untouched.  LinAlgError unless positive definite."""
+    factor, info = lapack.dpotrf(a, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
     return factor
@@ -323,17 +322,17 @@ def factorise(
     the exactly symmetric covariance ``block`` at ``residual`` (GPML
     Algorithm 2.1, lines 2-4); the factor's strict upper triangle is 0.
 
-    ``cholesky`` factors a copy of ``block``, which is left unchanged; a
-    failed rung restores the copy's lower triangle from its strict upper
-    one, which ``cholesky`` never touches.  ``jitter`` is a frozen absolute
+    ``cholesky`` factors the lower triangle of a copy of ``block``, which is
+    left unchanged, and a failed rung restores the copy from ``block``, so
+    every rung factors the same matrix.  ``jitter`` is a frozen absolute
     diagonal regularizer, else the ``ladder``'s ``jitter_rungs`` are tried in
     turn and the one that succeeded returned.  NonFinite on a block that is
     not finite; SingularGram when the last rung fails."""
-    return _factorise_in_place(np.array(block, dtype=float, order="F"), residual, jitter, ladder)
+    return _factorise_in_place(np.array(block, float, order="F"), block, residual, jitter, ladder)
 
 
-def _factorise_in_place(block, residual, jitter=None, ladder=JITTER_LADDER):
-    """``factorise`` writing the factor over the Fortran-ordered float ``block``."""
+def _factorise_in_place(block, source, residual, jitter=None, ladder=JITTER_LADDER):
+    """``factorise`` over the F-ordered float ``block``; failed rungs restore it from ``source``."""
     n = residual.size
     if n == 0:
         return np.empty((0, 0)), residual.copy(), 0.0, 0.0
@@ -341,11 +340,11 @@ def _factorise_in_place(block, residual, jitter=None, ladder=JITTER_LADDER):
     for jitter in rungs if jitter is None else [jitter]:
         np.fill_diagonal(block, diagonal + jitter)
         try:
-            factor = cholesky(block, lower=True, overwrite_a=True)
+            factor = cholesky(block)
             break
         except np.linalg.LinAlgError:
             for j in range(n - 1):
-                block[j + 1:, j] = block[j, j + 1:]
+                block[j + 1:, j] = source[j + 1:, j]
     else:
         raise SingularGram(f"Cholesky failed at jitter {jitter:g} (n={n})")
     for i in range(1, n):
@@ -393,9 +392,10 @@ class Conditioned:
 def condition(prior: GPPrior, train: TrainingSet, jitter: float | None = None) -> Conditioned:
     """Condition the prior on the training temperatures, which must be its
     leading rows (``GPPrior.noisy_block``): one factorization of the noisy
-    training block, in place, serves every query; ``jitter`` as in ``factorise``."""
-    residual = train.temperatures - prior.mean[:train.n]
-    return Conditioned(prior, *_factorise_in_place(prior.noisy_block(train), residual, jitter))
+    training block, in place, serves every query; ``jitter`` as in ``factorise``.
+    Failed rungs restore from the exactly symmetric block's strict upper triangle."""
+    block, residual = prior.noisy_block(train), train.temperatures - prior.mean[:train.n]
+    return Conditioned(prior, *_factorise_in_place(block, block.T, residual, jitter))
 
 
 def posterior_temperature(conditioned: Conditioned, rows: slice) -> PosteriorDistribution:

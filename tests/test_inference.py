@@ -15,7 +15,7 @@ from scipy.stats import multivariate_normal
 
 from conftest import frozen_objective, make_scenario
 from ebgp.ebm import AgentForcing, ImpulseParams, TimeGrid, temperature_operator
-from ebgp.errors import GridMismatch, NonFinite, SingularGram
+from ebgp.errors import DimensionMismatch, GridMismatch, NonFinite, SingularGram
 from ebgp.inference import (
     PARAMETER_NAMES,
     Conditioned,
@@ -238,7 +238,14 @@ class TestBlockedPrior:
         dense = op @ prior.forcing_gram() @ op.T
         assert np.max(np.abs(prior.physics_gram() - dense)) <= 1e-14 * np.max(np.abs(dense))
         x = np.random.default_rng(2).normal(size=(prior.n, 3))
-        np.testing.assert_allclose(prior.apply_response(x), op @ x, rtol=0, atol=1e-14)
+        # the rows of whole leading scenarios: none, a (0-29), a and b (0-74), all
+        for k in (0, 30, 75, prior.n):
+            np.testing.assert_allclose(prior.apply_response(x[:k]), op[:k, :k] @ x[:k],
+                                       rtol=0, atol=1e-14)
+        with pytest.raises(GridMismatch):
+            prior.apply_response(x[:40])
+        with pytest.raises(DimensionMismatch):
+            prior.apply_response(np.vstack([x, x[:1]]))
 
     def test_variability_rows_match_dense(self, blocked):
         """Gamma at slices of whole scenarios: a (rows 0-29), b (30-74) and
@@ -1364,6 +1371,32 @@ class TestCholeskyLadder:
         assert len(calls) == 2 and all(map(np.array_equal, got, expected))
         for factor in (first.factor, escalated.factor, frozen.factor, expected[0]):
             assert not np.triu(factor, 1).any()
+
+    def test_escalated_rung_factors_the_callers_block(self, monkeypatch):
+        """``factorise`` on a block that is symmetric only to rounding: a rung
+        after a failed one factors the caller's lower triangle again, as the
+        first rung did, not the mirrored upper one, and the block is unchanged."""
+        from ebgp import inference
+
+        rng = np.random.default_rng(4)
+        root = rng.normal(size=(6, 6))
+        block = root @ root.T + np.triu(rng.normal(scale=1e-12, size=(6, 6)), 1)
+        before, residual = block.copy(), rng.normal(size=6)
+        calls = []
+
+        def singular_first(*args, _original=inference.cholesky, **kwargs):
+            calls.append(1)
+            factor = _original(*args, **kwargs)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("2-th leading minor not positive definite")
+            return factor
+
+        monkeypatch.setattr(inference, "cholesky", singular_first)
+        escalated = factorise(block, residual)
+        monkeypatch.undo()
+        expected = factorise(block, residual, jitter=jitter_rungs(block)[1])
+        assert len(calls) == 2 and all(map(np.array_equal, escalated, expected))
+        assert np.array_equal(block, before)
 
     def test_posterior_that_is_not_finite(self, setup):
         """An infinite residual or cross-covariance is NonFinite, naming the
