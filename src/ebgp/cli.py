@@ -251,33 +251,27 @@ def cmd_evaluate(args) -> int:
     if rows.size == 0:
         raise SchemaError("no prediction rows fall inside the requested period")
     spatial = "lat" in table
-    year = table["year"]
     coords = [table["lat"], table["lon"]] if spatial else []
 
-    # Each row's truth, joined by index on the truth's axes.
-    truth_axes, truth_years, truth = read_truth(args.scenario, spatial)
-    found = [_locate(values, axis)
-             for values, axis in zip([*coords, year], [*truth_axes, truth_years])]
-    known = np.logical_and.reduce([hit for _, hit in found])
-    if not np.all(known):
-        k = int(np.argmin(known))
-        key = (*(float(c[k]) for c in coords), int(year[k])) if spatial else f"year {int(year[k])}"
-        raise SchemaError(f"truth has no value for {key} inside the requested period")
-    table["truth"] = truth[tuple(index for index, _ in found)]
-
-    # (lat, lon, year) cubes, or single series for a global file; scores
-    # reduce over the year axis.
-    axes, order = cube_order(path, coords, year, np.unique(year), rows)
-    shape = (*(axis.size for axis in axes), -1)
-    prior_mean, mean, std, truth = (
-        table[name][order].reshape(shape) for name in (*PREDICTED, "truth")
-    )
+    # (lat, lon, year) cubes, or single series for a global file, whose truth
+    # is found axis by axis on the truth's axes; scores reduce over the years.
+    truth_axes, truth = read_truth(args.scenario, spatial)
+    axes, order = cube_order(path, coords, table["year"], np.unique(table["year"]), rows)
+    index = []
+    for name, axis, known in zip(["lat", "lon"][:len(coords)] + ["year"], axes, truth_axes):
+        at, found = _locate(axis, known)
+        if not np.all(found):
+            value = (int if name == "year" else float)(axis[np.argmin(found)])
+            raise SchemaError(f"truth has no value for {name} {value} inside the requested period")
+        index.append(at)
+    truth = truth[np.ix_(*index)]
+    prior_mean, mean, std = (table[name][order].reshape(truth.shape) for name in PREDICTED)
     posterior = dict(zip(SCORE_FIELDS, (
         *deterministic_scores(mean, truth), *probabilistic_scores(mean, std**2, truth)
     )))
     prior = dict(zip(SCORE_FIELDS, deterministic_scores(prior_mean, truth)))
     if spatial:
-        grid = SpatialGrid(*axes)
+        grid = SpatialGrid(*axes[:2])
         posterior, prior = spatial_scores(posterior, grid), spatial_scores(prior, grid)
 
     # A score a label lacks (the prior has no probabilistic ones) is an empty cell.

@@ -67,6 +67,9 @@ class ImpulseParams:
             raise ValueError("timescales must be strictly increasing")
         if self.variability_amplitude < 0:
             raise ValueError("variability_amplitude must be >= 0")
+        sigma = float(self.variability_amplitude)  # a Python float overflows without a warning
+        if sigma * sigma == np.inf:
+            raise ValueError(f"variability_amplitude {sigma!r} is too large: its square overflows")
 
     @property
     def n_boxes(self) -> int:

@@ -207,29 +207,32 @@ class EmulatorModel:
 def scenario_forcing(
     scen: Scenario, forcing: ForcingParams, agents: list[AgentSpec]
 ) -> np.ndarray:
-    """Deterministic forcing path for one scenario.
+    """Deterministic forcing path for one scenario, as every mean path and a
+    fit's unit forcing paths form it: without floating-point warnings, and
+    NonFinite when not finite (a coefficient or ``c0`` overflowed it).
 
     Uses the scenario's concentration series when present; otherwise falls
     back to the linear accumulation rule for agents that configure one.
     """
     conc: dict[str, np.ndarray] = dict(scen.concentrations or {})
-    for spec in agents:
-        params = forcing[spec.name]
-        active = params.alpha_log != 0 or params.alpha_lin != 0 or params.alpha_sqrt != 0
-        if spec.name in conc or not active:
-            continue
-        if params.concentration_per_emission is None:
-            raise SchemaError(
-                f"scenario '{scen.name}' has no concentrations for agent "
-                f"'{spec.name}' and no accumulation rule is configured"
-            )
-        conc[spec.name] = ebm.linear_concentrations(
-            scen.emissions[spec.name],
-            params,
-            scen.grid,
-            cumulative=spec.input_mode == "cumulative_emission",
-        )
-    return ebm.forcing_response(conc, forcing, scen.grid)
+    with np.errstate(all="ignore"):
+        for spec in agents:
+            params = forcing[spec.name]
+            active = params.alpha_log != 0 or params.alpha_lin != 0 or params.alpha_sqrt != 0
+            if spec.name in conc or not active:
+                continue
+            if params.concentration_per_emission is None:
+                raise SchemaError(
+                    f"scenario '{scen.name}' has no concentrations for agent "
+                    f"'{spec.name}' and no accumulation rule is configured"
+                )
+            conc[spec.name] = ebm.linear_concentrations(
+                scen.emissions[spec.name], params, scen.grid,
+                cumulative=spec.input_mode == "cumulative_emission")
+        path = ebm.forcing_response(conc, forcing, scen.grid)
+    if not np.isfinite(path).all():
+        raise NonFinite(f"the forcing path of scenario '{scen.name}' is not finite")
+    return path
 
 
 def _mean_paths(scenarios: list[Scenario], model: EmulatorModel) -> dict:
@@ -351,7 +354,8 @@ def _factorise_in_place(block, source, residual, jitter=None, ladder=JITTER_LADD
         factor.T[i, :i] = 0.0
     alpha = cho_solve((factor, True), residual, check_finite=False)
     logdet = 2.0 * np.sum(np.log(np.diag(factor)))
-    return factor, alpha, jitter, -0.5 * (n * LOG_2PI + logdet + float(residual @ alpha))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected by the fit
+        return factor, alpha, jitter, -0.5 * (n * LOG_2PI + logdet + float(residual @ alpha))
 
 
 @dataclass

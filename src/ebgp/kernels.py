@@ -119,8 +119,10 @@ def internal_variability_gram(impulse: ebm.ImpulseParams, grid: ebm.TimeGrid) ->
     nu = variability_weights(impulse)
     lag = grid.step * np.arange(grid.n_steps)
     column = np.zeros(grid.n_steps)
-    for i in range(impulse.n_boxes):
-        column += nu[i] * (q[i] ** 2 / (2.0 * d[i])) * np.exp(-lag / d[i])
+    # An overflow is left inf or nan: the training block's finite check reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(impulse.n_boxes):
+            column += nu[i] * (q[i] ** 2 / (2.0 * d[i])) * np.exp(-lag / d[i])
     return toeplitz(column)
 
 

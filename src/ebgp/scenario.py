@@ -276,7 +276,7 @@ def cube_order(path, coords, year, years, rows=None) -> tuple[list[np.ndarray], 
     puts the rows in the cube's C order.
 
     The axes are the sorted unique values of each coordinate column in
-    ``coords`` (none for a single series), then ``years`` (sorted).  A year
+    ``coords`` (none for a single series), then ``years`` (sorted) last.  A year
     not in ``years`` and a repeated row are SchemaErrors naming the first
     offending row's line (``rows``: their data-row numbers, by default their
     positions); a cell no row fills is one naming the first such cell.
@@ -307,7 +307,7 @@ def cube_order(path, coords, year, years, rows=None) -> tuple[list[np.ndarray], 
         *cell, a = np.argwhere(~filled)[0]
         key = (*(float(axis[i]) for axis, i in zip(axes, cell)), int(years[a]))
         raise SchemaError(f"{path}: missing cell {key}")
-    return axes, order
+    return [*axes, years], order
 
 
 def _grid_from_years(years: list[int], path) -> TimeGrid:
@@ -408,15 +408,15 @@ def read_spatial(path, grid: TimeGrid) -> tuple[SpatialGrid, np.ndarray]:
     data = read_table(companion, columns)
     years = grid.years().astype(int)
     coords = (data["lat"], data["lon"])
-    (lats, lons), order = cube_order(companion, coords, data["year"], years)
+    (lats, lons, _), order = cube_order(companion, coords, data["year"], years)
     cube = data["tas"][order].reshape(lats.size, lons.size, years.size)
     return SpatialGrid(lats, lons), np.ascontiguousarray(np.moveaxis(cube, -1, 0))
 
 
-def read_truth(path, spatial: bool) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """Coordinate axes, years and values of a truth scenario: the
+def read_truth(path, spatial: bool) -> tuple[list[np.ndarray], np.ndarray]:
+    """Axes and values of a truth scenario, years the last axis: the
     ``tas_global`` series, or the ``_spatial.csv`` companion on the main
-    file's grid as a (lat, lon, year) cube."""
+    file's grid as a (lat, lon, year) cube.  Every axis is sorted."""
     needed = ["year"] if spatial else ["year", "tas_global"]
 
     def columns(header):
@@ -427,9 +427,9 @@ def read_truth(path, spatial: bool) -> tuple[list[np.ndarray], np.ndarray, np.nd
     data = read_table(path, columns)
     grid = _grid_from_years(data["year"].astype(int).tolist(), path)
     if not spatial:
-        return [], data["year"], data["tas_global"]
+        return [data["year"]], data["tas_global"]
     sgrid, cube = read_spatial(path, grid)
-    return [sgrid.latitudes, sgrid.longitudes], data["year"], np.moveaxis(cube, 0, -1)
+    return [sgrid.latitudes, sgrid.longitudes, data["year"]], np.moveaxis(cube, 0, -1)
 
 
 def write_csv(path, header, rows) -> None:

@@ -666,6 +666,32 @@ class TestInputValidation:
         assert self.evaluate_edited(workspace, repeat, command) == 2
         assert f"x.csv: line {appended[0]}: duplicate row" in capsys.readouterr().err
 
+    def test_duplicate_row_is_reported_before_missing_truth(self, workspace, capsys):
+        """The prediction rows are checked as a cube before they are joined to
+        the truth, so a duplicate row is named even when a year lacks truth."""
+        appended = []
+
+        def extend(rows):
+            rows.append([str(int(rows[-1][0]) + 1), *rows[-1][1:]])  # after the truth's last year
+            rows.append(list(rows[5]))
+            appended.append(len(rows))
+
+        assert self.evaluate_edited(workspace, extend) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(f"x.csv: line {appended[0]}: duplicate row for (1984,)\n")
+
+    def test_spatial_truth_lacking_a_latitude(self, workspace, capsys):
+        """A complete spatial prediction grid whose latitude the truth lacks is
+        a data error naming that latitude."""
+        def move(rows):
+            for row in rows[1:]:
+                row[0] = "5.0" if row[0] == "-30.0" else row[0]
+
+        assert self.evaluate_edited(workspace, move, "spatial-emulate") == 2
+        assert capsys.readouterr().err == (
+            "error: truth has no value for lat 5.0 inside the requested period\n")
+
     def test_incomplete_spatial_predictions(self, workspace, capsys):
         def drop(rows):
             del rows[3]
@@ -1098,6 +1124,54 @@ def test_spatial_overflow_exits_3(tmp_path, capsys):
                  "--holdout", "ssp_mid", "--out", str(out)]) == 3
     assert "error: spatial posterior mean or variance of cell" in capsys.readouterr().err
     assert not out.exists()
+
+
+QUERY_COMMANDS = ("emulate", "forcing", "sample", "spatial-emulate")
+# A bundled model-file line and a finite value for it that overflows a
+# quantity, each with its exit code and error message.
+OVERFLOWS = {
+    "alpha_log = 5.35|alpha_log = 1.7e308": (3, "the forcing path of scenario"),
+    "c0 = 278.0|c0 = 1e-320": (3, "the forcing path of scenario"),
+    "alpha_sqrt = 0.036|alpha_sqrt = 1e308": (3, "the forcing path of scenario"),
+    "alpha_lin = -0.004|alpha_lin = -1e308": (3, "the forcing path of scenario"),
+    "variability_amplitude = 0.7|variability_amplitude = 1e160":
+        (2, "[response]: variability_amplitude 1e+160 is too large"),
+    "equilibrium_responses = 0.41, 0.33|equilibrium_responses = 1e307, 0.33":
+        (3, "the training block (n=366) or its jitter is not finite"),
+    "alpha_log = 5.35|alpha_log = 1e307": (0, None),  # only the unused likelihood overflows
+}
+
+
+@pytest.mark.parametrize("edit, command", [
+    *[(edit, command) for edit in list(OVERFLOWS)[:5] for command in QUERY_COMMANDS],
+    *[(edit, "emulate") for edit in list(OVERFLOWS)[5:]],
+    ("variability_amplitude = 0.7|variability_amplitude = 1e160", "fit"),
+])
+def test_overflowing_model_value_is_one_error_line(tmp_path, capsys, edit, command):
+    """A finite model-file value whose forcing path, sigma^2, variability
+    column or log-likelihood overflows never reaches stderr as a warning or a
+    traceback: the command exits 0 with finite values, or with its code and
+    one ``error:`` line (a rejected model file names itself)."""
+    data = Path(__file__).resolve().parents[1] / "data" / "synthetic"
+    (old, new), (code, message) = edit.split("|"), OVERFLOWS[edit]
+    text = (data / "model_config.txt").read_text()
+    assert text.count(f"\n{old}\n") == 1
+    config, out = tmp_path / "model.txt", tmp_path / "out.csv"
+    config.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+    scenarios = [str(data / f"{name}.csv") for name in ("historical", "ssp_low", "ssp_mid")]
+    model = ["--config" if command == "fit" else "--model", str(config)]
+    rc = main([command, *model, "--scenario", *scenarios, "--holdout", "ssp_mid",
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == code
+    if code == 0:
+        rows = read_csv(out)
+        values = [float(v) for row in rows for k, v in row.items() if k != "year"]
+        assert err == "" and rows and np.all(np.isfinite(values))
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert code != 2 or err.startswith(f"error: {config}: [response]")
+        assert not out.exists()
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
