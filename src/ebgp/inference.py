@@ -9,18 +9,18 @@ quasi-Newton ascent on log-parameters.
 Inference is one exact Gaussian conditioning on the noisy training block
 (Rasmussen & Williams, GPML, Algorithm 2.1): ``condition`` is the only code
 that assembles that block, and factors it in place (``factorise`` factors a
-copy) through ``cholesky``, the one call of LAPACK's dpotrf, on the jitter
-ladder ``jitter_rungs`` sets for it and for ``spatial``.  The posteriors take
-the ``Conditioned`` value it returns, with one update for every training set,
-the empty one included; each fit objective evaluation is one ``condition``:
-its ``log_likelihood`` is the value, its factor and alpha give the gradient.
-The kernel is kept on the distinct emission rows, with a map from each row to
-them; a fit's evaluations share one ``FitGeometry`` and the first one's
-jitter rung.  That first evaluation stays in the parent process; the L-BFGS-B
-starts then run in up to min(starts, usable CPUs / BLAS threads) forked
-processes, which return only evaluation values and optimizer outcomes, so the
-result is identical to a serial run.  They run in-process with one start,
-BLAS on every CPU (its default) or no ``os.fork``.
+copy) through ``cholesky``, the one call of LAPACK's dpotrf, a new block for
+each rung it tries of the jitter ladder ``jitter_rungs`` sets for it and for
+``spatial``.  The posteriors take the ``Conditioned`` value it returns, with
+one update for every training set, the empty one included; each fit objective
+evaluation is one ``condition``: its ``log_likelihood`` is the value, its
+factor and alpha give the gradient.  The kernel is kept on the distinct
+emission rows, with a map from each row to them; a fit's evaluations share one
+``FitGeometry`` and the first one's jitter rung.  That first evaluation stays
+in the parent process; the L-BFGS-B starts then run in up to min(starts, usable
+CPUs / BLAS threads) forked processes, which return only evaluation values and
+optimizer outcomes, so the result is identical to a serial run.  They run
+in-process with one start, BLAS on every CPU (its default) or no ``os.fork``.
 """
 
 from __future__ import annotations
@@ -111,16 +111,16 @@ class GPPrior:
         blocks = [self.variability_blocks[s] for s in self.scenarios(rows)]
         return block_diag(*blocks) if blocks else np.empty((0, 0))
 
-    def physics_gram(self, rows=slice(None), cols=slice(None), order="C") -> np.ndarray:
+    def physics_gram(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
         """L K L^T at the prior rows ``rows`` and columns ``cols``, slices of
-        whole scenarios (else GridMismatch), a new array in ``order``.  Block
+        whole scenarios (else GridMismatch), a new C-ordered array.  Block
         (a, b), b <= a, is L_b from the right on the strip L_a K[a, :end_a],
         symmetrised when b = a and transposed into (b, a), so the square matrix
         is exactly symmetric and each block is the same bits at every slice."""
         edges, blocks = self.edges, self.response_blocks
         r, c = self.scenarios(rows), self.scenarios(cols)
         at_r, at_c = (np.subtract(edges, edges[span.start]) for span in (r, c))
-        out = np.empty((at_r[r.stop], at_c[c.stop]), order=order)
+        out = np.empty((at_r[r.stop], at_c[c.stop]))
         for a, (i, j) in enumerate(zip(edges, edges[1:])):
             lower = [b for b in range(a + 1) if a in r and b in c or b in r and a in c]
             if lower:  # L_a K[a, :end_a]
@@ -135,14 +135,14 @@ class GPPrior:
         return out
 
     def noisy_block(self, train: TrainingSet) -> np.ndarray:
-        """Covariance of the noisy observations ``train``: the physics block
-        plus sigma^2 times the variability block at the prior's first ``train.n``
-        rows, a new Fortran-ordered array (``condition`` factors it in place).
-        Raises GridMismatch unless those rows are ``train.index``, in order."""
+        """Covariance of the noisy observations ``train``, a new Fortran-ordered
+        array ``condition`` factors in place: the exactly symmetric physics block,
+        transposed (the same bits), plus sigma^2 Gamma at the prior's first
+        ``train.n`` rows.  GridMismatch unless those rows are ``train.index``, in order."""
         if self.index[:train.n] != train.index:
             raise GridMismatch("the training rows are not the prior's leading rows, in order")
         rows, edges = slice(0, train.n), self.edges
-        block = self.physics_gram(rows, rows, order="F")
+        block = self.physics_gram(rows, rows).T
         for s in self.scenarios(rows):
             i, j = edges[s:s + 2]
             block[i:j, i:j] += self.sigma**2 * self.variability_blocks[s]
@@ -325,29 +325,29 @@ def factorise(
     the exactly symmetric covariance ``block`` at ``residual`` (GPML
     Algorithm 2.1, lines 2-4); the factor's strict upper triangle is 0.
 
-    ``cholesky`` factors the lower triangle of a copy of ``block``, which is
-    left unchanged, and a failed rung restores the copy from ``block``, so
-    every rung factors the same matrix.  ``jitter`` is a frozen absolute
-    diagonal regularizer, else the ``ladder``'s ``jitter_rungs`` are tried in
-    turn and the one that succeeded returned.  NonFinite on a block that is
-    not finite; SingularGram when the last rung fails."""
-    return _factorise_in_place(np.array(block, float, order="F"), block, residual, jitter, ladder)
+    Each rung tried, ``cholesky`` factors the lower triangle of a new copy
+    of ``block``, which is left unchanged, so every rung factors the same
+    matrix.  ``jitter`` is a frozen absolute diagonal regularizer, else the
+    ``ladder``'s ``jitter_rungs`` are tried in turn and the one that
+    succeeded returned.  NonFinite on a block that is not finite;
+    SingularGram when the last rung fails."""
+    return _factorise_each(lambda: np.array(block, float, order="F"), residual, jitter, ladder)
 
 
-def _factorise_in_place(block, source, residual, jitter=None, ladder=JITTER_LADDER):
-    """``factorise`` over the F-ordered float ``block``; failed rungs restore it from ``source``."""
+def _factorise_each(build, residual, jitter=None, ladder=JITTER_LADDER):
+    """``factorise`` over a new F-ordered float block from ``build()`` for each rung it tries."""
     n = residual.size
     if n == 0:
         return np.empty((0, 0)), residual.copy(), 0.0, 0.0
-    rungs, diagonal = jitter_rungs(block, ladder=ladder), np.diag(block).copy()  # checks finite
+    rungs = jitter_rungs(block := build(), ladder=ladder)  # checks finite
     for jitter in rungs if jitter is None else [jitter]:
-        np.fill_diagonal(block, diagonal + jitter)
+        block = build() if block is None else block
+        np.fill_diagonal(block, np.diag(block) + jitter)
         try:
             factor = cholesky(block)
             break
         except np.linalg.LinAlgError:
-            for j in range(n - 1):
-                block[j + 1:, j] = source[j + 1:, j]
+            block = None  # dropped before the next rung builds its own, so one is held
     else:
         raise SingularGram(f"Cholesky failed at jitter {jitter:g} (n={n})")
     for i in range(1, n):
@@ -397,9 +397,9 @@ def condition(prior: GPPrior, train: TrainingSet, jitter: float | None = None) -
     """Condition the prior on the training temperatures, which must be its
     leading rows (``GPPrior.noisy_block``): one factorization of the noisy
     training block, in place, serves every query; ``jitter`` as in ``factorise``.
-    Failed rungs restore from the exactly symmetric block's strict upper triangle."""
-    block, residual = prior.noisy_block(train), train.temperatures - prior.mean[:train.n]
-    return Conditioned(prior, *_factorise_in_place(block, block.T, residual, jitter))
+    A rung after a failed one factors a new noisy block."""
+    residual = train.temperatures[:prior.n] - prior.mean[:train.n]  # shorter prior: GridMismatch
+    return Conditioned(prior, *_factorise_each(lambda: prior.noisy_block(train), residual, jitter))
 
 
 def posterior_temperature(conditioned: Conditioned, rows: slice) -> PosteriorDistribution:

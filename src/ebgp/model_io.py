@@ -160,8 +160,11 @@ def parse_model(text: str, where: str = "<model>") -> EmulatorModel:
     parser.optionxform = str  # keys are case sensitive
     try:
         parser.read_string(text)
-    except configparser.Error as exc:
-        raise ParseError(f"{where}: {exc}") from None
+    except configparser.Error as exc:  # one line naming the file, not configparser's text
+        line = getattr(exc, "lineno", None) or exc.errors[0][0]
+        why = ("a key before any section header" if isinstance(exc, configparser.MissingSectionHeaderError)
+               else str(exc).partition("]: ")[2] if hasattr(exc, "section") else "expected 'key = value'")
+        raise ParseError(f"{where}: line {line}: {why}") from None
 
     def need(section: str, key: str) -> str:
         if not parser.has_section(section):

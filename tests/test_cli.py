@@ -290,6 +290,18 @@ class TestFit:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    def test_everything_held_out_with_free_parameters(self, workspace, capsys):
+        tmp, config, paths = workspace
+        model = load_model(config)
+        model.fit = FitSettings(free=("variance", "sigma"), restarts=0, max_iterations=5)
+        free_config = tmp / "config_free.txt"
+        save_model(model, free_config)
+        held = [arg for name in ("hist", "mid", "target") for arg in ("--holdout", name)]
+        err = _rejected(capsys, ["fit", "--config", str(free_config), "--scenario", *paths,
+                                 *held, "--out", str(tmp / "m.txt")])
+        assert err == "error: cannot fit hyperparameters with an empty training set\n"
+        assert not (tmp / "m.txt").exists()
+
     def test_free_sigma_at_zero_names_the_config(self, workspace, capsys):
         """sigma is fit on the log scale, so a config that frees it at 0 is a
         data error naming the file, [fit] free and the key that holds it."""
@@ -821,6 +833,63 @@ class TestSpatialCompanions:
         assert opened == ["spatial-emulate.out", "target.csv", "target_spatial.csv"]
 
 
+def _rejected(capsys, argv):
+    """stderr of ``main(argv)``, which must exit 2 with one ``error:`` line and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def _with_columns(path, edit):
+    """Rewrite a CSV file with ``edit`` applied to each row's list of cells."""
+    rows = [edit(line.split(",")) for line in path.read_text().splitlines()]
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+
+
+class TestRejectedFiles:
+    """A scenario, companion or truth file of the wrong shape exits 2 with one
+    ``error:`` line naming the file."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda path: path.write_text(""), "file is empty"),
+        (lambda path: path.write_text(path.read_text().splitlines()[0] + "\n"),
+         "file contains no data rows"),
+        (lambda path: _with_columns(path, lambda row: row[1:]),  # year is the first column
+         "missing required column 'year'"),
+        (lambda path: _with_columns(path, lambda row: row + ["extra" if row[0] == "year" else "1"]),
+         "unknown columns ['extra']"),
+    ], ids=["empty", "header-only", "no-year", "extra-column"])
+    def test_scenario_file(self, workspace, capsys, edit, message):
+        tmp, config, paths = workspace
+        edit(tmp / "hist.csv")
+        err = _rejected(capsys, ["emulate", "--model", str(config), "--scenario", *paths,
+                                 "--holdout", "target", "--out", str(tmp / "x.csv")])
+        assert err == f"error: {tmp / 'hist.csv'}: {message}\n"
+
+    def test_companion_header(self, workspace, capsys):
+        tmp, config, paths = workspace
+        companion = tmp / "hist_spatial.csv"
+        companion.write_text(companion.read_text().replace("lat,lon,year,tas", "lat,lon,year,t", 1))
+        err = _rejected(capsys, ["spatial-emulate", "--model", str(config), "--scenario", *paths,
+                                 "--holdout", "target", "--out", str(tmp / "x.csv")])
+        assert err == f"error: {companion}: expected columns lat, lon, year, tas\n"
+
+    def test_truth_without_global_temperature(self, workspace, capsys):
+        tmp, config, paths = workspace
+        predictions, truth = tmp / "x.csv", tmp / "target.csv"
+        assert main(["emulate", "--model", str(config), "--scenario", *paths,
+                     "--holdout", "target", "--out", str(predictions)]) == 0
+        capsys.readouterr()
+        at = truth.read_text().splitlines()[0].split(",").index("tas_global")
+        _with_columns(truth, lambda row: row[:at] + row[at + 1:])
+        err = _rejected(capsys, ["evaluate", "--predictions", str(predictions),
+                                 "--scenario", str(truth), "--out", str(tmp / "s.csv")])
+        assert err == f"error: {truth}: truth scenario needs columns year, tas_global\n"
+
+
 class TestEvaluate:
     def _write_predictions(self, path, years, mean, std, prior=None):
         with open(path, "w", newline="") as handle:
@@ -895,6 +964,13 @@ class TestEvaluate:
                    "--period", "2000:2011", "--out", str(tmp / "s.csv")])
         assert rc == 2
         assert "truth has no value for year 2010 inside" in capsys.readouterr().err
+
+    def test_period_start_after_end(self, workspace, capsys):
+        tmp, config, paths = workspace
+        err = _rejected(capsys, ["evaluate", "--predictions", str(tmp / "target.csv"),
+                                 "--scenario", str(tmp / "target.csv"),
+                                 "--period", "2050:2015", "--out", str(tmp / "s.csv")])
+        assert err == "error: period start 2050 is after end 2015\n"
 
     def test_bad_period_syntax(self, workspace):
         tmp, config, paths = workspace

@@ -762,6 +762,17 @@ class TestPosteriorTemperature:
         with pytest.raises(GridMismatch):
             condition(prior, bad)
 
+    def test_prior_shorter_than_the_training_rows_rejected(
+        self, setup, toy_impulse, toy_forcing, toy_kernel, toy_agents
+    ):
+        """GridMismatch, not an error from forming the residual."""
+        s1, s2, _, _ = setup
+        both, _ = assemble_training_set([s1, s2])
+        prior = build_prior([s1], EmulatorModel(toy_agents, toy_impulse, toy_forcing, toy_kernel,
+                                                both.standardization))
+        with pytest.raises(GridMismatch, match="leading rows"):
+            condition(prior, both)
+
 
 def test_query_memory_stays_near_the_training_blocks(toy_impulse, toy_forcing, toy_kernel,
                                                      toy_agents):
@@ -1371,6 +1382,36 @@ class TestCholeskyLadder:
         assert len(calls) == 2 and all(map(np.array_equal, got, expected))
         for factor in (first.factor, escalated.factor, frozen.factor, expected[0]):
             assert not np.triu(factor, 1).any()
+
+    def test_failed_rung_builds_the_block_again(self, setup, monkeypatch):
+        """A rung that fails after overwriting both triangles of its block
+        leaves nothing the next rung reads: ``condition`` builds the noisy
+        block again, and the escalated result is bit for bit ``factorise`` at
+        the second rung."""
+        from ebgp import inference
+
+        _, _, train, prior = setup
+        block, residual = prior.noisy_block(train), train.temperatures - prior.mean[:train.n]
+        builds, calls = [], []
+
+        def counted(self, train, _original=GPPrior.noisy_block):
+            builds.append(1)
+            return _original(self, train)
+
+        def poisoning_first(a, _original=inference.cholesky):
+            calls.append(1)
+            if len(calls) == 1:
+                a[...] = np.nan
+                raise np.linalg.LinAlgError("1-th leading minor not positive definite")
+            return _original(a)
+
+        monkeypatch.setattr(GPPrior, "noisy_block", counted)
+        monkeypatch.setattr(inference, "cholesky", poisoning_first)
+        escalated = condition(prior, train)
+        monkeypatch.undo()
+        expected = factorise(block, residual, jitter=jitter_rungs(block)[1])
+        got = (escalated.factor, escalated.alpha, escalated.jitter, escalated.log_likelihood)
+        assert len(calls) == len(builds) == 2 and all(map(np.array_equal, got, expected))
 
     def test_escalated_rung_factors_the_callers_block(self, monkeypatch):
         """``factorise`` on a block that is symmetric only to rounding: a rung

@@ -218,6 +218,35 @@ class TestRejectedWhereRead:
         with pytest.raises(SchemaError, match=rf"model\.txt: {message}"):
             self.load_edited(tmp_path, old, new)
 
+    @pytest.mark.parametrize(
+        "old, new, error, message",
+        [
+            ("std = 2.0, 3.0", "std = 2.0, 3.0\nstd 4.0", ParseError,
+             "line 38: expected 'key = value'"),
+            ("[meta]", "format_version = 1\n[meta]", ParseError,
+             "line 1: a key before any section header"),
+            ("[fit]", "[agents]\n\n[fit]", ParseError,
+             "line 39: section 'agents' already exists"),
+            ("restarts = 2", "restarts = 2\nrestarts = 3", ParseError,
+             "line 42: option 'restarts' in section 'fit' already exists"),
+            ("timescales = 4.1, 239.0\n", "", SchemaError,
+             "missing key 'timescales' in [response]"),
+            ("order = co2, so2", "order =", SchemaError, "[agents] order is empty"),
+            ("co2.mode = cumulative_emission", "co2.mode = flux", SchemaError,
+             "agent 'co2': unknown input mode 'flux'"),
+            ("standardize_inputs = true", "standardize_inputs = maybe", ParseError,
+             "[kernel] standardize_inputs: cannot parse 'maybe' as a boolean"),
+        ],
+        ids=["no-equals", "key-before-header", "repeated-section", "repeated-key",
+             "missing-key", "empty-order", "unknown-mode", "non-boolean"],
+    )
+    def test_one_line_naming_the_file(self, tmp_path, old, new, error, message):
+        """A syntax error names the file and its line, not configparser's
+        '<string>', and every rejection is one line."""
+        with pytest.raises(error) as raised:
+            self.load_edited(tmp_path, old, new)
+        assert str(raised.value) == f"{tmp_path / 'model.txt'}: {message}"
+
     def test_sections_checked_in_file_order(self):
         """With faults in several sections the first in file order is
         reported, and an unknown section only once the others are sound."""
