@@ -4,27 +4,25 @@ Subcommands: fit, emulate, forcing, spatial-emulate, evaluate, sample,
 verify.  Outputs are plot-ready CSV files with floats at full round-trip
 precision, so reruns with the same inputs and seed are byte-identical.
 
-Exit codes: 0 ok, 2 data error, 3 optimization/numerical failure,
-4 model-scenario compatibility error.
+Exit codes: 0 ok, else the ``exit_code`` of the error's class (``errors``):
+2 data error, 3 optimization/numerical failure, 4 model-scenario compatibility error.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
+
+# One BLAS thread unless the environment sets one: output bytes depend on it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # before numpy is first imported
 
 import numpy as np
 
 from . import oracles
-from .errors import (
-    CompatibilityError,
-    EmulatorError,
-    NonFinite,
-    ParseError,
-    SchemaError,
-    SingularGram,
-)
+from .errors import EmulatorError, NonFinite, ParseError, SchemaError
 from .inference import (
     build_prior,
     condition,
@@ -61,9 +59,7 @@ from .spatial import fit_pattern_scaling, spatial_posterior
 DEFAULT_SEED = 101
 
 EXIT_OK = 0
-EXIT_DATA = 2
 EXIT_OPTIMIZATION = 3
-EXIT_COMPAT = 4
 
 INTERVAL_HEADER = ["year", "prior_mean", "posterior_mean", "posterior_std", "lower95", "upper95"]
 
@@ -136,10 +132,14 @@ def _load_holdout(args):
 
 def _temperature(conditioned, rows):
     """Prior mean and predictive distribution (posterior plus internal
-    variability) of the temperature at ``rows``."""
+    variability) of the temperature at ``rows``; NonFinite if it overflows."""
     prior = conditioned.prior
     posterior = posterior_temperature(conditioned, rows)
-    posterior.covariance += prior.sigma**2 * prior.variability(rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        posterior.covariance += prior.sigma**2 * prior.variability(rows)
+    if not np.isfinite(posterior.covariance).all():
+        raise NonFinite(f"the predictive covariance at prior rows {rows.start}:{rows.stop} "
+                        "is not finite")
     return prior.mean[rows], posterior
 
 
@@ -375,15 +375,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CompatibilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPAT
-    except (NonFinite, SingularGram) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OPTIMIZATION
     except (EmulatorError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return getattr(exc, "exit_code", EmulatorError.exit_code)
 
 
 if __name__ == "__main__":

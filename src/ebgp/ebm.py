@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveConcentration
+from .errors import GridMismatch, SchemaError
 
 
 @dataclass
@@ -120,14 +120,14 @@ def forcing_response(
         if name not in concentrations:
             if p.alpha_log == 0.0 and p.alpha_lin == 0.0 and p.alpha_sqrt == 0.0:
                 continue
-            raise KeyError(f"no concentration series for forcing agent '{name}'")
+            raise SchemaError(f"no concentration series for forcing agent '{name}'")
         c = np.asarray(concentrations[name], dtype=float)
         if c.size != grid.n_steps:
-            raise DimensionMismatch(
+            raise GridMismatch(
                 f"concentration series for '{name}' has length {c.size}, grid has {grid.n_steps}"
             )
         if (p.alpha_log != 0.0 or p.alpha_sqrt != 0.0) and np.any(c <= 0):
-            raise NonPositiveConcentration(
+            raise SchemaError(
                 f"agent '{name}' has non-positive concentrations under a log/sqrt term"
             )
         if p.alpha_log != 0.0:
@@ -173,7 +173,8 @@ def temperature_operator(impulse: ImpulseParams, grid: TimeGrid) -> np.ndarray:
     """Sum of the per-mode convolution operators: maps forcing to temperature."""
     # Imported here, so reading scenarios and scoring load no scipy.linalg.
     from scipy.linalg import toeplitz
-    col = mode_series(impulse, grid)[0].sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # in the derivative, unused here
+        col = mode_series(impulse, grid)[0].sum(axis=0)
     return toeplitz(col, np.zeros_like(col))
 
 
@@ -195,7 +196,7 @@ def thermal_response(
     """
     f = np.asarray(forcing, dtype=float)
     if f.size != grid.n_steps:
-        raise DimensionMismatch(
+        raise GridMismatch(
             f"forcing has length {f.size}, grid has {grid.n_steps} steps"
         )
     decay = np.exp(-grid.step / impulse.timescales)

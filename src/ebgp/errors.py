@@ -1,48 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each carrying the exit code
+``ebgp.cli`` returns for it."""
 
 
 class EmulatorError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; a data error."""
 
-
-class NonDiagonalizable(EmulatorError):
-    """Feedback matrix has complex, repeated or otherwise degenerate modes."""
-
-
-class NonPositiveConcentration(EmulatorError):
-    """A log or sqrt forcing term received a concentration <= 0."""
-
-
-class DimensionMismatch(EmulatorError):
-    """Inputs have inconsistent shapes."""
-
-
-class GridMismatch(EmulatorError):
-    """Scenarios or fields live on incompatible grids."""
-
-
-class SingularGram(EmulatorError):
-    """Gram matrix could not be factorized even at maximum jitter."""
-
-
-class NonFinite(EmulatorError):
-    """Objective became NaN or infinite; parameters are degenerate."""
-
-
-class DegenerateRegressor(EmulatorError):
-    """Regression input is constant; slope undefined."""
-
-
-class EmptyGrid(EmulatorError):
-    """Spatial grid or field is empty."""
-
-
-class LengthMismatch(EmulatorError):
-    """Paired series have different lengths."""
-
-
-class NonPositiveVariance(EmulatorError):
-    """A predictive variance is zero or negative where positive is required."""
+    exit_code = 2
 
 
 class ParseError(EmulatorError):
@@ -50,16 +13,26 @@ class ParseError(EmulatorError):
 
 
 class SchemaError(EmulatorError):
-    """A file parsed but does not match the expected column schema."""
+    """Input parsed but its columns, names or values are not valid."""
 
 
 class CompatibilityError(SchemaError):
     """Model and scenario disagree about the atmospheric agents."""
 
-
-class GridError(EmulatorError):
-    """Scenario years are not a uniform annual grid."""
+    exit_code = 4
 
 
-class UnknownScenario(EmulatorError):
-    """A scenario name was requested that is not in the given set."""
+class GridMismatch(EmulatorError):
+    """Scenarios, fields or arrays have incompatible grids or shapes."""
+
+
+class NonFinite(EmulatorError):
+    """A likelihood, mean or covariance overflowed or is NaN; the parameters are degenerate."""
+
+    exit_code = 3
+
+
+class SingularGram(EmulatorError):
+    """Gram matrix could not be factorized even at maximum jitter."""
+
+    exit_code = 3

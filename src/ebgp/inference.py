@@ -35,7 +35,7 @@ from scipy.linalg import blas, block_diag, cho_solve, lapack, solve_triangular
 
 from . import ebm, kernels
 from .ebm import ForcingParams, ImpulseParams
-from .errors import DimensionMismatch, GridMismatch, NonFinite, SchemaError, SingularGram
+from .errors import GridMismatch, NonFinite, SchemaError, SingularGram
 from .kernels import KernelConfig
 from .scenario import AgentSpec, Scenario, Standardization, TrainingSet
 
@@ -100,7 +100,7 @@ class GPPrior:
         scenarios it covers (else GridMismatch), one scenario block at a time."""
         edges = self.edges
         if edges[-1] < len(x):
-            raise DimensionMismatch(f"{len(x)} rows for a response operator of {edges[-1]} rows")
+            raise GridMismatch(f"{len(x)} rows for a response operator of {edges[-1]} rows")
         return np.concatenate([_lower_product(self.response_blocks[s], x[edges[s]:edges[s + 1]])
                                for s in self.scenarios(slice(0, len(x)))] or [x])
 
@@ -128,7 +128,8 @@ class GPPrior:
             for b in lower:
                 block = _lower_product(blocks[b], strip[:, edges[b]:edges[b + 1]], right=True)
                 if b == a:
-                    block = 0.5 * (block + block.T)
+                    with np.errstate(over="ignore"):  # left inf for the finite checks
+                        block = 0.5 * (block + block.T)
                 for x, y, part in ((a, b, block), (b, a, block.T)):
                     if x in r and y in c:
                         out[at_r[x]:at_r[x + 1], at_c[y]:at_c[y + 1]] = part
@@ -145,7 +146,8 @@ class GPPrior:
         block = self.physics_gram(rows, rows).T
         for s in self.scenarios(rows):
             i, j = edges[s:s + 2]
-            block[i:j, i:j] += self.sigma**2 * self.variability_blocks[s]
+            with np.errstate(over="ignore", invalid="ignore"):  # jitter_rungs reports it
+                block[i:j, i:j] += self.sigma**2 * self.variability_blocks[s]
         return block
 
 
@@ -237,10 +239,15 @@ def scenario_forcing(
 
 def _mean_paths(scenarios: list[Scenario], model: EmulatorModel) -> dict:
     """The ``GPPrior`` fields the box model and the forcing coefficients
-    move: the stacked box-model temperature mean and the forcing path."""
+    move: the stacked box-model temperature mean and the forcing path.  A
+    mean or path that is not finite (it overflowed) is NonFinite."""
     forcings = [scenario_forcing(scen, model.forcing, model.agents) for scen in scenarios]
-    means = [ebm.thermal_response(f, model.impulse, scen.grid)[1]
-             for scen, f in zip(scenarios, forcings)]
+    with np.errstate(all="ignore"):  # reported below instead
+        means = [ebm.thermal_response(f, model.impulse, scen.grid)[1]
+                 for scen, f in zip(scenarios, forcings)]
+    for scen, mean in zip(scenarios, means):
+        if not np.isfinite(mean).all():
+            raise NonFinite(f"the temperature mean of scenario '{scen.name}' is not finite")
     return dict(mean=np.concatenate(means), forcing_mean=np.concatenate(forcings))
 
 

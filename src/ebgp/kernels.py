@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from . import ebm
-from .errors import DimensionMismatch
+from .errors import GridMismatch
 
 KERNEL_FAMILIES = ("matern12", "matern32")
 
@@ -54,11 +54,11 @@ def _sq_diffs(xa: np.ndarray, xb: np.ndarray, config: KernelConfig) -> tuple[lis
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
     if xa.shape[1] != xb.shape[1]:
-        raise DimensionMismatch(
+        raise GridMismatch(
             f"input matrices have {xa.shape[1]} and {xb.shape[1]} columns"
         )
     if xa.shape[1] != config.n_dims:
-        raise DimensionMismatch(
+        raise GridMismatch(
             f"{xa.shape[1]} input dimensions for {config.n_dims} lengthscales"
         )
     with np.errstate(over="ignore"):
@@ -116,11 +116,11 @@ def internal_variability_gram(impulse: ebm.ImpulseParams, grid: ebm.TimeGrid) ->
     symmetric Toeplitz matrix built from its first column."""
     d = impulse.timescales
     q = impulse.equilibrium_responses
-    nu = variability_weights(impulse)
     lag = grid.step * np.arange(grid.n_steps)
     column = np.zeros(grid.n_steps)
     # An overflow is left inf or nan: the training block's finite check reports it.
     with np.errstate(over="ignore", invalid="ignore"):
+        nu = variability_weights(impulse)
         for i in range(impulse.n_boxes):
             column += nu[i] * (q[i] ** 2 / (2.0 * d[i])) * np.exp(-lag / d[i])
     return toeplitz(column)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyGrid, GridMismatch, LengthMismatch, NonPositiveVariance
+from .errors import GridMismatch, SchemaError
 from .scenario import SpatialGrid
 
 # Two-sided 95% normal quantile used for credible intervals everywhere.
@@ -36,7 +36,7 @@ def deterministic_scores(prediction: np.ndarray, truth: np.ndarray) -> tuple[flo
     prediction = np.atleast_1d(np.asarray(prediction, dtype=float))
     truth = np.atleast_1d(np.asarray(truth, dtype=float))
     if prediction.shape != truth.shape or prediction.size == 0:
-        raise LengthMismatch(
+        raise GridMismatch(
             f"prediction has shape {prediction.shape}, truth has {truth.shape}"
         )
     err = prediction - truth
@@ -83,17 +83,17 @@ def probabilistic_scores(
 
     Zero variances are permitted: the calibration check then counts exact
     hits, CRPS degrades to absolute error and the log-likelihood diverges.
-    Negative variances raise NonPositiveVariance.
+    Negative variances raise SchemaError.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     variance = np.atleast_1d(np.asarray(variance, dtype=float))
     truth = np.atleast_1d(np.asarray(truth, dtype=float))
     if not (mean.shape == variance.shape == truth.shape) or mean.size == 0:
-        raise LengthMismatch(
+        raise GridMismatch(
             f"shapes differ: mean {mean.shape}, variance {variance.shape}, truth {truth.shape}"
         )
     if np.any(variance < 0):
-        raise NonPositiveVariance("negative predictive variance")
+        raise SchemaError("negative predictive variance")
     std = np.sqrt(variance)
 
     with np.errstate(divide="ignore"):
@@ -112,7 +112,7 @@ def area_weighted_mean(field: np.ndarray, grid: SpatialGrid) -> float:
     """Mean over the grid with cos(latitude) row weights."""
     field = np.asarray(field, dtype=float)
     if field.size == 0:
-        raise EmptyGrid("cannot average an empty field")
+        raise SchemaError("cannot average an empty field")
     if field.shape != grid.shape:
         raise GridMismatch(f"field has shape {field.shape}, grid is {grid.shape}")
     weights = np.cos(np.radians(grid.latitudes))

@@ -28,7 +28,7 @@ from scipy.linalg import toeplitz
 
 from . import ebm, inference, kernels
 from .ebm import ImpulseParams, TimeGrid
-from .errors import DimensionMismatch, GridMismatch, NonDiagonalizable
+from .errors import GridMismatch
 from .inference import Conditioned, GPPrior, PosteriorDistribution, factorise
 from .kernels import KernelConfig
 from .scenario import TrainingSet
@@ -45,7 +45,7 @@ def matern(x: np.ndarray, y: np.ndarray, config: KernelConfig) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.size != y.size or x.size != config.n_dims:
-        raise DimensionMismatch(
+        raise ValueError(
             f"inputs of size {x.size} and {y.size} for {config.n_dims} lengthscales"
         )
     r = _scaled_distance(x, y, config)
@@ -66,7 +66,7 @@ def thermal_cross_gram(k: np.ndarray, op_i: np.ndarray, op_j: np.ndarray) -> np.
     """Covariance between two mode responses: op_i K op_j^T."""
     k = np.asarray(k, dtype=float)
     if op_i.shape[1] != k.shape[0] or op_j.shape[1] != k.shape[1]:
-        raise DimensionMismatch(
+        raise ValueError(
             f"operators {op_i.shape}, {op_j.shape} do not conform with kernel {k.shape}"
         )
     return op_i @ k @ op_j.T
@@ -86,7 +86,7 @@ def forcing_temperature_cross_gram(
     """Cross covariance Cov(F(t), T(t')): forcing kernel rows against K L^T columns."""
     k_block = np.asarray(k_block, dtype=float)
     if k_block.ndim != 2 or k_block.shape[1] != grid.n_steps:
-        raise DimensionMismatch(
+        raise ValueError(
             f"kernel block {k_block.shape} does not conform with grid of {grid.n_steps} steps"
         )
     op = ebm.temperature_operator(impulse, grid)
@@ -230,7 +230,7 @@ def diagonalization(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Eigenvalues come sorted most negative first (increasing timescale) and
     eigenvectors are normalised to unit surface-box component, so that the
     transformed mode responses sum to the surface temperature.  Raises
-    NonDiagonalizable when eigenvalues are complex or repeated within
+    ValueError when eigenvalues are complex or repeated within
     ``tol`` (1e-9, relative to the spectral scale), or when a mode does not
     couple to the surface box.
     """
@@ -239,19 +239,19 @@ def diagonalization(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     evals, evecs = np.linalg.eig(a)
     scale = np.max(np.abs(evals))
     if np.max(np.abs(evals.imag)) > tol * max(scale, 1.0):
-        raise NonDiagonalizable("feedback matrix has complex eigenvalues")
+        raise ValueError("feedback matrix has complex eigenvalues")
     evals = evals.real
     evecs = evecs.real
     order = np.argsort(evals)  # most negative first -> increasing timescale
     evals = evals[order]
     evecs = evecs[:, order]
     if np.any(np.diff(evals) <= tol * max(scale, 1.0)):
-        raise NonDiagonalizable("feedback matrix has repeated eigenvalues")
+        raise ValueError("feedback matrix has repeated eigenvalues")
     if np.any(evals >= 0):
-        raise NonDiagonalizable("feedback matrix has a non-negative eigenvalue")
+        raise ValueError("feedback matrix has a non-negative eigenvalue")
     surface = evecs[0, :]
     if np.any(np.abs(surface) <= tol):
-        raise NonDiagonalizable("a mode does not couple to the surface box")
+        raise ValueError("a mode does not couple to the surface box")
     return evals, evecs / surface
 
 

@@ -38,14 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .ebm import TimeGrid
-from .errors import (
-    CompatibilityError,
-    GridError,
-    GridMismatch,
-    ParseError,
-    SchemaError,
-    UnknownScenario,
-)
+from .errors import CompatibilityError, GridMismatch, ParseError, SchemaError
 
 EMISSION_MODES = ("emission", "cumulative_emission")
 
@@ -312,7 +305,7 @@ def cube_order(path, coords, year, years, rows=None) -> tuple[list[np.ndarray], 
 
 def _grid_from_years(years: list[int], path) -> TimeGrid:
     """The uniform grid of a file's years, one per data row; a year that
-    breaks it is a GridError naming the year's line.  The
+    breaks it is a SchemaError naming the year's line.  The
     grid's step is the positive step most rows agree on, the earlier one on
     a tie; with no positive step the first step breaks the grid."""
     if not years:
@@ -322,7 +315,7 @@ def _grid_from_years(years: list[int], path) -> TimeGrid:
     broken = (steps <= 0) | (steps != (agreed[0][0] if agreed else 0))
     if np.any(broken):
         bad = int(np.argmax(broken))
-        raise GridError(
+        raise SchemaError(
             f"{path}: years are not uniformly spaced "
             f"(gap between {years[bad]} and {years[bad + 1]} at line {line_of(path, bad + 1)})"
         )
@@ -503,7 +496,7 @@ def assemble_training_set(
             raise SchemaError(f"scenario '{name}' is given more than once")
     for h in holdout:
         if h not in names:
-            raise UnknownScenario(f"holdout '{h}' is not among scenarios {names}")
+            raise SchemaError(f"holdout '{h}' is not among scenarios {names}")
     held = [s for s in scenarios if s.name in holdout]
     kept = [s for s in scenarios if s.name not in holdout]
 

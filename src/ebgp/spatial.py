@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRegressor, DimensionMismatch, GridMismatch, NonFinite, SingularGram
+from .errors import GridMismatch, NonFinite, SchemaError, SingularGram
 from .inference import GPPrior, jitter_rungs
 from .scenario import SpatialGrid, TrainingSet
 
@@ -56,14 +56,14 @@ def fit_pattern_scaling(
     if local.shape != (g.size, *grid.shape):
         raise GridMismatch(f"local cube has shape {local.shape}, expected {(g.size, *grid.shape)}")
     if g.size < 2:
-        raise DimensionMismatch("pattern scaling needs at least two time points")
+        raise GridMismatch("pattern scaling needs at least two time points")
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(local))):
         raise ValueError("pattern scaling inputs must be finite")
 
     gc = g - g.mean()
     var = float(gc @ gc) / g.size
     if var == 0.0:
-        raise DegenerateRegressor("global temperature series is constant")
+        raise SchemaError("global temperature series is constant")
     cov = np.einsum("t,tij->ij", gc, local - local.mean(axis=0)) / g.size
     slope = cov / var
     intercept = local.mean(axis=0) - slope * g.mean()

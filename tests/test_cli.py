@@ -1,17 +1,30 @@
+import contextlib
 import csv
 import io
 import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from ebgp.cli import DEFAULT_SEED, main
 from ebgp.ebm import AgentForcing, ImpulseParams, TimeGrid
+from ebgp.errors import (
+    CompatibilityError,
+    EmulatorError,
+    GridMismatch,
+    NonFinite,
+    ParseError,
+    SchemaError,
+    SingularGram,
+)
 from ebgp.inference import EmulatorModel, FitSettings, build_prior
 from ebgp.kernels import KernelConfig
 from ebgp.metrics import SCORE_FIELDS, Z95
@@ -1375,3 +1388,216 @@ def test_benchmark_span_targets_resolve():
         tracer.remove()
     assert set(tracer.missing) <= STALE_SPAN_TARGETS
     assert (kernels.forcing_gram, inference.build_prior, inference.cholesky) == originals
+
+
+# Each error class the commands may raise, with the exit code ``main`` returns for it.
+EXIT_CODES = {
+    EmulatorError: 2, ParseError: 2, SchemaError: 2, GridMismatch: 2,
+    CompatibilityError: 4, NonFinite: 3, SingularGram: 3, OSError: 2, ValueError: 2,
+}
+
+
+@pytest.mark.parametrize("error", EXIT_CODES, ids=lambda error: error.__name__)
+def test_exit_code_table(monkeypatch, capsys, tmp_path, error):
+    """A command that raises one of errors.py's seven classes, an OSError or
+    a ValueError exits with its code and one ``error: <message>`` line."""
+    from ebgp import cli, errors
+
+    defined = {name for name, value in vars(errors).items() if isinstance(value, type)}
+    assert defined == {e.__name__ for e in EXIT_CODES} - {"OSError", "ValueError"}
+
+    def failing(args):
+        raise error("the message")
+
+    monkeypatch.setattr(cli, "cmd_verify", failing)
+    assert main(["verify", "--out", str(tmp_path / "checks.csv")]) == EXIT_CODES[error]
+    assert capsys.readouterr() == ("", "error: the message\n")
+
+
+# Raises of other classes, each caught before it could reach ``main``.
+CAUGHT_WHERE_RAISED = {
+    ("inference.py", "np.linalg.LinAlgError"),  # _factorise_each climbs to the next jitter rung
+    ("cli.py", "argparse.ArgumentTypeError"),  # argparse prints its usage error, exit 2
+}
+
+
+def test_every_raise_is_an_error_line():
+    """Every exception the package raises, outside the test-only oracles, is
+    one of errors.py's classes, a ValueError or an OSError, which ``main``
+    prints as one ``error:`` line, or is caught where it is raised: none
+    escapes as a traceback."""
+    import ast
+    import builtins
+
+    from ebgp import errors
+
+    src = Path(errors.__file__).parent
+    allowed = {name for name, value in vars(errors).items() if isinstance(value, type)}
+    allowed |= {name for name, value in vars(builtins).items()
+                if isinstance(value, type) and issubclass(value, (OSError, ValueError))}
+    escaping = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = ast.unparse(exc)
+                if name not in allowed and (path.name, name) not in CAUGHT_WHERE_RAISED:
+                    escaping.append(f"{path.name}:{node.lineno}: {name}")
+    assert escaping == []
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given, seen", [({}, "1 1 1"), ({"OMP_NUM_THREADS": "2"}, "1 2 1")])
+def test_one_blas_thread_unless_set(given, seen):
+    """``python -m ebgp.cli`` sets each BLAS thread variable its environment
+    lacks to 1, before numpy is imported, and keeps one that is set."""
+    import ebgp
+
+    src = str(Path(ebgp.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env.update(given, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # Runs the module as ``-m`` does, then reports what the process saw.
+    code = ("import os, runpy, sys\n"
+            "sys.argv = ['ebgp', '--help']\n"
+            "try:\n"
+            "    runpy.run_module('ebgp.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as stop:\n"
+            "    assert stop.code == 0\n"
+            f"print(*(os.environ[v] for v in {BLAS_THREAD_VARIABLES!r}), file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.startswith("usage: ebgp") and out.stderr == seen + "\n"
+
+
+BUNDLED = Path(__file__).resolve().parents[1] / "data" / "synthetic"
+# Twenty years of each bundled scenario and its companion, so a draw runs in milliseconds.
+SMALL_YEARS = {"historical": range(1995, 2015), "ssp_low": range(2015, 2035),
+               "ssp_mid": range(2015, 2035), "ssp_high": range(2015, 2035)}
+
+
+@pytest.fixture(scope="module")
+def small_scenarios(tmp_path_factory):
+    """Paths of the bundled scenarios cut to SMALL_YEARS, with their companions."""
+    out = tmp_path_factory.mktemp("small")
+    for name, years in SMALL_YEARS.items():
+        for suffix, year_column in (("", 0), ("_spatial", 2)):
+            header, *rows = (BUNDLED / f"{name}{suffix}.csv").read_text().splitlines()
+            kept = [row for row in rows if int(row.split(",")[year_column]) in years]
+            (out / f"{name}{suffix}.csv").write_text("\n".join([header, *kept]) + "\n")
+    return {name: str(out / f"{name}.csv") for name in SMALL_YEARS}
+
+
+def _model_text(values):
+    """The bundled model file with ``values``, {(section, key): text}, replacing its own, and
+    one short start for ``fit``."""
+    values = {("fit", "restarts"): "0", ("fit", "max_iterations"): "3", **values}
+    lines, section = [], None
+    for line in (BUNDLED / "model_config.txt").read_text().splitlines():
+        section = line[1:-1] if line.startswith("[") else section
+        key = line.split(" = ")[0]
+        lines.append(f"{key} = {values[section, key]}" if (section, key) in values else line)
+    return "\n".join(lines) + "\n"
+
+
+POSITIVE = st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent)  # log-uniform
+SIGNED = st.one_of(st.just(0.0), POSITIVE, POSITIVE.map(lambda value: -value))
+
+
+def _listed(values):
+    """A model-file list of each drawn sequence of floats."""
+    return values.map(lambda drawn: ", ".join(map(repr, drawn)))
+
+
+# Every numeric value of the bundled model file, drawn over its valid range.
+MODEL_VALUES = st.fixed_dictionaries({}, optional={
+    ("response", "timescales"): _listed(st.tuples(POSITIVE, POSITIVE).map(sorted)),
+    ("response", "equilibrium_responses"): _listed(st.tuples(POSITIVE, POSITIVE)),
+    ("response", "variability_amplitude"): st.one_of(st.just(0.0), POSITIVE).map(repr),
+    ("kernel", "lengthscales"): _listed(st.tuples(POSITIVE, POSITIVE, POSITIVE)),
+    ("kernel", "variance"): POSITIVE.map(repr),
+    **{(f"forcing.{agent}", key): SIGNED.map(repr)
+       for agent in ("co2", "ch4", "so2") for key in ("alpha_log", "alpha_lin", "alpha_sqrt")},
+    **{(f"forcing.{agent}", "c0"): POSITIVE.map(repr) for agent in ("co2", "ch4", "so2")},
+    ("forcing.co2", "concentration_per_emission"): POSITIVE.map(repr),
+})
+# The scenarios given, in order; the last one is held out.
+SCENARIO_SETS = st.lists(st.sampled_from(list(SMALL_YEARS)), min_size=1, max_size=4, unique=True)
+ALL_FOUR = ["historical", "ssp_low", "ssp_high", "ssp_mid"]
+# Seeds: the robustness probe's extreme model values, each on every scenario, then the draws
+# that printed a warning or wrote an infinite std before the checks they now meet.
+PROBES = [({key: value}, ALL_FOUR) for key, value in [
+    (("kernel", "lengthscales"), "1e-200, 1.0, 1.0"),
+    (("kernel", "variance"), "1e300"),
+    (("kernel", "variance"), "1e305"),
+    (("kernel", "variance"), "1e307"),
+    (("kernel", "variance"), "1.7e308"),
+    (("response", "timescales"), "1e-300, 239.0"),
+    (("response", "equilibrium_responses"), "1e307, 0.33"),
+    (("response", "variability_amplitude"), "1e160"),
+    (("forcing.co2", "alpha_log"), "1e307"),
+    (("forcing.co2", "alpha_log"), "1.7e308"),
+    (("forcing.co2", "c0"), "1e-320"),
+    (("forcing.ch4", "alpha_sqrt"), "1e300"),
+    (("forcing.ch4", "alpha_sqrt"), "1e308"),
+    (("forcing.so2", "alpha_lin"), "-1e308"),
+]] + [
+    ({("response", "equilibrium_responses"): "1.0, 1e155"}, ["historical"]),  # predictive cov.
+    ({("response", "variability_amplitude"): "1e154",
+      ("response", "equilibrium_responses"): "10.0, 0.33"}, ["historical"]),  # and its sigma^2
+    ({("response", "timescales"): "1.0, 10.0", ("response", "equilibrium_responses"): "1.0, 1e11",
+      ("forcing.so2", "c0"): "1e300"}, ["historical"]),  # temperature mean
+    ({("response", "equilibrium_responses"): "2.138133545761537e154, 1.4268502930692814e113"},
+     ALL_FOUR),  # L K L^T
+    ({("response", "variability_amplitude"): "1e150",
+      ("response", "equilibrium_responses"): "1e5, 0.33"}, ALL_FOUR),  # sigma^2 Gamma
+    ({("response", "equilibrium_responses"): "1e-200, 1e200"}, ALL_FOUR),  # mode weights
+    ({("response", "timescales"): "1e-300, 239.0",
+      ("response", "equilibrium_responses"): "1e10, 0.33"}, ALL_FOUR),  # dL/dlog d
+]
+
+
+def _seeded(test):
+    for values, names in PROBES:
+        test = example(values, names)(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(MODEL_VALUES, SCENARIO_SETS)
+@_seeded
+def test_any_model_value_gives_finite_output_or_one_error_line(small_scenarios, values, names):
+    """Whatever finite values a model file holds, each command that reads one
+    exits 0 with finite outputs (and a non-negative std), or exits 2, 3 or 4
+    with exactly one ``error:`` line; none prints a traceback or a warning."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "model.txt"
+        config.write_text(_model_text(values))
+        scenarios = [small_scenarios[name] for name in names]
+        for command in ("fit", "emulate", "forcing", "sample", "spatial-emulate"):
+            out = Path(tmp) / f"{command}.out"
+            model = ["--config" if command == "fit" else "--model", str(config)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with (warnings.catch_warnings(record=True) as caught,
+                  contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr)):
+                warnings.simplefilter("always")
+                code = main([command, *model, "--scenario", *scenarios, "--holdout", names[-1],
+                             "--out", str(out)])
+            err = stderr.getvalue()
+            assert caught == [], (command, [str(w.message) for w in caught])
+            if code != 0:
+                assert code in (2, 3, 4) and err.startswith("error: ") and err.count("\n") == 1, (
+                    command, code, err)
+            elif command == "fit":
+                load_model(out)  # a fitted value that is not finite is a ParseError
+                assert all(line.startswith("fit: start ") for line in err.splitlines()), err
+            else:
+                rows = read_csv(out)
+                values_out = np.array([[float(v) for k, v in row.items() if k != "year"]
+                                       for row in rows])
+                assert err == "" and rows and np.all(np.isfinite(values_out)), command
+                if "posterior_std" in rows[0]:
+                    assert min(float(row["posterior_std"]) for row in rows) >= 0.0, command

@@ -10,7 +10,7 @@ from ebgp.ebm import (
     temperature_operator,
     thermal_response,
 )
-from ebgp.errors import NonPositiveConcentration
+from ebgp.errors import SchemaError
 from ebgp.oracles import (
     _random_box,
     convolution_operator,
@@ -53,7 +53,7 @@ class TestForcingResponse:
 
     def test_nonpositive_concentration(self):
         params = {"a": AgentForcing(alpha_log=1.0, c0=1.0)}
-        with pytest.raises(NonPositiveConcentration):
+        with pytest.raises(SchemaError, match="agent 'a' has non-positive concentrations"):
             forcing_response({"a": np.array([1.0, -2.0, 1.0, 1.0])}, params, self.grid)
 
     def test_linear_concentration_rule(self):

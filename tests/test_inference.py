@@ -15,7 +15,7 @@ from scipy.stats import multivariate_normal
 
 from conftest import frozen_objective, make_scenario
 from ebgp.ebm import AgentForcing, ImpulseParams, TimeGrid, temperature_operator
-from ebgp.errors import DimensionMismatch, GridMismatch, NonFinite, SingularGram
+from ebgp.errors import GridMismatch, NonFinite, SingularGram
 from ebgp.inference import (
     PARAMETER_NAMES,
     Conditioned,
@@ -242,9 +242,9 @@ class TestBlockedPrior:
         for k in (0, 30, 75, prior.n):
             np.testing.assert_allclose(prior.apply_response(x[:k]), op[:k, :k] @ x[:k],
                                        rtol=0, atol=1e-14)
-        with pytest.raises(GridMismatch):
+        with pytest.raises(GridMismatch, match="cut a scenario"):
             prior.apply_response(x[:40])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(GridMismatch, match=f"{prior.n + 1} rows for a response operator of"):
             prior.apply_response(np.vstack([x, x[:1]]))
 
     def test_variability_rows_match_dense(self, blocked):

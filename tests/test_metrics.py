@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ebgp.errors import GridMismatch, LengthMismatch, NonPositiveVariance
+from ebgp.errors import GridMismatch, SchemaError
 from ebgp.metrics import (
     SCORE_FIELDS,
     Z95,
@@ -51,7 +51,7 @@ class TestDeterministic:
         assert bias == 1.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(GridMismatch, match="prediction has shape \\(1,\\), truth has \\(2,\\)"):
             deterministic_scores([1.0], [1.0, 2.0])
 
     @settings(max_examples=60, deadline=None)
@@ -116,11 +116,11 @@ class TestProbabilistic:
         np.testing.assert_allclose(base, shuffled, rtol=1e-12)
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(NonPositiveVariance):
+        with pytest.raises(SchemaError, match="negative predictive variance"):
             probabilistic_scores([0.0], [-1.0], [0.0])
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(GridMismatch, match="shapes differ: mean \\(2,\\), variance \\(1,\\)"):
             probabilistic_scores([0.0, 1.0], [1.0], [0.0])
 
     def test_interval_uses_z95(self):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 
 from ebgp.ebm import ImpulseParams, TimeGrid, thermal_response
-from ebgp.errors import NonDiagonalizable
 from ebgp.kernels import KernelConfig, forcing_gram, internal_variability_gram
 from ebgp.oracles import (
     BoxModelParams,
@@ -116,15 +115,15 @@ class TestDiagonalize:
             assert np.linalg.norm(rebuilt - a) <= 1e-10 * np.linalg.norm(a)
 
     def test_repeated_eigenvalues_rejected(self):
-        with pytest.raises(NonDiagonalizable):
+        with pytest.raises(ValueError, match="feedback matrix has repeated eigenvalues"):
             diagonalization(np.array([[-1.0, 1.0], [0.0, -1.0]]))
 
     def test_complex_eigenvalues_rejected(self):
-        with pytest.raises(NonDiagonalizable):
+        with pytest.raises(ValueError, match="feedback matrix has complex eigenvalues"):
             diagonalization(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
     def test_surface_decoupled_mode_rejected(self):
-        with pytest.raises(NonDiagonalizable):
+        with pytest.raises(ValueError, match="a mode does not couple to the surface box"):
             diagonalization(np.array([[-1.0, 0.0], [0.0, -2.0]]))
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ebgp import scenario
 from ebgp.cli import INTERVAL_HEADER, main
 from ebgp.ebm import TimeGrid
-from ebgp.errors import GridError, GridMismatch, ParseError, SchemaError, UnknownScenario
+from ebgp.errors import GridMismatch, ParseError, SchemaError
 from ebgp.model_io import load_model
 from ebgp.scenario import (
     AgentSpec,
@@ -65,7 +65,7 @@ class TestLoad:
             tmp_path / "s.csv",
             "year,emission:co2,emission:so2\n2000,1,1\n2001,1,1\n2003,1,1\n",
         )
-        with pytest.raises(GridError, match="2001 and 2003"):
+        with pytest.raises(SchemaError, match="2001 and 2003"):
             load_scenario(path, AGENTS)
 
     @pytest.mark.parametrize("rows, line", [
@@ -78,10 +78,10 @@ class TestLoad:
         """A scenario or truth file whose years are not a uniform grid is
         reported at the line of the row whose year breaks it."""
         path = write(tmp_path / "s.csv", "year,emission:co2,emission:so2\n" + rows)
-        with pytest.raises(GridError, match=f"at line {line}\\)"):
+        with pytest.raises(SchemaError, match=f"at line {line}\\)"):
             load_scenario(path, AGENTS)
         truth = write(tmp_path / "t.csv", "year,tas_global,other\n" + rows)
-        with pytest.raises(GridError, match=f"at line {line}\\)"):
+        with pytest.raises(SchemaError, match=f"at line {line}\\)"):
             scenario.read_truth(truth, spatial=False)
 
     def test_missing_agent_column(self, tmp_path):
@@ -300,7 +300,7 @@ class TestAssemble:
         assert train.standardization is None
 
     def test_unknown_scenario(self, scenario_factory):
-        with pytest.raises(UnknownScenario):
+        with pytest.raises(SchemaError, match="holdout 'zz' is not among scenarios \\['a'\\]"):
             assemble_training_set([scenario_factory("a", 5)], holdout=("zz",))
 
     def test_missing_temperature_rejected(self, scenario_factory):
@@ -546,7 +546,7 @@ class TestErrorsNameTheLine:
     def test_broken_year_grid(self, tmp_path, form, line):
         rows = [[str(year), "1", "1"] for year in (2000, 2001, 2002, 2004)]
         path = write(tmp_path / "s.csv", lay_out("year,emission:co2,emission:so2", rows, form))
-        with pytest.raises(GridError, match=f"2002 and 2004 at line {line}\\)"):
+        with pytest.raises(SchemaError, match=f"2002 and 2004 at line {line}\\)"):
             load_scenario(path, AGENTS)
 
     @pytest.mark.parametrize("form, line", zip(FORMS, [9, 6, 6]))

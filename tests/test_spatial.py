@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ebgp.errors import DegenerateRegressor, EmptyGrid, GridMismatch, SingularGram
+from ebgp.errors import GridMismatch, SchemaError, SingularGram
 from ebgp.inference import (
     Conditioned,
     EmulatorModel,
@@ -86,7 +86,7 @@ class TestPatternScaling:
 
     def test_constant_global_rejected(self):
         g = np.full(20, 1.5)
-        with pytest.raises(DegenerateRegressor):
+        with pytest.raises(SchemaError, match="global temperature series is constant"):
             fit_pattern_scaling(g, cube_from(g, np.ones(GRID.shape), np.zeros(GRID.shape)), GRID)
 
     def test_too_few_points(self):
@@ -371,5 +371,5 @@ class TestAreaWeightedMean:
     def test_errors(self):
         with pytest.raises(GridMismatch):
             area_weighted_mean(np.zeros((2, 2)), GRID)
-        with pytest.raises(EmptyGrid):
+        with pytest.raises(SchemaError, match="cannot average an empty field"):
             area_weighted_mean(np.zeros((0, 0)), GRID)
